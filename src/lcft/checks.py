@@ -1,9 +1,9 @@
 """Property suite for one extension: every library-level invariant.
 
 Each check returns a ``CheckResult``; ``run_checks`` runs the whole suite
-with deterministic sampling from a seed. The CLI ``check`` command and
-the test suite both drive these functions, so a green suite here is the
-same statement as a green acceptance run for the covered extension.
+with deterministic sampling from a seed. The CLI ``check`` command runs
+the suite, and each acceptance criterion in ``tests/test_acceptance.py``
+runs one of these checks, so each criterion has one implementation.
 """
 
 from __future__ import annotations
@@ -272,6 +272,9 @@ def check_root_extraction(ext, rng, samples=100) -> CheckResult:
                               for _ in range(ext.precision - 1)]
         w = LaurentSeries(tower, "alpha", e * rng.randrange(-2, 3), coeffs)
         r = w.nth_root(e)
+        if r.precision != w.precision:
+            failures.append(f"root sample {n}: precision {r.precision} "
+                            f"!= {w.precision}")
         if r**e != w:
             failures.append(f"root sample {n}: r^e != w")
         if r.leading_coefficient != w.leading_coefficient.nth_roots(e)[0]:

@@ -51,8 +51,11 @@ def build_extension(raw: dict, precision_override=None) -> TameAbelianExtension:
         e = int(raw["e"])
     except KeyError as exc:
         raise ValueError(f"missing descriptor key: {exc}") from exc
-    precision = precision_override or int(
-        raw.get("precision", os.environ.get("LCFT_PRECISION", 32)))
+    if precision_override is not None:
+        precision = precision_override
+    else:
+        precision = int(
+            raw.get("precision", os.environ.get("LCFT_PRECISION", 32)))
     return TameAbelianExtension.from_parameters(
         p, t, f, e, raw.get("u0", "1"), precision)
 

@@ -1,119 +1,26 @@
-"""Smith normal form for small integer matrices.
+"""Invariant factors of full-rank two-column integer lattices.
 
-Only the invariant factors are needed (no transformation matrices). The
-matrices here are relation matrices of finitely generated abelian groups
-with at most a handful of rows and columns, so the classic pivoting
-algorithm is more than fast enough.
+Every group presented in this package has two generators: the Galois
+group, with relations (f, -s) and (0, e), and the norm quotient, with
+relations (f, d1), (0, d2) and (0, q-1). So the Smith form reduces to
+its two determinantal divisors.
 """
 
 from __future__ import annotations
 
-
-def smith_normal_form(rows: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith normal form of an integer matrix.
-
-    Returns nonnegative d_1, d_2, ... with d_1 | d_2 | ..., one entry per
-    column of the input (zero entries for free directions).
-    """
-    m = [list(map(int, row)) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    diag = []
-    top = 0
-    while top < min(nrows, ncols):
-        pivot = _locate_pivot(m, top)
-        if pivot is None:
-            break
-        _swap(m, top, pivot)
-        while True:
-            _reduce_column(m, top)
-            _reduce_row(m, top)
-            if _column_clear(m, top) and _row_clear(m, top):
-                break
-        diag.append(abs(m[top][top]))
-        top += 1
-    while len(diag) < ncols:
-        diag.append(0)
-    _fix_divisibility(diag)
-    return diag
+import math
+from itertools import combinations
 
 
 def invariant_factors(rows: list[list[int]]) -> list[int]:
-    """Nontrivial invariant factors (> 1) of the cokernel Z^n / rowspan."""
-    return [d for d in smith_normal_form(rows) if d > 1]
+    """Nontrivial invariant factors (> 1) of the cokernel Z^2 / rowspan.
 
-
-def _locate_pivot(m, top):
-    best = None
-    best_val = None
-    for i in range(top, len(m)):
-        for j in range(top, len(m[0])):
-            v = abs(m[i][j])
-            if v and (best_val is None or v < best_val):
-                best, best_val = (i, j), v
-    return best
-
-
-def _swap(m, top, pivot):
-    i, j = pivot
-    m[top], m[i] = m[i], m[top]
-    if j != top:
-        for row in m:
-            row[top], row[j] = row[j], row[top]
-
-
-def _reduce_column(m, top):
-    for i in range(len(m)):
-        if i == top or m[i][top] == 0:
-            continue
-        q = m[i][top] // m[top][top]
-        for j in range(len(m[0])):
-            m[i][j] -= q * m[top][j]
-    # a nonzero remainder becomes the new, smaller pivot
-    for i in range(len(m)):
-        if i != top and m[i][top] != 0:
-            m[top], m[i] = m[i], m[top]
-            _reduce_column(m, top)
-            return
-
-
-def _reduce_row(m, top):
-    for j in range(len(m[0])):
-        if j == top or m[top][j] == 0:
-            continue
-        q = m[top][j] // m[top][top]
-        for i in range(len(m)):
-            m[i][j] -= q * m[i][top]
-    for j in range(len(m[0])):
-        if j != top and m[top][j] != 0:
-            for i in range(len(m)):
-                m[i][top], m[i][j] = m[i][j], m[i][top]
-            _reduce_row(m, top)
-            return
-
-
-def _column_clear(m, top):
-    return all(m[i][top] == 0 for i in range(len(m)) if i != top)
-
-
-def _row_clear(m, top):
-    return all(m[top][j] == 0 for j in range(len(m[0])) if j != top)
-
-
-def _fix_divisibility(diag):
-    import math
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            a, b = diag[i], diag[i + 1]
-            if a and b and b % a != 0:
-                g = math.gcd(a, b)
-                diag[i], diag[i + 1] = g, a * b // g
-                changed = True
-            elif a and not b:
-                continue
-            elif not a and b:
-                diag[i], diag[i + 1] = b, a
-                changed = True
+    d1 is the gcd of all entries and d1 * d2 the gcd of all 2x2 minors.
+    A lattice of rank below 2 (an infinite cokernel) raises ValueError.
+    """
+    d1 = math.gcd(*(x for row in rows for x in row))
+    minors = (a * d - b * c for (a, b), (c, d) in combinations(rows, 2))
+    d12 = math.gcd(*minors)
+    if d12 == 0:
+        raise ValueError("relation lattice has rank below 2")
+    return [d for d in (d1, d12 // d1) if d > 1]

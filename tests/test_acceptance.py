@@ -1,25 +1,25 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
-Run with ``pytest -v -s tests/test_acceptance.py`` to see the lines; all
-equalities are exact (finite-field arithmetic), and the stated wall-clock
-budgets are asserted where the criterion carries one.
+Run with ``pytest -v -s tests/test_acceptance.py`` to see the lines. Each
+criterion runs the ``lcft.checks`` function that ``lcft check`` runs, on
+a chosen set of extensions with fixed sample counts and seed; the stated
+wall-clock budgets are asserted where the criterion carries one.
 """
 
-import math
 import random
 import time
-from contextlib import contextmanager
 
-from lcft import brauer, reciprocity as rc
+from lcft import checks
 from lcft.extension import TameAbelianExtension
-from lcft.series import LaurentSeries
 
 
-@contextmanager
-def criterion(label, budget=None):
+def _assert_criterion(label, budget, exts, check, *args):
+    """Run ``check(ext, *args)`` on every extension within the budget."""
     start = time.perf_counter()
     try:
-        yield
+        for name, ext in exts.items():
+            result = check(ext, *args)
+            assert result.passed, (name, result.detail)
     except Exception:
         print(f"FAIL {label}")
         raise
@@ -29,192 +29,60 @@ def criterion(label, budget=None):
     print(f"PASS {label} ({elapsed:.2f}s)")
 
 
-def _const(ext, value):
-    return LaurentSeries.constant(ext.tower, "t", value, ext.precision)
-
-
 def _rng():
     return random.Random(0xACCE97)
 
 
 def test_criterion_01_oracle_equivalence(matrix):
-    with criterion("criterion-01 closed form = congruence search", 10.0):
-        for name, ext in matrix.items():
-            t = ext.base_uniformizer()
-            reps = rc.norm_group(ext).coset_representatives
-            for b in reps:
-                closed = rc.reciprocity_map(ext, b)
-                searched = rc.reciprocity_search(
-                    ext, t, _const(ext, b.unit), b.valuation)
-                assert closed == searched, (name, b)
+    _assert_criterion("criterion-01 closed form = congruence search", 10.0,
+                      matrix, checks.check_oracle_agreement)
 
 
 def test_criterion_02_kernel_and_isomorphism(matrix):
-    rng = _rng()
-    with criterion("criterion-02 kernel and isomorphism", 10.0):
-        for name, ext in matrix.items():
-            for _ in range(200):
-                beta = rc.random_unit_series(ext, rng, rng.randrange(-3, 4))
-                image = rc.reciprocity_of_series(ext, rc.norm(ext, beta))
-                assert image.is_identity(), name
-            pres = rc.norm_group(ext)
-            assert pres.quotient_order == ext.degree, name
-            images = {rc.reciprocity_map(ext, b)
-                      for b in pres.coset_representatives}
-            assert len(images) == ext.degree, name
-            assert images == set(ext.galois_group()), name
+    _assert_criterion("criterion-02 kernel and isomorphism", 10.0, matrix,
+                      checks.check_kernel_and_bijection, _rng(), 200)
 
 
 def test_criterion_03_unramified_law():
-    unramified = [
-        TameAbelianExtension.from_parameters(3, 1, 2, 1, "1"),
-        TameAbelianExtension.from_parameters(2, 2, 3, 1, "1"),
-        TameAbelianExtension.from_parameters(7, 1, 2, 1, "1"),
-    ]
-    rng = _rng()
-    with criterion("criterion-03 unramified law theta(b) = Frob^v(b)"):
-        for ext in unramified:
-            frob = ext.frobenius_element()
-            for i in range(-ext.f, 2 * ext.f + 1):
-                for u in ext.tower.subfield_unit_elements():
-                    got = rc.reciprocity_map(ext, rc.BaseFieldClass(i, u))
-                    assert got == frob**i
-            for _ in range(25):
-                b = rc.random_base_unit_series(ext, rng,
-                                               rng.randrange(-3, 4))
-                assert rc.reciprocity_of_series(ext, b) == \
-                    frob**b.valuation
+    unramified = {params: TameAbelianExtension.from_parameters(*params)
+                  for params in ((3, 1, 2, 1, "1"), (2, 2, 3, 1, "1"),
+                                 (7, 1, 2, 1, "1"))}
+    _assert_criterion("criterion-03 unramified law theta(b) = Frob^v(b)",
+                      None, unramified, checks.check_unramified_law,
+                      _rng(), 25)
 
 
 def test_criterion_04_totally_ramified_norm_criterion(matrix):
-    with criterion("criterion-04 totally ramified norm criterion"):
-        for name in ("ram_e2", "ram_e4"):
-            ext = matrix[name]
-            exp = (ext.q - 1) // ext.e
-            for u in ext.tower.subfield_unit_elements():
-                closed = u**exp == ext.tower.one()
-                assert rc.is_norm(
-                    ext, rc.BaseFieldClass(0, u)) == closed, (name, u)
+    _assert_criterion("criterion-04 totally ramified norm criterion", None,
+                      {name: matrix[name] for name in ("ram_e2", "ram_e4")},
+                      checks.check_totally_ramified_laws)
 
 
 def test_criterion_05_norm_congruences(matrix):
-    rng = _rng()
-    with criterion("criterion-05 norm congruence identities"):
-        for name, ext in matrix.items():
-            report = rc.verify_norm_congruences(ext, rng, 100, 10)
-            assert report.passed, (name, report.failures[:2])
+    _assert_criterion("criterion-05 norm congruence identities", None,
+                      matrix, checks.check_norm_congruences, _rng(), 100, 10)
 
 
 def test_criterion_06_ramification_filtration(matrix):
-    with criterion("criterion-06 ramification filtration"):
-        for name, ext in matrix.items():
-            assert len(ext.ramification_group(0)) == ext.e, name
-            assert ext.ramification_group(1) == (ext.identity(),), name
-            for i in (-1, 0, 1, 2):
-                assert set(ext.ramification_group(i)) == \
-                    set(ext.ramification_group_direct(i)), (name, i)
+    _assert_criterion("criterion-06 ramification filtration", None, matrix,
+                      checks.check_ramification_filtration, _rng(), 10)
 
 
 def test_criterion_07_group_axioms_exhaustive(matrix):
-    with criterion("criterion-07 pair-group axioms, all pairs"):
-        for name, ext in matrix.items():
-            group = ext.galois_group()
-            members = set(group)
-            assert len(group) == ext.degree
-            ident = ext.identity()
-            for g in group:
-                assert g * ident == g
-                assert (g * g.inverse()).is_identity()
-                for h in group:
-                    gh = g * h
-                    assert gh in members, name
-                    assert gh == h * g, name
+    _assert_criterion("criterion-07 pair-group axioms, all pairs", None,
+                      matrix, checks.check_group_axioms)
 
 
 def test_criterion_08_uniformizer_independence(matrix):
-    rng = _rng()
-    with criterion("criterion-08 uniformizer independence"):
-        for name, ext in matrix.items():
-            t = ext.base_uniformizer()
-            reps = rc.norm_group(ext).coset_representatives
-            for _ in range(10):
-                w = rc.random_base_unit_series(ext, rng)
-                pi2 = w * t
-                for b in reps:
-                    u1 = _const(ext, b.unit)
-                    u2 = u1 * w ** (-b.valuation)
-                    assert rc.reciprocity_search(ext, t, u1, b.valuation) \
-                        == rc.reciprocity_search(ext, pi2, u2, b.valuation), \
-                        (name, b)
+    _assert_criterion("criterion-08 uniformizer independence", None, matrix,
+                      checks.check_uniformizer_independence, _rng(), 10)
 
 
 def test_criterion_09_hasse_invariant_layer(matrix):
-    rng = _rng()
-    with criterion("criterion-09 hasse invariant layer", 20.0):
-        for name, ext in matrix.items():
-            chars = brauer.character_group(ext)
-            reps = rc.norm_group(ext).coset_representatives
-            # bilinearity in both slots
-            for _ in range(50):
-                c1, c2 = rng.choice(chars), rng.choice(chars)
-                b1, b2 = rng.choice(reps), rng.choice(reps)
-                assert brauer.hasse_invariant(c1, b1 * b2) == (
-                    brauer.hasse_invariant(c1, b1)
-                    + brauer.hasse_invariant(c1, b2)) % 1, name
-                assert brauer.hasse_invariant(c1 + c2, b1) == (
-                    brauer.hasse_invariant(c1, b1)
-                    + brauer.hasse_invariant(c2, b1)) % 1, name
-            # unramified closed formula
-            if ext.e == 1:
-                frob = ext.frobenius_element()
-                for chi in chars:
-                    for b in reps:
-                        assert brauer.hasse_invariant(chi, b) == \
-                            (b.valuation * chi(frob)) % 1, name
-            # vanishing exactly on norms, for faithful characters
-            for chi in chars:
-                if chi.is_faithful():
-                    for b in reps:
-                        assert (brauer.hasse_invariant(chi, b) == 0) \
-                            == rc.is_norm(ext, b), (name, b)
-            if not ext.is_cyclic():
-                continue
-            sigma = next(g for g in ext.galois_group()
-                         if g.order() == ext.degree)
-            spec = brauer.CyclicAlgebraSpec(
-                ext, sigma, rc.BaseFieldClass(1, ext.tower.one()))
-            r = brauer.frobenius_exponent(spec)
-            theta_t = rc.reciprocity_map(ext, spec.b)
-            assert sigma**r == theta_t, name
-            # the exponent is a unit mod ef whenever the class of t
-            # generates the quotient (always true off the totally
-            # ramified case; there a generating unit class takes over)
-            if theta_t.order() == ext.degree:
-                assert math.gcd(r, ext.degree) == 1, name
-            else:
-                assert ext.f == 1, name
-                gk = ext.tower.subfield_generator()
-                target = rc.reciprocity_map(ext, rc.BaseFieldClass(0, gk))
-                r_eta, g = 0, ext.identity()
-                while g != target:
-                    g, r_eta = g * sigma, r_eta + 1
-                assert math.gcd(r_eta, ext.degree) == 1, name
-            report = brauer.cyclic_algebra_check(spec, rng, samples=100,
-                                                 precision=8)
-            assert report.passed, (name, report.failures[:3])
+    _assert_criterion("criterion-09 hasse invariant layer", 20.0, matrix,
+                      checks.check_hasse_layer, _rng(), 100)
 
 
 def test_criterion_10_hensel_root_extraction(matrix):
-    rng = _rng()
-    with criterion("criterion-10 e-th root extraction at precision 32"):
-        for name, ext in matrix.items():
-            tower = ext.tower
-            for _ in range(100):
-                lead = tower.generator_power(rng.randrange(tower.order))
-                coeffs = [lead**ext.e] + [
-                    rc.random_element(tower, rng) for _ in range(31)]
-                w = LaurentSeries(tower, "alpha",
-                                  ext.e * rng.randrange(-2, 3), coeffs)
-                r = w.nth_root(ext.e)
-                assert r.precision == 32
-                assert r**ext.e == w, name
+    _assert_criterion("criterion-10 e-th root extraction at precision 32",
+                      None, matrix, checks.check_root_extraction, _rng(), 100)

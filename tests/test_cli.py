@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from lcft import checks, cli
 from lcft.extension import TameAbelianExtension
 
@@ -120,6 +122,13 @@ def test_precision_env_override(tmp_path, monkeypatch, capsys):
     cli.main(["validate", cfg, "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert payload["descriptor"]["precision"] == 16
+
+
+@pytest.mark.parametrize("precision", ["0", "-1"])
+def test_nonpositive_precision_exits_one(tmp_path, capsys, precision):
+    cfg = _write(tmp_path, UNRAM)
+    assert cli.main(["validate", cfg, "--precision", precision]) == 1
+    assert "invalid extension" in capsys.readouterr().err
 
 
 def test_descriptor_text_round_trip(tmp_path):
