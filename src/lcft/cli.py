@@ -204,6 +204,8 @@ def cmd_check(ext, raw, args, out):
     seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
     samples = args.samples if args.samples is not None else int(
         raw.get("samples", 100))
+    if samples < 1:
+        raise ValueError("samples must be positive")
     results = checks.run_checks(ext, samples=samples, seed=seed)
     passed = all(r.passed for r in results)
     if args.json:

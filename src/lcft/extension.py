@@ -31,7 +31,8 @@ class TameAbelianExtension:
 
     Rejects wild input (p | e) and input with no tame abelian extension of
     the requested shape (e not dividing q - 1). Immutable after
-    construction; the Galois group is enumerated once and cached.
+    construction; the Galois group and the norm-group presentation are
+    each computed once and cached.
     """
 
     def __init__(self, tower: FieldTower, e: int, u0=1, precision: int = 32):
@@ -63,6 +64,7 @@ class TameAbelianExtension:
         self.u0 = u0
         self.precision = precision
         self._group = None
+        self._norm_group = None      # set by reciprocity.norm_group
 
     @classmethod
     def from_parameters(cls, p, t, f, e, u0="1", precision=32):
@@ -373,10 +375,15 @@ class GaloisElement:
             raise ValueError("series belongs to a different tower")
         if beta.is_zero():
             return beta
-        zero = self.ext.tower.zero()
-        c_pow = self.c**beta.valuation
+        tower = self.ext.tower
+        # on generator logs: lam^(q^a) multiplies log(lam) by q^a, and the
+        # scale c^(v+j) steps by log(c) from one coefficient to the next
+        frob = pow(tower.q, self.a, tower.order)
+        step = self.c.log
+        c_pow = step * beta.valuation
         out = []
         for lam in beta.coeffs:
-            out.append(lam.frobenius(self.a) * c_pow if lam else zero)
-            c_pow = c_pow * self.c
-        return LaurentSeries(self.ext.tower, EXT_SYMBOL, beta.valuation, out)
+            out.append(None if lam.log is None else lam.log * frob + c_pow)
+            c_pow += step
+        return LaurentSeries._from_logs(tower, EXT_SYMBOL, beta.valuation,
+                                        out)

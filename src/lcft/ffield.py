@@ -151,6 +151,10 @@ class FieldTower:
     search so a tower built from the same (p, t, f) is always identical.
     A modulus can also be supplied explicitly (it is validated, including
     primitivity of x).
+
+    ``FieldElement`` is the public face of its elements. The series kernels
+    and the Galois action (``series.py``, ``extension.py``) skip it in their
+    inner loops and read ``order`` and the Zech table ``_zech`` directly.
     """
 
     def __init__(self, p: int, t: int, f: int, modulus=None):

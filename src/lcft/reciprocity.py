@@ -214,8 +214,11 @@ def norm_group(ext: TameAbelianExtension) -> NormGroupPresentation:
 
     Generated by the classes of N(alpha) and N(omega) for a residue
     generator omega; 1-units contribute nothing because they are norms.
-    The quotient order must come out as e*f.
+    The quotient order must come out as e*f. Built once per extension and
+    cached on it.
     """
+    if ext._norm_group is not None:
+        return ext._norm_group
     tower = ext.tower
     gen = tower.generator()
     gk = tower.subfield_generator()
@@ -238,13 +241,14 @@ def norm_group(ext: TameAbelianExtension) -> NormGroupPresentation:
     assert ext.f * d == ext.degree
     reps = tuple(BaseFieldClass(i, gk**j)
                  for i in range(ext.f) for j in range(d))
-    return NormGroupPresentation(
+    ext._norm_group = NormGroupPresentation(
         ext=ext, subfield_generator=gk,
         generator_rows=((ext.f, d1), (0, d2)),
         relation_matrix=tuple(tuple(r) for r in rows),
         invariant_factors=factors,
         coset_representatives=reps,
         quotient_order=order)
+    return ext._norm_group
 
 
 def is_norm(ext: TameAbelianExtension, b: BaseFieldClass) -> bool:

@@ -8,6 +8,12 @@ window a bookkeeping device rather than an error bound.
 
 The exact zero is a distinct value with an infinite-valuation sentinel; a
 sum whose retained coefficients all cancel collapses to it.
+
+``FieldElement`` is the public face of every coefficient, but the hot
+kernels (multiply, inverse, and the Galois action in ``extension.py``) work
+on raw generator logs and read the tower's ``order`` and ``_zech`` table
+directly: a product of coefficients adds logs mod ``order``, a sum is one
+Zech lookup, and only the finished window is wrapped back into elements.
 """
 
 from __future__ import annotations
@@ -19,6 +25,27 @@ from .ffield import FieldElement, FieldTower
 INFINITE = math.inf
 
 DEFAULT_PRECISION = 32
+
+
+def _convolve_at(terms, logs, k, order, zech):
+    """Log of the sum of g^(a + logs[k - i]) over (i, a) in ``terms``, i <= k.
+
+    ``terms`` lists (index, log) of nonzero coefficients by increasing
+    index; a log of None is zero. The result is None when the sum is zero,
+    and is not reduced mod ``order``.
+    """
+    acc = None
+    for i, a in terms:
+        if i > k:
+            break
+        b = logs[k - i]
+        if b is not None:
+            if acc is None:
+                acc = a + b
+            else:
+                z = zech[(a + b - acc) % order]
+                acc = None if z < 0 else acc + z
+    return acc
 
 
 def _pad(series, precision):
@@ -59,6 +86,14 @@ class LaurentSeries:
         self.coeffs = tuple(coeffs)
 
     # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def _from_logs(cls, tower, symbol, valuation, logs):
+        """Series from generator logs (None for zero), reduced mod order."""
+        m = tower.order
+        return cls(tower, symbol, valuation,
+                   [FieldElement(tower, None if L is None else L % m)
+                    for L in logs])
 
     @classmethod
     def zero(cls, tower, symbol):
@@ -205,37 +240,35 @@ class LaurentSeries:
         self._check_compatible(other)
         if self.is_zero() or other.is_zero():
             return LaurentSeries.zero(self.tower, self.symbol)
+        tower = self.tower
         n = min(len(self.coeffs), len(other.coeffs))
-        zero = self.tower.zero()
-        out = [zero] * n
-        for i in range(n):
-            a = self.coeffs[i]
-            if not a:
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return LaurentSeries(self.tower, self.symbol,
-                             self.valuation + other.valuation, out)
+        terms = [(i, c.log) for i, c in enumerate(self.coeffs[:n])
+                 if c.log is not None]
+        logs = [c.log for c in other.coeffs[:n]]
+        return LaurentSeries._from_logs(
+            tower, self.symbol, self.valuation + other.valuation,
+            [_convolve_at(terms, logs, k, tower.order, tower._zech)
+             for k in range(n)])
 
     __rmul__ = __mul__
 
     def inverse(self) -> "LaurentSeries":
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero series")
-        n = len(self.coeffs)
-        lead_inv = self.coeffs[0].inverse()
-        zero = self.tower.zero()
-        out = [zero] * n
-        out[0] = lead_inv
-        for m in range(1, n):
-            acc = zero
-            for k in range(1, m + 1):
-                if self.coeffs[k]:
-                    acc = acc + self.coeffs[k] * out[m - k]
-            out[m] = -lead_inv * acc
-        return LaurentSeries(self.tower, self.symbol, -self.valuation, out)
+        tower = self.tower
+        m = tower.order
+        lead = self.coeffs[0].log
+        # out[j] = -(c_1 out[j-1] + ... + c_j out[0]) / c_0; negation adds
+        # m/2 to a log in odd characteristic and is the identity for p = 2
+        neg_lead_inv = -lead + (0 if tower.p == 2 else m // 2)
+        terms = [(k, c.log) for k, c in enumerate(self.coeffs)
+                 if k and c.log is not None]
+        out = [-lead % m]
+        for j in range(1, len(self.coeffs)):
+            acc = _convolve_at(terms, out, j, m, tower._zech)
+            out.append(None if acc is None else (acc + neg_lead_inv) % m)
+        return LaurentSeries._from_logs(tower, self.symbol, -self.valuation,
+                                        out)
 
     def __truediv__(self, other):
         if isinstance(other, (int, FieldElement)):

@@ -131,6 +131,19 @@ def test_nonpositive_precision_exits_one(tmp_path, capsys, precision):
     assert "invalid extension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["-1", "0"])
+def test_nonpositive_samples_flag_exits_three(tmp_path, capsys, samples):
+    cfg = _write(tmp_path, UNRAM)
+    assert cli.main(["check", cfg, "--samples", samples]) == 3
+    assert "error: samples must be positive" in capsys.readouterr().err
+
+
+def test_nonpositive_samples_config_exits_three(tmp_path, capsys):
+    cfg = _write(tmp_path, UNRAM + "samples=-3\n")
+    assert cli.main(["check", cfg]) == 3
+    assert "error: samples must be positive" in capsys.readouterr().err
+
+
 def test_descriptor_text_round_trip(tmp_path):
     ext = TameAbelianExtension.from_parameters(2, 2, 3, 3, "g", 16)
     cfg = _write(tmp_path, ext.descriptor_text())

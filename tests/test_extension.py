@@ -119,6 +119,27 @@ def test_apply_is_ring_hom(matrix, rng):
             assert g.apply(x + y) == g.apply(x) + g.apply(y), name
 
 
+def test_apply_against_coefficientwise_reference(matrix, rng):
+    # g(sum lam_j alpha^(v+j)) = sum lam_j^(q^a) c^(v+j) alpha^(v+j)
+    for name in ("mixed_c9", "deg12"):
+        ext = matrix[name]
+        tower = ext.tower
+        for g in ext.galois_group():
+            for _ in range(3):
+                lead = tower.generator_power(rng.randrange(tower.order))
+                density = rng.random()
+                rest = [tower.generator_power(rng.randrange(tower.order))
+                        if rng.random() < density else tower.zero()
+                        for _ in range(rng.randrange(0, 12))]
+                v = rng.randrange(-6, 6)
+                beta = LaurentSeries(tower, "alpha", v, [lead] + rest)
+                want = [lam.frobenius(g.a) * g.c ** (v + j)
+                        for j, lam in enumerate(beta.coeffs)]
+                got = g.apply(beta)
+                assert got.valuation == v, name
+                assert got.coeffs == tuple(want), (name, g)
+
+
 def test_inertia_moves_integral_elements_by_one(matrix, rng):
     for ext in matrix.values():
         for g in ext.ramification_group(0):

@@ -1,6 +1,7 @@
 import pytest
 
-from lcft import reciprocity as rc
+from lcft import checks, reciprocity as rc
+from lcft.extension import TameAbelianExtension
 from lcft.series import LaurentSeries
 
 
@@ -260,3 +261,21 @@ def test_norm_congruence_reports(matrix, rng):
         assert report.passed, (name, report.failures[:2])
         assert report.unit_checks == 25
         assert report.uniformizer_checks == 5
+
+
+def test_norm_group_is_built_once_per_extension(monkeypatch):
+    # a fresh extension: a cached session fixture would hide the first build
+    ext = TameAbelianExtension.from_parameters(5, 1, 1, 4, "1")
+    norm = rc.norm
+    calls = []
+
+    def counted(ext, beta):
+        calls.append(beta)
+        return norm(ext, beta)
+
+    monkeypatch.setattr(rc, "norm", counted)
+    assert checks.check_totally_ramified_laws(ext).passed
+    # N(alpha) and N(omega), once, for all four units of k*
+    assert len(calls) == 2
+    assert rc.norm_group(ext) is rc.norm_group(ext)
+    assert len(calls) == 2

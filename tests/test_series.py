@@ -14,12 +14,28 @@ def f3():
     return FieldTower(3, 1, 1)
 
 
-def _random_series(tower, rng, valuation, precision):
+# F_2 (order 1, where 1 + 1 = 0 makes zech[0] = -1), F_3, F_5, F_2^6,
+# F_7^2 and F_3^2 as a degree-2 extension of F_3
+KERNEL_TOWERS = [(2, 1, 1), (3, 1, 1), (5, 1, 1), (2, 6, 1), (7, 2, 1),
+                 (3, 1, 2)]
+
+
+@pytest.fixture(scope="module")
+def kernel_towers():
+    return [FieldTower(*params) for params in KERNEL_TOWERS]
+
+
+def _random_series(tower, rng, valuation, precision, density=0.7):
     coeffs = [tower.generator_power(rng.randrange(tower.order))
-              if rng.random() < 0.7 else tower.zero()
+              if rng.random() < density else tower.zero()
               for _ in range(precision)]
     coeffs[0] = tower.generator_power(rng.randrange(tower.order))
     return LaurentSeries(tower, "t", valuation, coeffs)
+
+
+def _same_window(x, y):
+    """Strict equality: same valuation and the same retained coefficients."""
+    return x.valuation == y.valuation and x.coeffs == y.coeffs
 
 
 def _schoolbook_product(a, b):
@@ -31,6 +47,18 @@ def _schoolbook_product(a, b):
         for j in range(n - i):
             out[i + j] = out[i + j] + a.coeffs[i] * b.coeffs[j]
     return LaurentSeries(a.tower, a.symbol, a.valuation + b.valuation, out)
+
+
+def _recurrence_inverse(a):
+    """Independent inverse oracle: b_j = -(a_1 b_(j-1) + ... + a_j b_0) / a_0."""
+    c = a.coeffs
+    out = [c[0].inverse()]
+    for j in range(1, len(c)):
+        acc = a.tower.zero()
+        for k in range(1, j + 1):
+            acc = acc + c[k] * out[j - k]
+        out.append(-(acc / c[0]))
+    return LaurentSeries(a.tower, a.symbol, -a.valuation, out)
 
 
 def test_one_is_neutral(f5):
@@ -52,12 +80,45 @@ def test_product_against_schoolbook_example(f5):
     assert prod == LaurentSeries.from_coeffs(f5, "t", 0, [1, 0, 4], 8)
 
 
-def test_product_against_schoolbook_random(f5, rng):
-    for _ in range(100):
-        a = _random_series(f5, rng, rng.randrange(-3, 4), 8)
-        b = _random_series(f5, rng, rng.randrange(-3, 4), 8)
-        assert a * b == _schoolbook_product(a, b)
-        assert (a * b).valuation == a.valuation + b.valuation
+def test_product_against_schoolbook_random(kernel_towers, rng):
+    # sparse to dense operands, unequal windows, negative valuations
+    for tower in kernel_towers:
+        for _ in range(60):
+            a = _random_series(tower, rng, rng.randrange(-5, 4),
+                               rng.randrange(1, 13), rng.random())
+            b = _random_series(tower, rng, rng.randrange(-5, 4),
+                               rng.randrange(1, 13), rng.random())
+            prod = a * b
+            assert _same_window(prod, _schoolbook_product(a, b)), tower
+            assert prod.valuation == a.valuation + b.valuation, tower
+            assert prod.precision == min(a.precision, b.precision), tower
+
+
+def test_product_cancellation(kernel_towers, rng):
+    for tower in kernel_towers:
+        one = LaurentSeries.one(tower, "t", 8)
+        t = LaurentSeries.uniformizer(tower, "t", 8)
+        # (1 + t)(1 - t) = 1 - t^2: the t coefficient cancels to zero
+        prod = (one + t) * (one - t)
+        assert prod.coeffs[1] == tower.zero(), tower
+        assert _same_window(prod, _schoolbook_product(one + t, one - t))
+        # a times its inverse: every coefficient past the lead cancels
+        for _ in range(10):
+            a = _random_series(tower, rng, rng.randrange(-3, 3), 8)
+            b = _recurrence_inverse(a)
+            assert _same_window(a * b, one), tower
+            assert _same_window(b * a, one), tower
+
+
+def test_inverse_against_recurrence(kernel_towers, rng):
+    for tower in kernel_towers:
+        for _ in range(40):
+            n = rng.randrange(1, 13)
+            a = _random_series(tower, rng, rng.randrange(-5, 4), n,
+                               rng.random())
+            inv = a.inverse()
+            assert _same_window(inv, _recurrence_inverse(a)), tower
+            assert _same_window(a * inv, LaurentSeries.one(tower, "t", n))
 
 
 def test_division(f5, rng):
