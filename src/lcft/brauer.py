@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .extension import GaloisElement, TameAbelianExtension
-from .reciprocity import (BaseFieldClass, random_element, reciprocity_map,
+from .reciprocity import (BaseFieldClass, random_log, reciprocity_map,
                           random_unit_series)
 from .series import LaurentSeries
 
@@ -217,11 +217,10 @@ class CrossedProduct:
             if sparse and rng.random() < 0.5:
                 out.append(LaurentSeries.zero(self.ext.tower, "alpha"))
             else:
-                lead = random_element(self.ext.tower, rng)
-                coeffs = [lead] + [random_element(self.ext.tower, rng)
-                                   for _ in range(self.precision - 1)]
-                out.append(LaurentSeries(self.ext.tower, "alpha",
-                                         rng.randrange(-2, 3), coeffs))
+                logs = [random_log(self.ext.tower, rng)
+                        for _ in range(self.precision)]
+                out.append(LaurentSeries._from_logs(
+                    self.ext.tower, "alpha", rng.randrange(-2, 3), logs))
         if all(x.is_zero() for x in out):
             out[0] = LaurentSeries.one(self.ext.tower, "alpha",
                                        self.precision)
@@ -333,7 +332,10 @@ def cyclic_algebra_check(spec: CyclicAlgebraSpec, rng,
 def _force_subfield(ext, series):
     """Replace coefficients by subfield ones (random k-series helper)."""
     tower = ext.tower
-    coeffs = [c.norm_to_subfield() if c else c for c in series.coeffs]
-    if not coeffs or not coeffs[0]:
-        coeffs = [tower.one()] + coeffs[1:]
-    return LaurentSeries(tower, series.symbol, series.valuation, coeffs)
+    norm_exp = tower.subfield_norm_exponent
+    logs = [None if L is None else L * norm_exp % tower.order
+            for L in series.logs]
+    if not logs or logs[0] is None:
+        logs = [0] + logs[1:]
+    return LaurentSeries._from_logs(tower, series.symbol, series.valuation,
+                                    logs)

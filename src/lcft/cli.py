@@ -166,13 +166,14 @@ def cmd_norm_group(ext, raw, args, out):
 
 def cmd_hasse(ext, raw, args, out):
     chars = brauer.character_group(ext)
-    index = int(raw.get("character", -1))
-    if index < 0:
+    if "character" in raw:
+        index = int(raw["character"])
+        if not 0 <= index < len(chars):
+            raise ValueError(f"character index {index} out of range "
+                             f"(only {len(chars)} characters)")
+    else:
         # default: a character of maximal order (faithful when cyclic)
         index = max(range(len(chars)), key=lambda i: chars[i].order())
-    if index >= len(chars):
-        raise ValueError(f"character index {index} out of range "
-                         f"(only {len(chars)} characters)")
     chi = chars[index]
     pres = rc.norm_group(ext)
     sigma = ext.residue_frobenius_lift()

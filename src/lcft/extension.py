@@ -144,19 +144,21 @@ class TameAbelianExtension:
             raise ValueError("series belongs to a different tower")
         if x.is_zero():
             return LaurentSeries.zero(self.tower, EXT_SYMBOL)
-        zero = self.tower.zero()
-        out = [zero] * (self.e * len(x.coeffs))
-        u0_pow = self.u0 ** (-x.valuation)
-        u0_inv = self.u0.inverse()
-        for j, lam in enumerate(x.coeffs):
-            if lam:
-                if not lam.in_subfield():
+        # lam * t^n = lam * u0^(-n) * alpha^(e*n), on generator logs
+        m = self.tower.order
+        norm_exp = self.tower.subfield_norm_exponent
+        step = self.u0.log
+        u0_pow = -step * x.valuation
+        out = [None] * (self.e * len(x.logs))
+        for j, lam in enumerate(x.logs):
+            if lam is not None:
+                if lam % norm_exp:
                     raise ValueError(
                         "base-field series has a coefficient outside k")
-                out[j * self.e] = lam * u0_pow
-            u0_pow = u0_pow * u0_inv
-        return LaurentSeries(self.tower, EXT_SYMBOL,
-                             self.e * x.valuation, out)
+                out[j * self.e] = (lam + u0_pow) % m
+            u0_pow -= step
+        return LaurentSeries._from_logs(self.tower, EXT_SYMBOL,
+                                        self.e * x.valuation, out)
 
     def project(self, x: LaurentSeries) -> LaurentSeries:
         """Re-express an L-series lying in K as a series in t.
@@ -171,25 +173,26 @@ class TameAbelianExtension:
         if x.is_zero():
             return LaurentSeries.zero(self.tower, BASE_SYMBOL)
         e = self.e
-        found = {}
-        for j, lam in enumerate(x.coeffs):
-            n = x.valuation + j
-            if not lam:
+        m = self.tower.order
+        norm_exp = self.tower.subfield_norm_exponent
+        step = self.u0.log
+        start = -((-x.valuation) // e)
+        stop = (x.valuation + len(x.logs) - 1) // e
+        out = [None] * (stop + 1 - start)
+        for j, lam in enumerate(x.logs):
+            if lam is None:
                 continue
+            n = x.valuation + j
             if n % e != 0:
                 raise ValueError(
                     f"series is not in the base field: alpha^{n} term")
-            lam_t = lam * self.u0 ** (n // e)
-            if not lam_t.in_subfield():
+            lam_t = (lam + step * (n // e)) % m
+            if lam_t % norm_exp:
                 raise ValueError(
                     f"series is not in the base field: coefficient of "
                     f"alpha^{n} lies outside k")
-            found[n // e] = lam_t
-        start = -((-x.valuation) // e)
-        stop = (x.valuation + len(x.coeffs) - 1) // e
-        zero = self.tower.zero()
-        coeffs = [found.get(j, zero) for j in range(start, stop + 1)]
-        return LaurentSeries(self.tower, BASE_SYMBOL, start, coeffs)
+            out[n // e - start] = lam_t
+        return LaurentSeries._from_logs(self.tower, BASE_SYMBOL, start, out)
 
     def is_base_member(self, x: LaurentSeries) -> bool:
         try:
@@ -330,24 +333,40 @@ class GaloisElement:
     def __hash__(self):
         return hash((id(self.ext), self.a, self.c))
 
+    @classmethod
+    def _member(cls, ext, a, c_log):
+        """A known group member from (a, log of c); skips the constraint.
+
+        For products, inverses and powers of members, which satisfy
+        c^e = u0^(q^a - 1) by construction.
+        """
+        g = object.__new__(cls)
+        g.ext = ext
+        g.a = a % ext.f
+        g.c = FieldElement(ext.tower, c_log % ext.tower.order)
+        return g
+
     def __mul__(self, other: "GaloisElement") -> "GaloisElement":
-        """Composition self after other."""
+        """Composition self after other: (a + a', c'^(q^a) * c)."""
         if not isinstance(other, GaloisElement):
             return NotImplemented
         if other.ext is not self.ext:
             raise ValueError("elements of different extensions")
-        return GaloisElement(self.ext, self.a + other.a,
-                             other.c.frobenius(self.a) * self.c)
+        tower = self.ext.tower
+        frob = pow(tower.q, self.a, tower.order)
+        return GaloisElement._member(self.ext, self.a + other.a,
+                                     other.c.log * frob + self.c.log)
 
     def inverse(self) -> "GaloisElement":
-        f = self.ext.f
-        c_inv = self.c.inverse().frobenius((f - self.a) % f)
-        return GaloisElement(self.ext, -self.a, c_inv)
+        """(-a, c^(-q^(-a))), the pair undoing self."""
+        tower = self.ext.tower
+        frob = pow(tower.q, -self.a % self.ext.f, tower.order)
+        return GaloisElement._member(self.ext, -self.a, -self.c.log * frob)
 
     def __pow__(self, n: int) -> "GaloisElement":
         base = self if n >= 0 else self.inverse()
         n = abs(n)
-        out = self.ext.identity()
+        out = GaloisElement._member(self.ext, 0, 0)
         while n:
             if n & 1:
                 out = out * base
@@ -376,14 +395,15 @@ class GaloisElement:
         if beta.is_zero():
             return beta
         tower = self.ext.tower
+        m = tower.order
         # on generator logs: lam^(q^a) multiplies log(lam) by q^a, and the
         # scale c^(v+j) steps by log(c) from one coefficient to the next
-        frob = pow(tower.q, self.a, tower.order)
+        frob = pow(tower.q, self.a, m)
         step = self.c.log
         c_pow = step * beta.valuation
         out = []
-        for lam in beta.coeffs:
-            out.append(None if lam.log is None else lam.log * frob + c_pow)
+        for lam in beta.logs:
+            out.append(None if lam is None else (lam * frob + c_pow) % m)
             c_pow += step
         return LaurentSeries._from_logs(tower, EXT_SYMBOL, beta.valuation,
                                         out)

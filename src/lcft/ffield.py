@@ -152,9 +152,12 @@ class FieldTower:
     A modulus can also be supplied explicitly (it is validated, including
     primitivity of x).
 
-    ``FieldElement`` is the public face of its elements. The series kernels
-    and the Galois action (``series.py``, ``extension.py``) skip it in their
-    inner loops and read ``order`` and the Zech table ``_zech`` directly.
+    ``FieldElement`` is the public face of its elements. A Laurent series
+    (``series.py``) stores its coefficients as bare generator logs instead:
+    its operations read ``order`` and the Zech table ``_zech`` directly,
+    and ``embed``, ``project`` and the Galois action (``extension.py``)
+    scale and offset those logs using ``order``, ``q`` and
+    ``subfield_norm_exponent``.
     """
 
     def __init__(self, p: int, t: int, f: int, modulus=None):

@@ -121,7 +121,7 @@ def congruence_rhs(ext: TameAbelianExtension, pi: LaurentSeries,
     exp_pi, rem1 = divmod((q**i - 1) * v_l, e)
     exp_u, rem2 = divmod((q - 1) * v_l, e)
     assert rem1 == 0 and rem2 == 0, "tameness makes these exponents integral"
-    window = max(len(beta.coeffs), 1)
+    window = max(beta.precision, 1)
     signed_pi = (ext.embed(pi) * _sign_constant(ext)).truncate(window)
     den = signed_pi**exp_pi * ext.embed(u).truncate(window) ** exp_u
     quotient = num / den
@@ -304,9 +304,14 @@ def verify_norm_congruences(ext: TameAbelianExtension, rng,
     return NormCongruenceReport(unit_samples, uniformizer_samples, failures)
 
 
-def random_element(tower, rng) -> FieldElement:
+def random_log(tower, rng):
+    """Log of a uniform random element of l (None for zero)."""
     idx = rng.randrange(tower.size)
-    return tower.zero() if idx == 0 else FieldElement(tower, idx - 1)
+    return None if idx == 0 else idx - 1
+
+
+def random_element(tower, rng) -> FieldElement:
+    return FieldElement(tower, random_log(tower, rng))
 
 
 def random_unit_series(ext: TameAbelianExtension, rng,
@@ -314,25 +319,24 @@ def random_unit_series(ext: TameAbelianExtension, rng,
                        symbol: str = EXT_SYMBOL) -> LaurentSeries:
     """A random series with unit leading coefficient, at ext precision."""
     tower = ext.tower
-    lead = FieldElement(tower, rng.randrange(tower.order))
-    rest = [random_element(tower, rng) for _ in range(ext.precision - 1)]
-    return LaurentSeries(tower, symbol, valuation, [lead] + rest)
+    logs = [rng.randrange(tower.order)]
+    logs += [random_log(tower, rng) for _ in range(ext.precision - 1)]
+    return LaurentSeries._from_logs(tower, symbol, valuation, logs)
 
 
 def random_base_unit_series(ext: TameAbelianExtension, rng,
                             valuation: int = 0) -> LaurentSeries:
     """A random unit of K: coefficients drawn from the subfield k."""
     tower = ext.tower
-    gk = tower.subfield_generator()
+    gk = tower.subfield_generator().log
     units = max(tower.subfield_units, 1)
 
     def pick(allow_zero=True):
         j = rng.randrange(units + 1)
         if j == units:
-            return tower.zero() if allow_zero else tower.one()
-        return gk**j
+            return None if allow_zero else 0
+        return gk * j % tower.order
 
-    coeffs = [pick(allow_zero=False)]
-    coeffs += [pick() for _ in range(ext.precision - 1)]
-    return LaurentSeries(tower, "t", valuation, coeffs)
-
+    logs = [pick(allow_zero=False)]
+    logs += [pick() for _ in range(ext.precision - 1)]
+    return LaurentSeries._from_logs(tower, "t", valuation, logs)

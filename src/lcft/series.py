@@ -9,11 +9,14 @@ window a bookkeeping device rather than an error bound.
 The exact zero is a distinct value with an infinite-valuation sentinel; a
 sum whose retained coefficients all cancel collapses to it.
 
-``FieldElement`` is the public face of every coefficient, but the hot
-kernels (multiply, inverse, and the Galois action in ``extension.py``) work
-on raw generator logs and read the tower's ``order`` and ``_zech`` table
-directly: a product of coefficients adds logs mod ``order``, a sum is one
-Zech lookup, and only the finished window is wrapped back into elements.
+The window is stored as generator logs: ``logs`` holds ints reduced mod
+the tower's ``order``, with None for a zero coefficient. Every operation
+here, ``embed``/``project`` and the Galois action in ``extension.py`` read
+and write those logs directly: a product of coefficients adds logs, a sum
+is one lookup in the tower's Zech table ``_zech``, and a negation adds
+``order // 2`` in odd characteristic (it is the identity for p = 2).
+``FieldElement`` stays the public type of a coefficient: ``coeffs`` and
+the other coefficient views build elements on demand.
 """
 
 from __future__ import annotations
@@ -27,104 +30,104 @@ INFINITE = math.inf
 DEFAULT_PRECISION = 32
 
 
-def _convolve_at(terms, logs, k, order, zech):
-    """Log of the sum of g^(a + logs[k - i]) over (i, a) in ``terms``, i <= k.
+def _convolve(terms, src, out, start, stop, shift, order, zech):
+    """Append to ``out``, for k in [start, stop), the log of the coefficient
 
-    ``terms`` lists (index, log) of nonzero coefficients by increasing
-    index; a log of None is zero. The result is None when the sum is zero,
-    and is not reduced mod ``order``.
+        g^shift * (sum of g^(a + src[k - i]) over (i, a) in ``terms``, i <= k)
+
+    reduced mod ``order``, or None when the sum is zero. ``terms`` lists
+    (index, log) of nonzero coefficients by increasing index; a log of
+    None in ``src`` is zero. ``src`` may be ``out`` itself, as long as
+    every index read is already filled (the inverse's recurrence).
     """
-    acc = None
-    for i, a in terms:
-        if i > k:
-            break
-        b = logs[k - i]
-        if b is not None:
-            if acc is None:
-                acc = a + b
-            else:
-                z = zech[(a + b - acc) % order]
-                acc = None if z < 0 else acc + z
-    return acc
+    for k in range(start, stop):
+        acc = None
+        for i, a in terms:
+            if i > k:
+                break
+            b = src[k - i]
+            if b is not None:
+                if acc is None:
+                    acc = a + b
+                else:
+                    z = zech[(a + b - acc) % order]
+                    acc = None if z < 0 else acc + z
+        out.append(None if acc is None else (acc + shift) % order)
+    return out
 
 
 def _pad(series, precision):
     """Extend the retained window with zeros (truncation as a polynomial)."""
-    missing = precision - len(series.coeffs)
+    missing = precision - len(series.logs)
     if missing <= 0 or series.is_zero():
         return series
-    zero = series.tower.zero()
-    return LaurentSeries(series.tower, series.symbol, series.valuation,
-                         list(series.coeffs) + [zero] * missing)
+    return LaurentSeries._from_logs(series.tower, series.symbol,
+                                   series.valuation,
+                                   series.logs + (None,) * missing)
 
 
 class LaurentSeries:
     """c_v X^v + c_(v+1) X^(v+1) + ... + O(X^(v+N)) over a tower field.
 
-    Immutable value: ``coeffs`` is a tuple of FieldElement of length N with
-    ``coeffs[0]`` nonzero, except for the exact zero (valuation = inf,
-    empty coeffs). Arithmetic requires matching tower and symbol; two
+    Immutable value. The stored window is ``logs``: N generator logs with
+    ``logs[0]`` not None, except for the exact zero (valuation = inf,
+    empty logs). ``coeffs`` is a derived view, the same window as a tuple
+    of FieldElement. Arithmetic requires matching tower and symbol; two
     series compare equal when they agree on their common window.
     """
 
-    __slots__ = ("tower", "symbol", "valuation", "coeffs")
+    __slots__ = ("tower", "symbol", "valuation", "logs")
 
     def __init__(self, tower: FieldTower, symbol: str, valuation, coeffs):
-        coeffs = list(coeffs)
+        self._store(tower, symbol, valuation, [c.log for c in coeffs])
+
+    def _store(self, tower, symbol, valuation, logs):
         lead = 0
-        while lead < len(coeffs) and not coeffs[lead]:
+        while lead < len(logs) and logs[lead] is None:
             lead += 1
-        if lead == len(coeffs):
-            valuation = INFINITE
-            coeffs = []
-        else:
-            valuation += lead
-            coeffs = coeffs[lead:]
         self.tower = tower
         self.symbol = symbol
-        self.valuation = valuation
-        self.coeffs = tuple(coeffs)
+        if lead == len(logs):
+            self.valuation = INFINITE
+            self.logs = ()
+        else:
+            self.valuation = valuation + lead
+            self.logs = tuple(logs[lead:]) if lead else tuple(logs)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def _from_logs(cls, tower, symbol, valuation, logs):
-        """Series from generator logs (None for zero), reduced mod order."""
-        m = tower.order
-        return cls(tower, symbol, valuation,
-                   [FieldElement(tower, None if L is None else L % m)
-                    for L in logs])
+        """Series from generator logs reduced mod order (None for zero)."""
+        series = object.__new__(cls)
+        series._store(tower, symbol, valuation, logs)
+        return series
 
     @classmethod
     def zero(cls, tower, symbol):
-        return cls(tower, symbol, INFINITE, [])
+        return cls._from_logs(tower, symbol, INFINITE, ())
 
     @classmethod
     def constant(cls, tower, symbol, value, precision=DEFAULT_PRECISION):
-        if isinstance(value, int):
-            value = tower.from_int(value)
-        if not value:
-            return cls.zero(tower, symbol)
-        return cls(tower, symbol, 0,
-                   [value] + [tower.zero()] * (precision - 1))
+        return cls.monomial(tower, symbol, value, 0, precision)
 
     @classmethod
     def one(cls, tower, symbol, precision=DEFAULT_PRECISION):
-        return cls.constant(tower, symbol, tower.one(), precision)
+        return cls._from_logs(tower, symbol, 0,
+                              (0,) + (None,) * (precision - 1))
 
     @classmethod
     def uniformizer(cls, tower, symbol, precision=DEFAULT_PRECISION):
-        return cls.monomial(tower, symbol, tower.one(), 1, precision)
+        return cls._from_logs(tower, symbol, 1,
+                              (0,) + (None,) * (precision - 1))
 
     @classmethod
     def monomial(cls, tower, symbol, value, exponent,
                  precision=DEFAULT_PRECISION):
         if isinstance(value, int):
             value = tower.from_int(value)
-        if not value:
-            return cls.zero(tower, symbol)
-        return cls(tower, symbol, exponent,
-                   [value] + [tower.zero()] * (precision - 1))
+        return cls._from_logs(tower, symbol, exponent,
+                              (value.log,) + (None,) * (precision - 1))
 
     @classmethod
     def from_coeffs(cls, tower, symbol, valuation, coeffs,
@@ -139,17 +142,22 @@ class LaurentSeries:
     # -- basic views -------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The retained window as FieldElements (built on each access)."""
+        return tuple(FieldElement(self.tower, L) for L in self.logs)
+
+    @property
     def precision(self) -> int:
-        return len(self.coeffs)
+        return len(self.logs)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.logs
 
     @property
     def leading_coefficient(self) -> FieldElement:
         if self.is_zero():
             raise ValueError("the zero series has no leading coefficient")
-        return self.coeffs[0]
+        return FieldElement(self.tower, self.logs[0])
 
     def coefficient(self, exponent: int) -> FieldElement:
         """Coefficient of X^exponent (must lie inside the known window)."""
@@ -158,15 +166,15 @@ class LaurentSeries:
         idx = exponent - self.valuation
         if idx < 0:
             return self.tower.zero()
-        if idx >= len(self.coeffs):
+        if idx >= len(self.logs):
             raise ValueError(f"X^{exponent} is beyond the retained window")
-        return self.coeffs[idx]
+        return FieldElement(self.tower, self.logs[idx])
 
     def residue(self) -> FieldElement:
         """Residue class mod the uniformizer; defined for units only."""
         if self.is_zero() or self.valuation != 0:
             raise ValueError("residue requires a unit (valuation 0)")
-        return self.coeffs[0]
+        return FieldElement(self.tower, self.logs[0])
 
     def __str__(self):
         if self.is_zero():
@@ -175,7 +183,7 @@ class LaurentSeries:
         for j, c in enumerate(self.coeffs):
             if c:
                 parts.append(f"{c}*{self.symbol}^{self.valuation + j}")
-        parts.append(f"O({self.symbol}^{self.valuation + len(self.coeffs)})")
+        parts.append(f"O({self.symbol}^{self.valuation + len(self.logs)})")
         return " + ".join(parts)
 
     __repr__ = __str__
@@ -189,11 +197,14 @@ class LaurentSeries:
             return self.is_zero() and other.is_zero()
         if self.valuation != other.valuation:
             return False
-        n = min(len(self.coeffs), len(other.coeffs))
-        return self.coeffs[:n] == other.coeffs[:n]
+        n = min(len(self.logs), len(other.logs))
+        return self.logs[:n] == other.logs[:n]
 
     def __hash__(self):
-        return hash((id(self.tower), self.symbol, self.valuation, self.coeffs))
+        # equal series share the valuation and, when nonzero, the lead
+        # coefficient (the common window is never empty), but not the rest
+        lead = self.logs[0] if self.logs else None
+        return hash((id(self.tower), self.symbol, self.valuation, lead))
 
     def _check_compatible(self, other):
         if not isinstance(other, LaurentSeries):
@@ -204,6 +215,21 @@ class LaurentSeries:
             raise ValueError(
                 f"uniformizer mismatch: {self.symbol!r} vs {other.symbol!r}")
 
+    def _scalar_log(self, value):
+        """Log of an int or FieldElement scalar (None for zero)."""
+        if isinstance(value, int):
+            return self.tower.from_int(value).log
+        if value.tower is not self.tower:
+            raise ValueError("scalar belongs to a different tower")
+        return value.log
+
+    def _scaled(self, shift):
+        """Every coefficient multiplied by g^shift."""
+        m = self.tower.order
+        return LaurentSeries._from_logs(
+            self.tower, self.symbol, self.valuation,
+            [None if L is None else (L + shift) % m for L in self.logs])
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -212,43 +238,51 @@ class LaurentSeries:
             return other
         if other.is_zero():
             return self
-        start = min(self.valuation, other.valuation)
-        stop = min(self.valuation + len(self.coeffs),
-                   other.valuation + len(other.coeffs))
-        zero = self.tower.zero()
-        out = []
-        for n in range(start, stop):
-            a = self.coeffs[n - self.valuation] \
-                if 0 <= n - self.valuation < len(self.coeffs) else zero
-            b = other.coeffs[n - other.valuation] \
-                if 0 <= n - other.valuation < len(other.coeffs) else zero
-            out.append(a + b)
-        return LaurentSeries(self.tower, self.symbol, start, out)
+        va, vb = self.valuation, other.valuation
+        a, b = self.logs, other.logs
+        start = min(va, vb)
+        stop = min(va + len(a), vb + len(b))
+        out = [None] * (stop - start)
+        if stop > va:
+            out[va - start:] = a[:stop - va]
+        m = self.tower.order
+        zech = self.tower._zech
+        k = vb - start
+        for y in b[:max(stop - vb, 0)]:
+            if y is not None:
+                x = out[k]
+                if x is None:
+                    out[k] = y
+                else:
+                    z = zech[(y - x) % m]
+                    out[k] = None if z < 0 else (x + z) % m
+            k += 1
+        return LaurentSeries._from_logs(self.tower, self.symbol, start, out)
 
     def __neg__(self):
-        return LaurentSeries(self.tower, self.symbol, self.valuation,
-                             [-c for c in self.coeffs])
+        if self.tower.p == 2:
+            return self
+        return self._scaled(self.tower.order // 2)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, FieldElement)):
-            other = LaurentSeries.constant(
-                self.tower, self.symbol, other,
-                max(len(self.coeffs), 1))
+            c = self._scalar_log(other)
+            if c is None:
+                return LaurentSeries.zero(self.tower, self.symbol)
+            return self._scaled(c)
         self._check_compatible(other)
         if self.is_zero() or other.is_zero():
             return LaurentSeries.zero(self.tower, self.symbol)
         tower = self.tower
-        n = min(len(self.coeffs), len(other.coeffs))
-        terms = [(i, c.log) for i, c in enumerate(self.coeffs[:n])
-                 if c.log is not None]
-        logs = [c.log for c in other.coeffs[:n]]
+        n = min(len(self.logs), len(other.logs))
+        terms = [(i, a) for i, a in enumerate(self.logs[:n]) if a is not None]
         return LaurentSeries._from_logs(
             tower, self.symbol, self.valuation + other.valuation,
-            [_convolve_at(terms, logs, k, tower.order, tower._zech)
-             for k in range(n)])
+            _convolve(terms, other.logs, [], 0, n, 0, tower.order,
+                      tower._zech))
 
     __rmul__ = __mul__
 
@@ -257,23 +291,24 @@ class LaurentSeries:
             raise ZeroDivisionError("inverse of the zero series")
         tower = self.tower
         m = tower.order
-        lead = self.coeffs[0].log
+        lead = self.logs[0]
         # out[j] = -(c_1 out[j-1] + ... + c_j out[0]) / c_0; negation adds
         # m/2 to a log in odd characteristic and is the identity for p = 2
         neg_lead_inv = -lead + (0 if tower.p == 2 else m // 2)
-        terms = [(k, c.log) for k, c in enumerate(self.coeffs)
-                 if k and c.log is not None]
+        terms = [(k, a) for k, a in enumerate(self.logs)
+                 if k and a is not None]
         out = [-lead % m]
-        for j in range(1, len(self.coeffs)):
-            acc = _convolve_at(terms, out, j, m, tower._zech)
-            out.append(None if acc is None else (acc + neg_lead_inv) % m)
-        return LaurentSeries._from_logs(tower, self.symbol, -self.valuation,
-                                        out)
+        return LaurentSeries._from_logs(
+            tower, self.symbol, -self.valuation,
+            _convolve(terms, out, out, 1, len(self.logs), neg_lead_inv, m,
+                      tower._zech))
 
     def __truediv__(self, other):
         if isinstance(other, (int, FieldElement)):
-            other = LaurentSeries.constant(
-                self.tower, self.symbol, other, max(len(self.coeffs), 1))
+            c = self._scalar_log(other)
+            if c is None:
+                raise ZeroDivisionError("division by the zero series")
+            return self._scaled(-c)
         self._check_compatible(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero series")
@@ -286,15 +321,18 @@ class LaurentSeries:
             if k <= 0:
                 raise ZeroDivisionError("nonpositive power of the zero series")
             return self
-        base = self if k >= 0 else self.inverse()
+        if k == 0:
+            return LaurentSeries.one(self.tower, self.symbol, len(self.logs))
+        base = self if k > 0 else self.inverse()
         k = abs(k)
-        result = LaurentSeries.one(self.tower, self.symbol, len(self.coeffs))
-        while k:
+        result = None
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     # -- structure ---------------------------------------------------------
 
@@ -302,17 +340,18 @@ class LaurentSeries:
         """Multiply by X^n (exact)."""
         if self.is_zero():
             return self
-        return LaurentSeries(self.tower, self.symbol,
-                             self.valuation + n, self.coeffs)
+        return LaurentSeries._from_logs(self.tower, self.symbol,
+                                        self.valuation + n, self.logs)
 
     def truncate(self, precision: int) -> "LaurentSeries":
         """Shrink the retained window to at most ``precision`` terms."""
         if precision < 1:
             raise ValueError("precision must be positive")
-        if self.is_zero() or len(self.coeffs) <= precision:
+        if self.is_zero() or len(self.logs) <= precision:
             return self
-        return LaurentSeries(self.tower, self.symbol, self.valuation,
-                             self.coeffs[:precision])
+        return LaurentSeries._from_logs(self.tower, self.symbol,
+                                        self.valuation,
+                                        self.logs[:precision])
 
     def split_unit(self):
         """Write a unit u as (u0, u1) with u0 constant and u1 = 1 mod X.
@@ -322,8 +361,7 @@ class LaurentSeries:
         """
         if self.is_zero() or self.valuation != 0:
             raise ValueError("split_unit requires a unit (valuation 0)")
-        u0 = self.coeffs[0]
-        return u0, self * u0.inverse()
+        return self.leading_coefficient, self._scaled(-self.logs[0])
 
     def nth_root(self, e: int) -> "LaurentSeries":
         """An e-th root with the deterministic leading-coefficient choice.
@@ -344,21 +382,19 @@ class LaurentSeries:
             raise ValueError("cannot extract a root of the zero series")
         if self.valuation % e != 0:
             raise ValueError("valuation is not divisible by the root degree")
-        lead_roots = self.coeffs[0].nth_roots(e)
+        lead_roots = self.leading_coefficient.nth_roots(e)
         if not lead_roots:
             raise ValueError(
                 "leading coefficient is not an e-th power in the field")
         root_lead = lead_roots[0]
         # 1-unit part: w / (lc * X^v), then Newton for x^e = w1 from x = 1,
         # doubling the working window each step
-        unit_part = LaurentSeries(
-            self.tower, self.symbol, 0,
-            [c * self.coeffs[0].inverse() for c in self.coeffs])
-        n = len(self.coeffs)
+        unit_part = self._scaled(-self.logs[0]).shift(-self.valuation)
+        n = len(self.logs)
         e_const = self.tower.from_int(e)
         if not e_const:
             raise ValueError("root degree vanishes in the field")
-        x = LaurentSeries(self.tower, self.symbol, 0, [self.tower.one()])
+        x = LaurentSeries.one(self.tower, self.symbol, 1)
         window = 1
         while window < n:
             window = min(2 * window, n)

@@ -88,6 +88,14 @@ def test_hasse_command(tmp_path, capsys):
     assert any(den == 9 for _, den in invariants)
 
 
+@pytest.mark.parametrize("index", ["-1", "-2", "9"])
+def test_hasse_character_out_of_range_exits_three(tmp_path, capsys, index):
+    # C9 has 9 characters, so only indices 0 .. 8 are valid
+    code = cli.main(["hasse", _write(tmp_path, C9 + f"character={index}\n")])
+    assert code == 3
+    assert "error: character index" in capsys.readouterr().err
+
+
 def test_check_passes_and_embeds_seed(tmp_path, capsys):
     code = cli.main(["check", _write(tmp_path, C9), "--json",
                      "--samples", "10"])

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from lcft.extension import TameAbelianExtension
+from lcft.extension import GaloisElement, TameAbelianExtension
 from lcft.reciprocity import random_unit_series
 from lcft.series import LaurentSeries
 
@@ -51,6 +51,20 @@ def test_membership_invariant_rejected():
     ext = TameAbelianExtension.from_parameters(5, 1, 1, 2, "1")
     with pytest.raises(ValueError, match="membership"):
         ext.galois_element(0, 2)       # 2^2 = 4 != 1
+
+
+def test_products_inverses_powers_are_members(matrix):
+    # the unchecked constructor behind *, inverse and ** must only ever
+    # produce pairs that the public, checking constructor accepts
+    for name in ("deg12", "mixed_c9"):
+        ext = matrix[name]
+        group = ext.galois_group()
+        for g in group:
+            derived = [g * h for h in group] + [g.inverse()]
+            derived += [g**k for k in range(-2, ext.degree + 2)]
+            for x in derived:
+                assert GaloisElement(ext, x.a, x.c) == x, (name, x)
+                assert x in group, (name, x)
 
 
 def test_compose_identity_and_inertia(matrix):
@@ -213,6 +227,37 @@ def test_embed_project_round_trip(matrix, rng):
         emb = ext.embed(x)
         assert emb.valuation == -2 * ext.e
         assert ext.is_base_member(emb)
+
+
+def _random_base_series(ext, rng):
+    """A random K-series: a unit lead, then subfield elements or zeros."""
+    tower = ext.tower
+    units = tower.subfield_unit_elements()
+    density = rng.random()
+    coeffs = [rng.choice(units)] + [
+        rng.choice(units) if rng.random() < density else tower.zero()
+        for _ in range(rng.randrange(0, 10))]
+    return LaurentSeries(tower, "t", rng.randrange(-4, 4), coeffs)
+
+
+def test_embed_project_against_reference(matrix, rng):
+    # embed: lam * t^n = lam * u0^(-n) * alpha^(e*n), on FieldElements;
+    # the extra extensions have l = F_2, F_3, F_2^6 and F_7^2
+    extra = {params: TameAbelianExtension.from_parameters(*params)
+             for params in [(2, 1, 1, 1, "1"), (3, 1, 1, 2, "g"),
+                            (2, 6, 1, 7, "g"), (7, 2, 1, 4, "g")]}
+    for name, ext in list(matrix.items()) + list(extra.items()):
+        tower = ext.tower
+        for _ in range(20):
+            x = _random_base_series(ext, rng)
+            want = [tower.zero()] * (ext.e * x.precision)
+            for j, lam in enumerate(x.coeffs):
+                want[j * ext.e] = lam * ext.u0 ** (-(x.valuation + j))
+            emb = ext.embed(x)
+            assert emb.valuation == ext.e * x.valuation, name
+            assert emb.logs == tuple(c.log for c in want), name
+            back = ext.project(emb)
+            assert (back.valuation, back.logs) == (x.valuation, x.logs), name
 
 
 def test_project_rejects_non_members(matrix):

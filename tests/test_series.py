@@ -249,3 +249,110 @@ def test_truncate_and_str(f5):
     assert b == a            # agreement on the common window
     assert "O(t^" in str(a)
     assert str(LaurentSeries.zero(f5, "t")) == "0"
+
+
+# -- log-native addition, negation and the constructor --------------------
+
+def _expected(tower, start, elems):
+    """(valuation, logs) of a window of FieldElements, leading zeros dropped."""
+    lead = 0
+    while lead < len(elems) and not elems[lead]:
+        lead += 1
+    if lead == len(elems):
+        return float("inf"), ()
+    return start + lead, tuple(c.log for c in elems[lead:])
+
+
+def _window(x, start, stop):
+    """x's coefficients of X^start .. X^(stop - 1), zero below its valuation."""
+    zero = x.tower.zero()
+    return [x.coeffs[n - x.valuation] if n >= x.valuation else zero
+            for n in range(start, stop)]
+
+
+def _reference_sum(a, b, sign=1):
+    """Coefficientwise FieldElement a + b (a - b for sign = -1)."""
+    start = min(a.valuation, b.valuation)
+    stop = min(a.valuation + a.precision, b.valuation + b.precision)
+    return _expected(a.tower, start,
+                     [x + y if sign > 0 else x - y
+                      for x, y in zip(_window(a, start, stop),
+                                      _window(b, start, stop))])
+
+
+def _strict(x):
+    return x.valuation, x.logs
+
+
+def test_sum_against_reference(kernel_towers, rng):
+    # overlapping and disjoint windows, sparse to dense operands
+    for tower in kernel_towers:
+        for _ in range(80):
+            a = _random_series(tower, rng, rng.randrange(-6, 6),
+                               rng.randrange(1, 10), rng.random())
+            b = _random_series(tower, rng, rng.randrange(-6, 6),
+                               rng.randrange(1, 10), rng.random())
+            assert _strict(a + b) == _reference_sum(a, b), tower
+            assert _strict(b + a) == _reference_sum(a, b), tower
+            assert _strict(a - b) == _reference_sum(a, b, -1), tower
+            want_neg = _expected(tower, a.valuation, [-c for c in a.coeffs])
+            assert _strict(-a) == want_neg, tower
+
+
+def test_sum_disjoint_windows(kernel_towers):
+    for tower in kernel_towers:
+        a = LaurentSeries.from_coeffs(tower, "t", 0, [1, 1, 1], 3)
+        b = LaurentSeries.from_coeffs(tower, "t", 5, [1, 1], 2)
+        # b starts past a's window: the sum is a's window unchanged
+        assert _strict(a + b) == _strict(a) == _reference_sum(a, b)
+        # a starts below b: b's window ends first, at X^7
+        c = LaurentSeries.from_coeffs(tower, "t", -4, [1, 0, 1], 12)
+        assert _strict(c + b) == _reference_sum(c, b), tower
+        assert (c + b).precision == 11, tower
+
+
+def test_sum_leading_cancellation(kernel_towers, rng):
+    for tower in kernel_towers:
+        shifted = 0
+        for _ in range(20):
+            a = _random_series(tower, rng, rng.randrange(-3, 3), 8)
+            # b agrees with -a on its first k terms, so a + b starts at
+            # X^(v + k) or later
+            k = rng.randrange(1, 8)
+            tail = [tower.generator_power(rng.randrange(tower.order))
+                    for _ in range(8 - k)]
+            b = LaurentSeries(tower, "t", a.valuation,
+                              [-c for c in a.coeffs[:k]] + tail)
+            total = a + b
+            assert _strict(total) == _reference_sum(a, b), tower
+            assert total.valuation >= a.valuation + k, tower
+            shifted += not total.is_zero()
+        assert shifted, tower       # some sums keep a shifted lead
+
+
+def test_sum_collapses_to_exact_zero(kernel_towers, rng):
+    for tower in kernel_towers:
+        for _ in range(10):
+            a = _random_series(tower, rng, rng.randrange(-3, 3),
+                               rng.randrange(1, 10), rng.random())
+            for total in (a - a, a + (-a), (-a) + a):
+                assert total.is_zero(), tower
+                assert _strict(total) == (float("inf"), ()), tower
+
+
+def test_constructor_reproduces_logs(kernel_towers, rng):
+    for tower in kernel_towers:
+        for _ in range(20):
+            x = _random_series(tower, rng, rng.randrange(-5, 5),
+                               rng.randrange(1, 10), rng.random())
+            for y in (x, -x, x.inverse(), x - x):
+                again = LaurentSeries(tower, "t", y.valuation, y.coeffs)
+                assert _strict(again) == _strict(y), tower
+
+
+def test_equal_series_hash_equal(f5):
+    a = LaurentSeries.from_coeffs(f5, "t", 0, [1, 2, 3], 3)
+    b = LaurentSeries.from_coeffs(f5, "t", 0, [1], 1)
+    assert a == b                # lax: they agree on the common window
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
