@@ -232,19 +232,25 @@ class CrossedProduct:
         return tuple(a + b for a, b in zip(x, y))
 
     def multiply(self, x: tuple, y: tuple) -> tuple:
-        out = list(self.zero())
-        for i, a in enumerate(x):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(y):
+        """Slot k is the sum of x_i sigma^i(y_j) over i + j = k, plus b
+        times the sum over i + j = k + n (one b product per slot)."""
+        zero = LaurentSeries.zero(self.ext.tower, "alpha")
+        terms = [(i, a) for i, a in enumerate(x) if not a.is_zero()]
+        out = []
+        for k in range(self.n):
+            low = wrapped = zero
+            for i, a in terms:
+                b = y[k - i]     # j = k - i, or k - i + n when i > k
                 if b.is_zero():
                     continue
                 term = a * self.sigma_powers[i].apply(b)
-                k = i + j
-                if k >= self.n:
-                    k -= self.n
-                    term = term * self.b_series
-                out[k] = out[k] + term
+                if i <= k:
+                    low = low + term
+                else:
+                    wrapped = wrapped + term
+            if not wrapped.is_zero():
+                low = low + wrapped * self.b_series
+            out.append(low)
         return tuple(out)
 
     def power(self, x: tuple, k: int) -> tuple:

@@ -31,7 +31,8 @@ class TameAbelianExtension:
 
     Rejects wild input (p | e) and input with no tame abelian extension of
     the requested shape (e not dividing q - 1). Immutable after
-    construction; the Galois group and the norm-group presentation are
+    construction; the Galois group, the norm-group presentation and the
+    congruence search's probe-residue table (the group scanned once) are
     each computed once and cached.
     """
 
@@ -65,6 +66,7 @@ class TameAbelianExtension:
         self.precision = precision
         self._group = None
         self._norm_group = None      # set by reciprocity.norm_group
+        self._probes = None          # set by reciprocity._probe_table
 
     @classmethod
     def from_parameters(cls, p, t, f, e, u0="1", precision=32):

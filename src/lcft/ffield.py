@@ -161,12 +161,14 @@ class FieldTower:
     """
 
     def __init__(self, p: int, t: int, f: int, modulus=None):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
         if t < 1 or f < 1:
             raise ValueError("t and f must be positive")
-        if p ** (t * f) > SIZE_CAP:
+        # the cap comes first, so trial division only sees p <= 2^20
+        if p > 1 and (t * f >= SIZE_CAP.bit_length()
+                      or p ** (t * f) > SIZE_CAP):
             raise ValueError(f"field size {p}^{t * f} exceeds the cap 2^20")
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         self.p = p
         self.t = t
         self.f = f

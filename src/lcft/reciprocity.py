@@ -8,8 +8,9 @@ they can check each other:
   beta = alpha and beta = a residue generator. Negative valuations go
   through the group inverse.
 * ``reciprocity_search``: evaluates the congruence right-hand side as an
-  exact series quotient and scans the whole Galois group for the unique
-  element matching it on both probes.
+  exact series quotient at two probes and looks the pair of residues up
+  in a table of the whole Galois group, built once per extension by
+  applying each element to both probes; exactly one element may match.
 * ``norm_group``: the exact norm image inside Z x k* with its Smith-form
   presentation, giving kernel/cokernel facts (which classes are norms,
   coset representatives) without reference to either formula.
@@ -133,26 +134,45 @@ def congruence_rhs(ext: TameAbelianExtension, pi: LaurentSeries,
 
 def reciprocity_search(ext: TameAbelianExtension, pi: LaurentSeries,
                        u: LaurentSeries, i: int) -> GaloisElement:
-    """Resolve the class of u * pi^i by scanning the Galois group.
+    """Resolve the class of u * pi^i by a lookup in the group's probe table.
 
     The congruence residues at beta = alpha and at a residue-field
     generator pin the pair (a, c) completely in the tame case; exactly one
-    group element may match.
+    group element may match. The group is scanned once per extension into
+    a probe-residue table (``_probe_table``); each call evaluates the
+    congruence at both probes and looks the pair of residues up.
     """
     alpha = ext.uniformizer()
     omega = ext.constant(ext.tower.generator())
-    want_alpha = congruence_rhs(ext, pi, u, i, alpha)
-    want_omega = congruence_rhs(ext, pi, u, i, omega)
-    matches = [
-        g for g in ext.galois_group()
-        if (g.apply(alpha) / alpha).residue() == want_alpha
-        and (g.apply(omega) / omega).residue() == want_omega
-    ]
+    want = (congruence_rhs(ext, pi, u, i, alpha),
+            congruence_rhs(ext, pi, u, i, omega))
+    matches = _probe_table(ext).get(want, ())
     if len(matches) != 1:
         raise ArithmeticError(
             f"congruence search found {len(matches)} matches; "
             "the tame rigidity argument guarantees exactly one")
     return matches[0]
+
+
+def _probe_table(ext: TameAbelianExtension) -> dict:
+    """Every group element g, keyed on its probe residues.
+
+    The key is the pair of residues of g(alpha) / alpha and
+    g(omega) / omega for a residue-field generator omega, each an exact
+    series quotient; the value lists the elements sharing that key.
+    Built once per extension by scanning the whole group, and cached on
+    it.
+    """
+    if ext._probes is None:
+        alpha = ext.uniformizer()
+        omega = ext.constant(ext.tower.generator())
+        table = {}
+        for g in ext.galois_group():
+            key = ((g.apply(alpha) / alpha).residue(),
+                   (g.apply(omega) / omega).residue())
+            table.setdefault(key, []).append(g)
+        ext._probes = table
+    return ext._probes
 
 
 def norm(ext: TameAbelianExtension, beta: LaurentSeries) -> LaurentSeries:

@@ -5,6 +5,7 @@ import pytest
 
 from lcft import brauer
 from lcft import reciprocity as rc
+from lcft.extension import TameAbelianExtension
 
 
 def _pi_class(ext):
@@ -196,3 +197,73 @@ def test_cyclic_algebra_check(matrix, rng):
         report = brauer.cyclic_algebra_check(spec, rng, samples=20)
         assert report.passed, (name, report.failures[:3])
         assert report.associativity_checks == 20
+
+
+def _reference_multiply(alg, x, y):
+    """The term-by-term product: each wrapped term is multiplied by b alone.
+
+    Also returns the slots where a partial sum, in this order or in the
+    slot-wise order (low and wrapped terms summed apart, by increasing i),
+    cancels to the exact zero.
+    """
+    out = list(alg.zero())
+    low = list(alg.zero())
+    wrapped = list(alg.zero())
+    cancelled = set()
+    for i, a in enumerate(x):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(y):
+            if b.is_zero():
+                continue
+            term = a * alg.sigma_powers[i].apply(b)
+            k = i + j
+            if k >= alg.n:
+                k -= alg.n
+                wrapped[k] = partial = wrapped[k] + term
+                term = term * alg.b_series
+            else:
+                low[k] = partial = low[k] + term
+            out[k] = out[k] + term
+            if partial.is_zero() or out[k].is_zero():
+                cancelled.add(k)
+    for k in range(alg.n):
+        if low[k].is_zero() or wrapped[k].is_zero():
+            continue
+        if (low[k] + wrapped[k] * alg.b_series).is_zero():
+            cancelled.add(k)
+    return tuple(out), cancelled
+
+
+@pytest.mark.parametrize("params", [
+    (2, 1, 4, 1, "1"),       # over F_2, unramified of degree 4
+    (3, 1, 2, 2, "g"),       # over F_3, cyclic of order 4
+    (2, 6, 1, 9, "g"),       # over F_2^6, totally ramified of degree 9
+    (59, 1, 1, 58, "g"),     # over F_59, totally ramified of degree 58
+])
+def test_crossed_product_multiply_against_reference(params, rng):
+    ext = TameAbelianExtension.from_parameters(*params, precision=8)
+    sigma = next(g for g in ext.galois_group() if g.order() == ext.degree)
+    gk = ext.tower.subfield_generator()
+    strict = 0
+    for sample in range(6):
+        b = rc.BaseFieldClass(rng.randrange(-1, 3),
+                              gk ** rng.randrange(ext.q - 1))
+        alg = brauer.CrossedProduct(
+            brauer.CyclicAlgebraSpec(ext, sigma, b), 8)
+        x = alg.random_element(rng, sparse=sample % 2 == 0)
+        y = alg.random_element(rng, sparse=sample % 3 == 0)
+        for left, right in ((x, y), (y, x), (alg.v(), x), (x, alg.one())):
+            got = alg.multiply(left, right)
+            want, cancelled = _reference_multiply(alg, left, right)
+            for k, (g, w) in enumerate(zip(got, want)):
+                if k in cancelled:
+                    # a sum cancelling to the exact zero drops its window,
+                    # so the two summation orders may keep different
+                    # windows here: compare on the common window only
+                    assert g == w, (sample, k)
+                else:
+                    assert (g.valuation, g.logs) == (w.valuation, w.logs), \
+                        (sample, k)
+                    strict += 1
+    assert strict >= 4 * 6 * ext.degree // 2

@@ -29,6 +29,13 @@ def test_validate_wild_exits_one(tmp_path, capsys):
     assert "wild" in capsys.readouterr().err
 
 
+def test_field_size_over_the_cap_exits_one(tmp_path, capsys):
+    # 2^21 is checked against the cap before any primality test of p
+    cfg = _write(tmp_path, "p=2097152\nt=1\nf=1\ne=1\nu0=1\n")
+    assert cli.main(["validate", cfg]) == 1
+    assert "exceeds the cap" in capsys.readouterr().err
+
+
 def test_missing_config_exits_three(capsys):
     assert cli.main(["galois", "/does/not/exist.cfg"]) == 3
     assert "config error" in capsys.readouterr().err

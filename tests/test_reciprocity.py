@@ -1,7 +1,7 @@
 import pytest
 
 from lcft import checks, reciprocity as rc
-from lcft.extension import TameAbelianExtension
+from lcft.extension import GaloisElement, TameAbelianExtension
 from lcft.series import LaurentSeries
 
 
@@ -279,3 +279,37 @@ def test_norm_group_is_built_once_per_extension(monkeypatch):
     assert len(calls) == 2
     assert rc.norm_group(ext) is rc.norm_group(ext)
     assert len(calls) == 2
+
+
+def test_search_table_built_once_per_extension(monkeypatch):
+    # a fresh extension: a cached session fixture would hide the first scan
+    ext = TameAbelianExtension.from_parameters(2, 2, 3, 3, "g")
+    t = ext.base_uniformizer()
+    one = _const(ext, 1)
+    apply = GaloisElement.apply
+    calls = []
+
+    def counted(self, beta):
+        calls.append(self)
+        return apply(self, beta)
+
+    monkeypatch.setattr(GaloisElement, "apply", counted)
+    first = rc.reciprocity_search(ext, t, one, 1)
+    # the first call scans the group once: each element meets both probes
+    assert len(calls) == 2 * ext.degree
+    calls.clear()
+    second = rc.reciprocity_search(ext, t, one, 2)
+    assert calls == []
+    pi_class = rc.BaseFieldClass(1, ext.tower.one())
+    assert first == rc.reciprocity_map(ext, pi_class)
+    assert second == first * first
+
+
+def test_search_audit_rejects_a_shared_probe_key(monkeypatch):
+    # with a trivial action every element lands on the key (1, 1)
+    ext = TameAbelianExtension.from_parameters(5, 1, 1, 4, "1")
+    monkeypatch.setattr(GaloisElement, "apply", lambda self, beta: beta)
+    with pytest.raises(ArithmeticError, match="found 4 matches"):
+        rc.reciprocity_search(ext, ext.base_uniformizer(), _const(ext, 1), 0)
+    with pytest.raises(ArithmeticError, match="found 0 matches"):
+        rc.reciprocity_search(ext, ext.base_uniformizer(), _const(ext, 2), 0)
