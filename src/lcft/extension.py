@@ -8,8 +8,12 @@ tame case every 1-unit is an e-th power, so any extension with invariants
 A Galois element is the pair (a, c): it raises residue coefficients to the
 q^a power and scales alpha by c, subject to the membership constraint
 c^e = u0^(q^a - 1) obtained by applying the map to alpha^e = u0 * t. The
-group law, the ramification filtration and the abelian invariant factors
-are all computed from these pairs.
+pair is stored as (a, log c), a generator log as in a series window, so
+the constraint is the congruence e * log c = (q^a - 1) * log u0 modulo
+|l*|. Every element is checked against it on construction, the products,
+inverses and powers of the group law included. The group law, the
+ramification filtration and the abelian invariant factors are all
+computed from these pairs.
 """
 
 from __future__ import annotations
@@ -101,12 +105,6 @@ class TameAbelianExtension:
             "u0": str(self.u0), "precision": self.precision,
         }
 
-    @classmethod
-    def from_descriptor(cls, d: dict):
-        return cls.from_parameters(
-            int(d["p"]), int(d["t"]), int(d["f"]), int(d["e"]),
-            str(d.get("u0", "1")), int(d.get("precision", 32)))
-
     def descriptor_text(self) -> str:
         """The descriptor as key=value lines (the CLI config format)."""
         return "".join(f"{k}={v}\n" for k, v in self.descriptor().items())
@@ -130,13 +128,6 @@ class TameAbelianExtension:
     def constant(self, value, precision=None) -> LaurentSeries:
         return LaurentSeries.constant(
             self.tower, EXT_SYMBOL, value, precision or self.precision)
-
-    def base_constant(self, value, precision=None) -> LaurentSeries:
-        value = self.tower.from_int(value) if isinstance(value, int) else value
-        if value and not value.in_subfield():
-            raise ValueError("constant lies outside the residue subfield k")
-        return LaurentSeries.constant(
-            self.tower, BASE_SYMBOL, value, precision or self.precision)
 
     def embed(self, x: LaurentSeries) -> LaurentSeries:
         """Re-express a K-series in L via t = u0^(-1) * alpha^e. Exact."""
@@ -206,12 +197,17 @@ class TameAbelianExtension:
     # -- the Galois group ------------------------------------------------------
 
     def galois_element(self, a: int, c) -> "GaloisElement":
+        """The pair (a, c) for a scale c given as a FieldElement or int."""
         if isinstance(c, int):
             c = self.tower.from_int(c)
-        return GaloisElement(self, a, c)
+        if c.tower is not self.tower:
+            raise ValueError("alpha scale belongs to a different tower")
+        if not c:
+            raise ValueError("alpha scale must be a unit")
+        return GaloisElement(self, a, c.log)
 
     def identity(self) -> "GaloisElement":
-        return GaloisElement(self, 0, self.tower.one())
+        return GaloisElement(self, 0, 0)
 
     def galois_group(self) -> tuple:
         """All e*f elements (a, c), sorted by (a, generator exponent of c)."""
@@ -223,21 +219,20 @@ class TameAbelianExtension:
                 assert len(roots) == math.gcd(self.e, self.tower.order), \
                     "tame pair equation must always be solvable"
                 for c in roots:
-                    out.append(GaloisElement(self, a, c))
+                    out.append(GaloisElement(self, a, c.log))
             assert len(out) == self.degree
             self._group = tuple(out)
         return self._group
 
     def inertia_generator(self) -> "GaloisElement":
         """(0, zeta_e) for the fixed primitive e-th root of unity."""
-        zeta = self.tower.generator_power(self.tower.order // self.e)
-        return GaloisElement(self, 0, zeta)
+        return GaloisElement(self, 0, self.tower.order // self.e)
 
     def residue_frobenius_lift(self) -> "GaloisElement":
         """The lift of residue Frobenius with the smallest-log alpha scale."""
         a = 1 % self.f
         rhs = self.u0.frobenius(a) / self.u0
-        return GaloisElement(self, a, rhs.nth_roots(self.e)[0])
+        return GaloisElement(self, a, rhs.nth_roots(self.e)[0].log)
 
     def frobenius_element(self) -> "GaloisElement":
         """The canonical Frobenius; only unramified extensions have one."""
@@ -295,8 +290,8 @@ class TameAbelianExtension:
         w = self.residue_frobenius_lift() ** self.f
         assert w.a == 0
         step = self.tower.order // self.e
-        assert w.c.log % step == 0, "sigma^f must land in inertia"
-        return (w.c.log // step) % self.e
+        assert w.c_log % step == 0, "sigma^f must land in inertia"
+        return (w.c_log // step) % self.e
 
     def structure(self) -> tuple:
         """Invariant factors of the Galois group (trivial factors dropped)."""
@@ -308,20 +303,34 @@ class TameAbelianExtension:
 
 
 class GaloisElement:
-    """The automorphism sending alpha to c * alpha and lam to lam^(q^a)."""
+    """The automorphism sending alpha to c * alpha and lam to lam^(q^a).
 
-    __slots__ = ("ext", "a", "c")
+    Stored as (a, log c), with a reduced mod f and log c mod |l*|; ``c`` is
+    a view that builds the FieldElement on each access, as
+    ``LaurentSeries.coeffs`` does. There is one constructor and it always
+    checks membership, so every element, including each product, inverse
+    and power, satisfies c^e = u0^(q^a - 1).
+    """
 
-    def __init__(self, ext: TameAbelianExtension, a: int, c: FieldElement):
-        a %= ext.f
-        if not c:
-            raise ValueError("alpha scale must be a unit")
-        if c**ext.e != ext.u0.frobenius(a) / ext.u0:
+    __slots__ = ("ext", "a", "c_log")
+
+    def __init__(self, ext: TameAbelianExtension, a: int, c_log: int):
+        tower = ext.tower
+        m = tower.order
+        a %= tower.f
+        c_log %= m
+        # c^e = u0^(q^a - 1), on generator logs
+        if (ext.e * c_log - (pow(tower.q, a, m) - 1) * ext.u0.log) % m:
             raise ValueError(
                 "pair fails the membership constraint c^e = u0^(q^a - 1)")
         self.ext = ext
         self.a = a
-        self.c = c
+        self.c_log = c_log
+
+    @property
+    def c(self) -> FieldElement:
+        """The alpha scale (built on each access)."""
+        return FieldElement(self.ext.tower, self.c_log)
 
     def __repr__(self):
         return f"({self.a}, {self.c})"
@@ -330,23 +339,10 @@ class GaloisElement:
         if not isinstance(other, GaloisElement):
             return NotImplemented
         return (self.ext is other.ext and self.a == other.a
-                and self.c == other.c)
+                and self.c_log == other.c_log)
 
     def __hash__(self):
-        return hash((id(self.ext), self.a, self.c))
-
-    @classmethod
-    def _member(cls, ext, a, c_log):
-        """A known group member from (a, log of c); skips the constraint.
-
-        For products, inverses and powers of members, which satisfy
-        c^e = u0^(q^a - 1) by construction.
-        """
-        g = object.__new__(cls)
-        g.ext = ext
-        g.a = a % ext.f
-        g.c = FieldElement(ext.tower, c_log % ext.tower.order)
-        return g
+        return hash((id(self.ext), self.a, self.c_log))
 
     def __mul__(self, other: "GaloisElement") -> "GaloisElement":
         """Composition self after other: (a + a', c'^(q^a) * c)."""
@@ -356,19 +352,19 @@ class GaloisElement:
             raise ValueError("elements of different extensions")
         tower = self.ext.tower
         frob = pow(tower.q, self.a, tower.order)
-        return GaloisElement._member(self.ext, self.a + other.a,
-                                     other.c.log * frob + self.c.log)
+        return GaloisElement(self.ext, self.a + other.a,
+                             other.c_log * frob + self.c_log)
 
     def inverse(self) -> "GaloisElement":
         """(-a, c^(-q^(-a))), the pair undoing self."""
         tower = self.ext.tower
-        frob = pow(tower.q, -self.a % self.ext.f, tower.order)
-        return GaloisElement._member(self.ext, -self.a, -self.c.log * frob)
+        frob = pow(tower.q, -self.a % tower.f, tower.order)
+        return GaloisElement(self.ext, -self.a, -self.c_log * frob)
 
     def __pow__(self, n: int) -> "GaloisElement":
         base = self if n >= 0 else self.inverse()
         n = abs(n)
-        out = GaloisElement._member(self.ext, 0, 0)
+        out = GaloisElement(self.ext, 0, 0)
         while n:
             if n & 1:
                 out = out * base
@@ -377,7 +373,7 @@ class GaloisElement:
         return out
 
     def is_identity(self) -> bool:
-        return self.a == 0 and self.c == self.ext.tower.one()
+        return self.a == 0 and self.c_log == 0
 
     def order(self) -> int:
         n = 1
@@ -401,7 +397,7 @@ class GaloisElement:
         # on generator logs: lam^(q^a) multiplies log(lam) by q^a, and the
         # scale c^(v+j) steps by log(c) from one coefficient to the next
         frob = pow(tower.q, self.a, m)
-        step = self.c.log
+        step = self.c_log
         c_pow = step * beta.valuation
         out = []
         for lam in beta.logs:

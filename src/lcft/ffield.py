@@ -3,8 +3,10 @@
 A ``FieldTower`` models the field l = F_(p^(t*f)) together with its
 distinguished subfield k = F_(p^t): k is recovered as the fixed field of
 the q-power Frobenius (q = p^t), so no compatible-embedding machinery is
-needed. The whole field is built once from a monic irreducible modulus
-over F_p, chosen deterministically from (p, t, f) so runs reproduce.
+needed. The whole field is built once from a monic modulus m over F_p,
+chosen deterministically from (p, t, f) so runs reproduce. A modulus is
+accepted when the class of x has order p^(t*f) - 1 modulo m; that alone
+proves m irreducible, since every nonzero residue is then a power of x.
 
 Internally every nonzero element is stored as its discrete logarithm with
 respect to a fixed multiplicative generator; addition goes through a
@@ -56,15 +58,6 @@ def _poly_trim(a):
     return a
 
 
-def _poly_sub(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _poly_trim(out)
-
-
 def _poly_mulmod(a, b, mod, p):
     if not a or not b:
         return []
@@ -101,42 +94,15 @@ def _poly_powmod(a, k, mod, p):
     return result
 
 
-def _poly_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a = _poly_mod(a, b, p)
-        a, b = b, a
-    return a
-
-
-def _poly_mod(a, b, p):
-    r = list(a)
-    inv_lead = pow(b[-1], -1, p)
-    while r and len(r) >= len(b):
-        factor = (r[-1] * inv_lead) % p
-        shift = len(r) - len(b)
-        for j, bj in enumerate(b):
-            r[shift + j] = (r[shift + j] - factor * bj) % p
-        _poly_trim(r)
-    return r
-
-
-def _is_irreducible(mod, p):
-    """Rabin test: x^(p^n) = x mod m and gcd(x^(p^(n/r)) - x, m) = 1."""
-    n = len(mod) - 1
-    x = _poly_rem([0, 1], mod, p)
-    xq = _poly_powmod(x, p**n, mod, p)
-    if _poly_sub(xq, x, p):
-        return False
-    for r in prime_factors(n):
-        h = _poly_powmod(x, p ** (n // r), mod, p)
-        g = _poly_gcd(list(mod), _poly_sub(h, x, p), p)
-        if len(g) != 1:
-            return False
-    return True
-
-
 def _x_is_primitive(mod, p, order_factors, order):
+    """Does the class of x have order exactly ``order`` = p^n - 1 mod m?
+
+    Then every nonzero residue mod m is a power of x, hence a unit, so
+    F_p[x]/(m) is a field and m is irreducible: no separate
+    irreducibility test is needed.
+    """
+    if _poly_powmod([0, 1], order, mod, p) != [1]:
+        return False
     for r in order_factors:
         if _poly_powmod([0, 1], order // r, mod, p) == [1]:
             return False
@@ -146,11 +112,11 @@ def _x_is_primitive(mod, p, order_factors, order):
 class FieldTower:
     """The field l = F_(p^(t*f)) with distinguished subfield k = F_(p^t).
 
-    The modulus is a monic irreducible polynomial of degree t*f over F_p
-    such that the class of x generates l*; it is found by a seeded random
-    search so a tower built from the same (p, t, f) is always identical.
-    A modulus can also be supplied explicitly (it is validated, including
-    primitivity of x).
+    The modulus is a monic polynomial of degree t*f over F_p such that the
+    class of x has order p^(t*f) - 1, which makes it irreducible and x a
+    generator of l*; it is found by a seeded random search so a tower
+    built from the same (p, t, f) is always identical. A modulus can also
+    be supplied explicitly; it passes the same order test.
 
     ``FieldElement`` is the public face of its elements. A Laurent series
     (``series.py``) stores its coefficients as bare generator logs instead:
@@ -195,19 +161,17 @@ class FieldTower:
             coeffs = [rng.randrange(self.p) for _ in range(n)] + [1]
             if coeffs[0] == 0:
                 continue
-            if not _is_irreducible(coeffs, self.p):
-                continue
             if _x_is_primitive(coeffs, self.p, self._order_factors, self.order):
                 return tuple(coeffs)
 
     def _validate_modulus(self, modulus):
         if len(modulus) != self.degree + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree t*f")
-        if not _is_irreducible(list(modulus), self.p):
-            raise ValueError("modulus is reducible over the prime field")
         if not _x_is_primitive(list(modulus), self.p,
                                self._order_factors, self.order):
-            raise ValueError("class of x must generate the unit group")
+            raise ValueError(
+                "modulus is reducible over the prime field, or the class "
+                "of x does not generate the unit group")
 
     def _build_tables(self):
         p, n = self.p, self.degree

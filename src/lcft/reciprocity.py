@@ -88,7 +88,7 @@ def reciprocity_map(ext: TameAbelianExtension,
     c = ext.u0**m * b.unit ** (-((q - 1) // e))
     if (e - 1) * m % 2:
         c = -c
-    return GaloisElement(ext, b.valuation, c)
+    return GaloisElement(ext, b.valuation, c.log)
 
 
 def reciprocity_of_series(ext: TameAbelianExtension,
@@ -276,29 +276,16 @@ def is_norm(ext: TameAbelianExtension, b: BaseFieldClass) -> bool:
     return norm_group(ext).contains(b)
 
 
-@dataclass
-class NormCongruenceReport:
-    unit_checks: int
-    uniformizer_checks: int
-    failures: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
 def verify_norm_congruences(ext: TameAbelianExtension, rng,
                             unit_samples: int = 100,
-                            uniformizer_samples: int = 10
-                            ) -> NormCongruenceReport:
+                            uniformizer_samples: int = 10) -> list:
     """Residue identities satisfied by norms, checked on random samples.
 
     For a unit u of L: the residue of N(u) equals the residue norm of
     ubar raised to the e-th power. For a uniformizer w * alpha: the
     residue of N(pi_L) / ((-1)^(e-1) t)^f equals the residue norm of the
-    unit pi_L^e / t.
+    unit pi_L^e / t. Returns the failure messages (empty when all hold).
     """
-    tower = ext.tower
     failures = []
     for n in range(unit_samples):
         u = random_unit_series(ext, rng)
@@ -321,7 +308,7 @@ def verify_norm_congruences(ext: TameAbelianExtension, rng,
         if lhs != rhs:
             failures.append(
                 f"uniformizer sample {n}: {lhs} != {rhs} for w = {w}")
-    return NormCongruenceReport(unit_samples, uniformizer_samples, failures)
+    return failures
 
 
 def random_log(tower, rng):
@@ -330,18 +317,13 @@ def random_log(tower, rng):
     return None if idx == 0 else idx - 1
 
 
-def random_element(tower, rng) -> FieldElement:
-    return FieldElement(tower, random_log(tower, rng))
-
-
 def random_unit_series(ext: TameAbelianExtension, rng,
-                       valuation: int = 0,
-                       symbol: str = EXT_SYMBOL) -> LaurentSeries:
-    """A random series with unit leading coefficient, at ext precision."""
+                       valuation: int = 0) -> LaurentSeries:
+    """A random L-series with unit leading coefficient, at ext precision."""
     tower = ext.tower
     logs = [rng.randrange(tower.order)]
     logs += [random_log(tower, rng) for _ in range(ext.precision - 1)]
-    return LaurentSeries._from_logs(tower, symbol, valuation, logs)
+    return LaurentSeries._from_logs(tower, EXT_SYMBOL, valuation, logs)
 
 
 def random_base_unit_series(ext: TameAbelianExtension, rng,

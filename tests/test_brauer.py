@@ -194,9 +194,8 @@ def test_cyclic_algebra_check(matrix, rng):
         sigma = next(g for g in ext.galois_group()
                      if g.order() == ext.degree)
         spec = brauer.CyclicAlgebraSpec(ext, sigma, _pi_class(ext))
-        report = brauer.cyclic_algebra_check(spec, rng, samples=20)
-        assert report.passed, (name, report.failures[:3])
-        assert report.associativity_checks == 20
+        failures = brauer.cyclic_algebra_check(spec, rng, samples=20)
+        assert failures == [], (name, failures[:3])
 
 
 def _reference_multiply(alg, x, y):

@@ -60,7 +60,7 @@ def test_descriptor_round_trip_through_json(tmp_path, capsys):
     code = cli.main(["validate", _write(tmp_path, C9), "--json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    again = TameAbelianExtension.from_descriptor(payload["descriptor"])
+    again = cli.build_extension(payload["descriptor"])
     assert again.descriptor() == payload["descriptor"]
 
 

@@ -3,7 +3,9 @@ from itertools import product
 
 import pytest
 
+from lcft.cli import build_extension
 from lcft.extension import GaloisElement, TameAbelianExtension
+from lcft.ffield import FieldTower
 from lcft.reciprocity import random_unit_series
 from lcft.series import LaurentSeries
 
@@ -53,9 +55,53 @@ def test_membership_invariant_rejected():
         ext.galois_element(0, 2)       # 2^2 = 4 != 1
 
 
+def test_constructor_accepts_exactly_the_members(matrix):
+    # the int test on logs against the FieldElement form of c^e = u0^(q^a-1)
+    for name in ("mixed_c9", "deg12", "mixed_e2_cyclic"):
+        ext = matrix[name]
+        tower = ext.tower
+        accepted = 0
+        for a in range(ext.f):
+            rhs = ext.u0.frobenius(a) / ext.u0
+            for c_log in range(tower.order):
+                member = tower.generator_power(c_log) ** ext.e == rhs
+                try:
+                    g = GaloisElement(ext, a, c_log)
+                except ValueError as exc:
+                    assert not member, (name, a, c_log)
+                    assert "membership" in str(exc)
+                else:
+                    assert member, (name, a, c_log)
+                    assert (g.a, g.c_log) == (a, c_log)
+                    accepted += 1
+        assert accepted == ext.degree, name
+
+
+def test_products_recheck_membership(matrix):
+    # an element that bypassed the constructor is caught by the next product
+    ext = matrix["mixed_c9"]
+    corrupt = object.__new__(GaloisElement)
+    corrupt.ext, corrupt.a, corrupt.c_log = ext, 0, 1
+    with pytest.raises(ValueError):
+        GaloisElement(ext, 0, 1)
+    with pytest.raises(ValueError, match="membership"):
+        corrupt * ext.identity()
+    with pytest.raises(ValueError, match="membership"):
+        ext.identity() * corrupt
+
+
+def test_galois_element_rejects_bad_scales(matrix):
+    ext = matrix["ram_e2"]
+    with pytest.raises(ValueError, match="unit"):
+        ext.galois_element(0, ext.tower.zero())
+    other = FieldTower(5, 1, 1)
+    with pytest.raises(ValueError, match="different tower"):
+        ext.galois_element(0, other.one())
+
+
 def test_products_inverses_powers_are_members(matrix):
-    # the unchecked constructor behind *, inverse and ** must only ever
-    # produce pairs that the public, checking constructor accepts
+    # the group law builds every product, inverse and power through the
+    # checking constructor; each result must be a member of the group
     for name in ("deg12", "mixed_c9"):
         ext = matrix[name]
         group = ext.galois_group()
@@ -63,7 +109,7 @@ def test_products_inverses_powers_are_members(matrix):
             derived = [g * h for h in group] + [g.inverse()]
             derived += [g**k for k in range(-2, ext.degree + 2)]
             for x in derived:
-                assert GaloisElement(ext, x.a, x.c) == x, (name, x)
+                assert GaloisElement(ext, x.a, x.c_log) == x, (name, x)
                 assert x in group, (name, x)
 
 
@@ -287,7 +333,7 @@ def test_frobenius_element_only_unramified(matrix):
 def test_descriptor_round_trip(matrix):
     for ext in matrix.values():
         d = ext.descriptor()
-        again = TameAbelianExtension.from_descriptor(d)
+        again = build_extension(d)
         assert again.descriptor() == d
         assert again.tower.modulus == ext.tower.modulus
         assert again.u0.coeffs == ext.u0.coeffs

@@ -257,10 +257,8 @@ def test_power_law(matrix):
 
 def test_norm_congruence_reports(matrix, rng):
     for name, ext in matrix.items():
-        report = rc.verify_norm_congruences(ext, rng, 25, 5)
-        assert report.passed, (name, report.failures[:2])
-        assert report.unit_checks == 25
-        assert report.uniformizer_checks == 5
+        failures = rc.verify_norm_congruences(ext, rng, 25, 5)
+        assert failures == [], (name, failures[:2])
 
 
 def test_norm_group_is_built_once_per_extension(monkeypatch):
