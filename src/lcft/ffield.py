@@ -14,12 +14,21 @@ precomputed Zech-logarithm table. This keeps every field operation O(1)
 after an O(field size) table build, which the size cap p^(t*f) <= 2^20
 makes affordable. Coefficient vectors over F_p remain the construction
 and printing surface.
+
+The tables are stored by how they are read. The exponential and log
+tables, which only element construction and printing read, are
+``array('i')``: 4 bytes a slot, 4 MB each at the cap. The Zech table is
+read by every addition and series product, so it stays a list, whose
+indexing is faster than an array's. At p = 2 the powers of the generator
+are walked with a shift and an XOR on the packed int, which is then just
+a bitmask; odd p steps a digit vector.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 
 SIZE_CAP = 2**20
 
@@ -174,35 +183,47 @@ class FieldTower:
                 "of x does not generate the unit group")
 
     def _build_tables(self):
-        p, n = self.p, self.degree
-        size = self.size
-        # exp[k] = packed coefficient vector of g^k, where g = class of x
-        exp = [0] * self.order
-        log = [-1] * size
-        poly = [1] + [0] * (n - 1)
-        top = n - 1
-        # multiply-by-x uses x^n = -(lower part of the modulus)
-        red = [(-c) % p for c in self.modulus[:-1]]
-        powers = [p**i for i in range(n)]
-        for k in range(self.order):
-            packed = 0
-            for i in range(n):
-                packed += poly[i] * powers[i]
-            exp[k] = packed
-            log[packed] = k
-            carry = poly[top]
-            for i in range(top, 0, -1):
-                poly[i] = (poly[i - 1] + carry * red[i]) % p
-            poly[0] = (carry * red[0]) % p
+        # exp[k] packs g^k base p (digit i is the coefficient of x^i),
+        # where g is the class of x; log is its inverse, -1 at 0. Both are
+        # array('i'), which only the cold constructors and views read.
+        p, n, size = self.p, self.degree, self.size
+        exp = array("i", [0]) * self.order
+        if p == 2:
+            # the packed int is the bitmask of the coefficients: times x is
+            # a shift, and a carry out of degree n is cancelled by the
+            # modulus, x^n = lower part of m
+            mask = sum(c << i for i, c in enumerate(self.modulus))
+            v = 1
+            for k in range(self.order):
+                exp[k] = v
+                v <<= 1
+                if v & size:
+                    v ^= mask
+        else:
+            # odd p has at most 12 digits under the cap; times x uses
+            # x^n = -(lower part of the modulus)
+            poly = [1] + [0] * (n - 1)
+            top = n - 1
+            red = [(-c) % p for c in self.modulus[:-1]]
+            powers = [p**i for i in range(n)]
+            for k in range(self.order):
+                packed = 0
+                for i in range(n):
+                    packed += poly[i] * powers[i]
+                exp[k] = packed
+                carry = poly[top]
+                for i in range(top, 0, -1):
+                    poly[i] = (poly[i - 1] + carry * red[i]) % p
+                poly[0] = (carry * red[0]) % p
+        log = array("i", [-1]) * size
+        for k, v in enumerate(exp):
+            log[v] = k
         self._exp = exp
         self._log = log
-        # zech[k] = log(1 + g^k), or -1 when 1 + g^k = 0
-        zech = [0] * self.order
-        for k in range(self.order):
-            v = exp[k]
-            bumped = v - (v % p) + (v % p + 1) % p
-            zech[k] = log[bumped] if bumped else -1
-        self._zech = zech
+        # zech[k] = log(1 + g^k): raise the constant digit of g^k by one
+        # mod p; log[0] == -1 marks 1 + g^k = 0. A list, as the hot
+        # table: list indexing beats array indexing in the series kernels.
+        self._zech = [log[v - v % p + (v % p + 1) % p] for v in exp]
 
     # -- element constructors ------------------------------------------------
 
@@ -246,12 +267,9 @@ class FieldTower:
 
     def subfield_unit_elements(self) -> list:
         """All of k*, as powers of the subfield generator."""
-        g = self.subfield_generator()
-        return [g**j for j in range(max(self.subfield_units, 1))]
-
-    def unit_elements(self) -> list:
-        """All of l* in generator-power order."""
-        return [FieldElement(self, k) for k in range(self.order)]
+        step = self.subfield_norm_exponent
+        return [FieldElement(self, j * step)
+                for j in range(self.subfield_units)]
 
     def parse(self, text: str) -> "FieldElement":
         """Parse "g^k", a bare integer, or a comma-separated coefficient list."""

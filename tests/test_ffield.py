@@ -1,8 +1,9 @@
 import math
+import random
 
 import pytest
 
-from lcft.ffield import FieldTower
+from lcft.ffield import SIZE_CAP, FieldTower, _poly_powmod, is_prime
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +19,11 @@ def f9():
 @pytest.fixture(scope="module")
 def f64():
     return FieldTower(2, 2, 3)
+
+
+@pytest.fixture(scope="module")
+def cap_tower():
+    return FieldTower(2, 10, 2)           # p^(t*f) = 2^20, the size cap
 
 
 def test_construction_validation():
@@ -73,7 +79,7 @@ def test_frobenius_examples(f9):
 
 
 def test_frobenius_is_field_automorphism(f9, rng):
-    els = f9.unit_elements() + [f9.zero()]
+    els = [f9.generator_power(k) for k in range(f9.order)] + [f9.zero()]
     for _ in range(200):
         a, b = rng.choice(els), rng.choice(els)
         assert (a + b).frobenius() == a.frobenius() + b.frobenius()
@@ -113,7 +119,7 @@ def test_norm_examples(f9, f5):
     assert g.norm_to_subfield().in_subfield()
     assert f9.one().norm_to_subfield() == f9.one()
     # f = 1 means the norm is the identity map
-    for a in f5.unit_elements():
+    for a in [f5.generator_power(k) for k in range(f5.order)]:
         assert a.norm_to_subfield() == a
 
 
@@ -132,7 +138,8 @@ def test_subfield_membership(f64):
     assert not f64.generator().in_subfield()
     assert f64.subfield_generator().in_subfield()
     # the subfield has exactly q elements (count the fixed points)
-    fixed = sum(1 for a in f64.unit_elements() if a.in_subfield())
+    fixed = sum(1 for k in range(f64.order)
+                if f64.generator_power(k).in_subfield())
     assert fixed + 1 == f64.q
 
 
@@ -159,3 +166,59 @@ def test_str_of_prime_constants(f5, f9):
     assert str(f9.from_int(2)) == "2"
     assert str(f9.zero()) == "0"
     assert str(f9.generator()) == "g"
+
+
+def _pack(coeffs, p):
+    return sum(c * p**i for i, c in enumerate(coeffs))
+
+
+def _reference_tables(tower):
+    """exp, log and Zech tables as plain lists, stepped digit by digit for
+    every p: independent of the p = 2 walk and of the array storage."""
+    p, n, size, order = tower.p, tower.degree, tower.size, tower.order
+    exp = [0] * order
+    log = [-1] * size
+    poly = [1] + [0] * (n - 1)
+    red = [(-c) % p for c in tower.modulus[:-1]]
+    for k in range(order):
+        packed = _pack(poly, p)
+        exp[k] = packed
+        log[packed] = k
+        carry = poly[-1]
+        for i in range(n - 1, 0, -1):
+            poly[i] = (poly[i - 1] + carry * red[i]) % p
+        poly[0] = (carry * red[0]) % p
+    zech = []
+    for v in exp:
+        bumped = v - (v % p) + (v % p + 1) % p
+        zech.append(log[bumped] if bumped else -1)
+    return exp, log, zech
+
+
+def test_tables_match_reference_builder():
+    shapes = [(p, t, f) for p in range(2, 1025) if is_prime(p)
+              for t in range(1, 11) for f in range(1, 11)
+              if p ** (t * f) <= 2**10]
+    assert len(shapes) == 236
+    for p, t, f in shapes:
+        tower = FieldTower(p, t, f)
+        exp, log, zech = _reference_tables(tower)
+        assert list(tower._exp) == exp, (p, t, f)
+        assert list(tower._log) == log, (p, t, f)
+        assert tower._zech == zech, (p, t, f)
+
+
+def test_cap_tower_tables(cap_tower):
+    t = cap_tower
+    assert t.size == SIZE_CAP
+    exp, log, zech = t._exp, t._log, t._zech
+    assert len(exp) == len(zech) == t.order and len(log) == t.size
+    assert log[0] == -1
+    assert all(log[v] == k for k, v in enumerate(exp))
+    modulus = list(t.modulus)
+    for k in random.Random(20261018).sample(range(t.order), 200):
+        power = _poly_powmod([0, 1], k, modulus, t.p)   # x^k mod m
+        assert exp[k] == _pack(power, t.p), k
+        power[0] = (power[0] + 1) % t.p                 # 1 + x^k
+        packed = _pack(power, t.p)
+        assert zech[k] == (log[packed] if packed else -1), k
