@@ -36,22 +36,6 @@ class Character:
         if self.values[ext.identity()] != 0:
             raise ValueError("a character sends the identity to 0")
 
-    @classmethod
-    def from_generator(cls, ext: TameAbelianExtension, sigma: GaloisElement,
-                       numerator: int = 1) -> "Character":
-        """The character with value numerator/n on a full-order generator."""
-        n = ext.degree
-        if sigma.order() != n:
-            raise ValueError(
-                "sigma does not generate the Galois group (group is "
-                "non-cyclic or sigma has smaller order)")
-        values = {}
-        g = ext.identity()
-        for j in range(n):
-            values[g] = Fraction(j * numerator, n) % 1
-            g = g * sigma
-        return cls(ext, values)
-
     def __call__(self, g: GaloisElement) -> Fraction:
         return self.values[g]
 
@@ -59,10 +43,6 @@ class Character:
         if other.ext is not self.ext:
             raise ValueError("characters of different extensions")
         return Character(self.ext, {g: (v + other.values[g]) % 1
-                                    for g, v in self.values.items()})
-
-    def __neg__(self) -> "Character":
-        return Character(self.ext, {g: (-v) % 1
                                     for g, v in self.values.items()})
 
     def __eq__(self, other):
@@ -74,9 +54,6 @@ class Character:
         return hash((id(self.ext),
                      tuple(sorted(((g.a, g.c_log), v)
                                   for g, v in self.values.items()))))
-
-    def is_trivial(self) -> bool:
-        return all(v == 0 for v in self.values.values())
 
     def is_faithful(self) -> bool:
         return sum(1 for v in self.values.values() if v == 0) == 1
@@ -219,17 +196,14 @@ class CrossedProduct:
             else:
                 logs = [random_log(self.ext.tower, rng)
                         for _ in range(self.precision)]
-                out.append(LaurentSeries._from_logs(
-                    self.ext.tower, "alpha", rng.randrange(-2, 3), logs))
+                out.append(LaurentSeries(self.ext.tower, "alpha",
+                                         rng.randrange(-2, 3), logs))
         if all(x.is_zero() for x in out):
             out[0] = LaurentSeries.one(self.ext.tower, "alpha",
                                        self.precision)
         return tuple(out)
 
     # -- ring operations -----------------------------------------------------
-
-    def add(self, x: tuple, y: tuple) -> tuple:
-        return tuple(a + b for a, b in zip(x, y))
 
     def multiply(self, x: tuple, y: tuple) -> tuple:
         """Slot k is the sum of x_i sigma^i(y_j) over i + j = k, plus b

@@ -150,8 +150,8 @@ class TameAbelianExtension:
                         "base-field series has a coefficient outside k")
                 out[j * self.e] = (lam + u0_pow) % m
             u0_pow -= step
-        return LaurentSeries._from_logs(self.tower, EXT_SYMBOL,
-                                        self.e * x.valuation, out)
+        return LaurentSeries(self.tower, EXT_SYMBOL, self.e * x.valuation,
+                             out)
 
     def project(self, x: LaurentSeries) -> LaurentSeries:
         """Re-express an L-series lying in K as a series in t.
@@ -185,7 +185,7 @@ class TameAbelianExtension:
                     f"series is not in the base field: coefficient of "
                     f"alpha^{n} lies outside k")
             out[n // e - start] = lam_t
-        return LaurentSeries._from_logs(self.tower, BASE_SYMBOL, start, out)
+        return LaurentSeries(self.tower, BASE_SYMBOL, start, out)
 
     def is_base_member(self, x: LaurentSeries) -> bool:
         try:
@@ -403,5 +403,4 @@ class GaloisElement:
         for lam in beta.logs:
             out.append(None if lam is None else (lam * frob + c_pow) % m)
             c_pow += step
-        return LaurentSeries._from_logs(tower, EXT_SYMBOL, beta.valuation,
-                                        out)
+        return LaurentSeries(tower, EXT_SYMBOL, beta.valuation, out)

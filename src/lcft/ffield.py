@@ -201,20 +201,24 @@ class FieldTower:
                     v ^= mask
         else:
             # odd p has at most 12 digits under the cap; times x uses
-            # x^n = -(lower part of the modulus)
+            # x^n = -(lower part of the modulus). The digits of the next
+            # power are written from the top down, so the packed int is
+            # accumulated in the same pass.
             poly = [1] + [0] * (n - 1)
             top = n - 1
             red = [(-c) % p for c in self.modulus[:-1]]
-            powers = [p**i for i in range(n)]
+            packed = 1
             for k in range(self.order):
-                packed = 0
-                for i in range(n):
-                    packed += poly[i] * powers[i]
                 exp[k] = packed
                 carry = poly[top]
+                packed = 0
                 for i in range(top, 0, -1):
-                    poly[i] = (poly[i - 1] + carry * red[i]) % p
-                poly[0] = (carry * red[0]) % p
+                    d = (poly[i - 1] + carry * red[i]) % p
+                    poly[i] = d
+                    packed = packed * p + d
+                d = (carry * red[0]) % p
+                poly[0] = d
+                packed = packed * p + d
         log = array("i", [-1]) * size
         for k, v in enumerate(exp):
             log[v] = k
@@ -316,9 +320,6 @@ class FieldElement:
             out.append(r)
         return tuple(out)
 
-    def coeff_str(self) -> str:
-        return ",".join(str(c) for c in self.coeffs)
-
     def __str__(self):
         if self.log is None:
             return "0"
@@ -335,8 +336,6 @@ class FieldElement:
         return self.log is not None
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.tower.from_int(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
         return self.tower is other.tower and self.log == other.log

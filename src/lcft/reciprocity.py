@@ -323,7 +323,7 @@ def random_unit_series(ext: TameAbelianExtension, rng,
     tower = ext.tower
     logs = [rng.randrange(tower.order)]
     logs += [random_log(tower, rng) for _ in range(ext.precision - 1)]
-    return LaurentSeries._from_logs(tower, EXT_SYMBOL, valuation, logs)
+    return LaurentSeries(tower, EXT_SYMBOL, valuation, logs)
 
 
 def random_base_unit_series(ext: TameAbelianExtension, rng,
@@ -341,4 +341,4 @@ def random_base_unit_series(ext: TameAbelianExtension, rng,
 
     logs = [pick(allow_zero=False)]
     logs += [pick() for _ in range(ext.precision - 1)]
-    return LaurentSeries._from_logs(tower, "t", valuation, logs)
+    return LaurentSeries(tower, "t", valuation, logs)

@@ -15,8 +15,11 @@ here, ``embed``/``project`` and the Galois action in ``extension.py`` read
 and write those logs directly: a product of coefficients adds logs, a sum
 is one lookup in the tower's Zech table ``_zech``, and a negation adds
 ``order // 2`` in odd characteristic (it is the identity for p = 2).
-``FieldElement`` stays the public type of a coefficient: ``coeffs`` and
-the other coefficient views build elements on demand.
+The one constructor, ``LaurentSeries(tower, symbol, valuation, logs)``,
+takes such a window; ``zero``, ``one``, ``uniformizer``, ``monomial`` and
+``constant`` are shorthands for it. ``FieldElement`` stays the public
+type of a coefficient: ``coeffs`` is the window as elements, and the
+other coefficient views also build elements on demand.
 """
 
 from __future__ import annotations
@@ -61,27 +64,26 @@ def _pad(series, precision):
     missing = precision - len(series.logs)
     if missing <= 0 or series.is_zero():
         return series
-    return LaurentSeries._from_logs(series.tower, series.symbol,
-                                   series.valuation,
-                                   series.logs + (None,) * missing)
+    return LaurentSeries(series.tower, series.symbol, series.valuation,
+                         series.logs + (None,) * missing)
 
 
 class LaurentSeries:
     """c_v X^v + c_(v+1) X^(v+1) + ... + O(X^(v+N)) over a tower field.
 
-    Immutable value. The stored window is ``logs``: N generator logs with
-    ``logs[0]`` not None, except for the exact zero (valuation = inf,
-    empty logs). ``coeffs`` is a derived view, the same window as a tuple
-    of FieldElement. Arithmetic requires matching tower and symbol; two
-    series compare equal when they agree on their common window.
+    Immutable value, built from generator logs reduced mod the tower's
+    ``order`` (None for a zero coefficient) of X^valuation onwards. The
+    constructor drops leading Nones, raising the valuation to match, and
+    maps an all-None window to the exact zero (valuation = inf, empty
+    logs); otherwise the stored ``logs`` is a tuple with ``logs[0]`` not
+    None. ``coeffs`` is the FieldElement view of the same window.
+    Arithmetic requires matching tower and symbol; two series compare
+    equal when they agree on their common window.
     """
 
     __slots__ = ("tower", "symbol", "valuation", "logs")
 
-    def __init__(self, tower: FieldTower, symbol: str, valuation, coeffs):
-        self._store(tower, symbol, valuation, [c.log for c in coeffs])
-
-    def _store(self, tower, symbol, valuation, logs):
+    def __init__(self, tower: FieldTower, symbol: str, valuation, logs):
         lead = 0
         while lead < len(logs) and logs[lead] is None:
             lead += 1
@@ -97,15 +99,8 @@ class LaurentSeries:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def _from_logs(cls, tower, symbol, valuation, logs):
-        """Series from generator logs reduced mod order (None for zero)."""
-        series = object.__new__(cls)
-        series._store(tower, symbol, valuation, logs)
-        return series
-
-    @classmethod
     def zero(cls, tower, symbol):
-        return cls._from_logs(tower, symbol, INFINITE, ())
+        return cls(tower, symbol, INFINITE, ())
 
     @classmethod
     def constant(cls, tower, symbol, value, precision=DEFAULT_PRECISION):
@@ -113,31 +108,19 @@ class LaurentSeries:
 
     @classmethod
     def one(cls, tower, symbol, precision=DEFAULT_PRECISION):
-        return cls._from_logs(tower, symbol, 0,
-                              (0,) + (None,) * (precision - 1))
+        return cls(tower, symbol, 0, (0,) + (None,) * (precision - 1))
 
     @classmethod
     def uniformizer(cls, tower, symbol, precision=DEFAULT_PRECISION):
-        return cls._from_logs(tower, symbol, 1,
-                              (0,) + (None,) * (precision - 1))
+        return cls(tower, symbol, 1, (0,) + (None,) * (precision - 1))
 
     @classmethod
     def monomial(cls, tower, symbol, value, exponent,
                  precision=DEFAULT_PRECISION):
         if isinstance(value, int):
             value = tower.from_int(value)
-        return cls._from_logs(tower, symbol, exponent,
-                              (value.log,) + (None,) * (precision - 1))
-
-    @classmethod
-    def from_coeffs(cls, tower, symbol, valuation, coeffs,
-                    precision=DEFAULT_PRECISION):
-        """Series from explicit coefficients, padded with zeros to precision."""
-        coeffs = [tower.from_int(c) if isinstance(c, int) else c
-                  for c in coeffs]
-        if len(coeffs) < precision:
-            coeffs += [tower.zero()] * (precision - len(coeffs))
-        return cls(tower, symbol, valuation, coeffs)
+        return cls(tower, symbol, exponent,
+                   (value.log,) + (None,) * (precision - 1))
 
     # -- basic views -------------------------------------------------------
 
@@ -158,17 +141,6 @@ class LaurentSeries:
         if self.is_zero():
             raise ValueError("the zero series has no leading coefficient")
         return FieldElement(self.tower, self.logs[0])
-
-    def coefficient(self, exponent: int) -> FieldElement:
-        """Coefficient of X^exponent (must lie inside the known window)."""
-        if self.is_zero():
-            return self.tower.zero()
-        idx = exponent - self.valuation
-        if idx < 0:
-            return self.tower.zero()
-        if idx >= len(self.logs):
-            raise ValueError(f"X^{exponent} is beyond the retained window")
-        return FieldElement(self.tower, self.logs[idx])
 
     def residue(self) -> FieldElement:
         """Residue class mod the uniformizer; defined for units only."""
@@ -226,7 +198,7 @@ class LaurentSeries:
     def _scaled(self, shift):
         """Every coefficient multiplied by g^shift."""
         m = self.tower.order
-        return LaurentSeries._from_logs(
+        return LaurentSeries(
             self.tower, self.symbol, self.valuation,
             [None if L is None else (L + shift) % m for L in self.logs])
 
@@ -257,7 +229,7 @@ class LaurentSeries:
                     z = zech[(y - x) % m]
                     out[k] = None if z < 0 else (x + z) % m
             k += 1
-        return LaurentSeries._from_logs(self.tower, self.symbol, start, out)
+        return LaurentSeries(self.tower, self.symbol, start, out)
 
     def __neg__(self):
         if self.tower.p == 2:
@@ -279,7 +251,7 @@ class LaurentSeries:
         tower = self.tower
         n = min(len(self.logs), len(other.logs))
         terms = [(i, a) for i, a in enumerate(self.logs[:n]) if a is not None]
-        return LaurentSeries._from_logs(
+        return LaurentSeries(
             tower, self.symbol, self.valuation + other.valuation,
             _convolve(terms, other.logs, [], 0, n, 0, tower.order,
                       tower._zech))
@@ -298,7 +270,7 @@ class LaurentSeries:
         terms = [(k, a) for k, a in enumerate(self.logs)
                  if k and a is not None]
         out = [-lead % m]
-        return LaurentSeries._from_logs(
+        return LaurentSeries(
             tower, self.symbol, -self.valuation,
             _convolve(terms, out, out, 1, len(self.logs), neg_lead_inv, m,
                       tower._zech))
@@ -340,8 +312,8 @@ class LaurentSeries:
         """Multiply by X^n (exact)."""
         if self.is_zero():
             return self
-        return LaurentSeries._from_logs(self.tower, self.symbol,
-                                        self.valuation + n, self.logs)
+        return LaurentSeries(self.tower, self.symbol, self.valuation + n,
+                             self.logs)
 
     def truncate(self, precision: int) -> "LaurentSeries":
         """Shrink the retained window to at most ``precision`` terms."""
@@ -349,19 +321,8 @@ class LaurentSeries:
             raise ValueError("precision must be positive")
         if self.is_zero() or len(self.logs) <= precision:
             return self
-        return LaurentSeries._from_logs(self.tower, self.symbol,
-                                        self.valuation,
-                                        self.logs[:precision])
-
-    def split_unit(self):
-        """Write a unit u as (u0, u1) with u0 constant and u1 = 1 mod X.
-
-        u0 is the leading coefficient (the constant representative of the
-        residue class) and u1 = u / u0.
-        """
-        if self.is_zero() or self.valuation != 0:
-            raise ValueError("split_unit requires a unit (valuation 0)")
-        return self.leading_coefficient, self._scaled(-self.logs[0])
+        return LaurentSeries(self.tower, self.symbol, self.valuation,
+                             self.logs[:precision])
 
     def nth_root(self, e: int) -> "LaurentSeries":
         """An e-th root with the deterministic leading-coefficient choice.

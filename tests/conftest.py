@@ -3,6 +3,7 @@ import random
 import pytest
 
 from lcft.extension import TameAbelianExtension
+from lcft.series import LaurentSeries
 
 # the standing verification matrix: one extension per interesting shape
 MATRIX_PARAMS = {
@@ -15,6 +16,18 @@ MATRIX_PARAMS = {
     "mixed_e2_split": (3, 1, 2, 2, "1"),
     "mixed_e2_cyclic": (3, 1, 2, 2, "g"),
 }
+
+
+def make_series(tower, symbol, valuation, coeffs, precision=0):
+    """A series from ints and FieldElements, padded with zeros to precision.
+
+    The library constructor takes generator logs; this maps each
+    coefficient to its log (None for zero) before calling it.
+    """
+    logs = [(tower.from_int(c) if isinstance(c, int) else c).log
+            for c in coeffs]
+    logs += [None] * (precision - len(logs))
+    return LaurentSeries(tower, symbol, valuation, logs)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ def test_root_extraction_rejects_a_truncated_root(matrix, rng, monkeypatch):
 
     def truncated(self, e):
         r = nth_root(self, e)
-        return LaurentSeries(r.tower, r.symbol, r.valuation, r.coeffs[:-1])
+        return LaurentSeries(r.tower, r.symbol, r.valuation, r.logs[:-1])
 
     monkeypatch.setattr(LaurentSeries, "nth_root", truncated)
     result = checks.check_root_extraction(matrix["ram_e2"], rng, 5)

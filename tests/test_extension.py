@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from conftest import make_series
 from lcft.cli import build_extension
 from lcft.extension import GaloisElement, TameAbelianExtension
 from lcft.ffield import FieldTower
@@ -192,7 +193,7 @@ def test_apply_against_coefficientwise_reference(matrix, rng):
                         if rng.random() < density else tower.zero()
                         for _ in range(rng.randrange(0, 12))]
                 v = rng.randrange(-6, 6)
-                beta = LaurentSeries(tower, "alpha", v, [lead] + rest)
+                beta = make_series(tower, "alpha", v, [lead] + rest)
                 want = [lam.frobenius(g.a) * g.c ** (v + j)
                         for j, lam in enumerate(beta.coeffs)]
                 got = g.apply(beta)
@@ -266,9 +267,8 @@ def _lcm_of_orders(combo, factors):
 
 def test_embed_project_round_trip(matrix, rng):
     for ext in matrix.values():
-        x = LaurentSeries.from_coeffs(
-            ext.tower, "t", -2,
-            [1, 0, 1, 2, 0, 1], ext.precision)
+        x = make_series(ext.tower, "t", -2, [1, 0, 1, 2, 0, 1],
+                        ext.precision)
         assert ext.project(ext.embed(x)) == x
         emb = ext.embed(x)
         assert emb.valuation == -2 * ext.e
@@ -283,7 +283,7 @@ def _random_base_series(ext, rng):
     coeffs = [rng.choice(units)] + [
         rng.choice(units) if rng.random() < density else tower.zero()
         for _ in range(rng.randrange(0, 10))]
-    return LaurentSeries(tower, "t", rng.randrange(-4, 4), coeffs)
+    return make_series(tower, "t", rng.randrange(-4, 4), coeffs)
 
 
 def test_embed_project_against_reference(matrix, rng):

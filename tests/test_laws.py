@@ -9,6 +9,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from conftest import make_series  # noqa: E402
 from lcft.ffield import FieldElement, FieldTower  # noqa: E402
 from lcft.series import LaurentSeries  # noqa: E402
 
@@ -36,7 +37,7 @@ def element_triples(draw):
 def series(draw, tower):
     lead = draw(elements(tower, nonzero=True))
     rest = draw(st.lists(elements(tower), max_size=9))
-    return LaurentSeries(tower, "t", draw(st.integers(-4, 4)), [lead] + rest)
+    return make_series(tower, "t", draw(st.integers(-4, 4)), [lead] + rest)
 
 
 @st.composite

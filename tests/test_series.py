@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import make_series
 from lcft.ffield import FieldTower
 from lcft.series import LaurentSeries
 
@@ -30,7 +31,7 @@ def _random_series(tower, rng, valuation, precision, density=0.7):
               if rng.random() < density else tower.zero()
               for _ in range(precision)]
     coeffs[0] = tower.generator_power(rng.randrange(tower.order))
-    return LaurentSeries(tower, "t", valuation, coeffs)
+    return make_series(tower, "t", valuation, coeffs)
 
 
 def _same_window(x, y):
@@ -46,7 +47,7 @@ def _schoolbook_product(a, b):
     for i in range(n):
         for j in range(n - i):
             out[i + j] = out[i + j] + a.coeffs[i] * b.coeffs[j]
-    return LaurentSeries(a.tower, a.symbol, a.valuation + b.valuation, out)
+    return make_series(a.tower, a.symbol, a.valuation + b.valuation, out)
 
 
 def _recurrence_inverse(a):
@@ -58,11 +59,11 @@ def _recurrence_inverse(a):
         for k in range(1, j + 1):
             acc = acc + c[k] * out[j - k]
         out.append(-(acc / c[0]))
-    return LaurentSeries(a.tower, a.symbol, -a.valuation, out)
+    return make_series(a.tower, a.symbol, -a.valuation, out)
 
 
 def test_one_is_neutral(f5):
-    a = LaurentSeries.from_coeffs(f5, "t", -1, [2, 1, 3], 8)
+    a = make_series(f5, "t", -1, [2, 1, 3], 8)
     assert a * LaurentSeries.one(f5, "t", 8) == a
 
 
@@ -77,7 +78,7 @@ def test_product_against_schoolbook_example(f5):
     one = LaurentSeries.one(f5, "t", 8)
     t = LaurentSeries.uniformizer(f5, "t", 8)
     prod = (one + t) * (one - t)
-    assert prod == LaurentSeries.from_coeffs(f5, "t", 0, [1, 0, 4], 8)
+    assert prod == make_series(f5, "t", 0, [1, 0, 4], 8)
 
 
 def test_product_against_schoolbook_random(kernel_towers, rng):
@@ -140,7 +141,7 @@ def test_symbol_and_field_mismatch(f5, f3):
 
 def test_zero_semantics(f5):
     z = LaurentSeries.zero(f5, "t")
-    a = LaurentSeries.from_coeffs(f5, "t", 2, [1, 1], 8)
+    a = make_series(f5, "t", 2, [1, 1], 8)
     assert z.is_zero()
     assert (a + z) == a
     assert (a * z).is_zero()
@@ -155,7 +156,7 @@ def test_sqrt_first_order_in_f3(f3):
     # first-order oracle: the linear coefficient a1 satisfies 2*a1 = 1 mod 3
     sols = [a for a in range(3) if (2 * a) % 3 == 1]
     assert sols == [2]
-    w = LaurentSeries.from_coeffs(f3, "t", 0, [1, 1], 8)
+    w = make_series(f3, "t", 0, [1, 1], 8)
     r = w.nth_root(2)
     assert r.coeffs[0] == f3.one()
     assert r.coeffs[1] == f3.from_int(2)
@@ -165,7 +166,7 @@ def test_sqrt_first_order_in_f3(f3):
 def test_cube_root_first_order_in_f4():
     f4 = FieldTower(2, 2, 1)
     # char 2: the first-order equation reads 3*a1 = a1 = 1
-    w = LaurentSeries.from_coeffs(f4, "t", 0, [1, 1], 8)
+    w = make_series(f4, "t", 0, [1, 1], 8)
     r = w.nth_root(3)
     assert r.coeffs[0] == f4.one()
     assert r.coeffs[1] == f4.one()
@@ -179,7 +180,7 @@ def test_root_of_one(f5):
 
 
 def test_root_preconditions(f5, f3):
-    w = LaurentSeries.from_coeffs(f3, "t", 0, [1, 1], 8)
+    w = make_series(f3, "t", 0, [1, 1], 8)
     with pytest.raises(ValueError):
         w.nth_root(3)                     # wild: 3 | p
     t = LaurentSeries.uniformizer(f5, "t", 8)
@@ -197,32 +198,18 @@ def test_root_round_trip_random(f5, rng):
         coeffs = [lead] + [f5.generator_power(rng.randrange(f5.order))
                            if rng.random() < 0.8 else f5.zero()
                            for _ in range(31)]
-        w = LaurentSeries(f5, "t", e * rng.randrange(-2, 3), coeffs)
+        w = make_series(f5, "t", e * rng.randrange(-2, 3), coeffs)
         r = w.nth_root(e)
         assert r**e == w
         # deterministic tie-break: smallest generator exponent
         assert r.leading_coefficient == lead.nth_roots(e)[0]
 
 
-def test_split_unit(f5):
-    u = LaurentSeries.from_coeffs(f5, "t", 0, [2, 1], 8)
-    u0, u1 = u.split_unit()
-    assert u0 == f5.from_int(2)
-    assert u1 == LaurentSeries.from_coeffs(f5, "t", 0, [1, 3], 8)
-    assert u1 * u0 == u
-    c = LaurentSeries.constant(f5, "t", 4, 8)
-    assert c.split_unit() == (f5.from_int(4), LaurentSeries.one(f5, "t", 8))
-    one = LaurentSeries.one(f5, "t", 8)
-    assert one.split_unit() == (f5.one(), one)
-    with pytest.raises(ValueError):
-        LaurentSeries.uniformizer(f5, "t", 8).split_unit()
-
-
 def test_residue(f5, rng):
     one = LaurentSeries.one(f5, "t", 8)
     t = LaurentSeries.uniformizer(f5, "t", 8)
     assert (one + t).residue() == f5.one()
-    s = LaurentSeries.from_coeffs(f5, "t", 0, [2, 1, 1], 8)
+    s = make_series(f5, "t", 0, [2, 1, 1], 8)
     assert s.residue() == f5.from_int(2)
     assert ((one + t) / (one + 4 * t)).residue() == f5.one()
     with pytest.raises(ValueError):
@@ -243,7 +230,7 @@ def test_powers(f5):
 
 
 def test_truncate_and_str(f5):
-    a = LaurentSeries.from_coeffs(f5, "t", -1, [1, 2, 3, 4], 8)
+    a = make_series(f5, "t", -1, [1, 2, 3, 4], 8)
     b = a.truncate(2)
     assert b.precision == 2
     assert b == a            # agreement on the common window
@@ -301,12 +288,12 @@ def test_sum_against_reference(kernel_towers, rng):
 
 def test_sum_disjoint_windows(kernel_towers):
     for tower in kernel_towers:
-        a = LaurentSeries.from_coeffs(tower, "t", 0, [1, 1, 1], 3)
-        b = LaurentSeries.from_coeffs(tower, "t", 5, [1, 1], 2)
+        a = make_series(tower, "t", 0, [1, 1, 1], 3)
+        b = make_series(tower, "t", 5, [1, 1], 2)
         # b starts past a's window: the sum is a's window unchanged
         assert _strict(a + b) == _strict(a) == _reference_sum(a, b)
         # a starts below b: b's window ends first, at X^7
-        c = LaurentSeries.from_coeffs(tower, "t", -4, [1, 0, 1], 12)
+        c = make_series(tower, "t", -4, [1, 0, 1], 12)
         assert _strict(c + b) == _reference_sum(c, b), tower
         assert (c + b).precision == 11, tower
 
@@ -321,8 +308,8 @@ def test_sum_leading_cancellation(kernel_towers, rng):
             k = rng.randrange(1, 8)
             tail = [tower.generator_power(rng.randrange(tower.order))
                     for _ in range(8 - k)]
-            b = LaurentSeries(tower, "t", a.valuation,
-                              [-c for c in a.coeffs[:k]] + tail)
+            b = make_series(tower, "t", a.valuation,
+                            [-c for c in a.coeffs[:k]] + tail)
             total = a + b
             assert _strict(total) == _reference_sum(a, b), tower
             assert total.valuation >= a.valuation + k, tower
@@ -340,19 +327,48 @@ def test_sum_collapses_to_exact_zero(kernel_towers, rng):
                 assert _strict(total) == (float("inf"), ()), tower
 
 
+def test_constructor_strips_leading_zeros():
+    tower = FieldTower(7, 1, 1)
+    x = LaurentSeries(tower, "t", 3, [None, None, 4, None])
+    assert x.valuation == 5
+    assert x.logs == (4, None)
+    assert x.coeffs == (tower.generator_power(4), tower.zero())
+
+
+def test_constructor_all_none_is_exact_zero():
+    tower = FieldTower(7, 1, 1)
+    for logs in ([None], [None, None, None], ()):
+        x = LaurentSeries(tower, "t", -2, logs)
+        assert x.is_zero()
+        assert x.valuation == float("inf")
+        assert x.logs == ()
+        assert x == LaurentSeries.zero(tower, "t")
+
+
+def test_constructor_stores_a_tuple():
+    tower = FieldTower(7, 1, 1)
+    logs = [0, None, 5]
+    x = LaurentSeries(tower, "t", 0, logs)
+    assert type(x.logs) is tuple and x.logs == (0, None, 5)
+    logs[2] = 1                 # the caller's list is not aliased
+    assert x.logs == (0, None, 5)
+    y = LaurentSeries(tower, "t", 0, [None, 2, 3])
+    assert type(y.logs) is tuple and y.logs == (2, 3)
+
+
 def test_constructor_reproduces_logs(kernel_towers, rng):
     for tower in kernel_towers:
         for _ in range(20):
             x = _random_series(tower, rng, rng.randrange(-5, 5),
                                rng.randrange(1, 10), rng.random())
             for y in (x, -x, x.inverse(), x - x):
-                again = LaurentSeries(tower, "t", y.valuation, y.coeffs)
+                again = make_series(tower, "t", y.valuation, y.coeffs)
                 assert _strict(again) == _strict(y), tower
 
 
 def test_equal_series_hash_equal(f5):
-    a = LaurentSeries.from_coeffs(f5, "t", 0, [1, 2, 3], 3)
-    b = LaurentSeries.from_coeffs(f5, "t", 0, [1], 1)
+    a = make_series(f5, "t", 0, [1, 2, 3], 3)
+    b = make_series(f5, "t", 0, [1], 1)
     assert a == b                # lax: they agree on the common window
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
