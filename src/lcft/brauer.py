@@ -8,15 +8,16 @@ against the independent machinery of the reciprocity module, and the
 defining relations of the algebra itself are checked on an explicit
 crossed-product model.
 
-Characters are stored as full value tables, one rational mod 1 per group
-element, so non-cyclic abelian groups are handled the same way as cyclic
-ones.
+The Galois group has the presentation <sigma, zeta | zeta^e, sigma^f =
+zeta^s>, with sigma the residue-Frobenius lift, zeta the inertia
+generator and s their relation exponent. A character is therefore the
+pair (chi(sigma), chi(zeta)) and is evaluated in closed form, so
+non-cyclic abelian groups are handled the same way as cyclic ones.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .extension import GaloisElement, TameAbelianExtension
@@ -26,72 +27,69 @@ from .series import LaurentSeries
 
 
 class Character:
-    """A homomorphism from the Galois group to Q/Z, as a value table."""
+    """A homomorphism from the Galois group to Q/Z.
 
-    def __init__(self, ext: TameAbelianExtension, values: dict):
+    Given by x = chi(sigma) and y = chi(zeta) mod 1, which must satisfy
+    the group relations e*y = 0 and f*x = s*y in Q/Z.
+    """
+
+    def __init__(self, ext: TameAbelianExtension, x, y):
+        x, y = Fraction(x) % 1, Fraction(y) % 1
+        s = ext.frobenius_relation_exponent()
+        if (ext.e * y) % 1 or (ext.f * x - s * y) % 1:
+            raise ValueError("(x, y) breaks e*y = 0 or f*x = s*y mod 1")
         self.ext = ext
-        self.values = dict(values)
-        if len(self.values) != ext.degree:
-            raise ValueError("character table must cover the whole group")
-        if self.values[ext.identity()] != 0:
-            raise ValueError("a character sends the identity to 0")
+        self.x = x
+        self.y = y
+        # the relations put x and y in (1/n)Z for n = e*f: keep numerators
+        self._xn, self._yn = int(x * ext.degree), int(y * ext.degree)
+        self._sigma_log = ext.residue_frobenius_lift().c_log
 
     def __call__(self, g: GaloisElement) -> Fraction:
-        return self.values[g]
+        """a*x + j*y for g = sigma^a zeta^j, with j read off g's scale log:
+        sigma^a scales alpha by c(sigma)^((q^a - 1)/(q - 1)), and zeta^j by
+        the root of unity of log j*|l*|/e.
+        """
+        if g.ext is not self.ext:
+            raise ValueError("element of a different extension")
+        ext = self.ext
+        m, n, q = ext.tower.order, ext.degree, ext.q
+        j = (g.c_log - self._sigma_log * ((q**g.a - 1) // (q - 1))) % m \
+            // (m // ext.e)
+        return Fraction((g.a * self._xn + j * self._yn) % n, n)
 
     def __add__(self, other: "Character") -> "Character":
         if other.ext is not self.ext:
             raise ValueError("characters of different extensions")
-        return Character(self.ext, {g: (v + other.values[g]) % 1
-                                    for g, v in self.values.items()})
+        return Character(self.ext, self.x + other.x, self.y + other.y)
 
     def __eq__(self, other):
         if not isinstance(other, Character):
             return NotImplemented
-        return self.ext is other.ext and self.values == other.values
+        return (self.ext is other.ext
+                and (self.x, self.y) == (other.x, other.y))
 
     def __hash__(self):
-        return hash((id(self.ext),
-                     tuple(sorted(((g.a, g.c_log), v)
-                                  for g, v in self.values.items()))))
+        return hash((id(self.ext), self.x, self.y))
 
     def is_faithful(self) -> bool:
-        return sum(1 for v in self.values.values() if v == 0) == 1
+        # the image of a character is cyclic of order order()
+        return self.order() == self.ext.degree
 
     def order(self) -> int:
-        out = 1
-        for v in self.values.values():
-            out = out * v.denominator // math.gcd(out, v.denominator)
-        return out
+        return math.lcm(self.x.denominator, self.y.denominator)
 
 
 def character_group(ext: TameAbelianExtension) -> list:
     """All e*f characters of the Galois group, in a deterministic order.
 
-    Built on the generators sigma (residue-Frobenius lift) and zeta
-    (inertia generator) subject to sigma^f = zeta^s: a pair of values
-    (x, y) defines a character iff e*y = 0 and f*x = s*y in Q/Z.
+    The pairs are y = j/e and x = (s*y + m)/f for j < e and m < f: every
+    solution of e*y = 0 and f*x = s*y in Q/Z, each once.
     """
-    sigma = ext.residue_frobenius_lift()
-    zeta = ext.inertia_generator()
     s = ext.frobenius_relation_exponent()
-    e, f = ext.e, ext.f
-    out = []
-    for j in range(e):
-        y = Fraction(j, e)
-        for m in range(f):
-            x = (s * y + m) / f
-            values = {}
-            g_row = ext.identity()
-            for mm in range(f):
-                g = g_row
-                for nn in range(e):
-                    values[g] = (mm * x + nn * y) % 1
-                    g = g * zeta
-                g_row = g_row * sigma
-            assert len(values) == ext.degree
-            out.append(Character(ext, values))
-    return out
+    return [Character(ext, (s * Fraction(j, ext.e) + m) / ext.f,
+                      Fraction(j, ext.e))
+            for j in range(ext.e) for m in range(ext.f)]
 
 
 def hasse_invariant(chi: Character, b: BaseFieldClass) -> Fraction:
@@ -99,26 +97,22 @@ def hasse_invariant(chi: Character, b: BaseFieldClass) -> Fraction:
     return chi(reciprocity_map(chi.ext, b))
 
 
-@dataclass(frozen=True)
-class CyclicAlgebraSpec:
-    """Generator-and-class data for a crossed product of a cyclic group."""
-
-    ext: TameAbelianExtension = field(repr=False)
-    sigma: GaloisElement
-    b: BaseFieldClass
-
-    def __post_init__(self):
-        if self.sigma.order() != self.ext.degree:
-            raise ValueError("sigma must generate the full cyclic group")
+def exponent_of(sigma: GaloisElement, target: GaloisElement) -> int:
+    """The least r >= 0 with sigma^r == target, in at most |G| steps."""
+    g = sigma.ext.identity()
+    for r in range(sigma.ext.degree):
+        if g == target:
+            return r
+        g = g * sigma
+    raise ArithmeticError(f"{target} is not a power of {sigma}")
 
 
-def frobenius_exponent(spec: CyclicAlgebraSpec) -> int:
+def frobenius_exponent(sigma: GaloisElement) -> int:
     """The exponent r with sigma^r equal to the reciprocity image of t.
 
     This resolves the generator comparison behind the invariant
     computation for the algebra built on the class of the base
-    uniformizer, so the algebra data must carry b = (1, 1). The returned r
-    satisfies the residue identity
+    uniformizer. The returned r satisfies the residue identity
     sigma^r(alpha)/alpha = ((-1)^(e-1) u0)^((q-1)/e).
 
     r is coprime to e*f exactly when the class of t generates the norm
@@ -126,21 +120,13 @@ def frobenius_exponent(spec: CyclicAlgebraSpec) -> int:
     totally ramified extension can send t to a non-generator, e.g. to the
     identity when t is itself a norm).
     """
-    ext = spec.ext
-    if spec.b != BaseFieldClass(1, ext.tower.one()):
-        raise ValueError("the exponent search is tied to the class of t")
-    target = reciprocity_map(ext, spec.b)
-    g = ext.identity()
-    for r in range(ext.degree):
-        if g == target:
-            sign_u0 = ext.u0 if ext.e % 2 == 1 else -ext.u0
-            assert (spec.sigma**r).c == sign_u0 ** ((ext.q - 1) // ext.e), \
-                "resolved exponent violates the residue identity"
-            return r
-        g = g * spec.sigma
-    raise ArithmeticError(
-        "no power of sigma matches the reciprocity image: sigma does not "
-        "generate the same cyclic structure")
+    ext = sigma.ext
+    r = exponent_of(sigma,
+                    reciprocity_map(ext, BaseFieldClass(1, ext.tower.one())))
+    sign_u0 = ext.u0 if ext.e % 2 == 1 else -ext.u0
+    assert (sigma**r).c == sign_u0 ** ((ext.q - 1) // ext.e), \
+        "resolved exponent violates the residue identity"
+    return r
 
 
 class CrossedProduct:
@@ -151,18 +137,20 @@ class CrossedProduct:
     keeps the representation naive.
     """
 
-    def __init__(self, spec: CyclicAlgebraSpec, precision: int = 8):
+    def __init__(self, sigma: GaloisElement, b: BaseFieldClass,
+                 precision: int = 8):
+        ext = sigma.ext
+        if sigma.order() != ext.degree:
+            raise ValueError("sigma must generate the full cyclic group")
         if precision < 1:
             raise ValueError("precision must be positive")
-        ext = spec.ext
         self.ext = ext
-        self.spec = spec
         self.n = ext.degree
         self.precision = precision
-        b_t = LaurentSeries.monomial(ext.tower, "t", spec.b.unit,
-                                     spec.b.valuation, precision)
+        b_t = LaurentSeries.monomial(ext.tower, "t", b.unit, b.valuation,
+                                     precision)
         self.b_series = ext.embed(b_t)
-        self.sigma_powers = [spec.sigma**i for i in range(self.n)]
+        self.sigma_powers = [sigma**i for i in range(self.n)]
 
     # -- element constructors ------------------------------------------------
 
@@ -240,7 +228,7 @@ class CrossedProduct:
         return self.equal(self.multiply(x, y), self.multiply(y, x))
 
 
-def cyclic_algebra_check(spec: CyclicAlgebraSpec, rng,
+def cyclic_algebra_check(sigma: GaloisElement, b: BaseFieldClass, rng,
                          samples: int = 100, precision: int = 8) -> list:
     """Verify the defining relations of the crossed product on samples.
 
@@ -249,8 +237,8 @@ def cyclic_algebra_check(spec: CyclicAlgebraSpec, rng,
     with everything precisely when it lies in the base field. Returns the
     failure messages (empty when all hold).
     """
-    alg = CrossedProduct(spec, precision)
-    ext = spec.ext
+    alg = CrossedProduct(sigma, b, precision)
+    ext = sigma.ext
     failures = []
 
     vv = alg.v()
@@ -268,7 +256,7 @@ def cyclic_algebra_check(spec: CyclicAlgebraSpec, rng,
         a = random_unit_series(
             ext, rng, valuation=rng.randrange(-2, 3)).truncate(precision)
         if not alg.equal(alg.multiply(vv, alg.scalar(a)),
-                         alg.multiply(alg.scalar(spec.sigma.apply(a)), vv)):
+                         alg.multiply(alg.scalar(sigma.apply(a)), vv)):
             failures.append(f"twist rule failed on sample {k}")
         if not alg.commutes(v_n, x):
             failures.append(f"v^n is not central against sample {k}")
@@ -282,7 +270,7 @@ def cyclic_algebra_check(spec: CyclicAlgebraSpec, rng,
             failures.append(f"embedded base scalar fails to commute ({k})")
         lam = random_unit_series(
             ext, rng, valuation=rng.randrange(-2, 3)).truncate(precision)
-        fixed = spec.sigma.apply(lam) == lam
+        fixed = sigma.apply(lam) == lam
         is_central = alg.commutes(alg.scalar(lam), vv)
         if is_central != fixed:
             failures.append(f"centrality mismatch for scalar sample {k}")

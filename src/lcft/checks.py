@@ -112,14 +112,14 @@ def check_ramification_filtration(ext, rng, samples=10) -> CheckResult:
     if ext.ramification_group(1) != (ext.identity(),):
         failures.append("G_1 is not trivial")
     # sampled integral elements never contradict membership
+    groups = [(i, set(ext.ramification_group(i))) for i in (-1, 0, 1)]
     for _ in range(samples):
         z = rc.random_unit_series(ext, rng, valuation=rng.randrange(0, 3))
         for g in ext.galois_group():
             diff = g.apply(z) - z
             v = diff.valuation if not diff.is_zero() else math.inf
-            for i in (-1, 0, 1):
-                in_gi = g in set(ext.ramification_group(i))
-                if in_gi and v < i + 1:
+            for i, g_i in groups:
+                if g in g_i and v < i + 1:
                     failures.append(
                         f"{g} in G_{i} but moves a sample at valuation {v}")
     return _result("ramification-filtration", failures)
@@ -254,8 +254,34 @@ def check_power_law(ext) -> CheckResult:
 
 def check_norm_congruences(ext, rng, unit_samples=100,
                            uniformizer_samples=10) -> CheckResult:
-    failures = rc.verify_norm_congruences(ext, rng, unit_samples,
-                                          uniformizer_samples)
+    """Residue identities satisfied by norms, checked on random samples.
+
+    For a unit u of L: the residue of N(u) equals the residue norm of
+    ubar raised to the e-th power. For a uniformizer w * alpha: the
+    residue of N(pi_L) / ((-1)^(e-1) t)^f equals the residue norm of the
+    unit pi_L^e / t.
+    """
+    failures = []
+    for n in range(unit_samples):
+        u = rc.random_unit_series(ext, rng)
+        lhs = rc.norm(ext, u).residue()
+        rhs = u.residue().norm_to_subfield() ** ext.e
+        if lhs != rhs:
+            failures.append(f"unit sample {n}: N(u) residue {lhs} != {rhs} "
+                            f"for u = {u}")
+    sign = ext.tower.one() if ext.e % 2 else ext.tower.minus_one()
+    t_emb = ext.embed(ext.base_uniformizer())
+    for n in range(uniformizer_samples):
+        w = rc.random_unit_series(ext, rng)
+        pi_l = w * ext.uniformizer()
+        u_series = pi_l**ext.e / t_emb
+        assert u_series.valuation == 0
+        lhs = (rc.norm(ext, pi_l)
+               / (ext.base_uniformizer() * sign) ** ext.f).residue()
+        rhs = u_series.residue().norm_to_subfield()
+        if lhs != rhs:
+            failures.append(
+                f"uniformizer sample {n}: {lhs} != {rhs} for w = {w}")
     return _result("norm-congruences", failures,
                    f"{unit_samples}+{uniformizer_samples} samples")
 
@@ -326,27 +352,22 @@ def check_hasse_layer(ext, rng, samples=100) -> CheckResult:
     if ext.is_cyclic():
         sigma = next(g for g in ext.galois_group()
                      if g.order() == ext.degree)
-        spec = brauer.CyclicAlgebraSpec(
-            ext, sigma, rc.BaseFieldClass(1, ext.tower.one()))
-        r = brauer.frobenius_exponent(spec)
-        if sigma**r != rc.reciprocity_map(ext, spec.b):
+        t_class = rc.BaseFieldClass(1, ext.tower.one())
+        r = brauer.frobenius_exponent(sigma)
+        theta_t = rc.reciprocity_map(ext, t_class)
+        if sigma**r != theta_t:
             failures.append("frobenius exponent inconsistent with theta")
-        theta_t = rc.reciprocity_map(ext, spec.b)
         if theta_t.order() == ext.degree and math.gcd(r, ext.degree) != 1:
             failures.append("exponent not coprime although t generates")
         # eta-version: a generator-unit class always resolves coprimally
-        gk = ext.tower.subfield_generator()
         if ext.f == 1 and ext.degree > 1:
-            r_eta = 0
-            target = rc.reciprocity_map(ext, rc.BaseFieldClass(0, gk))
-            g = ext.identity()
-            while g != target:
-                g = g * sigma
-                r_eta += 1
+            gk = ext.tower.subfield_generator()
+            r_eta = brauer.exponent_of(
+                sigma, rc.reciprocity_map(ext, rc.BaseFieldClass(0, gk)))
             if math.gcd(r_eta, ext.degree) != 1:
                 failures.append("unit-class exponent not coprime")
         failures.extend(brauer.cyclic_algebra_check(
-            spec, rng, samples=samples, precision=8)[:3])
+            sigma, t_class, rng, samples=samples, precision=8)[:3])
     return _result("hasse-layer", failures)
 
 

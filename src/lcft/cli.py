@@ -1,25 +1,26 @@
 """Batch front end: descriptor files in, tables and verdicts out.
 
-Usage: ``lcft COMMAND CONFIG [--json] [--seed N] [--samples N]``.
+Usage: ``lcft COMMAND CONFIG [--json] [--seed N] [--samples N]
+[--precision N]``.
 
 The config is a line-based key=value file describing one extension
 (p, t, f, e, u0, precision) plus optional defaults for seed and samples;
 field elements are written as g^k, a bare integer, or a comma-separated
-coefficient list. LCFT_PRECISION in the environment overrides the default
-precision. Exit codes: 0 success, 1 descriptor validation failure,
-2 property-suite failure, 3 I/O or parse failure.
+coefficient list. The series precision comes from --precision, then the
+config, then ``series.DEFAULT_PRECISION`` (32). Exit codes: 0 success,
+1 descriptor validation failure, 2 property-suite failure, 3 I/O or
+parse failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import brauer, checks, reciprocity as rc
 from .extension import TameAbelianExtension
-from .series import LaurentSeries
+from .series import DEFAULT_PRECISION, LaurentSeries
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -54,8 +55,7 @@ def build_extension(raw: dict, precision_override=None) -> TameAbelianExtension:
     if precision_override is not None:
         precision = precision_override
     else:
-        precision = int(
-            raw.get("precision", os.environ.get("LCFT_PRECISION", 32)))
+        precision = int(raw.get("precision", DEFAULT_PRECISION))
     return TameAbelianExtension.from_parameters(
         p, t, f, e, raw.get("u0", "1"), precision)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 from .ffield import FieldElement, FieldTower
-from .series import LaurentSeries
+from .series import DEFAULT_PRECISION, LaurentSeries
 from .snf import invariant_factors
 
 DEGREE_CAP = 64
@@ -40,7 +40,8 @@ class TameAbelianExtension:
     each computed once and cached.
     """
 
-    def __init__(self, tower: FieldTower, e: int, u0=1, precision: int = 32):
+    def __init__(self, tower: FieldTower, e: int, u0=1,
+                 precision: int = DEFAULT_PRECISION):
         if isinstance(u0, int):
             u0 = tower.from_int(u0)
         if isinstance(u0, str):
@@ -73,7 +74,8 @@ class TameAbelianExtension:
         self._probes = None          # set by reciprocity._probe_table
 
     @classmethod
-    def from_parameters(cls, p, t, f, e, u0="1", precision=32):
+    def from_parameters(cls, p, t, f, e, u0="1",
+                        precision=DEFAULT_PRECISION):
         tower = FieldTower(p, t, f)
         return cls(tower, e, u0, precision)
 

@@ -276,41 +276,6 @@ def is_norm(ext: TameAbelianExtension, b: BaseFieldClass) -> bool:
     return norm_group(ext).contains(b)
 
 
-def verify_norm_congruences(ext: TameAbelianExtension, rng,
-                            unit_samples: int = 100,
-                            uniformizer_samples: int = 10) -> list:
-    """Residue identities satisfied by norms, checked on random samples.
-
-    For a unit u of L: the residue of N(u) equals the residue norm of
-    ubar raised to the e-th power. For a uniformizer w * alpha: the
-    residue of N(pi_L) / ((-1)^(e-1) t)^f equals the residue norm of the
-    unit pi_L^e / t. Returns the failure messages (empty when all hold).
-    """
-    failures = []
-    for n in range(unit_samples):
-        u = random_unit_series(ext, rng)
-        lhs = norm(ext, u).residue()
-        rhs = u.residue().norm_to_subfield() ** ext.e
-        if lhs != rhs:
-            failures.append(f"unit sample {n}: N(u) residue {lhs} != {rhs} "
-                            f"for u = {u}")
-    sign = _sign_constant(ext)
-    t_emb = ext.embed(ext.base_uniformizer())
-    for n in range(uniformizer_samples):
-        w = random_unit_series(ext, rng)
-        pi_l = w * ext.uniformizer()
-        u_series = pi_l**ext.e / t_emb
-        assert u_series.valuation == 0
-        lhs_series = norm(ext, pi_l) / (ext.base_uniformizer()
-                                        * sign) ** ext.f
-        lhs = lhs_series.residue()
-        rhs = u_series.residue().norm_to_subfield()
-        if lhs != rhs:
-            failures.append(
-                f"uniformizer sample {n}: {lhs} != {rhs} for w = {w}")
-    return failures
-
-
 def random_log(tower, rng):
     """Log of a uniform random element of l (None for zero)."""
     idx = rng.randrange(tower.size)

@@ -71,12 +71,14 @@ def _pad(series, precision):
 class LaurentSeries:
     """c_v X^v + c_(v+1) X^(v+1) + ... + O(X^(v+N)) over a tower field.
 
-    Immutable value, built from generator logs reduced mod the tower's
-    ``order`` (None for a zero coefficient) of X^valuation onwards. The
-    constructor drops leading Nones, raising the valuation to match, and
-    maps an all-None window to the exact zero (valuation = inf, empty
-    logs); otherwise the stored ``logs`` is a tuple with ``logs[0]`` not
-    None. ``coeffs`` is the FieldElement view of the same window.
+    Immutable value, built from generator logs (None for a zero
+    coefficient) of X^valuation onwards. Each log must already be reduced
+    into [0, order) for the tower's ``order``: the constructor does not
+    check this, since it runs on every series operation, and an unreduced
+    log breaks ``==``, ``hash`` and ``coeffs``. The constructor drops
+    leading Nones, raising the valuation to match, and maps an all-None
+    window to the exact zero (valuation = inf, empty logs); otherwise the
+    stored ``logs`` is a tuple with ``logs[0]`` not None. ``coeffs`` is the FieldElement view of the same window.
     Arithmetic requires matching tower and symbol; two series compare
     equal when they agree on their common window.
     """

@@ -131,14 +131,6 @@ def test_check_failure_exits_two(tmp_path, capsys, monkeypatch):
     assert "FAIL forced" in capsys.readouterr().out
 
 
-def test_precision_env_override(tmp_path, monkeypatch, capsys):
-    cfg = _write(tmp_path, "p=3\nt=1\nf=2\ne=1\nu0=1\n")
-    monkeypatch.setenv("LCFT_PRECISION", "16")
-    cli.main(["validate", cfg, "--json"])
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["descriptor"]["precision"] == 16
-
-
 @pytest.mark.parametrize("precision", ["0", "-1"])
 def test_nonpositive_precision_exits_one(tmp_path, capsys, precision):
     cfg = _write(tmp_path, UNRAM)
