@@ -23,7 +23,7 @@ from fractions import Fraction
 from .extension import GaloisElement, TameAbelianExtension
 from .reciprocity import (BaseFieldClass, random_base_unit_series,
                           random_log, reciprocity_map, random_unit_series)
-from .series import LaurentSeries
+from .series import LaurentSeries, _convolve
 
 
 class Character:
@@ -133,8 +133,15 @@ class CrossedProduct:
     """The algebra with basis v^0 .. v^(n-1) over L, v^n = b, v a = s(a) v.
 
     Elements are tuples of n Laurent series in alpha (zero series allowed
-    in any slot). Only desk-scale verification is intended, so the model
-    keeps the representation naive.
+    in any slot). ``multiply`` builds each output slot in one pass on
+    generator logs: every term x_i sigma^i(y_j) is convolved straight into
+    the slot's accumulator, with sigma^i applied inline as the scale and
+    offset of ``GaloisElement.apply``, and b, an embedded monomial, is a
+    valuation shift plus one log offset. The slot keeps exactly the window
+    of the term-by-term series sum: a sum keeps the common window of its
+    operands, a partial sum that cancels to the exact zero drops its
+    window, and the wrapped sum times b keeps as many terms as the shorter
+    of the two windows.
     """
 
     def __init__(self, sigma: GaloisElement, b: BaseFieldClass,
@@ -150,7 +157,16 @@ class CrossedProduct:
         b_t = LaurentSeries.monomial(ext.tower, "t", b.unit, b.valuation,
                                      precision)
         self.b_series = ext.embed(b_t)
+        # b is a monomial, so a product with it is a truncation to its
+        # window, a scale by its coefficient and a shift by its valuation
+        b_logs = self.b_series.logs
+        assert b_logs.count(None) == len(b_logs) - 1, \
+            "b must embed as a monomial"
         self.sigma_powers = [sigma**i for i in range(self.n)]
+        # sigma^i on logs: lam -> lam * q^(a_i) + c_i * (exponent)
+        m = ext.tower.order
+        self._twists = [(pow(ext.q, g.a, m), g.c_log)
+                        for g in self.sigma_powers]
 
     # -- element constructors ------------------------------------------------
 
@@ -196,24 +212,71 @@ class CrossedProduct:
     def multiply(self, x: tuple, y: tuple) -> tuple:
         """Slot k is the sum of x_i sigma^i(y_j) over i + j = k, plus b
         times the sum over i + j = k + n (one b product per slot)."""
-        zero = LaurentSeries.zero(self.ext.tower, "alpha")
-        terms = [(i, a) for i, a in enumerate(x) if not a.is_zero()]
+        b = self.b_series
+        b_lead = b.leading_coefficient
+        ys = [None if yj.is_zero() else (yj.valuation, yj.logs) for yj in y]
+        xs = [(i, a.valuation, len(a.logs), *self._twists[i],
+               [(ii, L) for ii, L in enumerate(a.logs) if L is not None])
+              for i, a in enumerate(x) if not a.is_zero()]
+        if not xs or ys.count(None) == self.n:
+            return self.zero()
+        # every product x_i sigma^i(y_j) lies in the exponents [base, top)
+        yv = [yj for yj in ys if yj is not None]
+        base = min(t[1] for t in xs) + min(yj[0] for yj in yv)
+        top = min(max(t[1] + t[2] for t in xs) + max(yj[0] for yj in yv),
+                  max(t[1] for t in xs) + max(yj[0] + len(yj[1]) for yj in yv))
         out = []
         for k in range(self.n):
-            low = wrapped = zero
-            for i, a in terms:
-                b = y[k - i]     # j = k - i, or k - i + n when i > k
-                if b.is_zero():
-                    continue
-                term = a * self.sigma_powers[i].apply(b)
-                if i <= k:
-                    low = low + term
-                else:
-                    wrapped = wrapped + term
-            if not wrapped.is_zero():
-                low = low + wrapped * self.b_series
+            low, wrapped = [], []
+            for t in xs:
+                yj = ys[k - t[0]]    # j = k - i, or k - i + n when i > k
+                if yj is not None:
+                    (low if t[0] <= k else wrapped).append((t, yj))
+            low = self._twisted_sum(low, base, top)
+            if wrapped:
+                wrapped = self._twisted_sum(wrapped, base, top)
+                if not wrapped.is_zero():
+                    low = low + (wrapped.truncate(len(b.logs))
+                                 * b_lead).shift(b.valuation)
             out.append(low)
         return tuple(out)
+
+    def _twisted_sum(self, pairs, base, top) -> LaurentSeries:
+        """The series sum of x_i sigma^i(y_j) over ``pairs``, in order.
+
+        Each pair is ((i, v(x_i), len(x_i), q^(a_i), c_i, nonzero terms
+        of x_i), (v(y_j), logs of y_j)), and every product lies in the
+        exponents [base, top). A product keeps min(len(x_i), len(y_j))
+        terms; the running sum keeps the common window [start, end) of
+        its terms since it last cancelled to the exact zero, which drops
+        the window. So only the window is convolved, and a cancellation
+        starts the accumulator afresh.
+        """
+        tower = self.ext.tower
+        m, zech = tower.order, tower._zech
+        acc = [None] * (top - base)
+        start = end = top
+        for (_, va, la, frob, c, terms), (vb, logs) in pairs:
+            v = va + vb
+            n = la if la < len(logs) else len(logs)
+            stop = n if v + n <= end else end - v
+            if stop <= 0:
+                continue
+            twisted = [None if L is None else (L * frob + c * jj) % m
+                       for jj, L in enumerate(logs[:stop], vb)]
+            _convolve(terms, twisted, acc, v - base, 0, stop, m, zech)
+            if v + n < end:
+                end = v + n
+            if v < start:
+                start = v
+            # the sum is nonzero unless this term's lead cancelled; then
+            # it is the exact zero when its whole window cancelled
+            if acc[v - base] is None and \
+                    acc[start - base:end - base].count(None) == end - start:
+                acc = [None] * (top - base)
+                start = end = top
+        return LaurentSeries(tower, "alpha", start,
+                             acc[start - base:end - base])
 
     def power(self, x: tuple, k: int) -> tuple:
         out = self.one()

@@ -35,9 +35,10 @@ class TameAbelianExtension:
 
     Rejects wild input (p | e) and input with no tame abelian extension of
     the requested shape (e not dividing q - 1). Immutable after
-    construction; the Galois group, the norm-group presentation and the
-    congruence search's probe-residue table (the group scanned once) are
-    each computed once and cached.
+    construction; the Galois group, its distinguished generators and their
+    relation exponent, the norm-group presentation and the congruence
+    search's probe-residue table (the group scanned once) are each
+    computed once and cached.
     """
 
     def __init__(self, tower: FieldTower, e: int, u0=1,
@@ -70,6 +71,8 @@ class TameAbelianExtension:
         self.u0 = u0
         self.precision = precision
         self._group = None
+        self._sigma = None           # residue_frobenius_lift()
+        self._s = None               # frobenius_relation_exponent()
         self._norm_group = None      # set by reciprocity.norm_group
         self._probes = None          # set by reciprocity._probe_table
 
@@ -198,16 +201,6 @@ class TameAbelianExtension:
 
     # -- the Galois group ------------------------------------------------------
 
-    def galois_element(self, a: int, c) -> "GaloisElement":
-        """The pair (a, c) for a scale c given as a FieldElement or int."""
-        if isinstance(c, int):
-            c = self.tower.from_int(c)
-        if c.tower is not self.tower:
-            raise ValueError("alpha scale belongs to a different tower")
-        if not c:
-            raise ValueError("alpha scale must be a unit")
-        return GaloisElement(self, a, c.log)
-
     def identity(self) -> "GaloisElement":
         return GaloisElement(self, 0, 0)
 
@@ -232,9 +225,12 @@ class TameAbelianExtension:
 
     def residue_frobenius_lift(self) -> "GaloisElement":
         """The lift of residue Frobenius with the smallest-log alpha scale."""
-        a = 1 % self.f
-        rhs = self.u0.frobenius(a) / self.u0
-        return GaloisElement(self, a, rhs.nth_roots(self.e)[0].log)
+        if self._sigma is None:
+            a = 1 % self.f
+            rhs = self.u0.frobenius(a) / self.u0
+            self._sigma = GaloisElement(self, a,
+                                        rhs.nth_roots(self.e)[0].log)
+        return self._sigma
 
     def frobenius_element(self) -> "GaloisElement":
         """The canonical Frobenius; only unramified extensions have one."""
@@ -289,11 +285,13 @@ class TameAbelianExtension:
         generator; together they generate the group with relation lattice
         spanned by (f, -s) and (0, e).
         """
-        w = self.residue_frobenius_lift() ** self.f
-        assert w.a == 0
-        step = self.tower.order // self.e
-        assert w.c_log % step == 0, "sigma^f must land in inertia"
-        return (w.c_log // step) % self.e
+        if self._s is None:
+            w = self.residue_frobenius_lift() ** self.f
+            assert w.a == 0
+            step = self.tower.order // self.e
+            assert w.c_log % step == 0, "sigma^f must land in inertia"
+            self._s = (w.c_log // step) % self.e
+        return self._s
 
     def structure(self) -> tuple:
         """Invariant factors of the Galois group (trivial factors dropped)."""

@@ -33,18 +33,23 @@ INFINITE = math.inf
 DEFAULT_PRECISION = 32
 
 
-def _convolve(terms, src, out, start, stop, shift, order, zech):
-    """Append to ``out``, for k in [start, stop), the log of the coefficient
+def _convolve(terms, src, out, offset, start, stop, order, zech):
+    """Add into ``out[offset + k]``, for k in [start, stop), the sum of
 
-        g^shift * (sum of g^(a + src[k - i]) over (i, a) in ``terms``, i <= k)
+        g^(a + src[k - i]) over (i, a) in ``terms`` with i <= k,
 
-    reduced mod ``order``, or None when the sum is zero. ``terms`` lists
-    (index, log) of nonzero coefficients by increasing index; a log of
-    None in ``src`` is zero. ``src`` may be ``out`` itself, as long as
-    every index read is already filled (the inverse's recurrence).
+    on generator logs: each slot of ``out`` holds a log reduced mod
+    ``order`` or None for zero, and afterwards holds the log of its old
+    value plus that sum (None when they cancel). ``terms`` lists (index,
+    log) of nonzero coefficients by increasing index; a log of None in
+    ``src`` is zero. ``src`` may be ``out`` itself, as long as every index
+    read is already filled (the inverse's recurrence). This is the one
+    convolution loop: series products, inverses and the crossed-product
+    slots of ``brauer`` all run it.
     """
     for k in range(start, stop):
-        acc = None
+        pos = offset + k
+        acc = out[pos]
         for i, a in terms:
             if i > k:
                 break
@@ -55,7 +60,7 @@ def _convolve(terms, src, out, start, stop, shift, order, zech):
                 else:
                     z = zech[(a + b - acc) % order]
                     acc = None if z < 0 else acc + z
-        out.append(None if acc is None else (acc + shift) % order)
+        out[pos] = None if acc is None else acc % order
     return out
 
 
@@ -78,7 +83,8 @@ class LaurentSeries:
     log breaks ``==``, ``hash`` and ``coeffs``. The constructor drops
     leading Nones, raising the valuation to match, and maps an all-None
     window to the exact zero (valuation = inf, empty logs); otherwise the
-    stored ``logs`` is a tuple with ``logs[0]`` not None. ``coeffs`` is the FieldElement view of the same window.
+    stored ``logs`` is a tuple with ``logs[0]`` not None. ``coeffs`` is
+    the FieldElement view of the same window.
     Arithmetic requires matching tower and symbol; two series compare
     equal when they agree on their common window.
     """
@@ -255,7 +261,7 @@ class LaurentSeries:
         terms = [(i, a) for i, a in enumerate(self.logs[:n]) if a is not None]
         return LaurentSeries(
             tower, self.symbol, self.valuation + other.valuation,
-            _convolve(terms, other.logs, [], 0, n, 0, tower.order,
+            _convolve(terms, other.logs, [None] * n, 0, 0, n, tower.order,
                       tower._zech))
 
     __rmul__ = __mul__
@@ -269,13 +275,12 @@ class LaurentSeries:
         # out[j] = -(c_1 out[j-1] + ... + c_j out[0]) / c_0; negation adds
         # m/2 to a log in odd characteristic and is the identity for p = 2
         neg_lead_inv = -lead + (0 if tower.p == 2 else m // 2)
-        terms = [(k, a) for k, a in enumerate(self.logs)
+        terms = [(k, a + neg_lead_inv) for k, a in enumerate(self.logs)
                  if k and a is not None]
-        out = [-lead % m]
+        out = [-lead % m] + [None] * (len(self.logs) - 1)
         return LaurentSeries(
             tower, self.symbol, -self.valuation,
-            _convolve(terms, out, out, 1, len(self.logs), neg_lead_inv, m,
-                      tower._zech))
+            _convolve(terms, out, out, 0, 1, len(self.logs), m, tower._zech))
 
     def __truediv__(self, other):
         if isinstance(other, (int, FieldElement)):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lcft.extension import TameAbelianExtension
+from lcft.extension import GaloisElement, TameAbelianExtension
 from lcft.series import LaurentSeries
 
 # the standing verification matrix: one extension per interesting shape
@@ -28,6 +28,13 @@ def make_series(tower, symbol, valuation, coeffs, precision=0):
             for c in coeffs]
     logs += [None] * (precision - len(logs))
     return LaurentSeries(tower, symbol, valuation, logs)
+
+
+def galois_element(ext, a, c):
+    """The pair (a, c) for a scale c given as an int or FieldElement."""
+    if isinstance(c, int):
+        c = ext.tower.from_int(c)
+    return GaloisElement(ext, a, c.log)
 
 
 @pytest.fixture(scope="session")

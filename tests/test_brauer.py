@@ -6,8 +6,9 @@ import pytest
 from lcft import brauer
 from lcft import reciprocity as rc
 from lcft.extension import TameAbelianExtension
+from lcft.series import LaurentSeries
 
-from conftest import MATRIX_PARAMS
+from conftest import MATRIX_PARAMS, galois_element
 
 
 def _pi_class(ext):
@@ -198,7 +199,7 @@ def test_frobenius_exponent_mixed_generates(matrix):
 def test_frobenius_exponent_ramified_non_generator(matrix):
     # t is itself a norm for this extension, so its image is the identity
     ext = matrix["ram_e2"]
-    sigma = ext.galois_element(0, 4)
+    sigma = galois_element(ext, 0, 4)
     r = brauer.frobenius_exponent(sigma)
     assert r == 0
     assert (sigma**r).is_identity()
@@ -231,7 +232,7 @@ def test_cyclic_spec_requires_generator(matrix):
 def test_crossed_product_square_example(matrix):
     # (delta v)^2 = delta sigma(delta) v^2 = -t * t for the quadratic case
     ext = matrix["ram_e2"]
-    sigma = ext.galois_element(0, 4)
+    sigma = galois_element(ext, 0, 4)
     alg = brauer.CrossedProduct(sigma, _pi_class(ext), 8)
     delta_v = alg.multiply(alg.scalar(ext.uniformizer(8)), alg.v())
     square = alg.multiply(delta_v, delta_v)
@@ -325,3 +326,118 @@ def test_crossed_product_multiply_against_reference(params, rng):
                         (sample, k)
                     strict += 1
     assert strict >= 4 * 6 * ext.degree // 2
+
+
+def _slotwise_multiply(alg, x, y):
+    """The slot-wise series loop that the fused ``multiply`` replaced.
+
+    Returns the product and the number of partial sums, low, wrapped or
+    final, that cancel to the exact zero.
+    """
+    zero = LaurentSeries.zero(alg.ext.tower, "alpha")
+    terms = [(i, a) for i, a in enumerate(x) if not a.is_zero()]
+    out = []
+    hits = 0
+    for k in range(alg.n):
+        low = wrapped = zero
+        for i, a in terms:
+            b = y[k - i]     # j = k - i, or k - i + n when i > k
+            if b.is_zero():
+                continue
+            term = a * alg.sigma_powers[i].apply(b)
+            if i <= k:
+                low = low + term
+                hits += low.is_zero()
+            else:
+                wrapped = wrapped + term
+                hits += wrapped.is_zero()
+        if not wrapped.is_zero():
+            low = low + wrapped * alg.b_series
+            hits += low.is_zero()
+        out.append(low)
+    return tuple(out), hits
+
+
+def _short_series(ext, rng, width):
+    """A series with a window of ``width`` terms, coefficients in k."""
+    tower = ext.tower
+    step = tower.subfield_norm_exponent
+    logs = [step * rng.randrange(tower.subfield_units)]
+    logs += [None if rng.random() < 0.3 else
+             step * rng.randrange(tower.subfield_units)
+             for _ in range(width - 1)]
+    return LaurentSeries(tower, "alpha", rng.randrange(-1, 2), logs)
+
+
+def _cancelling_pairs(alg, rng):
+    """Elements whose products cancel often: windows of 1-2 terms with
+    coefficients in k, and a slot repeated with alternating signs against
+    ones (every term of a slot then agrees with the last but for its sign
+    and window, so each second partial sum cancels on its window)."""
+    ext = alg.ext
+    zero = LaurentSeries.zero(ext.tower, "alpha")
+    for _ in range(max(4, 240 // alg.n)):
+        yield tuple(zero if rng.random() < 0.3 else
+                    _short_series(ext, rng, rng.randrange(1, 3))
+                    for _ in range(alg.n)), \
+            tuple(zero if rng.random() < 0.3 else
+                  _short_series(ext, rng, rng.randrange(1, 3))
+                  for _ in range(alg.n))
+    a = _short_series(ext, rng, rng.randrange(2, 4))
+    signed = tuple(-a if i % 2 else a for i in range(alg.n))
+    ones = tuple(LaurentSeries.one(ext.tower, "alpha", rng.randrange(1, 4))
+                 for _ in range(alg.n))
+    yield signed, ones
+    yield ones, signed
+
+
+@pytest.mark.parametrize("params", [
+    *(MATRIX_PARAMS[name] for name in (
+        "unram_f2", "ram_e2", "ram_e4", "mixed_c9", "mixed_e2_cyclic")),
+    (3, 1, 1, 2, "g"),       # over F_3, windows of 1-2 terms cancel often
+    (59, 1, 1, 58, "g"),     # the largest algebra of the benchmark
+])
+def test_crossed_product_multiply_matches_slotwise_loop(params, rng):
+    ext = TameAbelianExtension.from_parameters(*params, precision=8)
+    sigma = next(g for g in ext.galois_group() if g.order() == ext.degree)
+    gk = ext.tower.subfield_generator()
+    hits = 0
+    for b_val in range(-1, 3):
+        b = rc.BaseFieldClass(b_val, gk ** rng.randrange(ext.q - 1))
+        alg = brauer.CrossedProduct(sigma, b, 8)
+        pairs = [*_cancelling_pairs(alg, rng),
+                 (alg.random_element(rng), alg.random_element(rng))]
+        for x, y in pairs:
+            got = alg.multiply(x, y)
+            want, cancelled = _slotwise_multiply(alg, x, y)
+            hits += cancelled
+            for k, (g, w) in enumerate(zip(got, want)):
+                assert (g.valuation, g.logs) == (w.valuation, w.logs), \
+                    (b_val, k)
+    # every case must exercise the cancel-reset of the window
+    assert hits >= 10, hits
+
+
+def test_cached_generators_keep_character_arithmetic(matrix):
+    for name, ext in matrix.items():
+        sigma = ext.residue_frobenius_lift()
+        s = ext.frobenius_relation_exponent()
+        # computed once per extension: repeated calls return the same data
+        assert ext.residue_frobenius_lift() is sigma
+        assert ext.frobenius_relation_exponent() == s
+        assert ext.structure() == ext.structure()
+        # and it is what a fresh extension computes on its first call
+        fresh = TameAbelianExtension(ext.tower, ext.e, ext.u0, ext.precision)
+        lift = fresh.residue_frobenius_lift()
+        assert (lift.a, lift.c_log) == (sigma.a, sigma.c_log), name
+        assert fresh.frobenius_relation_exponent() == s, name
+        assert fresh.structure() == ext.structure(), name
+        chars = brauer.character_group(ext)
+        group = ext.galois_group()
+        for c1 in chars[:4]:
+            for c2 in chars:
+                total = c1 + c2
+                assert (total.x, total.y) == ((c1.x + c2.x) % 1,
+                                              (c1.y + c2.y) % 1), name
+                for g in group:
+                    assert total(g) == (c1(g) + c2(g)) % 1, (name, g)

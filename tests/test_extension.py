@@ -3,10 +3,9 @@ from itertools import product
 
 import pytest
 
-from conftest import make_series
+from conftest import galois_element, make_series
 from lcft.cli import build_extension
 from lcft.extension import GaloisElement, TameAbelianExtension
-from lcft.ffield import FieldTower
 from lcft.reciprocity import random_unit_series
 from lcft.series import LaurentSeries
 
@@ -53,7 +52,7 @@ def test_trivial_group():
 def test_membership_invariant_rejected():
     ext = TameAbelianExtension.from_parameters(5, 1, 1, 2, "1")
     with pytest.raises(ValueError, match="membership"):
-        ext.galois_element(0, 2)       # 2^2 = 4 != 1
+        galois_element(ext, 0, 2)      # 2^2 = 4 != 1
 
 
 def test_constructor_accepts_exactly_the_members(matrix):
@@ -92,12 +91,13 @@ def test_products_recheck_membership(matrix):
 
 
 def test_galois_element_rejects_bad_scales(matrix):
+    # on F_5 with e = 2 and u0 = 1 the members are c = +-1, logs 0 and 2
     ext = matrix["ram_e2"]
-    with pytest.raises(ValueError, match="unit"):
-        ext.galois_element(0, ext.tower.zero())
-    other = FieldTower(5, 1, 1)
-    with pytest.raises(ValueError, match="different tower"):
-        ext.galois_element(0, other.one())
+    for c_log in (1, 3, 5, -1):
+        with pytest.raises(ValueError, match="membership"):
+            GaloisElement(ext, 0, c_log)
+    assert [GaloisElement(ext, 0, c_log).c_log for c_log in (0, 2, 4)] \
+        == [0, 2, 0]
 
 
 def test_products_inverses_powers_are_members(matrix):
