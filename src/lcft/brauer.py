@@ -26,24 +26,52 @@ from .reciprocity import (BaseFieldClass, random_base_unit_series,
 from .series import LaurentSeries, _convolve
 
 
+_BROKEN_RELATIONS = "(x, y) breaks e*y = 0 or f*x = s*y mod 1"
+
+
 class Character:
     """A homomorphism from the Galois group to Q/Z.
 
     Given by x = chi(sigma) and y = chi(zeta) mod 1, which must satisfy
-    the group relations e*y = 0 and f*x = s*y in Q/Z.
+    the group relations e*y = 0 and f*x = s*y in Q/Z. The relations put x
+    and y in (1/n)Z for n = e*f, so the state is the pair of numerators
+    x*n and y*n mod n, and the relations are checked on those integers;
+    ``x`` and ``y`` are Fraction views.
     """
 
     def __init__(self, ext: TameAbelianExtension, x, y):
-        x, y = Fraction(x) % 1, Fraction(y) % 1
+        n = ext.degree
+        xn, yn = Fraction(x) * n, Fraction(y) * n
+        if xn.denominator != 1 or yn.denominator != 1:
+            raise ValueError(_BROKEN_RELATIONS)
+        self._set(ext, int(xn), int(yn))
+
+    @classmethod
+    def _of_numerators(cls, ext, xn: int, yn: int) -> "Character":
+        """The character with x = xn/n and y = yn/n, for n = e*f."""
+        chi = cls.__new__(cls)
+        chi._set(ext, xn, yn)
+        return chi
+
+    def _set(self, ext, xn, yn):
+        n = ext.degree
+        xn, yn = xn % n, yn % n
         s = ext.frobenius_relation_exponent()
-        if (ext.e * y) % 1 or (ext.f * x - s * y) % 1:
-            raise ValueError("(x, y) breaks e*y = 0 or f*x = s*y mod 1")
+        if ext.e * yn % n or (ext.f * xn - s * yn) % n:
+            raise ValueError(_BROKEN_RELATIONS)
         self.ext = ext
-        self.x = x
-        self.y = y
-        # the relations put x and y in (1/n)Z for n = e*f: keep numerators
-        self._xn, self._yn = int(x * ext.degree), int(y * ext.degree)
+        self._xn, self._yn = xn, yn
         self._sigma_log = ext.residue_frobenius_lift().c_log
+
+    @property
+    def x(self) -> Fraction:
+        """chi(sigma) in [0, 1)."""
+        return Fraction(self._xn, self.ext.degree)
+
+    @property
+    def y(self) -> Fraction:
+        """chi(zeta) in [0, 1)."""
+        return Fraction(self._yn, self.ext.degree)
 
     def __call__(self, g: GaloisElement) -> Fraction:
         """a*x + j*y for g = sigma^a zeta^j, with j read off g's scale log:
@@ -61,13 +89,14 @@ class Character:
     def __add__(self, other: "Character") -> "Character":
         if other.ext is not self.ext:
             raise ValueError("characters of different extensions")
-        return Character(self.ext, self.x + other.x, self.y + other.y)
+        return Character._of_numerators(self.ext, self._xn + other._xn,
+                                        self._yn + other._yn)
 
     def __eq__(self, other):
         if not isinstance(other, Character):
             return NotImplemented
         return (self.ext is other.ext
-                and (self.x, self.y) == (other.x, other.y))
+                and (self._xn, self._yn) == (other._xn, other._yn))
 
     def __hash__(self):
         return hash((id(self.ext), self.x, self.y))
@@ -77,18 +106,19 @@ class Character:
         return self.order() == self.ext.degree
 
     def order(self) -> int:
-        return math.lcm(self.x.denominator, self.y.denominator)
+        n = self.ext.degree
+        return math.lcm(n // math.gcd(self._xn, n), n // math.gcd(self._yn, n))
 
 
 def character_group(ext: TameAbelianExtension) -> list:
     """All e*f characters of the Galois group, in a deterministic order.
 
     The pairs are y = j/e and x = (s*y + m)/f for j < e and m < f: every
-    solution of e*y = 0 and f*x = s*y in Q/Z, each once.
+    solution of e*y = 0 and f*x = s*y in Q/Z, each once. Over n = e*f
+    their numerators are y*n = j*f and x*n = s*j + m*e.
     """
     s = ext.frobenius_relation_exponent()
-    return [Character(ext, (s * Fraction(j, ext.e) + m) / ext.f,
-                      Fraction(j, ext.e))
+    return [Character._of_numerators(ext, s * j + m * ext.e, j * ext.f)
             for j in range(ext.e) for m in range(ext.f)]
 
 

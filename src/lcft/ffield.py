@@ -383,12 +383,6 @@ class FieldElement:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -410,12 +404,6 @@ class FieldElement:
         if other is None:
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
 
     def __pow__(self, k: int):
         if self.log is None:

@@ -13,7 +13,11 @@ they can check each other:
   applying each element to both probes; exactly one element may match.
 * ``norm_group``: the exact norm image inside Z x k* with its Smith-form
   presentation, giving kernel/cokernel facts (which classes are norms,
-  coset representatives) without reference to either formula.
+  coset representatives) without reference to either formula. Its
+  ``norm`` multiplies Galois conjugates, grouped by transitivity of the
+  norm through the inertia field, N_(L/K) = N_(M/K) o N_(L/M) with
+  M = L^I, and by the prime factors of e and f along the group's two
+  generators: sum(p_i - 1) series products per norm rather than e*f - 1.
 
 Base-field classes are reduced pairs (valuation, unit residue); 1-units
 are discarded throughout because they are norms in the tame case.
@@ -25,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 from .extension import EXT_SYMBOL, GaloisElement, TameAbelianExtension
-from .ffield import FieldElement
+from .ffield import FieldElement, prime_factors
 from .series import LaurentSeries
 from .snf import invariant_factors
 
@@ -178,15 +182,36 @@ def _probe_table(ext: TameAbelianExtension) -> dict:
 def norm(ext: TameAbelianExtension, beta: LaurentSeries) -> LaurentSeries:
     """Norm to the base field: the product of all Galois conjugates.
 
+    The product runs through the inertia field M = L^I, by transitivity
+    of the norm in the tower K < M < L: N_(L/K) = N_(M/K) o N_(L/M).
+    N_(L/M) is the product over the inertia group I = <zeta>, and
+    N_(M/K) the product over sigma^j for j < f, which represent the
+    cosets of I and act on M as its cyclic group. Each of the two cyclic
+    products is split along the primes of its order: for h of order m
+    and a prime p | m, <h> is the union of the cosets h^j <h^p> for
+    j < p, so the product over <h> of y equals the product over <h^p> of
+    y * h(y) * ... * h^(p-1)(y). That makes sum(p_i - 1) series products
+    over the primes of e and f, with multiplicity, instead of e*f - 1.
+    Products of unit windows are exact modulo the window, so the
+    regrouping gives the flat product of all e*f conjugates bit for bit.
+
     The result is audited to lie in K and returned as a series in t; its
     t-valuation is f times the alpha-valuation of beta.
     """
     if beta.is_zero():
         raise ValueError("the norm of zero is not defined here")
-    prod = None
-    for g in ext.galois_group():
-        img = g.apply(beta)
-        prod = img if prod is None else prod * img
+    prod = beta
+    for h, order in ((ext.inertia_generator(), ext.e),
+                     (ext.residue_frobenius_lift(), ext.f)):
+        for p in prime_factors(order):
+            while order % p == 0:
+                img = prod
+                for _ in range(p - 1):
+                    img = h.apply(img)
+                    prod = prod * img
+                order //= p
+                if order > 1:
+                    h = h**p
     try:
         out = ext.project(prod)
     except ValueError as exc:

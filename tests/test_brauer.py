@@ -93,6 +93,19 @@ def test_character_group_sizes_and_additivity(matrix):
                     assert chi(g * h) == (chi(g) + chi(h)) % 1
 
 
+def test_character_from_fractions_equals_its_numerator_form(matrix):
+    # character_group builds on integer numerators, the public constructor
+    # on the Fraction values: both must give the same character
+    for name, ext in matrix.items():
+        for chi in brauer.character_group(ext):
+            again = brauer.Character(ext, chi.x + 1, chi.y - 2)
+            assert again == chi and hash(again) == hash(chi), name
+            assert (again.x, again.y) == (chi.x, chi.y), name
+            assert 0 <= chi.x < 1 and 0 <= chi.y < 1, name
+            assert chi.order() == math.lcm(chi.x.denominator,
+                                           chi.y.denominator), name
+
+
 def test_faithful_character_counts(matrix):
     for name, ext in matrix.items():
         chars = brauer.character_group(ext)

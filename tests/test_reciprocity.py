@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import MATRIX_PARAMS
 from lcft import checks, reciprocity as rc
 from lcft.extension import GaloisElement, TameAbelianExtension
 from lcft.series import LaurentSeries
@@ -147,6 +148,85 @@ def test_norm_valuation_and_membership(matrix, rng):
             nb = rc.norm(ext, beta)
             assert nb.valuation == ext.f * beta.valuation, name
             assert ext.is_base_member(ext.embed(nb))
+
+
+def _flat_norm(ext, beta):
+    """The flat product of all e*f conjugates that ``norm`` regroups.
+
+    Also returns how many coefficients, over all its products, are zero
+    although two or more nonzero terms of the convolution meet there.
+    """
+    prod = None
+    cancelled = 0
+    for g in ext.galois_group():
+        img = g.apply(beta)
+        if prod is None:
+            prod = img
+            continue
+        out = prod * img
+        for k, c in enumerate(out.logs):
+            if c is None:
+                terms = sum(prod.logs[i] is not None
+                            and img.logs[k - i] is not None
+                            for i in range(k + 1))
+                cancelled += terms >= 2
+        prod = out
+    return ext.project(prod), cancelled
+
+
+def _sparse_unit(ext, rng, valuation):
+    """alpha^valuation times a unit whose window is mostly zeros, with
+    every nonzero coefficient 1 or -1, so that convolution sums cancel."""
+    tower = ext.tower
+    signs = sorted({tower.one().log, tower.minus_one().log})
+    logs = [rng.choice(signs)]
+    logs += [rng.choice(signs) if rng.random() < 0.2 else None
+             for _ in range(ext.precision - 1)]
+    return LaurentSeries(tower, "alpha", valuation, logs)
+
+
+@pytest.mark.parametrize("params, precision", [
+    *((params, 32) for params in MATRIX_PARAMS.values()),
+    ((2, 6, 1, 63, "1"), 8),     # characteristic 2, e = 3 * 3 * 7
+    ((2, 10, 2, 31, "g"), 8),    # composite f over a 2^20 tower
+])
+def test_norm_chain_matches_the_flat_product(params, precision, rng):
+    ext = TameAbelianExtension.from_parameters(*params, precision=precision)
+    cancelled = 0
+    for n in range(16):
+        v = n % 7 - 3
+        beta = (rc.random_unit_series(ext, rng, v) if n < 8
+                else _sparse_unit(ext, rng, v))
+        got = rc.norm(ext, beta)
+        want, hits = _flat_norm(ext, beta)
+        assert (got.valuation, got.logs, got.precision) == \
+            (want.valuation, want.logs, want.precision), (params, n)
+        cancelled += hits
+    # every case meets at least 83 cancellations at this seed
+    assert cancelled >= 50, params
+
+
+@pytest.mark.parametrize("params, products", [
+    ((7, 1, 2, 6, "1"), 4),      # e = 2 * 3, f = 2: 1 + 2 + 1
+    ((2, 2, 3, 3, "g"), 4),      # e = 3, f = 3: 2 + 2
+    ((5, 1, 1, 4, "1"), 2),      # e = 2 * 2: 1 + 1
+    ((2, 6, 1, 63, "1"), 10),    # e = 3 * 3 * 7: 2 + 2 + 6
+])
+def test_norm_makes_one_product_per_coset_step(params, products,
+                                                monkeypatch, rng):
+    ext = TameAbelianExtension.from_parameters(*params, precision=8)
+    beta = rc.random_unit_series(ext, rng, 1)
+    mul = LaurentSeries.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counted)
+    rc.norm(ext, beta)
+    # sum(p_i - 1) over the primes of e and f, not e*f - 1
+    assert len(calls) == products
 
 
 def test_norm_group_presentations(matrix):
