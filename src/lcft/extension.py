@@ -362,15 +362,20 @@ class GaloisElement:
         return GaloisElement(self.ext, -self.a, -self.c_log * frob)
 
     def __pow__(self, n: int) -> "GaloisElement":
-        base = self if n >= 0 else self.inverse()
+        if n == 0:
+            return GaloisElement(self.ext, 0, 0)
+        base = self if n > 0 else self.inverse()
         n = abs(n)
-        out = GaloisElement(self.ext, 0, 0)
-        while n:
+        # square-and-multiply from the lowest bit, with no product by the
+        # identity and no squaring after the top bit
+        out = None
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def is_identity(self) -> bool:
         return self.a == 0 and self.c_log == 0

@@ -114,6 +114,37 @@ def test_products_inverses_powers_are_members(matrix):
                 assert x in group, (name, x)
 
 
+def test_power_matches_repeated_products_with_fewest_muls(matrix,
+                                                          monkeypatch):
+    # g**n is square-and-multiply: bit_length - 1 squarings and
+    # popcount - 1 products of |n|, so g**2 is a single product, and it
+    # equals n-fold multiplication by g (by g^-1 when n < 0)
+    calls = 0
+    mul = GaloisElement.__mul__
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    for name in ("deg12", "mixed_c9"):
+        ext = matrix[name]
+        span = range(-2 * ext.degree - 1, 2 * ext.degree + 2)
+        for g in ext.galois_group():
+            want = {0: ext.identity()}
+            for k in range(1, span.stop):
+                want[k] = want[k - 1] * g
+                want[-k] = want[-k + 1] * g.inverse()
+            monkeypatch.setattr(GaloisElement, "__mul__", counting_mul)
+            for n in span:
+                calls = 0
+                assert g**n == want[n], (name, g, n)
+                k = abs(n)
+                assert calls == (k and k.bit_length() + k.bit_count() - 2), \
+                    (name, g, n, calls)
+            monkeypatch.undo()
+
+
 def test_compose_identity_and_inertia(matrix):
     ext = matrix["mixed_c9"]
     ident = ext.identity()

@@ -1,9 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from array import array
 
 import pytest
 
-from lcft.ffield import SIZE_CAP, FieldTower, _poly_powmod, is_prime
+import lcft
+from lcft.ffield import (SIZE_CAP, ZECH_ARRAY_MIN, FieldTower, _poly_powmod,
+                         is_prime)
 
 
 @pytest.fixture(scope="module")
@@ -219,11 +225,63 @@ def test_tables_match_reference_builder():
         assert tower._zech == zech, (p, t, f)
 
 
+def test_zech_table_kind_follows_its_size():
+    # a list below ZECH_ARRAY_MIN entries, an array('i') from there on
+    below = [FieldTower(2, 16, 1), FieldTower(3, 10, 1)]
+    above = [FieldTower(2, 17, 1), FieldTower(5, 7, 1)]
+    for tower in below:
+        assert tower.order < ZECH_ARRAY_MIN and type(tower._zech) is list
+    for tower in above:
+        assert tower.order >= ZECH_ARRAY_MIN and type(tower._zech) is array
+
+
+@pytest.mark.parametrize("shape", [(2, 17, 1), (5, 7, 1)])
+def test_packed_tables_match_reference_builder(shape):
+    tower = FieldTower(*shape)
+    exp, log, zech = _reference_tables(tower)
+    assert list(tower._exp) == exp
+    assert list(tower._log) == log
+    assert list(tower._zech) == zech
+
+
+# VmHWM is this process image's peak RSS in KiB. ru_maxrss would not do:
+# it carries the parent's peak across fork and exec, so under a large
+# pytest process it hides the child's growth.
+_BUILD_PEAK_PROBE = """
+def peak_kib():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+
+before = peak_kib()
+from lcft.ffield import FieldTower
+FieldTower(2, 10, 2)
+print(peak_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc")
+def test_cap_tower_build_peak_memory():
+    # the cap tower's exp, log and Zech tables are 4-byte arrays, 4 MB
+    # each, and the build holds no list of a whole table: a new process's
+    # peak RSS grows by about 15 MB (by about 50 MB with a list Zech table)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(lcft.__file__)))
+    probe = subprocess.run([sys.executable, "-c", _BUILD_PEAK_PROBE],
+                           env=env, capture_output=True, text=True,
+                           check=True, timeout=120)
+    growth_mb = int(probe.stdout) / 1024
+    assert growth_mb < 30, f"peak RSS grew by {growth_mb:.1f} MB"
+
+
 def test_cap_tower_tables(cap_tower):
     t = cap_tower
     assert t.size == SIZE_CAP
     exp, log, zech = t._exp, t._log, t._zech
     assert len(exp) == len(zech) == t.order and len(log) == t.size
+    assert type(zech) is array
     assert log[0] == -1
     assert all(log[v] == k for k, v in enumerate(exp))
     modulus = list(t.modulus)
