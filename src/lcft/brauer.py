@@ -172,6 +172,13 @@ class CrossedProduct:
     operands, a partial sum that cancels to the exact zero drops its
     window, and the wrapped sum times b keeps as many terms as the shorter
     of the two windows.
+
+    A slot's wrapped sum is skipped when its low sum is nonzero and b
+    times it cannot reach the low window: v(b) plus the least
+    v(x_i) + v(y_j) over the wrapped pairs is at least the low window's
+    end. b times the wrapped sum then starts at or past that end, so the
+    series sum keeps the low window and adds nothing to it. A zero low
+    sum has infinite valuation and never skips.
     """
 
     def __init__(self, sigma: GaloisElement, b: BaseFieldClass,
@@ -241,7 +248,15 @@ class CrossedProduct:
 
     def multiply(self, x: tuple, y: tuple) -> tuple:
         """Slot k is the sum of x_i sigma^i(y_j) over i + j = k, plus b
-        times the sum over i + j = k + n (one b product per slot)."""
+        times the sum over i + j = k + n (one b product per slot).
+
+        The low sum comes first. The wrapped sum is computed only when
+        v(b) + min v(x_i) + v(y_j) over its pairs lies below the end of
+        the low window, as it always does when the low sum is zero.
+        Otherwise b times the wrapped sum starts at or past that end,
+        where the low sum knows no terms, and the window rule of
+        ``LaurentSeries.__add__`` returns the low sum's window unchanged.
+        """
         b = self.b_series
         b_lead = b.leading_coefficient
         ys = [None if yj.is_zero() else (yj.valuation, yj.logs) for yj in y]
@@ -263,7 +278,10 @@ class CrossedProduct:
                 if yj is not None:
                     (low if t[0] <= k else wrapped).append((t, yj))
             low = self._twisted_sum(low, base, top)
-            if wrapped:
+            # b times the wrapped sum starts at or past v(b) + min v(x_i y_j)
+            end = low.valuation + len(low.logs)     # inf when low is zero
+            if wrapped and b.valuation + min(t[1] + yj[0]
+                                             for t, yj in wrapped) < end:
                 wrapped = self._twisted_sum(wrapped, base, top)
                 if not wrapped.is_zero():
                     low = low + (wrapped.truncate(len(b.logs))

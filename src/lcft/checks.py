@@ -318,13 +318,12 @@ def check_hasse_layer(ext, rng, samples=100) -> CheckResult:
     for _ in range(samples):
         c1, c2 = rng.choice(chars), rng.choice(chars)
         b1, b2 = rng.choice(reps), rng.choice(reps)
+        h11 = brauer.hasse_invariant(c1, b1)
         if brauer.hasse_invariant(c1, b1 * b2) != (
-                brauer.hasse_invariant(c1, b1)
-                + brauer.hasse_invariant(c1, b2)) % 1:
+                h11 + brauer.hasse_invariant(c1, b2)) % 1:
             failures.append("bilinearity fails in the class slot")
         if brauer.hasse_invariant(c1 + c2, b1) != (
-                brauer.hasse_invariant(c1, b1)
-                + brauer.hasse_invariant(c2, b1)) % 1:
+                h11 + brauer.hasse_invariant(c2, b1)) % 1:
             failures.append("bilinearity fails in the character slot")
     if ext.e == 1:
         frob = ext.frobenius_element()
@@ -338,16 +337,17 @@ def check_hasse_layer(ext, rng, samples=100) -> CheckResult:
                   rc.reciprocity_map(ext, b).order() == ext.degree)
                  for b in reps]
     for chi in chars:
-        for b in reps:
-            if ext.degree % brauer.hasse_invariant(chi, b).denominator:
+        # chi at every representative, each evaluated once for both loops
+        row = [brauer.hasse_invariant(chi, b) for b in reps]
+        for b, inv in zip(reps, row):
+            if ext.degree % inv.denominator:
                 failures.append(f"invariant order does not divide ef at {b}")
         if not chi.is_faithful():
             continue
-        for b, b_is_norm, generates in rep_facts:
-            if (brauer.hasse_invariant(chi, b) == 0) != b_is_norm:
+        for (b, b_is_norm, generates), inv in zip(rep_facts, row):
+            if (inv == 0) != b_is_norm:
                 failures.append(f"faithful kernel mismatch at {b}")
-            if generates and \
-                    brauer.hasse_invariant(chi, b).denominator != ext.degree:
+            if generates and inv.denominator != ext.degree:
                 failures.append("invariant of a generator not of order ef")
     if ext.is_cyclic():
         sigma = next(g for g in ext.galois_group()

@@ -369,7 +369,10 @@ class LaurentSeries:
             x = _pad(x, window)
             fx = x**e - unit_part.truncate(window)
             if not fx.is_zero():
-                x = x - fx / (e_const * x ** (e - 1))
+                # the quotient keeps len(fx.logs) terms, and the first k
+                # terms of a unit's inverse read only its first k terms
+                deriv = e_const * x.truncate(len(fx.logs)) ** (e - 1)
+                x = x - fx / deriv
                 x = _pad(x, window)
         assert (x**e - unit_part).is_zero(), "Newton lift failed to converge"
         return (x * root_lead).shift(self.valuation // e)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -308,6 +309,68 @@ def _reference_multiply(alg, x, y):
     return tuple(out), cancelled
 
 
+def _wrapped_outcomes(alg, x, y):
+    """How ``multiply`` must treat each slot's wrapped sum, from the series
+    sums: "skipped" when the low sum is nonzero and v(b) + v(x_i) + v(y_j)
+    reaches the end of its window on no wrapped pair, "computed, zero low"
+    when the low sum is zero, and "computed, reaches the window" otherwise.
+    Slots without wrapped pairs are not counted."""
+    zero = LaurentSeries.zero(alg.ext.tower, "alpha")
+    outcomes = Counter()
+    for k in range(alg.n):
+        low, reach = zero, math.inf
+        for i, a in enumerate(x):
+            b = y[k - i]     # j = k - i, or k - i + n when i > k
+            if a.is_zero() or b.is_zero():
+                continue
+            if i <= k:
+                low = low + a * alg.sigma_powers[i].apply(b)
+            else:
+                reach = min(reach, alg.b_series.valuation + a.valuation
+                            + b.valuation)
+        if reach == math.inf:
+            continue
+        if low.is_zero():
+            outcomes["computed, zero low"] += 1
+        elif reach < low.valuation + low.precision:
+            outcomes["computed, reaches the window"] += 1
+        else:
+            outcomes["skipped"] += 1
+    return outcomes
+
+
+def _count_twisted_sums(alg):
+    """Make ``alg`` record the pair count of each ``_twisted_sum`` call."""
+    calls = []
+    twisted_sum = alg._twisted_sum
+
+    def counted(pairs, base, top):
+        calls.append(len(pairs))
+        return twisted_sum(pairs, base, top)
+
+    alg._twisted_sum = counted
+    return calls
+
+
+def _multiply_counting_outcomes(alg, x, y, outcomes):
+    """``alg.multiply(x, y)``, after checking that it makes one low sum per
+    slot and one wrapped sum per slot whose wrapped sum must be computed;
+    adds this product's slot outcomes to ``outcomes``."""
+    calls = _count_twisted_sums(alg)
+    got = alg.multiply(x, y)
+    del alg._twisted_sum
+    slot = _wrapped_outcomes(alg, x, y)
+    outcomes.update(slot)
+    nonzero = any(not a.is_zero() for a in x) and \
+        any(not b.is_zero() for b in y)
+    assert len(calls) == nonzero * alg.n + slot["computed, zero low"] + \
+        slot["computed, reaches the window"], (calls, slot)
+    return got
+
+
+OUTCOMES = ("skipped", "computed, zero low", "computed, reaches the window")
+
+
 @pytest.mark.parametrize("params", [
     (2, 1, 4, 1, "1"),       # over F_2, unramified of degree 4
     (3, 1, 2, 2, "g"),       # over F_3, cyclic of order 4
@@ -319,14 +382,18 @@ def test_crossed_product_multiply_against_reference(params, rng):
     sigma = next(g for g in ext.galois_group() if g.order() == ext.degree)
     gk = ext.tower.subfield_generator()
     strict = 0
-    for sample in range(6):
-        b = rc.BaseFieldClass(rng.randrange(-1, 3),
+    outcomes = Counter()
+    for sample in range(7):
+        # the last class lies past every window of two dense elements, so
+        # their slots skip the wrapped sum even when e = 1
+        last = sample == 6
+        b = rc.BaseFieldClass(16 if last else rng.randrange(-1, 3),
                               gk ** rng.randrange(ext.q - 1))
         alg = brauer.CrossedProduct(sigma, b, 8)
-        x = alg.random_element(rng, sparse=sample % 2 == 0)
-        y = alg.random_element(rng, sparse=sample % 3 == 0)
+        x = alg.random_element(rng, sparse=sample % 2 == 0 and not last)
+        y = alg.random_element(rng, sparse=sample % 3 == 0 and not last)
         for left, right in ((x, y), (y, x), (alg.v(), x), (x, alg.one())):
-            got = alg.multiply(left, right)
+            got = _multiply_counting_outcomes(alg, left, right, outcomes)
             want, cancelled = _reference_multiply(alg, left, right)
             for k, (g, w) in enumerate(zip(got, want)):
                 if k in cancelled:
@@ -339,6 +406,24 @@ def test_crossed_product_multiply_against_reference(params, rng):
                         (sample, k)
                     strict += 1
     assert strict >= 4 * 6 * ext.degree // 2
+    assert all(outcomes[o] for o in OUTCOMES), outcomes
+
+
+def test_dense_product_skips_every_wrapped_sum(rng):
+    # b = t embeds as alpha^58, far past the 8-term windows at valuations
+    # -4..4: each slot makes its low sum and no wrapped sum
+    ext = TameAbelianExtension.from_parameters(59, 1, 1, 58, "g",
+                                               precision=8)
+    sigma = next(g for g in ext.galois_group() if g.order() == ext.degree)
+    alg = brauer.CrossedProduct(sigma, _pi_class(ext), 8)
+    x = alg.random_element(rng, sparse=False)
+    y = alg.random_element(rng, sparse=False)
+    calls = _count_twisted_sums(alg)
+    got = alg.multiply(x, y)
+    assert len(calls) == alg.n
+    want, _ = _slotwise_multiply(alg, x, y)
+    assert [(g.valuation, g.logs) for g in got] == \
+        [(w.valuation, w.logs) for w in want]
 
 
 def _slotwise_multiply(alg, x, y):
@@ -415,13 +500,14 @@ def test_crossed_product_multiply_matches_slotwise_loop(params, rng):
     sigma = next(g for g in ext.galois_group() if g.order() == ext.degree)
     gk = ext.tower.subfield_generator()
     hits = 0
+    outcomes = Counter()
     for b_val in range(-1, 3):
         b = rc.BaseFieldClass(b_val, gk ** rng.randrange(ext.q - 1))
         alg = brauer.CrossedProduct(sigma, b, 8)
         pairs = [*_cancelling_pairs(alg, rng),
                  (alg.random_element(rng), alg.random_element(rng))]
         for x, y in pairs:
-            got = alg.multiply(x, y)
+            got = _multiply_counting_outcomes(alg, x, y, outcomes)
             want, cancelled = _slotwise_multiply(alg, x, y)
             hits += cancelled
             for k, (g, w) in enumerate(zip(got, want)):
@@ -429,6 +515,7 @@ def test_crossed_product_multiply_matches_slotwise_loop(params, rng):
                     (b_val, k)
     # every case must exercise the cancel-reset of the window
     assert hits >= 10, hits
+    assert all(outcomes[o] for o in OUTCOMES), outcomes
 
 
 def test_cached_generators_keep_character_arithmetic(matrix):

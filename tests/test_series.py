@@ -205,6 +205,56 @@ def test_root_round_trip_random(f5, rng):
         assert r.leading_coefficient == lead.nth_roots(e)[0]
 
 
+def _newton_root_full_derivative(w, e):
+    """nth_root as it read before the derivative was cut to the window of
+    the correction: each step divides by e * x^(e-1) on the whole window."""
+    tower = w.tower
+
+    def pad(x, window):
+        return LaurentSeries(tower, x.symbol, x.valuation,
+                             x.logs + (None,) * (window - len(x.logs)))
+
+    unit_part = w._scaled(-w.logs[0]).shift(-w.valuation)
+    n = len(w.logs)
+    x = LaurentSeries.one(tower, w.symbol, 1)
+    window = 1
+    while window < n:
+        window = min(2 * window, n)
+        x = pad(x, window)
+        fx = x**e - unit_part.truncate(window)
+        if not fx.is_zero():
+            x = x - fx / (tower.from_int(e) * x ** (e - 1))
+            x = pad(x, window)
+    root_lead = w.leading_coefficient.nth_roots(e)[0]
+    return (x * root_lead).shift(w.valuation // e)
+
+
+# towers with e | q - 1 for several e each, p = 2 and odd p
+ROOT_TOWERS = {(5, 1, 1): (2, 4), (7, 1, 1): (2, 3, 6), (13, 1, 1): (4, 12),
+               (2, 2, 1): (3,), (2, 4, 1): (3, 5, 15), (2, 6, 1): (7, 9, 63),
+               (3, 2, 1): (2, 4, 8), (3, 1, 2): (2, 4)}
+
+
+def test_root_matches_the_full_derivative_newton_loop(rng):
+    checked = 0
+    for params, degrees in ROOT_TOWERS.items():
+        tower = FieldTower(*params)
+        for _ in range(36):
+            e = rng.choice(degrees)
+            window = rng.randrange(1, 40)
+            w = _random_series(tower, rng, e * rng.randrange(-2, 3), window,
+                               density=rng.choice((0.2, 0.7, 1.0)))
+            w = LaurentSeries(tower, "t", w.valuation,
+                              ((e * rng.randrange(tower.order)) % tower.order,)
+                              + w.logs[1:])
+            got = w.nth_root(e)
+            want = _newton_root_full_derivative(w, e)
+            assert (got.valuation, got.logs) == (want.valuation, want.logs), \
+                (params, e, window)
+            checked += 1
+    assert checked == 8 * 36
+
+
 def test_residue(f5, rng):
     one = LaurentSeries.one(f5, "t", 8)
     t = LaurentSeries.uniformizer(f5, "t", 8)
