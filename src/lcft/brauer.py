@@ -99,7 +99,7 @@ class Character:
                 and (self._xn, self._yn) == (other._xn, other._yn))
 
     def __hash__(self):
-        return hash((id(self.ext), self.x, self.y))
+        return hash((id(self.ext), self._xn, self._yn))
 
     def is_faithful(self) -> bool:
         # the image of a character is cyclic of order order()

@@ -192,13 +192,16 @@ def check_uniformizer_independence(ext, rng, samples=10) -> CheckResult:
     failures = []
     reps = rc.norm_group(ext).coset_representatives
     t = ext.base_uniformizer()
+    # the search with pi = t does not depend on the sample: once per class
+    units = [LaurentSeries.constant(ext.tower, "t", b.unit, ext.precision)
+             for b in reps]
+    found = [rc.reciprocity_search(ext, t, u1, b.valuation)
+             for b, u1 in zip(reps, units)]
     for n in range(samples):
         w = rc.random_base_unit_series(ext, rng)
         pi2 = w * t
-        for b in reps:
-            u1 = LaurentSeries.constant(ext.tower, "t", b.unit, ext.precision)
+        for b, u1, g1 in zip(reps, units, found):
             u2 = u1 * w ** (-b.valuation)
-            g1 = rc.reciprocity_search(ext, t, u1, b.valuation)
             g2 = rc.reciprocity_search(ext, pi2, u2, b.valuation)
             if g1 != g2:
                 failures.append(f"sample {n}, {b}: {g1} vs {g2}")

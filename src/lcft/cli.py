@@ -177,11 +177,14 @@ def cmd_hasse(ext, raw, args, out):
     chi = chars[index]
     pres = rc.norm_group(ext)
     sigma = ext.residue_frobenius_lift()
-    table = [{
-        "b": {"valuation": b.valuation, "unit": str(b.unit)},
-        "invariant_numerator": brauer.hasse_invariant(chi, b).numerator,
-        "invariant_denominator": brauer.hasse_invariant(chi, b).denominator,
-    } for b in pres.coset_representatives]
+    table = []
+    for b in pres.coset_representatives:
+        inv = brauer.hasse_invariant(chi, b)
+        table.append({
+            "b": {"valuation": b.valuation, "unit": str(b.unit)},
+            "invariant_numerator": inv.numerator,
+            "invariant_denominator": inv.denominator,
+        })
     payload = {
         "descriptor": ext.descriptor(),
         "character_index": index,

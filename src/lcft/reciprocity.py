@@ -109,6 +109,12 @@ def congruence_rhs(ext: TameAbelianExtension, pi: LaurentSeries,
     Here v is the base-field valuation of beta, so both exponents are
     integers because e divides q - 1. The quotient is always a unit;
     a nonzero valuation signals an internal error.
+
+    Everything is exact on beta's window of n terms. Only the first
+    ceil(n/e) terms of pi and u are embedded, since t = u0^(-1) alpha^e
+    puts t-term j at alpha-term j*e. The powers reduce their exponents
+    modulo the 1-unit exponent of the window (``LaurentSeries.__pow__``),
+    which leaves every retained term unchanged.
     """
     if i < 0:
         raise ValueError("the congruence form needs a nonnegative exponent")
@@ -127,8 +133,11 @@ def congruence_rhs(ext: TameAbelianExtension, pi: LaurentSeries,
     exp_u, rem2 = divmod((q - 1) * v_l, e)
     assert rem1 == 0 and rem2 == 0, "tameness makes these exponents integral"
     window = max(beta.precision, 1)
-    signed_pi = (ext.embed(pi) * _sign_constant(ext)).truncate(window)
-    den = signed_pi**exp_pi * ext.embed(u).truncate(window) ** exp_u
+    read = -(-window // e)  # the t-terms j with j*e < window
+    sign = _sign_constant(ext)
+    signed_pi = ext.embed(pi.truncate(read)).truncate(window) * sign
+    unit = ext.embed(u.truncate(read)).truncate(window)
+    den = signed_pi**exp_pi * unit**exp_u
     quotient = num / den
     if quotient.is_zero() or quotient.valuation != 0:
         raise ArithmeticError(

@@ -294,24 +294,50 @@ class LaurentSeries:
         return self * other.inverse()
 
     def __pow__(self, k: int):
+        """The k-th power on the window, with k cut to the 1-unit exponent.
+
+        Write the base as c * X^v * (1 + y) with v(y) >= 1, keeping n
+        terms, and let p^s be the least power of p with p^s >= n. In
+        characteristic p, (1 + y)^(p^s) = 1 + y^(p^s), which is 1 modulo
+        X^n: the 1-units of an n-term window form a group of exponent
+        p^s. So the power is c^k * X^(vk) * (1 + y)^(k mod p^s), exact on
+        the window and equal term for term to the product of k copies of
+        the base; a monomial (y = 0) needs no product at all. Negative k
+        inverts the base first.
+        """
         if not isinstance(k, int):
             raise TypeError("series powers must be integers")
         if self.is_zero():
             if k <= 0:
                 raise ZeroDivisionError("nonpositive power of the zero series")
             return self
+        tower = self.tower
+        n = len(self.logs)
         if k == 0:
-            return LaurentSeries.one(self.tower, self.symbol, len(self.logs))
+            return LaurentSeries.one(tower, self.symbol, n)
         base = self if k > 0 else self.inverse()
         k = abs(k)
+        lead, v = base.logs[0], base.valuation
+        period = 1
+        if base.logs.count(None) < n - 1:
+            while period < n:
+                period *= tower.p
+        r = k % period
+        cut = k - r
+        if not r:
+            return LaurentSeries(tower, self.symbol, v * k,
+                                 (lead * k % tower.order,) + (None,) * (n - 1))
         result = None
         while True:
-            if k & 1:
+            if r & 1:
                 result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                return result
+            r >>= 1
+            if not r:
+                break
             base = base * base
+        if not cut:
+            return result
+        return result._scaled(lead * cut).shift(v * cut)
 
     # -- structure ---------------------------------------------------------
 

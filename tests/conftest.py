@@ -30,6 +30,26 @@ def make_series(tower, symbol, valuation, coeffs, precision=0):
     return LaurentSeries(tower, symbol, valuation, logs)
 
 
+def binary_power(x, k):
+    """x^k by repeated squaring over all of |k|, the inverse first for k < 0.
+
+    The reference for ``LaurentSeries.__pow__``: every window product, with
+    no cut of the exponent.
+    """
+    if k == 0:
+        return LaurentSeries.one(x.tower, x.symbol, x.precision)
+    base = x if k > 0 else x.inverse()
+    k = abs(k)
+    result = None
+    while True:
+        if k & 1:
+            result = base if result is None else result * base
+        k >>= 1
+        if not k:
+            return result
+        base = base * base
+
+
 def galois_element(ext, a, c):
     """The pair (a, c) for a scale c given as an int or FieldElement."""
     if isinstance(c, int):

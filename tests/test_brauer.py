@@ -107,6 +107,31 @@ def test_character_from_fractions_equals_its_numerator_form(matrix):
                                            chi.y.denominator), name
 
 
+def test_equal_characters_hash_equal_across_routes(matrix, monkeypatch):
+    # the sum, the numerator form and the Fraction form of one character
+    for name, ext in matrix.items():
+        chars = brauer.character_group(ext)
+        n = ext.degree
+        for c1 in chars:
+            for c2 in chars[:4]:
+                total = c1 + c2
+                again = brauer.Character._of_numerators(
+                    ext, c1._xn + c2._xn + n, c1._yn + c2._yn - 2 * n)
+                fractions = brauer.Character(ext, c1.x + c2.x, c1.y + c2.y)
+                assert total == again == fractions, name
+                assert hash(total) == hash(again) == hash(fractions), name
+
+    # the hash reads the integer numerators, never the Fraction views
+    def no_view(self):
+        raise AssertionError("hash built a Fraction view")
+
+    monkeypatch.setattr(brauer.Character, "x", property(no_view))
+    monkeypatch.setattr(brauer.Character, "y", property(no_view))
+    for ext in matrix.values():
+        for chi in brauer.character_group(ext):
+            hash(chi)
+
+
 def test_faithful_character_counts(matrix):
     for name, ext in matrix.items():
         chars = brauer.character_group(ext)

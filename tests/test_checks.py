@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from lcft import brauer, checks
+from lcft import brauer, checks, reciprocity as rc
 from lcft.series import LaurentSeries
 
 
@@ -48,3 +48,48 @@ def test_hasse_layer_evaluates_each_table_pair_once(matrix, rng,
         table = pairs[5 * samples:]
         assert len(table) == (1 + (ext.e == 1)) * ext.degree ** 2, name
         assert len(set(table[-ext.degree ** 2:])) == ext.degree ** 2, name
+
+
+def test_uniformizer_independence_searches_each_class_once_per_sample(
+        matrix, rng, monkeypatch):
+    search = rc.reciprocity_search
+    calls = []
+
+    def counted(ext, pi, u, i):
+        calls.append(i)
+        return search(ext, pi, u, i)
+
+    monkeypatch.setattr(rc, "reciprocity_search", counted)
+    samples = 4
+    for name in ("unram_f2", "ram_e4", "mixed_c9", "deg12"):
+        ext = matrix[name]
+        reps = rc.norm_group(ext).coset_representatives
+        calls.clear()
+        result = checks.check_uniformizer_independence(ext, rng, samples)
+        assert result.passed, (name, result.detail)
+        # one search with pi = t per class, then one per sample and class
+        assert len(calls) == len(reps) * (samples + 1), name
+
+
+def test_uniformizer_independence_reports_each_sample_and_class(
+        matrix, rng, monkeypatch):
+    ext = matrix["mixed_c9"]
+    reps = rc.norm_group(ext).coset_representatives
+    search = rc.reciprocity_search
+    calls = []
+
+    def broken_after_the_reference(ext, pi, u, i):
+        # the searches with pi' = w*t all resolve to the identity
+        calls.append(i)
+        if len(calls) > len(reps):
+            return ext.identity()
+        return search(ext, pi, u, i)
+
+    monkeypatch.setattr(rc, "reciprocity_search", broken_after_the_reference)
+    result = checks.check_uniformizer_independence(ext, rng, 3)
+    expected = [f"sample {n}, {b}: {rc.reciprocity_map(ext, b)} vs "
+                f"{ext.identity()}"
+                for n in range(3) for b in reps
+                if rc.reciprocity_map(ext, b) != ext.identity()]
+    assert not result.passed
+    assert result.detail == "; ".join(expected[:3])

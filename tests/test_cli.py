@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lcft import checks, cli
+from lcft import brauer, checks, cli
 from lcft.extension import TameAbelianExtension
 
 
@@ -93,6 +93,24 @@ def test_hasse_command(tmp_path, capsys):
                   for row in payload["table"]}
     assert (0, 1) in invariants
     assert any(den == 9 for _, den in invariants)
+
+
+def test_hasse_evaluates_each_representative_once(tmp_path, capsys,
+                                                  monkeypatch):
+    hasse_invariant = brauer.hasse_invariant
+    seen = []
+
+    def counted(chi, b):
+        seen.append(b)
+        return hasse_invariant(chi, b)
+
+    monkeypatch.setattr(brauer, "hasse_invariant", counted)
+    assert cli.main(["hasse", _write(tmp_path, C9), "--json"]) == 0
+    table = json.loads(capsys.readouterr().out)["table"]
+    # one call per row, in the table's order
+    assert [(b.valuation, str(b.unit)) for b in seen] == \
+        [(row["b"]["valuation"], row["b"]["unit"]) for row in table]
+    assert len(seen) == 9
 
 
 @pytest.mark.parametrize("index", ["-1", "-2", "9"])

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import MATRIX_PARAMS
+from conftest import MATRIX_PARAMS, binary_power
 from lcft import checks, reciprocity as rc
 from lcft.extension import GaloisElement, TameAbelianExtension
 from lcft.series import LaurentSeries
@@ -227,6 +227,59 @@ def test_norm_makes_one_product_per_coset_step(params, products,
     rc.norm(ext, beta)
     # sum(p_i - 1) over the primes of e and f, not e*f - 1
     assert len(calls) == products
+
+
+def _full_embed_rhs(ext, pi, u, i, beta):
+    """congruence_rhs with all of pi and u embedded and signed before the
+    cut to beta's window, and every power over its whole exponent."""
+    q, e = ext.q, ext.e
+    v_l = beta.valuation
+    window = max(beta.precision, 1)
+    sign = ext.tower.one() if (e - 1) % 2 == 0 else ext.tower.minus_one()
+    signed_pi = (ext.embed(pi) * sign).truncate(window)
+    den = (binary_power(signed_pi, (q**i - 1) * v_l // e)
+           * binary_power(ext.embed(u).truncate(window), (q - 1) * v_l // e))
+    quotient = binary_power(beta, q**i - 1) / den
+    assert quotient.valuation == 0
+    return quotient.residue()
+
+
+@pytest.mark.parametrize("params, precision", [
+    *((params, 32) for params in MATRIX_PARAMS.values()),
+    ((2, 6, 1, 63, "1"), 8),
+    ((59, 1, 1, 58, "g"), 8),
+    ((2, 10, 2, 31, "g"), 8),
+])
+def test_congruence_rhs_matches_the_full_embed(params, precision, rng,
+                                               monkeypatch):
+    ext = TameAbelianExtension.from_parameters(*params, precision=precision)
+    t = ext.base_uniformizer()
+    embed = TameAbelianExtension.embed
+    read = []
+
+    def recorded(self, x):
+        read.append(x.precision)
+        return embed(self, x)
+
+    checked = 0
+    for n in range(4):
+        pi = rc.random_base_unit_series(ext, rng) * t
+        u = (rc.random_base_unit_series(ext, rng) if n % 2
+             else _const(ext, ext.tower.subfield_generator()))
+        betas = [ext.uniformizer(), ext.constant(ext.tower.generator()),
+                 rc.random_unit_series(ext, rng, rng.randrange(-2, 3)),
+                 _sparse_unit(ext, rng, rng.randrange(-2, 3))]
+        for beta in betas:
+            for i in range(3):
+                want = _full_embed_rhs(ext, pi, u, i, beta)
+                with monkeypatch.context() as m:
+                    m.setattr(TameAbelianExtension, "embed", recorded)
+                    got = rc.congruence_rhs(ext, pi, u, i, beta)
+                assert got == want, (params, n, i, beta)
+                checked += 1
+    assert checked == 4 * 4 * 3
+    # only the t-terms that reach beta's window are embedded
+    assert max(read) == -(-precision // ext.e)
 
 
 def test_norm_group_presentations(matrix):

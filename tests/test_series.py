@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import make_series
+from conftest import binary_power, make_series
 from lcft.ffield import FieldTower
 from lcft.series import LaurentSeries
 
@@ -277,6 +277,76 @@ def test_powers(f5):
     assert a**3 == a * a * a
     assert a**-2 == (a * a).inverse()
     assert (t**5).valuation == 5
+
+
+def _unit_exponent(p, n):
+    """The least power of p that is at least n."""
+    period = 1
+    while period < n:
+        period *= p
+    return period
+
+
+# p = 2 and odd p, each at windows n = p^s and p^s + 1
+POWER_WINDOWS = {(2, 3, 1): (2, 3, 4, 5, 8, 9), (3, 2, 1): (3, 4, 9, 10),
+                 (5, 1, 1): (5, 6, 25, 26)}
+
+
+def test_power_cut_to_the_unit_exponent_matches_the_binary_loop(rng):
+    checked = 0
+    for params, windows in POWER_WINDOWS.items():
+        tower = FieldTower(*params)
+        for n in windows:
+            ps = _unit_exponent(tower.p, n)
+            exponents = [0, 1, -1, ps - 1, ps, ps + 1, 2**10 - 1,
+                         -(ps - 1), -ps, -(ps + 1), -(2**10 - 1)]
+            exponents += [rng.randrange(2, 10**6) for _ in range(3)]
+            exponents += [-rng.randrange(2, 10**6) for _ in range(2)]
+            dense = _random_series(tower, rng, rng.randrange(-3, 4), n, 1.0)
+            sparse = _random_series(tower, rng, rng.randrange(-3, 4), n, 0.2)
+            # a nonzero last term keeps the sparse series off the monomials
+            sparse = LaurentSeries(tower, "t", sparse.valuation,
+                                   sparse.logs[:-1] + (rng.randrange(
+                                       tower.order),))
+            mono = _random_series(tower, rng, rng.randrange(-3, 4), n, 0.0)
+            assert mono.logs.count(None) == n - 1
+            for x in (dense, sparse, mono):
+                for k in exponents:
+                    got, want = x**k, binary_power(x, k)
+                    assert (got.valuation, got.logs) == \
+                        (want.valuation, want.logs), (params, n, x, k)
+                    checked += 1
+    assert checked == 14 * 3 * 16
+
+
+@pytest.mark.parametrize("params, n, k, products", [
+    ((2, 3, 1), 8, 1023, 4),     # 1023 mod 8 = 7: 2 squarings, 2 products
+    ((2, 3, 1), 8, -1023, 4),    # the inverse first, then the same cut
+    ((2, 3, 1), 8, 1024, 0),     # a multiple of 8 leaves only c^k X^(vk)
+    ((2, 3, 1), 8, 9, 0),        # 9 mod 8 = 1: the base itself
+    ((2, 3, 1), 8, 5, 3),        # below the 1-unit exponent: no cut
+    ((2, 3, 1), 9, 1023, 6),     # n = 9 needs 16: 1023 mod 16 = 15
+    ((5, 1, 1), 8, 1023, 7),     # 25 >= 8: 1023 mod 25 = 23 = 0b10111
+])
+def test_power_makes_products_only_for_the_cut_exponent(params, n, k,
+                                                        products, rng,
+                                                        monkeypatch):
+    tower = FieldTower(*params)
+    x = _random_series(tower, rng, 1, n, 1.0)
+    mono = _random_series(tower, rng, 1, n, 0.0)
+    mul = LaurentSeries.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counted)
+    x**k
+    assert len(calls) == products
+    # a monomial's 1-unit part is 1: its power takes no product at all
+    mono**k
+    assert len(calls) == products
 
 
 def test_truncate_and_str(f5):
