@@ -36,9 +36,9 @@ class TameAbelianExtension:
     Rejects wild input (p | e) and input with no tame abelian extension of
     the requested shape (e not dividing q - 1). Immutable after
     construction; the Galois group, its distinguished generators and their
-    relation exponent, the norm-group presentation and the congruence
-    search's probe-residue table (the group scanned once) are each
-    computed once and cached.
+    relation exponent, the Galois powers of the norm's doubling chain, the
+    norm-group presentation and the congruence search's probe-residue
+    table (the group scanned once) are each computed once and cached.
     """
 
     def __init__(self, tower: FieldTower, e: int, u0=1,
@@ -73,6 +73,7 @@ class TameAbelianExtension:
         self._group = None
         self._sigma = None           # residue_frobenius_lift()
         self._s = None               # frobenius_relation_exponent()
+        self._norm_chain = None      # set by reciprocity._norm_chain
         self._norm_group = None      # set by reciprocity.norm_group
         self._probes = None          # set by reciprocity._probe_table
 

@@ -16,8 +16,10 @@ they can check each other:
   coset representatives) without reference to either formula. Its
   ``norm`` multiplies Galois conjugates, grouped by transitivity of the
   norm through the inertia field, N_(L/K) = N_(M/K) o N_(L/M) with
-  M = L^I, and by the prime factors of e and f along the group's two
-  generators: sum(p_i - 1) series products per norm rather than e*f - 1.
+  M = L^I. Each of the two cyclic products, of order m = e and then
+  m = f, follows a doubling chain over the bits of m: floor(log2 m) +
+  popcount(m) - 1 series products rather than m - 1, with the Galois
+  powers the chain applies built once per extension.
 
 Base-field classes are reduced pairs (valuation, unit residue); 1-units
 are discarded throughout because they are norms in the tame case.
@@ -29,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 from .extension import EXT_SYMBOL, GaloisElement, TameAbelianExtension
-from .ffield import FieldElement, prime_factors
+from .ffield import FieldElement
 from .series import LaurentSeries
 from .snf import invariant_factors
 
@@ -80,19 +82,26 @@ def reciprocity_map(ext: TameAbelianExtension,
     """Closed-form image of a base-field class under local reciprocity.
 
     For i >= 0 the pair is a = i mod f and
-        c = (-1)^((e-1)(q^i-1)/e) * u0^((q^i-1)/e) * ubar^(-(q-1)/e),
+        c = (-1)^((e-1)m) * u0^m * ubar^(-(q-1)/e),  m = (q^i-1)/e,
     which is the exact residue of the defining congruence at beta = alpha;
     the membership constraint is re-checked on construction. Negative i is
     mapped through the inverse class.
+
+    It runs on generator logs, modulo |l*|:
+        log c = m * log u0 - ((q-1)/e) * log ubar  (+ |l*|/2 for the sign),
+    with m taken from q^i mod e*|l*|, which fixes m modulo |l*| without
+    the integer q^i. The sign needs m's parity, and the reduction keeps
+    it: for odd p, |l*| = p^(tf) - 1 is even, and for p = 2 the sign is 1.
     """
     if b.valuation < 0:
         return reciprocity_map(ext, b.inverse()).inverse()
     q, e = ext.q, ext.e
-    m = (q**b.valuation - 1) // e
-    c = ext.u0**m * b.unit ** (-((q - 1) // e))
-    if (e - 1) * m % 2:
-        c = -c
-    return GaloisElement(ext, b.valuation, c.log)
+    order = ext.tower.order
+    m = (pow(q, b.valuation, e * order) - 1) // e
+    c_log = m * ext.u0.log - (q - 1) // e * b.unit.log
+    if ext.p % 2 and (e - 1) * m % 2:
+        c_log += order // 2    # the log of -1
+    return GaloisElement(ext, b.valuation, c_log)
 
 
 def reciprocity_of_series(ext: TameAbelianExtension,
@@ -196,13 +205,17 @@ def norm(ext: TameAbelianExtension, beta: LaurentSeries) -> LaurentSeries:
     N_(L/M) is the product over the inertia group I = <zeta>, and
     N_(M/K) the product over sigma^j for j < f, which represent the
     cosets of I and act on M as its cyclic group. Each of the two cyclic
-    products is split along the primes of its order: for h of order m
-    and a prime p | m, <h> is the union of the cosets h^j <h^p> for
-    j < p, so the product over <h> of y equals the product over <h^p> of
-    y * h(y) * ... * h^(p-1)(y). That makes sum(p_i - 1) series products
-    over the primes of e and f, with multiplicity, instead of e*f - 1.
-    Products of unit windows are exact modulo the window, so the
-    regrouping gives the flat product of all e*f conjugates bit for bit.
+    products P_m = y * h(y) * ... * h^(m-1)(y), with (h, m) = (zeta, e)
+    and then (sigma, f), is built over the bits of m from the top, as
+    Itoh and Tsujii chain Frobenius products in finite fields:
+    P_2c = P_c * h^c(P_c), and P_(c+1) = y * h(P_c) on each 1 bit. Each
+    step joins two disjoint runs of exponents, j < c and c <= j < 2c (or
+    j = 0 and 1 <= j <= c), so the chain multiplies the same m conjugates
+    in floor(log2 m) + popcount(m) - 1 series products instead of m - 1:
+    8 for e = 58, 10 for e = 63. Products of unit windows are exact
+    modulo the window, so the regrouping gives the flat product of all
+    e*f conjugates bit for bit. The powers h^c are built once per
+    extension (``_norm_chain``).
 
     The result is audited to lie in K and returned as a series in t; its
     t-valuation is f times the alpha-valuation of beta.
@@ -210,17 +223,12 @@ def norm(ext: TameAbelianExtension, beta: LaurentSeries) -> LaurentSeries:
     if beta.is_zero():
         raise ValueError("the norm of zero is not defined here")
     prod = beta
-    for h, order in ((ext.inertia_generator(), ext.e),
-                     (ext.residue_frobenius_lift(), ext.f)):
-        for p in prime_factors(order):
-            while order % p == 0:
-                img = prod
-                for _ in range(p - 1):
-                    img = h.apply(img)
-                    prod = prod * img
-                order //= p
-                if order > 1:
-                    h = h**p
+    for h, steps in _norm_chain(ext):
+        y = prod
+        for hc, one_bit in steps:
+            prod = prod * hc.apply(prod)
+            if one_bit:
+                prod = y * h.apply(prod)
     try:
         out = ext.project(prod)
     except ValueError as exc:
@@ -228,6 +236,26 @@ def norm(ext: TameAbelianExtension, beta: LaurentSeries) -> LaurentSeries:
             f"norm image failed the base-membership audit: {exc}") from exc
     assert out.valuation == ext.f * beta.valuation
     return out
+
+
+def _norm_chain(ext: TameAbelianExtension) -> tuple:
+    """The Galois powers that ``norm``'s two doubling chains apply.
+
+    One pair (h, steps) for each cyclic product: the inertia generator
+    with m = e, then the residue Frobenius lift with m = f. ``steps`` has
+    one pair (h^c, bit) for each bit of m below the leading one, where c
+    is the prefix of m read before that bit. Built once per extension and
+    cached on it, so a norm makes no group products.
+    """
+    if ext._norm_chain is None:
+        chain = []
+        for h, m in ((ext.inertia_generator(), ext.e),
+                     (ext.residue_frobenius_lift(), ext.f)):
+            steps = tuple((h ** (m >> (k + 1)), bool(m >> k & 1))
+                          for k in reversed(range(m.bit_length() - 1)))
+            chain.append((h, steps))
+        ext._norm_chain = tuple(chain)
+    return ext._norm_chain
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,23 @@ def binary_power(x, k):
         base = base * base
 
 
+def field_element_closed_form(ext, b):
+    """The closed form on FieldElement powers of m = (q^i - 1)/e.
+
+    The reference for ``reciprocity_map``, which computes the same scale
+    on generator logs: here m is the whole integer and c is built from
+    field elements, the sign included.
+    """
+    if b.valuation < 0:
+        return field_element_closed_form(ext, b.inverse()).inverse()
+    q, e = ext.q, ext.e
+    m = (q**b.valuation - 1) // e
+    c = ext.u0**m * b.unit ** (-((q - 1) // e))
+    if (e - 1) * m % 2:
+        c = -c
+    return GaloisElement(ext, b.valuation, c.log)
+
+
 def galois_element(ext, a, c):
     """The pair (a, c) for a scale c given as an int or FieldElement."""
     if isinstance(c, int):

@@ -17,6 +17,20 @@ def test_root_extraction_rejects_a_truncated_root(matrix, rng, monkeypatch):
     assert "precision 31 != 32" in result.detail
 
 
+def test_oracle_agreement_rejects_the_other_search_sign(matrix,
+                                                        monkeypatch):
+    # (7,1,2,6,"1") and (3,1,2,2,"g"): both have e even, so sign = -1
+    names = ("deg12", "mixed_e2_cyclic")
+    assert all(checks.check_oracle_agreement(matrix[n]).passed
+               for n in names)
+    sign = rc._sign_constant
+    monkeypatch.setattr(rc, "_sign_constant", lambda ext: -sign(ext))
+    for name in names:
+        result = checks.check_oracle_agreement(matrix[name])
+        assert not result.passed, name
+        assert "closed" in result.detail, name
+
+
 def test_hasse_layer_rejects_vanishing_invariants(matrix, rng, monkeypatch):
     # every invariant 0 puts non-norms in the kernel of a faithful character
     monkeypatch.setattr(brauer, "hasse_invariant", lambda chi, b: Fraction(0))

@@ -1,6 +1,7 @@
 import pytest
 
-from conftest import MATRIX_PARAMS, binary_power
+from conftest import (MATRIX_PARAMS, binary_power,
+                      field_element_closed_form)
 from lcft import checks, reciprocity as rc
 from lcft.extension import GaloisElement, TameAbelianExtension
 from lcft.series import LaurentSeries
@@ -80,6 +81,28 @@ def test_search_matches_closed_form_on_all_classes(matrix):
             searched = rc.reciprocity_search(
                 ext, t, _const(ext, b.unit), b.valuation)
             assert closed == searched, (name, b)
+
+
+@pytest.mark.parametrize("params", [
+    *MATRIX_PARAMS.values(),
+    (2, 6, 1, 63, "1"),
+    (59, 1, 1, 58, "g"),
+    (2, 10, 2, 31, "g"),         # q^i up to 1024^125
+    (2, 1, 1, 1, "1"),           # |l*| = 1
+])
+def test_closed_form_on_logs_matches_the_field_element_powers(params, rng):
+    ext = TameAbelianExtension.from_parameters(*params, precision=8)
+    gk = ext.tower.subfield_generator()
+    units = ext.q - 1
+    js = range(units) if units <= 200 else rng.sample(range(units), 200)
+    reach = 2 * ext.degree + 1
+    for j in js:
+        u = gk**j
+        for i in range(-reach, reach + 1):
+            b = rc.BaseFieldClass(i, u)
+            got = rc.reciprocity_map(ext, b)
+            want = field_element_closed_form(ext, b)
+            assert (got.a, got.c_log) == (want.a, want.c_log), (params, b)
 
 
 def test_negative_valuation_through_inverse(matrix):
@@ -187,8 +210,9 @@ def _sparse_unit(ext, rng, valuation):
 
 @pytest.mark.parametrize("params, precision", [
     *((params, 32) for params in MATRIX_PARAMS.values()),
-    ((2, 6, 1, 63, "1"), 8),     # characteristic 2, e = 3 * 3 * 7
+    ((2, 6, 1, 63, "1"), 8),     # characteristic 2, e = 0b111111
     ((2, 10, 2, 31, "g"), 8),    # composite f over a 2^20 tower
+    ((59, 1, 1, 58, "g"), 8),    # e = 0b111010: zeros between the ones
 ])
 def test_norm_chain_matches_the_flat_product(params, precision, rng):
     ext = TameAbelianExtension.from_parameters(*params, precision=precision)
@@ -207,10 +231,12 @@ def test_norm_chain_matches_the_flat_product(params, precision, rng):
 
 
 @pytest.mark.parametrize("params, products", [
-    ((7, 1, 2, 6, "1"), 4),      # e = 2 * 3, f = 2: 1 + 2 + 1
-    ((2, 2, 3, 3, "g"), 4),      # e = 3, f = 3: 2 + 2
-    ((5, 1, 1, 4, "1"), 2),      # e = 2 * 2: 1 + 1
-    ((2, 6, 1, 63, "1"), 10),    # e = 3 * 3 * 7: 2 + 2 + 6
+    ((7, 1, 2, 6, "1"), 4),      # e = 0b110: 2 + 2 - 1, f = 0b10: 1
+    ((2, 2, 3, 3, "g"), 4),      # e = f = 0b11: 1 + 2 - 1 each
+    ((5, 1, 1, 4, "1"), 2),      # e = 0b100: 2 + 1 - 1
+    ((2, 6, 1, 63, "1"), 10),    # e = 0b111111: 5 + 6 - 1
+    ((59, 1, 1, 58, "g"), 8),    # e = 0b111010: 5 + 4 - 1
+    ((2, 10, 2, 31, "g"), 9),    # e = 0b11111: 4 + 5 - 1, f = 0b10: 1
 ])
 def test_norm_makes_one_product_per_coset_step(params, products,
                                                 monkeypatch, rng):
@@ -225,8 +251,27 @@ def test_norm_makes_one_product_per_coset_step(params, products,
 
     monkeypatch.setattr(LaurentSeries, "__mul__", counted)
     rc.norm(ext, beta)
-    # sum(p_i - 1) over the primes of e and f, not e*f - 1
+    # floor(log2 m) + popcount(m) - 1 for m = e and m = f, not e*f - 1
     assert len(calls) == products
+
+
+@pytest.mark.parametrize("params", [(7, 1, 2, 6, "1"), (2, 6, 1, 63, "1")])
+def test_norm_builds_its_galois_powers_once(params, monkeypatch, rng):
+    ext = TameAbelianExtension.from_parameters(*params, precision=8)
+    mul = GaloisElement.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(GaloisElement, "__mul__", counted)
+    first = rc.norm(ext, rc.random_unit_series(ext, rng, 1))
+    assert calls, "the first norm builds the chain's powers"
+    calls.clear()
+    second = rc.norm(ext, rc.random_unit_series(ext, rng, 1))
+    assert calls == []
+    assert first.valuation == second.valuation == ext.f
 
 
 def _full_embed_rhs(ext, pi, u, i, beta):
