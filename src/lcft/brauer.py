@@ -23,7 +23,7 @@ from fractions import Fraction
 from .extension import GaloisElement, TameAbelianExtension
 from .reciprocity import (BaseFieldClass, random_base_unit_series,
                           random_log, reciprocity_map, random_unit_series)
-from .series import LaurentSeries, _convolve
+from .series import INFINITE, LaurentSeries, _convolve
 
 
 _BROKEN_RELATIONS = "(x, y) breaks e*y = 0 or f*x = s*y mod 1"
@@ -163,22 +163,17 @@ class CrossedProduct:
     """The algebra with basis v^0 .. v^(n-1) over L, v^n = b, v a = s(a) v.
 
     Elements are tuples of n Laurent series in alpha (zero series allowed
-    in any slot). ``multiply`` builds each output slot in one pass on
-    generator logs: every term x_i sigma^i(y_j) is convolved straight into
-    the slot's accumulator, with sigma^i applied inline as the scale and
-    offset of ``GaloisElement.apply``, and b, an embedded monomial, is a
+    in any slot). ``multiply`` builds each output slot on generator logs
+    with one accumulator: every term x_i sigma^i(y_j) is convolved
+    straight into it, with sigma^i applied inline as the scale and offset
+    of ``GaloisElement.apply``, and b, an embedded monomial, is a
     valuation shift plus one log offset. The slot keeps exactly the window
-    of the term-by-term series sum: a sum keeps the common window of its
-    operands, a partial sum that cancels to the exact zero drops its
-    window, and the wrapped sum times b keeps as many terms as the shorter
-    of the two windows.
-
-    A slot's wrapped sum is skipped when its low sum is nonzero and b
-    times it cannot reach the low window: v(b) plus the least
-    v(x_i) + v(y_j) over the wrapped pairs is at least the low window's
-    end. b times the wrapped sum then starts at or past that end, so the
-    series sum keeps the low window and adds nothing to it. A zero low
-    sum has infinite valuation and never skips.
+    of the term-by-term series sum. Under the honest zero that window is
+    known before any step runs: it starts at the least valuation of the
+    slot's terms and ends at the least of their ends, where a term keeps
+    the shorter window of its two factors, and at most len(b) terms when
+    it wraps. So each term is convolved only over the part that lands in
+    the window, and a term that starts at or past its end costs nothing.
     """
 
     def __init__(self, sigma: GaloisElement, b: BaseFieldClass,
@@ -248,83 +243,72 @@ class CrossedProduct:
 
     def multiply(self, x: tuple, y: tuple) -> tuple:
         """Slot k is the sum of x_i sigma^i(y_j) over i + j = k, plus b
-        times the sum over i + j = k + n (one b product per slot).
+        times the sum over i + j = k + n.
 
-        The low sum comes first. The wrapped sum is computed only when
-        v(b) + min v(x_i) + v(y_j) over its pairs lies below the end of
-        the low window, as it always does when the low sum is zero.
-        Otherwise b times the wrapped sum starts at or past that end,
-        where the low sum knows no terms, and the window rule of
-        ``LaurentSeries.__add__`` returns the low sum's window unchanged.
-        """
-        b = self.b_series
-        b_lead = b.leading_coefficient
-        ys = [None if yj.is_zero() else (yj.valuation, yj.logs) for yj in y]
-        xs = [(i, a.valuation, len(a.logs), *self._twists[i],
-               [(ii, L) for ii, L in enumerate(a.logs) if L is not None])
-              for i, a in enumerate(x) if not a.is_zero()]
-        if not xs or ys.count(None) == self.n:
-            return self.zero()
-        # every product x_i sigma^i(y_j) lies in the exponents [base, top)
-        yv = [yj for yj in ys if yj is not None]
-        base = min(t[1] for t in xs) + min(yj[0] for yj in yv)
-        top = min(max(t[1] + t[2] for t in xs) + max(yj[0] for yj in yv),
-                  max(t[1] for t in xs) + max(yj[0] + len(yj[1]) for yj in yv))
-        out = []
-        for k in range(self.n):
-            low, wrapped = [], []
-            for t in xs:
-                yj = ys[k - t[0]]    # j = k - i, or k - i + n when i > k
-                if yj is not None:
-                    (low if t[0] <= k else wrapped).append((t, yj))
-            low = self._twisted_sum(low, base, top)
-            # b times the wrapped sum starts at or past v(b) + min v(x_i y_j)
-            end = low.valuation + len(low.logs)     # inf when low is zero
-            if wrapped and b.valuation + min(t[1] + yj[0]
-                                             for t, yj in wrapped) < end:
-                wrapped = self._twisted_sum(wrapped, base, top)
-                if not wrapped.is_zero():
-                    low = low + (wrapped.truncate(len(b.logs))
-                                 * b_lead).shift(b.valuation)
-            out.append(low)
-        return tuple(out)
-
-    def _twisted_sum(self, pairs, base, top) -> LaurentSeries:
-        """The series sum of x_i sigma^i(y_j) over ``pairs``, in order.
-
-        Each pair is ((i, v(x_i), len(x_i), q^(a_i), c_i, nonzero terms
-        of x_i), (v(y_j), logs of y_j)), and every product lies in the
-        exponents [base, top). A product keeps min(len(x_i), len(y_j))
-        terms; the running sum keeps the common window [start, end) of
-        its terms since it last cancelled to the exact zero, which drops
-        the window. So only the window is convolved, and a cancellation
-        starts the accumulator afresh.
+        The first pass walks the pairs of slots that are not the exact
+        zero and files each under its slot, with the pair's valuation
+        v(x_i) + v(y_j) (plus v(b) when it wraps) and its term count, the
+        shorter window (at most len(b) when it wraps). The slot's window
+        is [min v, min(v + count)) over its pairs, so it is fixed before
+        any step runs. The second pass convolves each pair into the
+        slot's one accumulator, only over the terms that land in that
+        window.
         """
         tower = self.ext.tower
         m, zech = tower.order, tower._zech
-        acc = [None] * (top - base)
-        start = end = top
-        for (_, va, la, frob, c, terms), (vb, logs) in pairs:
-            v = va + vb
-            n = la if la < len(logs) else len(logs)
-            stop = n if v + n <= end else end - v
-            if stop <= 0:
+        n = self.n
+        b = self.b_series
+        vb, lb, b_lead = b.valuation, len(b.logs), b.logs[0]
+        ys = [(j, yj.valuation, yj.logs, len(yj.logs))
+              for j, yj in enumerate(y) if yj.valuation != INFINITE]
+        start, stop = [INFINITE] * n, [INFINITE] * n
+        slots = [[] for _ in range(n)]
+        terms = [None] * n
+        for i, a in enumerate(x):
+            va, la = a.valuation, len(a.logs)
+            if va == INFINITE:
                 continue
-            twisted = [None if L is None else (L * frob + c * jj) % m
-                       for jj, L in enumerate(logs[:stop], vb)]
-            _convolve(terms, twisted, acc, v - base, 0, stop, m, zech)
-            if v + n < end:
-                end = v + n
-            if v < start:
-                start = v
-            # the sum is nonzero unless this term's lead cancelled; then
-            # it is the exact zero when its whole window cancelled
-            if acc[v - base] is None and \
-                    acc[start - base:end - base].count(None) == end - start:
-                acc = [None] * (top - base)
-                start = end = top
-        return LaurentSeries(tower, "alpha", start,
-                             acc[start - base:end - base])
+            low = [(ii, L) for ii, L in enumerate(a.logs) if L is not None]
+            # b is a monomial: a wrapped pair adds its lead log to x_i's
+            terms[i] = low, [(ii, L + b_lead) for ii, L in low]
+            for j, vy, logs, ly in ys:
+                k = i + j
+                v = va + vy
+                count = la if la < ly else ly
+                wrapped = k >= n
+                if wrapped:
+                    k -= n
+                    v += vb
+                    if count > lb:
+                        count = lb
+                # a pair from the slot's current end on can neither land
+                # in its window nor move it; as i grows, every pair of
+                # slot k that does not wrap is filed before those that do
+                if v >= stop[k]:
+                    continue
+                if v < start[k]:
+                    start[k] = v
+                if v + count < stop[k]:
+                    stop[k] = v + count
+                slots[k].append((v, i, wrapped, vy, logs))
+        out = []
+        for lo, hi, pairs in zip(start, stop, slots):
+            if not pairs:
+                out.append(LaurentSeries.zero(tower, "alpha"))
+                continue
+            acc = [None] * (hi - lo)
+            for v, i, wrapped, vy, logs in pairs:
+                width = hi - v
+                if width <= 0:
+                    continue
+                frob, c = self._twists[i]
+                twisted = [None if L is None else (L * frob + c * jj) % m
+                           for jj, L in enumerate(logs[:width], vy)]
+                _convolve(terms[i][wrapped], twisted, acc, v - lo, 0, width,
+                          m, zech)
+            # a window that cancels is the honest zero O(alpha^hi)
+            out.append(LaurentSeries(tower, "alpha", lo, acc))
+        return tuple(out)
 
     def power(self, x: tuple, k: int) -> tuple:
         out = self.one()
@@ -333,7 +317,9 @@ class CrossedProduct:
         return out
 
     def equal(self, x: tuple, y: tuple) -> bool:
-        return all(a == b for a, b in zip(x, y))
+        """Slot-wise agreement on the common window: O(alpha^E) agrees with
+        any slot of valuation at least E."""
+        return all((a - b).is_zero() for a, b in zip(x, y))
 
     def commutes(self, x: tuple, y: tuple) -> bool:
         return self.equal(self.multiply(x, y), self.multiply(y, x))

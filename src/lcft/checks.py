@@ -143,18 +143,27 @@ def check_structure(ext) -> CheckResult:
 
 
 def check_oracle_agreement(ext) -> CheckResult:
-    """Closed form equals congruence search on all coset representatives."""
+    """Closed form equals congruence search on every coset representative,
+    at its valuation v and at v + f and v + 2f.
+
+    The representatives have valuations 0..f-1, so when f = 1 they alone
+    never leave m = (q^i - 1)/e = 0, where the sign (-1)^((e-1)m) of both
+    oracles is 1; a period of valuations reaches it.
+    """
     failures = []
     pres = rc.norm_group(ext)
     t = ext.base_uniformizer()
-    for b in pres.coset_representatives:
-        u = LaurentSeries.constant(ext.tower, "t", b.unit, ext.precision)
-        closed = rc.reciprocity_map(ext, b)
-        searched = rc.reciprocity_search(ext, t, u, b.valuation)
-        if closed != searched:
-            failures.append(f"{b}: closed {closed} vs search {searched}")
+    for rep in pres.coset_representatives:
+        u = LaurentSeries.constant(ext.tower, "t", rep.unit, ext.precision)
+        for i in range(rep.valuation, rep.valuation + 3 * ext.f, ext.f):
+            b = rc.BaseFieldClass(i, rep.unit)
+            closed = rc.reciprocity_map(ext, b)
+            searched = rc.reciprocity_search(ext, t, u, i)
+            if closed != searched:
+                failures.append(f"{b}: closed {closed} vs search {searched}")
     return _result("oracle-agreement", failures,
-                   f"{len(pres.coset_representatives)} classes")
+                   f"{len(pres.coset_representatives)} classes at v, v+f, "
+                   "v+2f")
 
 
 def check_reciprocity_homomorphism(ext) -> CheckResult:

@@ -142,7 +142,9 @@ class TameAbelianExtension:
         if x.tower is not self.tower:
             raise ValueError("series belongs to a different tower")
         if x.is_zero():
-            return LaurentSeries.zero(self.tower, EXT_SYMBOL)
+            # O(t^N) embeds as O(alpha^(eN)); the exact zero stays exact
+            return LaurentSeries(self.tower, EXT_SYMBOL, self.e * x.valuation,
+                                 ())
         # lam * t^n = lam * u0^(-n) * alpha^(e*n), on generator logs
         m = self.tower.order
         norm_exp = self.tower.subfield_norm_exponent
@@ -169,8 +171,10 @@ class TameAbelianExtension:
             raise ValueError("project expects a series in alpha")
         if x.tower is not self.tower:
             raise ValueError("series belongs to a different tower")
-        if x.is_zero():
+        if x.valuation == math.inf:
             return LaurentSeries.zero(self.tower, BASE_SYMBOL)
+        # O(alpha^N) (no logs) projects to O(t^ceil(N/e)) through the same
+        # window arithmetic
         e = self.e
         m = self.tower.order
         norm_exp = self.tower.subfield_norm_exponent

@@ -6,8 +6,11 @@ is known modulo X^(valuation + precision). The tame constructions in this
 package only ever divide by units or exact monomials, which keeps the
 window a bookkeeping device rather than an error bound.
 
-The exact zero is a distinct value with an infinite-valuation sentinel; a
-sum whose retained coefficients all cancel collapses to it.
+The exact zero is a distinct value with an infinite-valuation sentinel;
+only ``zero()`` (and products and sums with it) make it. A window whose
+coefficients all cancel is the honest zero O(X^end) instead: it keeps the
+end of the window as its valuation and retains no terms, so the terms
+past that end stay unknown. Both are ``is_zero()`` and compare equal.
 
 The window is stored as generator logs: ``logs`` holds ints reduced mod
 the tower's ``order``, with None for a zero coefficient. Every operation
@@ -81,12 +84,21 @@ class LaurentSeries:
     into [0, order) for the tower's ``order``: the constructor does not
     check this, since it runs on every series operation, and an unreduced
     log breaks ``==``, ``hash`` and ``coeffs``. The constructor drops
-    leading Nones, raising the valuation to match, and maps an all-None
-    window to the exact zero (valuation = inf, empty logs); otherwise the
-    stored ``logs`` is a tuple with ``logs[0]`` not None. ``coeffs`` is
-    the FieldElement view of the same window.
-    Arithmetic requires matching tower and symbol; two series compare
-    equal when they agree on their common window.
+    leading Nones, raising the valuation to match, so the stored ``logs``
+    is a tuple with ``logs[0]`` not None, or empty. An all-None window of
+    N terms from X^v is the honest zero O(X^(v+N)): valuation v + N and
+    no logs, so ``valuation + precision`` is the end of every window.
+    Only ``zero()`` has valuation inf. ``coeffs`` is the FieldElement
+    view of the same window.
+
+    Arithmetic requires matching tower and symbol and keeps the honest
+    end: a sum keeps the common window of its operands, so
+    O(X^N) + s drops the terms of s from X^N on, and
+    O(X^N) * s = O(X^(N + v(s))). Two nonzero series compare equal when
+    they share the valuation and agree on their common window; every zero
+    equals every zero and no nonzero series. ``(a - b).is_zero()`` is the
+    comparison on the common window that also lets O(X^N) agree with a
+    series of valuation at least N.
     """
 
     __slots__ = ("tower", "symbol", "valuation", "logs")
@@ -97,12 +109,9 @@ class LaurentSeries:
             lead += 1
         self.tower = tower
         self.symbol = symbol
-        if lead == len(logs):
-            self.valuation = INFINITE
-            self.logs = ()
-        else:
-            self.valuation = valuation + lead
-            self.logs = tuple(logs[lead:]) if lead else tuple(logs)
+        # an all-None window keeps its end: O(X^(valuation + len(logs)))
+        self.valuation = valuation + lead
+        self.logs = tuple(logs[lead:]) if lead else tuple(logs)
 
     # -- constructors ----------------------------------------------------
 
@@ -157,7 +166,7 @@ class LaurentSeries:
         return FieldElement(self.tower, self.logs[0])
 
     def __str__(self):
-        if self.is_zero():
+        if self.valuation == INFINITE:
             return "0"
         parts = []
         for j, c in enumerate(self.coeffs):
@@ -181,10 +190,13 @@ class LaurentSeries:
         return self.logs[:n] == other.logs[:n]
 
     def __hash__(self):
-        # equal series share the valuation and, when nonzero, the lead
-        # coefficient (the common window is never empty), but not the rest
-        lead = self.logs[0] if self.logs else None
-        return hash((id(self.tower), self.symbol, self.valuation, lead))
+        # equal nonzero series share the valuation and the lead coefficient
+        # (the common window is never empty), but not the rest; every zero
+        # equals every zero, whatever its end
+        if not self.logs:
+            return hash((id(self.tower), self.symbol))
+        return hash((id(self.tower), self.symbol, self.valuation,
+                     self.logs[0]))
 
     def _check_compatible(self, other):
         if not isinstance(other, LaurentSeries):
@@ -214,9 +226,9 @@ class LaurentSeries:
 
     def __add__(self, other):
         self._check_compatible(other)
-        if self.is_zero():
+        if self.valuation == INFINITE:
             return other
-        if other.is_zero():
+        if other.valuation == INFINITE:
             return self
         va, vb = self.valuation, other.valuation
         a, b = self.logs, other.logs
@@ -254,8 +266,10 @@ class LaurentSeries:
                 return LaurentSeries.zero(self.tower, self.symbol)
             return self._scaled(c)
         self._check_compatible(other)
-        if self.is_zero() or other.is_zero():
-            return LaurentSeries.zero(self.tower, self.symbol)
+        if not self.logs or not other.logs:
+            # the exact zero stays exact; O(X^N) * s = O(X^(N + v(s)))
+            return LaurentSeries(self.tower, self.symbol,
+                                 self.valuation + other.valuation, ())
         tower = self.tower
         n = min(len(self.logs), len(other.logs))
         terms = [(i, a) for i, a in enumerate(self.logs[:n]) if a is not None]
@@ -310,7 +324,9 @@ class LaurentSeries:
         if self.is_zero():
             if k <= 0:
                 raise ZeroDivisionError("nonpositive power of the zero series")
-            return self
+            # O(X^N)^k = O(X^(kN)); the exact zero stays exact
+            return LaurentSeries(self.tower, self.symbol, self.valuation * k,
+                                 ())
         tower = self.tower
         n = len(self.logs)
         if k == 0:
@@ -342,9 +358,7 @@ class LaurentSeries:
     # -- structure ---------------------------------------------------------
 
     def shift(self, n: int) -> "LaurentSeries":
-        """Multiply by X^n (exact)."""
-        if self.is_zero():
-            return self
+        """Multiply by X^n (exact; O(X^N) becomes O(X^(N + n)))."""
         return LaurentSeries(self.tower, self.symbol, self.valuation + n,
                              self.logs)
 

@@ -298,102 +298,145 @@ def test_cyclic_algebra_check(matrix, rng):
         assert failures == [], (name, failures[:3])
 
 
+# sample 82 of ``cyclic_algebra_check`` in ``lcft check --seed 1803`` on
+# (5,1,1,4,"1"): each slot as (valuation, logs), None for the exact zero
+SEED_1803_TRIPLE = (
+    ((0, (0, 2, 1, 2, 1, None, 2, 0)), None, None,
+     (-1, (2, 1, 2, 2, None, 2, 0, None))),
+    ((5, (1,)), (-2, (0, 3, None, None, 3, 2, 1, 0)), None, None),
+    ((-1, (3, 2, 1, 2, 0, 3, None, 1)), None, None,
+     (2, (0, 2, 1, 1, 0, None, None, 3))),
+)
+
+
+def test_associativity_on_the_seed_1803_triple(matrix):
+    # slot 3 of (xy)z cancels on its whole window: it is O(alpha^4), and
+    # the exact zero there would claim terms nobody computed
+    ext = matrix["ram_e4"]
+    sigma = next(g for g in ext.galois_group() if g.order() == ext.degree)
+    alg = brauer.CrossedProduct(sigma, _pi_class(ext), 8)
+    x, y, z = (tuple(LaurentSeries.zero(ext.tower, "alpha") if s is None
+                     else LaurentSeries(ext.tower, "alpha", *s)
+                     for s in element)
+               for element in SEED_1803_TRIPLE)
+    xy_z = alg.multiply(alg.multiply(x, y), z)
+    x_yz = alg.multiply(x, alg.multiply(y, z))
+    assert alg.equal(xy_z, x_yz)
+    assert (xy_z[3].valuation, xy_z[3].logs) == (4, ())
+    for got, want in ((xy_z, _reference_multiply(alg, _reference_multiply(
+            alg, x, y), z)), (x_yz, _reference_multiply(
+            alg, x, _reference_multiply(alg, y, z)))):
+        assert [(g.valuation, g.logs) for g in got] == \
+            [(w.valuation, w.logs) for w in want]
+
+
+def test_crossed_product_equal_is_agreement_on_the_common_window(matrix):
+    ext = matrix["ram_e4"]
+    sigma = next(g for g in ext.galois_group() if g.order() == ext.degree)
+    alg = brauer.CrossedProduct(sigma, _pi_class(ext), 8)
+    rest = alg.zero()[1:]
+
+    def slot0(valuation, logs):
+        return (LaurentSeries(ext.tower, "alpha", valuation, logs), *rest)
+
+    # O(alpha^4) agrees with the exact zero and with any slot of
+    # valuation >= 4, in either order, but not with one of valuation 3
+    assert alg.equal(slot0(4, ()), alg.zero())
+    for v in (4, 5, 9):
+        assert alg.equal(slot0(4, ()), slot0(v, (0, 1)))
+        assert alg.equal(slot0(v, (0, 1)), slot0(4, ()))
+    assert not alg.equal(slot0(4, ()), slot0(3, (0, 1)))
+    # nonzero slots: same valuation and the same common window
+    assert alg.equal(slot0(0, (1, 2, 3)), slot0(0, (1, 2)))
+    assert not alg.equal(slot0(0, (1, 2, 3)), slot0(0, (1, 3)))
+    assert not alg.equal(slot0(0, (1, 2)), slot0(1, (1, 2)))
+    assert not alg.equal(slot0(0, (1,)), alg.zero())
+
+
 def _reference_multiply(alg, x, y):
-    """The term-by-term product: each wrapped term is multiplied by b alone.
-
-    Also returns the slots where a partial sum, in this order or in the
-    slot-wise order (low and wrapped terms summed apart, by increasing i),
-    cancels to the exact zero.
-    """
+    """The term-by-term product, pair by pair: each wrapped term is
+    multiplied by b alone. Series sums keep the honest end, so this order
+    and the slot-wise one give the same windows."""
     out = list(alg.zero())
-    low = list(alg.zero())
-    wrapped = list(alg.zero())
-    cancelled = set()
     for i, a in enumerate(x):
-        if a.is_zero():
-            continue
         for j, b in enumerate(y):
-            if b.is_zero():
-                continue
             term = a * alg.sigma_powers[i].apply(b)
-            k = i + j
-            if k >= alg.n:
-                k -= alg.n
-                wrapped[k] = partial = wrapped[k] + term
+            if i + j >= alg.n:
                 term = term * alg.b_series
-            else:
-                low[k] = partial = low[k] + term
+            k = (i + j) % alg.n
             out[k] = out[k] + term
-            if partial.is_zero() or out[k].is_zero():
-                cancelled.add(k)
-    for k in range(alg.n):
-        if low[k].is_zero() or wrapped[k].is_zero():
+    return tuple(out)
+
+
+def _count_kernel_steps(monkeypatch):
+    """Make ``brauer._convolve`` count its steps: one per term (i, a) of
+    ``terms`` with i <= k, at each output index k it fills."""
+    steps = [0]
+    convolve = brauer._convolve
+
+    def counted(terms, src, out, offset, start, stop, order, zech):
+        steps[0] += sum(1 for k in range(start, stop)
+                        for i, _ in terms if i <= k)
+        return convolve(terms, src, out, offset, start, stop, order, zech)
+
+    monkeypatch.setattr(brauer, "_convolve", counted)
+    return steps
+
+
+def _window_steps(alg, x, y, want, outcomes):
+    """The kernel steps of convolving each pair only over the final window,
+    with ``want`` the reference product: a pair (i, j) of nonzero slots,
+    of valuation v = v(x_i) + v(y_j) (plus v(b) when i + j wraps), into a
+    slot whose window ends at E makes one step per nonzero term of x_i of
+    index <= k, for each k < E - v. Adds each pair's outcome to
+    ``outcomes``."""
+    steps = 0
+    for i, a in enumerate(x):
+        if not a.logs:
             continue
-        if (low[k] + wrapped[k] * alg.b_series).is_zero():
-            cancelled.add(k)
-    return tuple(out), cancelled
-
-
-def _wrapped_outcomes(alg, x, y):
-    """How ``multiply`` must treat each slot's wrapped sum, from the series
-    sums: "skipped" when the low sum is nonzero and v(b) + v(x_i) + v(y_j)
-    reaches the end of its window on no wrapped pair, "computed, zero low"
-    when the low sum is zero, and "computed, reaches the window" otherwise.
-    Slots without wrapped pairs are not counted."""
-    zero = LaurentSeries.zero(alg.ext.tower, "alpha")
-    outcomes = Counter()
-    for k in range(alg.n):
-        low, reach = zero, math.inf
-        for i, a in enumerate(x):
-            b = y[k - i]     # j = k - i, or k - i + n when i > k
-            if a.is_zero() or b.is_zero():
+        indices = [ii for ii, L in enumerate(a.logs) if L is not None]
+        for j, b in enumerate(y):
+            if not b.logs:
                 continue
-            if i <= k:
-                low = low + a * alg.sigma_powers[i].apply(b)
-            else:
-                reach = min(reach, alg.b_series.valuation + a.valuation
-                            + b.valuation)
-        if reach == math.inf:
-            continue
-        if low.is_zero():
-            outcomes["computed, zero low"] += 1
-        elif reach < low.valuation + low.precision:
-            outcomes["computed, reaches the window"] += 1
-        else:
-            outcomes["skipped"] += 1
-    return outcomes
+            wrapped = i + j >= alg.n
+            v = a.valuation + b.valuation
+            if wrapped:
+                v += alg.b_series.valuation
+            slot = want[(i + j) % alg.n]
+            width = slot.valuation + slot.precision - v
+            if wrapped:
+                outcomes["wrapped pair past the window" if width <= 0 else
+                         "wrapped pair in the window"] += 1
+            if 0 < width < min(a.precision, b.precision):
+                outcomes["pair cut by the window"] += 1
+            steps += sum(1 for k in range(width) for ii in indices
+                         if ii <= k)
+    return steps
 
 
-def _count_twisted_sums(alg):
-    """Make ``alg`` record the pair count of each ``_twisted_sum`` call."""
-    calls = []
-    twisted_sum = alg._twisted_sum
-
-    def counted(pairs, base, top):
-        calls.append(len(pairs))
-        return twisted_sum(pairs, base, top)
-
-    alg._twisted_sum = counted
-    return calls
-
-
-def _multiply_counting_outcomes(alg, x, y, outcomes):
-    """``alg.multiply(x, y)``, after checking that it makes one low sum per
-    slot and one wrapped sum per slot whose wrapped sum must be computed;
-    adds this product's slot outcomes to ``outcomes``."""
-    calls = _count_twisted_sums(alg)
+def _multiply_counting_steps(alg, x, y, steps, outcomes):
+    """``alg.multiply(x, y)``, after checking it against the reference and
+    that its kernel steps are those of ``_window_steps``."""
+    before = steps[0]
     got = alg.multiply(x, y)
-    del alg._twisted_sum
-    slot = _wrapped_outcomes(alg, x, y)
-    outcomes.update(slot)
-    nonzero = any(not a.is_zero() for a in x) and \
-        any(not b.is_zero() for b in y)
-    assert len(calls) == nonzero * alg.n + slot["computed, zero low"] + \
-        slot["computed, reaches the window"], (calls, slot)
+    want = _reference_multiply(alg, x, y)
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert (g.valuation, g.logs) == (w.valuation, w.logs), k
+    assert steps[0] - before == _window_steps(alg, x, y, want, outcomes)
     return got
 
 
-OUTCOMES = ("skipped", "computed, zero low", "computed, reaches the window")
+OUTCOMES = ("wrapped pair past the window", "wrapped pair in the window",
+            "pair cut by the window")
+
+# the kernel steps of each case below, pinned: a change that convolves
+# terms outside a slot's window, or drops terms inside it, moves them
+REFERENCE_STEPS = {
+    (2, 1, 4, 1, "1"): 3836,
+    (3, 1, 2, 2, "g"): 4284,
+    (2, 6, 1, 9, "g"): 13141,
+    (59, 1, 1, 58, "g"): 236821,
+}
 
 
 @pytest.mark.parametrize("params", [
@@ -402,15 +445,16 @@ OUTCOMES = ("skipped", "computed, zero low", "computed, reaches the window")
     (2, 6, 1, 9, "g"),       # over F_2^6, totally ramified of degree 9
     (59, 1, 1, 58, "g"),     # over F_59, totally ramified of degree 58
 ])
-def test_crossed_product_multiply_against_reference(params, rng):
+def test_crossed_product_multiply_against_reference(params, rng,
+                                                    monkeypatch):
     ext = TameAbelianExtension.from_parameters(*params, precision=8)
     sigma = next(g for g in ext.galois_group() if g.order() == ext.degree)
     gk = ext.tower.subfield_generator()
-    strict = 0
+    steps = _count_kernel_steps(monkeypatch)
     outcomes = Counter()
     for sample in range(7):
         # the last class lies past every window of two dense elements, so
-        # their slots skip the wrapped sum even when e = 1
+        # all their wrapped pairs fall past the window even when e = 1
         last = sample == 6
         b = rc.BaseFieldClass(16 if last else rng.randrange(-1, 3),
                               gk ** rng.randrange(ext.q - 1))
@@ -418,65 +462,67 @@ def test_crossed_product_multiply_against_reference(params, rng):
         x = alg.random_element(rng, sparse=sample % 2 == 0 and not last)
         y = alg.random_element(rng, sparse=sample % 3 == 0 and not last)
         for left, right in ((x, y), (y, x), (alg.v(), x), (x, alg.one())):
-            got = _multiply_counting_outcomes(alg, left, right, outcomes)
-            want, cancelled = _reference_multiply(alg, left, right)
-            for k, (g, w) in enumerate(zip(got, want)):
-                if k in cancelled:
-                    # a sum cancelling to the exact zero drops its window,
-                    # so the two summation orders may keep different
-                    # windows here: compare on the common window only
-                    assert g == w, (sample, k)
-                else:
-                    assert (g.valuation, g.logs) == (w.valuation, w.logs), \
-                        (sample, k)
-                    strict += 1
-    assert strict >= 4 * 6 * ext.degree // 2
+            _multiply_counting_steps(alg, left, right, steps, outcomes)
+    assert steps[0] == REFERENCE_STEPS[params]
     assert all(outcomes[o] for o in OUTCOMES), outcomes
 
 
-def test_dense_product_skips_every_wrapped_sum(rng):
+def test_dense_product_skips_every_wrapped_sum(rng, monkeypatch):
     # b = t embeds as alpha^58, far past the 8-term windows at valuations
-    # -4..4: each slot makes its low sum and no wrapped sum
+    # -4..4: every wrapped pair falls past its slot's window and makes no
+    # kernel step
     ext = TameAbelianExtension.from_parameters(59, 1, 1, 58, "g",
                                                precision=8)
     sigma = next(g for g in ext.galois_group() if g.order() == ext.degree)
     alg = brauer.CrossedProduct(sigma, _pi_class(ext), 8)
     x = alg.random_element(rng, sparse=False)
     y = alg.random_element(rng, sparse=False)
-    calls = _count_twisted_sums(alg)
-    got = alg.multiply(x, y)
-    assert len(calls) == alg.n
+    steps = _count_kernel_steps(monkeypatch)
+    outcomes = Counter()
+    got = _multiply_counting_steps(alg, x, y, steps, outcomes)
+    assert outcomes["wrapped pair past the window"] == \
+        alg.n * (alg.n - 1) // 2
+    assert outcomes["wrapped pair in the window"] == 0
+    assert steps[0] == 24374
     want, _ = _slotwise_multiply(alg, x, y)
     assert [(g.valuation, g.logs) for g in got] == \
         [(w.valuation, w.logs) for w in want]
 
 
 def _slotwise_multiply(alg, x, y):
-    """The slot-wise series loop that the fused ``multiply`` replaced.
+    """The slot-wise series loop that the pair-major ``multiply`` replaced:
+    per slot, the low sum, then the wrapped sum times b, in series
+    arithmetic, which keeps the honest end of every sum.
 
-    Returns the product and the number of partial sums, low, wrapped or
-    final, that cancel to the exact zero.
+    Returns the product and the number of sums, low, wrapped or final, of
+    two nonzero series that cancel on their whole window. Only the exact
+    zero is skipped: an honest zero O(alpha^N) in a slot still bounds the
+    windows of its products.
     """
+    terms = [(i, a) for i, a in enumerate(x) if a.valuation != math.inf]
     zero = LaurentSeries.zero(alg.ext.tower, "alpha")
-    terms = [(i, a) for i, a in enumerate(x) if not a.is_zero()]
     out = []
     hits = 0
+
+    def add(acc, term):
+        nonlocal hits
+        total = acc + term
+        hits += total.is_zero() and not acc.is_zero() and not term.is_zero()
+        return total
+
     for k in range(alg.n):
         low = wrapped = zero
         for i, a in terms:
             b = y[k - i]     # j = k - i, or k - i + n when i > k
-            if b.is_zero():
+            if b.valuation == math.inf:
                 continue
             term = a * alg.sigma_powers[i].apply(b)
             if i <= k:
-                low = low + term
-                hits += low.is_zero()
+                low = add(low, term)
             else:
-                wrapped = wrapped + term
-                hits += wrapped.is_zero()
-        if not wrapped.is_zero():
-            low = low + wrapped * alg.b_series
-            hits += low.is_zero()
+                wrapped = add(wrapped, term)
+        if wrapped.valuation != math.inf:
+            low = add(low, wrapped * alg.b_series)
         out.append(low)
     return tuple(out), hits
 
@@ -496,7 +542,8 @@ def _cancelling_pairs(alg, rng):
     """Elements whose products cancel often: windows of 1-2 terms with
     coefficients in k, and a slot repeated with alternating signs against
     ones (every term of a slot then agrees with the last but for its sign
-    and window, so each second partial sum cancels on its window)."""
+    and window, so each second partial sum cancels on its window). Last,
+    honest zeros O(alpha^N) in every third slot against ones."""
     ext = alg.ext
     zero = LaurentSeries.zero(ext.tower, "alpha")
     for _ in range(max(4, 240 // alg.n)):
@@ -512,6 +559,9 @@ def _cancelling_pairs(alg, rng):
                  for _ in range(alg.n))
     yield signed, ones
     yield ones, signed
+    yield tuple(LaurentSeries(ext.tower, "alpha", rng.randrange(-1, 3), ())
+                if i % 3 == 0 else _short_series(ext, rng, rng.randrange(1, 4))
+                for i in range(alg.n)), ones
 
 
 @pytest.mark.parametrize("params", [
@@ -520,26 +570,32 @@ def _cancelling_pairs(alg, rng):
     (3, 1, 1, 2, "g"),       # over F_3, windows of 1-2 terms cancel often
     (59, 1, 1, 58, "g"),     # the largest algebra of the benchmark
 ])
-def test_crossed_product_multiply_matches_slotwise_loop(params, rng):
+def test_crossed_product_multiply_matches_slotwise_loop(params, rng,
+                                                      monkeypatch):
     ext = TameAbelianExtension.from_parameters(*params, precision=8)
     sigma = next(g for g in ext.galois_group() if g.order() == ext.degree)
     gk = ext.tower.subfield_generator()
-    hits = 0
+    steps = _count_kernel_steps(monkeypatch)
+    hits = honest = 0
     outcomes = Counter()
     for b_val in range(-1, 3):
         b = rc.BaseFieldClass(b_val, gk ** rng.randrange(ext.q - 1))
         alg = brauer.CrossedProduct(sigma, b, 8)
         pairs = [*_cancelling_pairs(alg, rng),
                  (alg.random_element(rng), alg.random_element(rng))]
+        # a product's cancelled slots are honest zeros: feed some back in
+        pairs += [(alg.multiply(x, y), y) for x, y in pairs[:2]]
         for x, y in pairs:
-            got = _multiply_counting_outcomes(alg, x, y, outcomes)
+            got = _multiply_counting_steps(alg, x, y, steps, outcomes)
             want, cancelled = _slotwise_multiply(alg, x, y)
             hits += cancelled
+            honest += sum(not a.logs and a.valuation != math.inf for a in x)
             for k, (g, w) in enumerate(zip(got, want)):
                 assert (g.valuation, g.logs) == (w.valuation, w.logs), \
                     (b_val, k)
-    # every case must exercise the cancel-reset of the window
+    # every case must exercise whole-window cancellation and honest zeros
     assert hits >= 10, hits
+    assert honest >= 4, honest
     assert all(outcomes[o] for o in OUTCOMES), outcomes
 
 

@@ -337,6 +337,29 @@ def test_embed_project_against_reference(matrix, rng):
             assert (back.valuation, back.logs) == (x.valuation, x.logs), name
 
 
+def test_embed_project_and_apply_keep_the_honest_end(matrix):
+    # O(t^N) embeds as O(alpha^(eN)), O(alpha^M) projects to
+    # O(t^ceil(M/e)) and the Galois action keeps O(alpha^M); the exact
+    # zero stays exact through all three
+    for name, ext in matrix.items():
+        tower, e = ext.tower, ext.e
+        for n in range(-3, 4):
+            emb = ext.embed(LaurentSeries(tower, "t", n, ()))
+            assert (emb.valuation, emb.logs) == (e * n, ()), name
+            back = ext.project(emb)
+            assert (back.valuation, back.logs) == (n, ()), name
+            for m in range(e * n, e * n + e):
+                o = LaurentSeries(tower, "alpha", m, ())
+                proj = ext.project(o)
+                assert (proj.valuation, proj.logs) == (-(-m // e), ()), name
+                for g in ext.galois_group()[:3]:
+                    moved = g.apply(o)
+                    assert (moved.valuation, moved.logs) == (m, ()), name
+        for z in (ext.embed(LaurentSeries.zero(tower, "t")),
+                  ext.project(LaurentSeries.zero(tower, "alpha"))):
+            assert (z.valuation, z.logs) == (math.inf, ()), name
+
+
 def test_project_rejects_non_members(matrix):
     ext = matrix["mixed_c9"]
     with pytest.raises(ValueError, match="not in the base field"):

@@ -145,7 +145,7 @@ def test_zero_semantics(f5):
     assert z.is_zero()
     assert (a + z) == a
     assert (a * z).is_zero()
-    assert (a - a).is_zero()          # cancellation collapses to zero
+    assert (a - a).is_zero()          # cancels to the honest zero O(t^10)
     with pytest.raises(ZeroDivisionError):
         z.inverse()
     with pytest.raises(ValueError):
@@ -361,12 +361,11 @@ def test_truncate_and_str(f5):
 # -- log-native addition, negation and the constructor --------------------
 
 def _expected(tower, start, elems):
-    """(valuation, logs) of a window of FieldElements, leading zeros dropped."""
+    """(valuation, logs) of a window of FieldElements, leading zeros dropped:
+    a window of zeros is the honest zero, at the window's end."""
     lead = 0
     while lead < len(elems) and not elems[lead]:
         lead += 1
-    if lead == len(elems):
-        return float("inf"), ()
     return start + lead, tuple(c.log for c in elems[lead:])
 
 
@@ -433,18 +432,23 @@ def test_sum_leading_cancellation(kernel_towers, rng):
             total = a + b
             assert _strict(total) == _reference_sum(a, b), tower
             assert total.valuation >= a.valuation + k, tower
+            # a cancelled lead leaves the end of the window where it was
+            assert total.valuation + total.precision == a.valuation + 8
             shifted += not total.is_zero()
         assert shifted, tower       # some sums keep a shifted lead
 
 
-def test_sum_collapses_to_exact_zero(kernel_towers, rng):
+def test_sum_cancels_to_the_honest_zero(kernel_towers, rng):
     for tower in kernel_towers:
         for _ in range(10):
             a = _random_series(tower, rng, rng.randrange(-3, 3),
                                rng.randrange(1, 10), rng.random())
+            end = a.valuation + a.precision
             for total in (a - a, a + (-a), (-a) + a):
+                # O(X^end): nothing is known past the operands' window
                 assert total.is_zero(), tower
-                assert _strict(total) == (float("inf"), ()), tower
+                assert _strict(total) == (end, ()), tower
+                assert total == LaurentSeries.zero(tower, "t"), tower
 
 
 def test_constructor_strips_leading_zeros():
@@ -455,14 +459,18 @@ def test_constructor_strips_leading_zeros():
     assert x.coeffs == (tower.generator_power(4), tower.zero())
 
 
-def test_constructor_all_none_is_exact_zero():
+def test_constructor_all_none_is_the_honest_zero():
     tower = FieldTower(7, 1, 1)
     for logs in ([None], [None, None, None], ()):
         x = LaurentSeries(tower, "t", -2, logs)
         assert x.is_zero()
-        assert x.valuation == float("inf")
+        assert x.valuation == -2 + len(logs)      # O(t^(v + N))
         assert x.logs == ()
         assert x == LaurentSeries.zero(tower, "t")
+    # only zero() is exact, and the constructor keeps it exact
+    for z in (LaurentSeries.zero(tower, "t"),
+              LaurentSeries(tower, "t", float("inf"), [None, None])):
+        assert _strict(z) == (float("inf"), ())
 
 
 def test_constructor_stores_a_tuple():
@@ -492,3 +500,71 @@ def test_equal_series_hash_equal(f5):
     assert a == b                # lax: they agree on the common window
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def _honest_zero(tower, end):
+    return LaurentSeries(tower, "t", end, ())
+
+
+def test_honest_zero_sum_and_difference(kernel_towers, rng):
+    for tower in kernel_towers:
+        exact = LaurentSeries.zero(tower, "t")
+        for _ in range(40):
+            end = rng.randrange(-4, 6)
+            o = _honest_zero(tower, end)
+            s = _random_series(tower, rng, rng.randrange(-6, 6),
+                               rng.randrange(1, 10), rng.random())
+            # the terms of s from X^end on are dropped: O(X^end) when s
+            # starts there, else s's window cut at X^end
+            for total, want in ((o + s, _reference_sum(o, s)),
+                                (s + o, _reference_sum(o, s)),
+                                (o - s, _reference_sum(o, s, -1)),
+                                (s - o, _reference_sum(s, o, -1))):
+                assert _strict(total) == want, tower
+                assert total.valuation + total.precision == \
+                    min(end, s.valuation + s.precision), tower
+            if s.valuation >= end:
+                assert _strict(o + s) == (end, ()), tower
+            assert _strict(o + exact) == _strict(exact + o) == (end, ())
+            assert _strict(o + _honest_zero(tower, end + 3)) == (end, ())
+            assert _strict(-o) == (end, ()), tower
+            assert _strict(o - o) == (end, ()), tower
+
+
+def test_honest_zero_product_shift_and_power(kernel_towers, rng):
+    for tower in kernel_towers:
+        exact = LaurentSeries.zero(tower, "t")
+        for _ in range(40):
+            end = rng.randrange(-4, 6)
+            o = _honest_zero(tower, end)
+            s = _random_series(tower, rng, rng.randrange(-6, 6),
+                               rng.randrange(1, 10), rng.random())
+            # O(X^N) * s = O(X^(N + v(s))), in either order
+            assert _strict(o * s) == _strict(s * o) == \
+                (end + s.valuation, ()), tower
+            assert _strict(o / s) == (end - s.valuation, ()), tower
+            assert _strict(o * _honest_zero(tower, 2)) == (end + 2, ())
+            assert _strict(o * tower.generator()) == (end, ()), tower
+            k = rng.randrange(-3, 4)
+            assert _strict(o.shift(k)) == (end + k, ()), tower
+            assert _strict(o ** 3) == (3 * end, ()), tower
+            assert _strict(o.truncate(2)) == (end, ()), tower
+            # the exact zero stays exact
+            for z in (o * exact, exact * s, o * 0, exact.shift(k),
+                      exact ** 2, s * tower.zero()):
+                assert _strict(z) == (float("inf"), ()), tower
+
+
+def test_every_zero_equals_every_zero_and_hashes_alike(f5):
+    zeros = [LaurentSeries.zero(f5, "t"), _honest_zero(f5, -3),
+             _honest_zero(f5, 0), _honest_zero(f5, 7),
+             make_series(f5, "t", 2, [1, 2]) - make_series(f5, "t", 2, [1, 2])]
+    for a in zeros:
+        for b in zeros:
+            assert a == b
+            assert hash(a) == hash(b)
+    assert len(set(zeros)) == 1
+    one = LaurentSeries.one(f5, "t", 4)
+    assert all(z != one for z in zeros)
+    assert str(_honest_zero(f5, 7)) == "O(t^7)"
+    assert str(LaurentSeries.zero(f5, "t")) == "0"
