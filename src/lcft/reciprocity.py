@@ -217,6 +217,14 @@ def norm(ext: TameAbelianExtension, beta: LaurentSeries) -> LaurentSeries:
     e*f conjugates bit for bit. The powers h^c are built once per
     extension (``_norm_chain``).
 
+    In the inertia chain h^c = (0, c) fixes the residue field and scales
+    alpha^j by c^j, so each doubling step P_c * h^c(P_c) is
+    ``P_c.twisted_square(log c)``: it visits each pair of terms once and
+    builds no image. The Frobenius chain's powers also move the
+    coefficients by lam -> lam^(q^c), so P_c and sigma^c(P_c) are not one
+    window under a scale, and those steps, like every y * h(P_c) step,
+    stay plain products.
+
     The result is audited to lie in K and returned as a series in t; its
     t-valuation is f times the alpha-valuation of beta.
     """
@@ -226,7 +234,8 @@ def norm(ext: TameAbelianExtension, beta: LaurentSeries) -> LaurentSeries:
     for h, steps in _norm_chain(ext):
         y = prod
         for hc, one_bit in steps:
-            prod = prod * hc.apply(prod)
+            prod = (prod.twisted_square(hc.c_log) if hc.a == 0
+                    else prod * hc.apply(prod))
             if one_bit:
                 prod = y * h.apply(prod)
     try:

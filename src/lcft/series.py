@@ -18,6 +18,13 @@ here, ``embed``/``project`` and the Galois action in ``extension.py`` read
 and write those logs directly: a product of coefficients adds logs, a sum
 is one lookup in the tower's Zech table ``_zech``, and a negation adds
 ``order // 2`` in odd characteristic (it is the identity for p = 2).
+Products run one of two kernels on those logs: ``_convolve`` for two
+different windows, and ``_square`` for x * x', where x' scales the
+coefficient of X^j by g^(step*j). The second is ``twisted_square``: every
+squaring of ``**`` with step = 0, and each doubling step of the norm's
+inertia chain (``reciprocity.norm``), whose Galois image x' is such a
+scale. It visits each pair of terms once, so it makes about half the
+steps; in characteristic 2 the plain square has no pairs at all.
 The one constructor, ``LaurentSeries(tower, symbol, valuation, logs)``,
 takes such a window; ``zero``, ``one``, ``uniformizer``, ``monomial`` and
 ``constant`` are shorthands for it. ``FieldElement`` stays the public
@@ -46,9 +53,12 @@ def _convolve(terms, src, out, offset, start, stop, order, zech):
     value plus that sum (None when they cancel). ``terms`` lists (index,
     log) of nonzero coefficients by increasing index; a log of None in
     ``src`` is zero. ``src`` may be ``out`` itself, as long as every index
-    read is already filled (the inverse's recurrence). This is the one
-    convolution loop: series products, inverses and the crossed-product
-    slots of ``brauer`` all run it.
+    read is already filled (the inverse's recurrence). This is one of the
+    two kernels, for two different windows: ``*`` on two series (the
+    norm's Frobenius chain and its y * h(P_c) steps among them),
+    ``inverse`` and the crossed-product slots of ``brauer`` run it. The
+    other, ``_square``, takes a window times itself or times its own
+    inertia image (``LaurentSeries.twisted_square``).
     """
     for k in range(start, stop):
         pos = offset + k
@@ -64,6 +74,82 @@ def _convolve(terms, src, out, offset, start, stop, order, zech):
                     z = zech[(a + b - acc) % order]
                     acc = None if z < 0 else acc + z
         out[pos] = None if acc is None else acc % order
+    return out
+
+
+def _square(logs, step, order, zech):
+    """The window of x * x', where x' scales coefficient j by g^(step*j):
+
+        out[k] = sum of g^(a_i + a_j + step*j) over i + j = k,
+
+    on generator logs, for ``logs`` = (a_0, ..., a_(n-1)) with None for
+    zero; ``out`` has n slots, None where a sum is zero. The pairs (i, j)
+    and (j, i) with i < j fold into one term,
+    g^(a_i + a_j + step*i) * (1 + g^(step*(j - i))), whose weight
+    log(1 + g^(step*(j - i))) is one Zech lookup per distance (a negative
+    entry is a weight of zero, and the pair drops out). The middle term
+    g^(2a_(k/2) + step*k/2) is added once. So a square makes about half
+    the steps of ``_convolve`` on the same window. With step = 0 every
+    weight is log 2: the fold adds it once per slot, and in characteristic
+    2, where 2 = 0, the square is the Frobenius spread a_i -> 2a_i at 2i
+    with no pair at all.
+    """
+    n = len(logs)
+    out = [None] * n
+    step %= order
+    two = zech[0]
+    if not step and two < 0:
+        for i in range((n + 1) // 2):
+            a = logs[i]
+            if a is not None:
+                out[2 * i] = 2 * a % order
+        return out
+    # a pair (i, k - i) with i < k - i has i < n/2: twist the lower index
+    terms = [(i, a + step * i) for i, a in enumerate(logs[:(n + 1) // 2])
+             if a is not None]
+    weights = [zech[step * d % order] for d in range(n)] if step else None
+    for k in range(n):
+        acc = None
+        if weights is None:
+            for i, a in terms:
+                j = k - i
+                if j <= i:
+                    break
+                b = logs[j]
+                if b is not None:
+                    if acc is None:
+                        acc = a + b
+                    else:
+                        z = zech[(a + b - acc) % order]
+                        acc = None if z < 0 else acc + z
+            if acc is not None:
+                acc += two
+        else:
+            for i, a in terms:
+                j = k - i
+                if j <= i:
+                    break
+                b = logs[j]
+                if b is not None:
+                    w = weights[j - i]
+                    if w >= 0:
+                        if acc is None:
+                            acc = a + b + w
+                        else:
+                            z = zech[(a + b + w - acc) % order]
+                            acc = None if z < 0 else acc + z
+        if not k & 1:
+            h = k >> 1
+            b = logs[h]
+            if b is not None:
+                b = 2 * b + step * h
+                if acc is None:
+                    acc = b
+                else:
+                    z = zech[(b - acc) % order]
+                    acc = None if z < 0 else acc + z
+        if acc is not None:
+            out[k] = acc % order
     return out
 
 
@@ -280,6 +366,27 @@ class LaurentSeries:
 
     __rmul__ = __mul__
 
+    def twisted_square(self, step: int = 0) -> "LaurentSeries":
+        """x * x', where x' scales the coefficient of X^j by g^(step*j).
+
+        With step = 0 this is x * x. For an inertia automorphism h = (0, c),
+        h.apply(x) is x' with step = log c, so x * h(x) is
+        ``x.twisted_square(h.c_log)``. Term for term equal to the product
+        by ``*``, on the same n-term window, in about half the kernel
+        steps (``_square``).
+        """
+        if not self.logs:
+            # the exact zero stays exact; O(X^N) squares to O(X^2N)
+            return LaurentSeries(self.tower, self.symbol, 2 * self.valuation,
+                                 ())
+        tower = self.tower
+        out = LaurentSeries(tower, self.symbol, 2 * self.valuation,
+                            _square(self.logs, step, tower.order,
+                                    tower._zech))
+        # the kernel twists by the index j; x' twists by the exponent v + j
+        shift = step * self.valuation % tower.order
+        return out._scaled(shift) if shift else out
+
     def inverse(self) -> "LaurentSeries":
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero series")
@@ -317,7 +424,7 @@ class LaurentSeries:
         p^s. So the power is c^k * X^(vk) * (1 + y)^(k mod p^s), exact on
         the window and equal term for term to the product of k copies of
         the base; a monomial (y = 0) needs no product at all. Negative k
-        inverts the base first.
+        inverts the base first. The squarings run ``twisted_square``.
         """
         if not isinstance(k, int):
             raise TypeError("series powers must be integers")
@@ -350,7 +457,7 @@ class LaurentSeries:
             r >>= 1
             if not r:
                 break
-            base = base * base
+            base = base.twisted_square()
         if not cut:
             return result
         return result._scaled(lead * cut).shift(v * cut)
@@ -378,7 +485,8 @@ class LaurentSeries:
         the leading coefficient an e-th power. Among the e valid lifts the
         one whose leading coefficient has the smallest generator exponent
         is returned; the unit part is lifted by Newton iteration from its
-        residue, which is exact on the retained window.
+        residue, which is exact on the retained window. For e = 1 that root
+        is the series itself, returned with no product.
         """
         if e < 1:
             raise ValueError("root degree must be positive")
@@ -390,6 +498,9 @@ class LaurentSeries:
             raise ValueError("cannot extract a root of the zero series")
         if self.valuation % e != 0:
             raise ValueError("valuation is not divisible by the root degree")
+        if e == 1:
+            # the lead is its own root and the unit part needs no lift
+            return self
         lead_roots = self.leading_coefficient.nth_roots(e)
         if not lead_roots:
             raise ValueError(

@@ -230,6 +230,13 @@ def test_norm_chain_matches_the_flat_product(params, precision, rng):
     assert cancelled >= 50, params
 
 
+# of a norm's products, the inertia chain's floor(log2 e) doublings are
+# twisted squares: e = 58 = 0b111010 makes 5 squares and 3 y-steps
+NORM_SQUARES = {(7, 1, 2, 6, "1"): 2, (2, 2, 3, 3, "g"): 1,
+                (5, 1, 1, 4, "1"): 2, (2, 6, 1, 63, "1"): 5,
+                (59, 1, 1, 58, "g"): 5, (2, 10, 2, 31, "g"): 4}
+
+
 @pytest.mark.parametrize("params, products", [
     ((7, 1, 2, 6, "1"), 4),      # e = 0b110: 2 + 2 - 1, f = 0b10: 1
     ((2, 2, 3, 3, "g"), 4),      # e = f = 0b11: 1 + 2 - 1 each
@@ -243,16 +250,31 @@ def test_norm_makes_one_product_per_coset_step(params, products,
     ext = TameAbelianExtension.from_parameters(*params, precision=8)
     beta = rc.random_unit_series(ext, rng, 1)
     mul = LaurentSeries.__mul__
+    square = LaurentSeries.twisted_square
     calls = []
+    square_steps = []
 
     def counted(self, other):
         calls.append(other)
         return mul(self, other)
 
+    def counted_square(self, step=0):
+        calls.append(self)
+        square_steps.append(step)
+        return square(self, step)
+
     monkeypatch.setattr(LaurentSeries, "__mul__", counted)
+    monkeypatch.setattr(LaurentSeries, "twisted_square", counted_square)
     rc.norm(ext, beta)
     # floor(log2 m) + popcount(m) - 1 for m = e and m = f, not e*f - 1
     assert len(calls) == products
+    # the squares twist by the powers zeta^c of the inertia chain; the
+    # Frobenius doublings and the y-steps are plain products
+    zeta = ext.inertia_generator()
+    e = ext.e
+    assert square_steps == [(zeta ** (e >> (k + 1))).c_log
+                            for k in reversed(range(e.bit_length() - 1))]
+    assert len(square_steps) == NORM_SQUARES[params]
 
 
 @pytest.mark.parametrize("params", [(7, 1, 2, 6, "1"), (2, 6, 1, 63, "1")])

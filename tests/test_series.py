@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import binary_power, make_series
+from lcft.extension import TameAbelianExtension
 from lcft.ffield import FieldTower
 from lcft.series import LaurentSeries
 
@@ -319,6 +320,13 @@ def test_power_cut_to_the_unit_exponent_matches_the_binary_loop(rng):
     assert checked == 14 * 3 * 16
 
 
+# how many of those products are squarings, keyed by (params, n, k)
+POWER_SQUARES = {((2, 3, 1), 8, 1023): 2, ((2, 3, 1), 8, -1023): 2,
+                 ((2, 3, 1), 8, 1024): 0, ((2, 3, 1), 8, 9): 0,
+                 ((2, 3, 1), 8, 5): 2, ((2, 3, 1), 9, 1023): 3,
+                 ((5, 1, 1), 8, 1023): 4}
+
+
 @pytest.mark.parametrize("params, n, k, products", [
     ((2, 3, 1), 8, 1023, 4),     # 1023 mod 8 = 7: 2 squarings, 2 products
     ((2, 3, 1), 8, -1023, 4),    # the inverse first, then the same cut
@@ -335,18 +343,112 @@ def test_power_makes_products_only_for_the_cut_exponent(params, n, k,
     x = _random_series(tower, rng, 1, n, 1.0)
     mono = _random_series(tower, rng, 1, n, 0.0)
     mul = LaurentSeries.__mul__
+    square = LaurentSeries.twisted_square
     calls = []
+    square_steps = []
 
     def counted(self, other):
         calls.append(other)
         return mul(self, other)
 
+    def counted_square(self, step=0):
+        calls.append(self)
+        square_steps.append(step)
+        return square(self, step)
+
     monkeypatch.setattr(LaurentSeries, "__mul__", counted)
+    monkeypatch.setattr(LaurentSeries, "twisted_square", counted_square)
     x**k
     assert len(calls) == products
+    # every squaring runs the square kernel, untwisted
+    assert square_steps == [0] * POWER_SQUARES[params, n, k]
     # a monomial's 1-unit part is 1: its power takes no product at all
     mono**k
     assert len(calls) == products
+
+
+def _twisted(x, step):
+    """x', the coefficient of X^j scaled by g^(step*j), term by term."""
+    m = x.tower.order
+    return LaurentSeries(x.tower, x.symbol, x.valuation, [
+        None if L is None else (L + step * (x.valuation + j)) % m
+        for j, L in enumerate(x.logs)])
+
+
+def _product_cancellations(x, y, prod):
+    """Coefficients of the product x * y that are zero although two or more
+    nonzero terms meet there."""
+    n = min(len(x.logs), len(y.logs))
+    lead = prod.valuation - (x.valuation + y.valuation)
+    full = [None] * lead + list(prod.logs)
+    return sum(full[k] is None
+               and sum(x.logs[i] is not None and y.logs[k - i] is not None
+                       for i in range(k + 1)) >= 2
+               for k in range(n))
+
+
+# p = 2 with zeta of order 3 and 15, odd p with zeta of order 4 and 6
+# (where zeta^3 = -1 gives pairs of weight 1 + zeta^(3d) = 0)
+@pytest.mark.parametrize("params", [(2, 2, 3, 3, "g"), (2, 4, 1, 15, "1"),
+                                    (5, 1, 1, 4, "1"), (7, 1, 2, 6, "1")])
+def test_twisted_square_matches_the_product(params, rng):
+    ext = TameAbelianExtension.from_parameters(*params, precision=8)
+    tower = ext.tower
+    zeta = ext.inertia_generator()
+    signs = sorted({tower.one().log, tower.minus_one().log})
+    cancelled = {}
+    for c in range(ext.e):
+        h = zeta ** c          # h^0 is the identity: the plain square
+        step = h.c_log
+        cancelled[c] = 0
+        for n in (1, 2, 8, 32):
+            for v in range(-3, 4):
+                dense = [rng.randrange(tower.order) if rng.random() < 0.8
+                         else None for _ in range(n)]
+                # +-1 terms between None holes, so that the sums cancel
+                sparse = [[rng.choice(signs) if rng.random() < 0.4 else None
+                           for _ in range(n)] for _ in range(3)]
+                windows = [
+                    LaurentSeries(tower, "alpha", v, dense),
+                    *(LaurentSeries(tower, "alpha", v, w) for w in sparse),
+                    LaurentSeries(tower, "alpha", v, [None] * n),  # O(X^(v+n))
+                    LaurentSeries.zero(tower, "alpha"),
+                ]
+                for x in windows:
+                    twin, image = _twisted(x, step), h.apply(x)
+                    assert (twin.valuation, twin.logs) == \
+                        (image.valuation, image.logs)
+                    got = x.twisted_square(step)
+                    want = x * twin
+                    assert (got.valuation, got.logs, got.precision) == \
+                        (want.valuation, want.logs, want.precision), \
+                        (params, c, n, v, x)
+                    if x.logs:
+                        cancelled[c] += _product_cancellations(x, twin, want)
+    # every twist meets at least 30 cancellations at this seed
+    assert min(cancelled.values()) >= 25, cancelled
+
+
+def test_nth_root_of_degree_one_is_the_series_itself(rng, monkeypatch):
+    calls = []
+    monkeypatch.setattr(LaurentSeries, "__mul__",
+                        lambda self, other: calls.append(other))
+    monkeypatch.setattr(LaurentSeries, "twisted_square",
+                        lambda self, step=0: calls.append(self))
+    for params in [(2, 3, 1), (5, 1, 1), (7, 2, 1)]:
+        tower = FieldTower(*params)
+        for n in (1, 2, 8, 32):
+            for v in range(-3, 4):
+                x = _random_series(tower, rng, v, n, 0.6)
+                root = x.nth_root(1)
+                assert (root.valuation, root.logs, root.precision) == \
+                    (x.valuation, x.logs, x.precision)
+        # the argument checks still run first
+        for zero in (LaurentSeries.zero(tower, "t"),
+                     LaurentSeries(tower, "t", 2, [None] * 4)):
+            with pytest.raises(ValueError):
+                zero.nth_root(1)
+    assert calls == []
 
 
 def test_truncate_and_str(f5):
