@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .extension import GaloisElement, TameAbelianExtension
+from .extension import GaloisElement, TameAbelianExtension, twist_logs
 from .reciprocity import (BaseFieldClass, random_base_unit_series,
-                          random_log, reciprocity_map, random_unit_series)
+                          random_logs, reciprocity_map, random_unit_series)
 from .series import INFINITE, LaurentSeries, _convolve
 
 
@@ -165,15 +165,16 @@ class CrossedProduct:
     Elements are tuples of n Laurent series in alpha (zero series allowed
     in any slot). ``multiply`` builds each output slot on generator logs
     with one accumulator: every term x_i sigma^i(y_j) is convolved
-    straight into it, with sigma^i applied inline as the scale and offset
-    of ``GaloisElement.apply``, and b, an embedded monomial, is a
-    valuation shift plus one log offset. The slot keeps exactly the window
-    of the term-by-term series sum. Under the honest zero that window is
-    known before any step runs: it starts at the least valuation of the
-    slot's terms and ends at the least of their ends, where a term keeps
-    the shorter window of its two factors, and at most len(b) terms when
-    it wraps. So each term is convolved only over the part that lands in
-    the window, and a term that starts at or past its end costs nothing.
+    straight into it, with sigma^i applied to the part of y_j it reads by
+    ``twist_logs``, as ``GaloisElement.apply`` does, and b, an embedded
+    monomial, is a valuation shift plus one log offset. The slot keeps
+    exactly the window of the term-by-term series sum. Under the honest
+    zero that window is known before any step runs: it starts at the
+    least valuation of the slot's terms and ends at the least of their
+    ends, where a term keeps the shorter window of its two factors, and
+    at most len(b) terms when it wraps. So each term is convolved only
+    over the part that lands in the window, and a term that starts at or
+    past its end costs nothing.
     """
 
     def __init__(self, sigma: GaloisElement, b: BaseFieldClass,
@@ -230,8 +231,7 @@ class CrossedProduct:
             if sparse and rng.random() < 0.5:
                 out.append(LaurentSeries.zero(self.ext.tower, "alpha"))
             else:
-                logs = [random_log(self.ext.tower, rng)
-                        for _ in range(self.precision)]
+                logs = random_logs(self.ext.tower, rng, self.precision)
                 out.append(LaurentSeries(self.ext.tower, "alpha",
                                          rng.randrange(-2, 3), logs))
         if all(x.is_zero() for x in out):
@@ -302,10 +302,9 @@ class CrossedProduct:
                 if width <= 0:
                     continue
                 frob, c = self._twists[i]
-                twisted = [None if L is None else (L * frob + c * jj) % m
-                           for jj, L in enumerate(logs[:width], vy)]
-                _convolve(terms[i][wrapped], twisted, acc, v - lo, 0, width,
-                          m, zech)
+                _convolve(terms[i][wrapped],
+                          twist_logs(logs[:width], frob, c, vy, m), acc,
+                          v - lo, 0, width, m, zech)
             # a window that cancels is the honest zero O(alpha^hi)
             out.append(LaurentSeries(tower, "alpha", lo, acc))
         return tuple(out)

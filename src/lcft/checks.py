@@ -307,8 +307,8 @@ def check_root_extraction(ext, rng, samples=100) -> CheckResult:
         lead = rc.random_log(tower, rng)
         while lead is None:
             lead = rc.random_log(tower, rng)
-        logs = [lead * e % tower.order] + [rc.random_log(tower, rng)
-                                           for _ in range(ext.precision - 1)]
+        logs = [lead * e % tower.order]
+        logs += rc.random_logs(tower, rng, ext.precision - 1)
         w = LaurentSeries(tower, "alpha", e * rng.randrange(-2, 3), logs)
         r = w.nth_root(e)
         if r.precision != w.precision:

@@ -30,6 +30,21 @@ BASE_SYMBOL = "t"
 EXT_SYMBOL = "alpha"
 
 
+def twist_logs(logs, frob, c_log, start, order):
+    """A window's image under the pair that sends lam to lam^(q^a) and
+    alpha to c * alpha, on generator logs.
+
+    ``logs`` holds the coefficients of alpha^start, alpha^(start + 1),
+    ... (None for zero), ``frob`` is q^a mod ``order`` and ``c_log`` is
+    log c. The term lam * alpha^n goes to lam^(q^a) * c^n * alpha^n, so
+    its log becomes (log lam * q^a + log c * n) mod |l*|. The one formula
+    of the action: ``GaloisElement.apply``, the crossed-product slots and
+    the norm's chain steps all run it.
+    """
+    return [None if L is None else (L * frob + c_log * n) % order
+            for n, L in enumerate(logs, start)]
+
+
 class TameAbelianExtension:
     """L = l((alpha)) over K = k((t)) with alpha^e = u0 * t.
 
@@ -404,13 +419,7 @@ class GaloisElement:
             return beta
         tower = self.ext.tower
         m = tower.order
-        # on generator logs: lam^(q^a) multiplies log(lam) by q^a, and the
-        # scale c^(v+j) steps by log(c) from one coefficient to the next
-        frob = pow(tower.q, self.a, m)
-        step = self.c_log
-        c_pow = step * beta.valuation
-        out = []
-        for lam in beta.logs:
-            out.append(None if lam is None else (lam * frob + c_pow) % m)
-            c_pow += step
-        return LaurentSeries(tower, EXT_SYMBOL, beta.valuation, out)
+        return LaurentSeries(
+            tower, EXT_SYMBOL, beta.valuation,
+            twist_logs(beta.logs, pow(tower.q, self.a, m), self.c_log,
+                       beta.valuation, m))

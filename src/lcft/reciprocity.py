@@ -30,9 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .extension import EXT_SYMBOL, GaloisElement, TameAbelianExtension
+from .extension import (EXT_SYMBOL, GaloisElement, TameAbelianExtension,
+                        twist_logs)
 from .ffield import FieldElement
-from .series import LaurentSeries
+from .series import LaurentSeries, _convolve, _square
 from .snf import invariant_factors
 
 
@@ -123,7 +124,11 @@ def congruence_rhs(ext: TameAbelianExtension, pi: LaurentSeries,
     ceil(n/e) terms of pi and u are embedded, since t = u0^(-1) alpha^e
     puts t-term j at alpha-term j*e. The powers reduce their exponents
     modulo the 1-unit exponent of the window (``LaurentSeries.__pow__``),
-    which leaves every retained term unchanged.
+    which leaves every retained term unchanged. When beta is a unit (v =
+    0, the search's omega probe) both exponents are 0 and the quotient is
+    the numerator itself: pi and u are still embedded, so their
+    membership audits still run, but no denominator is built or divided
+    by.
     """
     if i < 0:
         raise ValueError("the congruence form needs a nonnegative exponent")
@@ -146,8 +151,11 @@ def congruence_rhs(ext: TameAbelianExtension, pi: LaurentSeries,
     sign = _sign_constant(ext)
     signed_pi = ext.embed(pi.truncate(read)).truncate(window) * sign
     unit = ext.embed(u.truncate(read)).truncate(window)
-    den = signed_pi**exp_pi * unit**exp_u
-    quotient = num / den
+    if exp_pi or exp_u:
+        quotient = num / (signed_pi**exp_pi * unit**exp_u)
+    else:
+        # a unit beta (the omega probe): the denominator is exactly 1
+        quotient = num
     if quotient.is_zero() or quotient.valuation != 0:
         raise ArithmeticError(
             "congruence quotient is not a unit: internal error")
@@ -217,29 +225,48 @@ def norm(ext: TameAbelianExtension, beta: LaurentSeries) -> LaurentSeries:
     e*f conjugates bit for bit. The powers h^c are built once per
     extension (``_norm_chain``).
 
-    In the inertia chain h^c = (0, c) fixes the residue field and scales
-    alpha^j by c^j, so each doubling step P_c * h^c(P_c) is
-    ``P_c.twisted_square(log c)``: it visits each pair of terms once and
-    builds no image. The Frobenius chain's powers also move the
-    coefficients by lam -> lam^(q^c), so P_c and sigma^c(P_c) are not one
-    window under a scale, and those steps, like every y * h(P_c) step,
-    stay plain products.
+    Both chains run on one window of generator logs, beta's n terms, with
+    the valuation a plain int: the lead of a product of units never
+    cancels, so every step keeps all n terms. In the inertia chain
+    h^c = (0, c) fixes the residue field and scales alpha^j by c^j, so
+    each doubling step P_c * h^c(P_c) is one ``_square`` twisted by log c:
+    it visits each pair of terms once and builds no image. The Frobenius
+    chain's powers also move the coefficients by lam -> lam^(q^c), so P_c
+    and sigma^c(P_c) are not one window under a scale; those steps, like
+    every y * h(P_c) step, twist the window by ``twist_logs`` and run
+    ``_convolve``. No series is built until the end.
 
     The result is audited to lie in K and returned as a series in t; its
     t-valuation is f times the alpha-valuation of beta.
     """
+    if beta.symbol != EXT_SYMBOL:
+        raise ValueError("the norm takes a series in alpha")
+    if beta.tower is not ext.tower:
+        raise ValueError("series belongs to a different tower")
     if beta.is_zero():
         raise ValueError("the norm of zero is not defined here")
-    prod = beta
-    for h, steps in _norm_chain(ext):
-        y = prod
-        for hc, one_bit in steps:
-            prod = (prod.twisted_square(hc.c_log) if hc.a == 0
-                    else prod * hc.apply(prod))
+    tower = ext.tower
+    m, zech = tower.order, tower._zech
+    n = len(beta.logs)
+    v, logs = beta.valuation, beta.logs
+    for h_frob, h_c, steps in _norm_chain(ext):
+        v_y = v
+        y_terms = [(i, a) for i, a in enumerate(logs) if a is not None]
+        for frob, c, one_bit in steps:
+            if frob == 1:
+                # a = 0: h^c only scales alpha, so the step is a square
+                logs = _square(logs, c, v, m, zech)
+            else:
+                terms = [(i, a) for i, a in enumerate(logs) if a is not None]
+                logs = _convolve(terms, twist_logs(logs, frob, c, v, m),
+                                 [None] * n, 0, 0, n, m, zech)
+            v *= 2
             if one_bit:
-                prod = y * h.apply(prod)
+                logs = _convolve(y_terms, twist_logs(logs, h_frob, h_c, v, m),
+                                 [None] * n, 0, 0, n, m, zech)
+                v += v_y
     try:
-        out = ext.project(prod)
+        out = ext.project(LaurentSeries(tower, EXT_SYMBOL, v, logs))
     except ValueError as exc:
         raise ArithmeticError(
             f"norm image failed the base-membership audit: {exc}") from exc
@@ -250,19 +277,26 @@ def norm(ext: TameAbelianExtension, beta: LaurentSeries) -> LaurentSeries:
 def _norm_chain(ext: TameAbelianExtension) -> tuple:
     """The Galois powers that ``norm``'s two doubling chains apply.
 
-    One pair (h, steps) for each cyclic product: the inertia generator
-    with m = e, then the residue Frobenius lift with m = f. ``steps`` has
-    one pair (h^c, bit) for each bit of m below the leading one, where c
-    is the prefix of m read before that bit. Built once per extension and
-    cached on it, so a norm makes no group products.
+    One triple (q^a, log c, steps) for each cyclic product, with (a, c)
+    the pair of its generator h: the inertia generator with m = e, then
+    the residue Frobenius lift with m = f. ``steps`` has one triple
+    (q^a, log c, bit) for each bit of m below the leading one, with (a, c)
+    the pair of h^c, where c is the prefix of m read before that bit;
+    each q^a is reduced mod |l*|, as ``twist_logs`` takes it. Built once
+    per extension and cached on it, so a norm makes no group products.
     """
     if ext._norm_chain is None:
+        m_order = ext.tower.order
+
+        def twist(g):
+            return pow(ext.q, g.a, m_order), g.c_log
+
         chain = []
         for h, m in ((ext.inertia_generator(), ext.e),
                      (ext.residue_frobenius_lift(), ext.f)):
-            steps = tuple((h ** (m >> (k + 1)), bool(m >> k & 1))
+            steps = tuple((*twist(h ** (m >> (k + 1))), bool(m >> k & 1))
                           for k in reversed(range(m.bit_length() - 1)))
-            chain.append((h, steps))
+            chain.append((*twist(h), steps))
         ext._norm_chain = tuple(chain)
     return ext._norm_chain
 
@@ -347,34 +381,75 @@ def is_norm(ext: TameAbelianExtension, b: BaseFieldClass) -> bool:
     return norm_group(ext).contains(b)
 
 
+def _below(rng, n: int) -> int:
+    """A uniform draw from range(n), the same draw as ``rng.randrange(n)``.
+
+    It calls ``rng.getrandbits(n.bit_length())`` until the value falls
+    below n. That is the rejection rule of ``random.Random.randrange``,
+    so a seed gives the same stream draw for draw, without randrange's
+    argument handling. Raises ValueError for n < 1, where no draw exists
+    (and ``getrandbits(0)``, always 0, would loop for ever at n = 0).
+    """
+    if n < 1:
+        raise ValueError(f"no draw below {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def random_logs(tower, rng, count: int) -> list:
+    """Logs of ``count`` uniform random elements of l (None for zero).
+
+    Each is a draw r = ``_below(rng, |l|)``, read as zero for r = 0 and
+    as the log r - 1 otherwise; the loop inlines ``_below``. The one
+    sampler of series windows: ``random_log``, ``random_unit_series``,
+    the crossed product's random elements and the root-extraction check
+    all draw through it.
+    """
+    size = tower.size
+    if size < 1:
+        raise ValueError(f"no draw below {size}")
+    k = size.bit_length()
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= size:
+            r = bits(k)
+        out.append(r - 1 if r else None)
+    return out
+
+
 def random_log(tower, rng):
     """Log of a uniform random element of l (None for zero)."""
-    idx = rng.randrange(tower.size)
-    return None if idx == 0 else idx - 1
+    return random_logs(tower, rng, 1)[0]
 
 
 def random_unit_series(ext: TameAbelianExtension, rng,
                        valuation: int = 0) -> LaurentSeries:
     """A random L-series with unit leading coefficient, at ext precision."""
     tower = ext.tower
-    logs = [rng.randrange(tower.order)]
-    logs += [random_log(tower, rng) for _ in range(ext.precision - 1)]
+    logs = [_below(rng, tower.order)]
+    logs += random_logs(tower, rng, ext.precision - 1)
     return LaurentSeries(tower, EXT_SYMBOL, valuation, logs)
 
 
 def random_base_unit_series(ext: TameAbelianExtension, rng,
                             valuation: int = 0) -> LaurentSeries:
-    """A random unit of K: coefficients drawn from the subfield k."""
+    """A random unit of K: coefficients drawn from the subfield k.
+
+    Each coefficient is a draw j below |k*| + 1: j = |k*| is zero (one
+    for the leading coefficient, which must be a unit) and any other j is
+    the j-th power of k's generator.
+    """
     tower = ext.tower
     gk = tower.subfield_generator().log
     units = max(tower.subfield_units, 1)
-
-    def pick(allow_zero=True):
-        j = rng.randrange(units + 1)
-        if j == units:
-            return None if allow_zero else 0
-        return gk * j % tower.order
-
-    logs = [pick(allow_zero=False)]
-    logs += [pick() for _ in range(ext.precision - 1)]
+    logs = [None if j == units else gk * j % tower.order
+            for j in [_below(rng, units + 1)
+                      for _ in range(ext.precision)]]
+    if logs[0] is None:
+        logs[0] = 0
     return LaurentSeries(tower, "t", valuation, logs)

@@ -20,11 +20,12 @@ is one lookup in the tower's Zech table ``_zech``, and a negation adds
 ``order // 2`` in odd characteristic (it is the identity for p = 2).
 Products run one of two kernels on those logs: ``_convolve`` for two
 different windows, and ``_square`` for x * x', where x' scales the
-coefficient of X^j by g^(step*j). The second is ``twisted_square``: every
-squaring of ``**`` with step = 0, and each doubling step of the norm's
-inertia chain (``reciprocity.norm``), whose Galois image x' is such a
-scale. It visits each pair of terms once, so it makes about half the
-steps; in characteristic 2 the plain square has no pairs at all.
+coefficient of X^j by g^(step*j). The second runs in ``twisted_square``,
+every squaring of ``**`` with step = 0, and straight on the log window of
+``reciprocity.norm`` in each doubling step of its inertia chain, whose
+Galois image x' is such a scale. It visits each pair of terms once, so it
+makes about half the steps; in characteristic 2 the plain square has no
+pairs at all.
 The one constructor, ``LaurentSeries(tower, symbol, valuation, logs)``,
 takes such a window; ``zero``, ``one``, ``uniformizer``, ``monomial`` and
 ``constant`` are shorthands for it. ``FieldElement`` stays the public
@@ -54,11 +55,12 @@ def _convolve(terms, src, out, offset, start, stop, order, zech):
     log) of nonzero coefficients by increasing index; a log of None in
     ``src`` is zero. ``src`` may be ``out`` itself, as long as every index
     read is already filled (the inverse's recurrence). This is one of the
-    two kernels, for two different windows: ``*`` on two series (the
-    norm's Frobenius chain and its y * h(P_c) steps among them),
-    ``inverse`` and the crossed-product slots of ``brauer`` run it. The
-    other, ``_square``, takes a window times itself or times its own
-    inertia image (``LaurentSeries.twisted_square``).
+    two kernels, for two different windows: ``*`` on two series,
+    ``inverse``, the norm's Frobenius chain and its y * h(P_c) steps
+    (``reciprocity.norm``, on its one log window) and the crossed-product
+    slots of ``brauer`` run it. The other, ``_square``, takes a window
+    times itself or times its own inertia image
+    (``LaurentSeries.twisted_square`` and the norm's inertia doublings).
     """
     for k in range(start, stop):
         pos = offset + k
@@ -77,22 +79,25 @@ def _convolve(terms, src, out, offset, start, stop, order, zech):
     return out
 
 
-def _square(logs, step, order, zech):
-    """The window of x * x', where x' scales coefficient j by g^(step*j):
+def _square(logs, step, valuation, order, zech):
+    """The window of x * x', where x = sum of a_j X^(v+j) and x' scales
+    the coefficient of X^(v+j) by g^(step*(v+j)):
 
-        out[k] = sum of g^(a_i + a_j + step*j) over i + j = k,
+        out[k] = sum of g^(a_i + a_j + step*(v+j)) over i + j = k,
 
     on generator logs, for ``logs`` = (a_0, ..., a_(n-1)) with None for
-    zero; ``out`` has n slots, None where a sum is zero. The pairs (i, j)
-    and (j, i) with i < j fold into one term,
-    g^(a_i + a_j + step*i) * (1 + g^(step*(j - i))), whose weight
+    zero and v = ``valuation``; ``out`` has n slots, None where a sum is
+    zero. The twist is by the exponent v + j, as in the Galois image
+    (``extension.twist_logs``), so the caller adds only 2v to the
+    valuation. The pairs (i, j) and (j, i) with i < j fold into one term,
+    g^(a_i + a_j + step*(v+i)) * (1 + g^(step*(j - i))), whose weight
     log(1 + g^(step*(j - i))) is one Zech lookup per distance (a negative
     entry is a weight of zero, and the pair drops out). The middle term
-    g^(2a_(k/2) + step*k/2) is added once. So a square makes about half
-    the steps of ``_convolve`` on the same window. With step = 0 every
-    weight is log 2: the fold adds it once per slot, and in characteristic
-    2, where 2 = 0, the square is the Frobenius spread a_i -> 2a_i at 2i
-    with no pair at all.
+    g^(2a_(k/2) + step*(v+k/2)) is added once. So a square makes about
+    half the steps of ``_convolve`` on the same window. With step = 0
+    every weight is log 2: the fold adds it once per slot, and in
+    characteristic 2, where 2 = 0, the square is the Frobenius spread
+    a_i -> 2a_i at 2i with no pair at all.
     """
     n = len(logs)
     out = [None] * n
@@ -105,8 +110,8 @@ def _square(logs, step, order, zech):
                 out[2 * i] = 2 * a % order
         return out
     # a pair (i, k - i) with i < k - i has i < n/2: twist the lower index
-    terms = [(i, a + step * i) for i, a in enumerate(logs[:(n + 1) // 2])
-             if a is not None]
+    terms = [(i, a + step * (valuation + i))
+             for i, a in enumerate(logs[:(n + 1) // 2]) if a is not None]
     weights = [zech[step * d % order] for d in range(n)] if step else None
     for k in range(n):
         acc = None
@@ -142,7 +147,7 @@ def _square(logs, step, order, zech):
             h = k >> 1
             b = logs[h]
             if b is not None:
-                b = 2 * b + step * h
+                b = 2 * b + step * (valuation + h)
                 if acc is None:
                     acc = b
                 else:
@@ -373,19 +378,16 @@ class LaurentSeries:
         h.apply(x) is x' with step = log c, so x * h(x) is
         ``x.twisted_square(h.c_log)``. Term for term equal to the product
         by ``*``, on the same n-term window, in about half the kernel
-        steps (``_square``).
+        steps (``_square``, which twists by the exponent itself).
         """
         if not self.logs:
             # the exact zero stays exact; O(X^N) squares to O(X^2N)
             return LaurentSeries(self.tower, self.symbol, 2 * self.valuation,
                                  ())
         tower = self.tower
-        out = LaurentSeries(tower, self.symbol, 2 * self.valuation,
-                            _square(self.logs, step, tower.order,
-                                    tower._zech))
-        # the kernel twists by the index j; x' twists by the exponent v + j
-        shift = step * self.valuation % tower.order
-        return out._scaled(shift) if shift else out
+        return LaurentSeries(tower, self.symbol, 2 * self.valuation,
+                             _square(self.logs, step, self.valuation,
+                                     tower.order, tower._zech))
 
     def inverse(self) -> "LaurentSeries":
         if self.is_zero():

@@ -1,3 +1,7 @@
+import random
+import signal
+import types
+
 import pytest
 
 from conftest import (MATRIX_PARAMS, binary_power,
@@ -249,22 +253,22 @@ def test_norm_makes_one_product_per_coset_step(params, products,
                                                 monkeypatch, rng):
     ext = TameAbelianExtension.from_parameters(*params, precision=8)
     beta = rc.random_unit_series(ext, rng, 1)
-    mul = LaurentSeries.__mul__
-    square = LaurentSeries.twisted_square
+    # norm runs the kernels on logs: one call per product of its chain
+    convolve, square = rc._convolve, rc._square
     calls = []
     square_steps = []
 
-    def counted(self, other):
-        calls.append(other)
-        return mul(self, other)
+    def counted(terms, src, out, *args):
+        calls.append(src)
+        return convolve(terms, src, out, *args)
 
-    def counted_square(self, step=0):
-        calls.append(self)
+    def counted_square(logs, step, *args):
+        calls.append(logs)
         square_steps.append(step)
-        return square(self, step)
+        return square(logs, step, *args)
 
-    monkeypatch.setattr(LaurentSeries, "__mul__", counted)
-    monkeypatch.setattr(LaurentSeries, "twisted_square", counted_square)
+    monkeypatch.setattr(rc, "_convolve", counted)
+    monkeypatch.setattr(rc, "_square", counted_square)
     rc.norm(ext, beta)
     # floor(log2 m) + popcount(m) - 1 for m = e and m = f, not e*f - 1
     assert len(calls) == products
@@ -347,6 +351,48 @@ def test_congruence_rhs_matches_the_full_embed(params, precision, rng,
     assert checked == 4 * 4 * 3
     # only the t-terms that reach beta's window are embedded
     assert max(read) == -(-precision // ext.e)
+
+
+# the benchmark's high_degree descriptors, at their precision 8
+HIGH_DEGREE_PARAMS = [(2, 6, 1, 63, "1"), (59, 1, 1, 58, "g"),
+                      (2, 10, 2, 31, "g")]
+
+
+@pytest.mark.parametrize("params, precision", [
+    *((params, 32) for params in MATRIX_PARAMS.values()),
+    *((params, 8) for params in HIGH_DEGREE_PARAMS),
+])
+def test_omega_probe_is_the_numerator(params, precision, monkeypatch):
+    ext = TameAbelianExtension.from_parameters(*params, precision=precision)
+    t = ext.base_uniformizer()
+    omega = ext.constant(ext.tower.generator())
+    inverses = []
+    inverse = LaurentSeries.inverse
+
+    def counted(self):
+        inverses.append(self)
+        return inverse(self)
+
+    checked = 0
+    # every class the search resolves against the probe table, over a
+    # period of valuations, as check_oracle_agreement asks for them
+    for rep in rc.norm_group(ext).coset_representatives:
+        u = _const(ext, rep.unit)
+        for i in range(rep.valuation, rep.valuation + 3 * ext.f, ext.f):
+            want = _full_embed_rhs(ext, t, u, i, omega)
+            with monkeypatch.context() as m:
+                m.setattr(LaurentSeries, "inverse", counted)
+                got = rc.congruence_rhs(ext, t, u, i, omega)
+            assert got == want, (params, rep, i)
+            checked += 1
+    assert checked == 3 * ext.degree
+    # omega is a unit: no denominator is inverted
+    assert inverses == []
+    # u is still embedded, so a coefficient outside k still raises
+    if ext.f > 1:
+        outside = _const(ext, ext.tower.generator())
+        with pytest.raises(ValueError, match="outside k"):
+            rc.congruence_rhs(ext, t, outside, 0, omega)
 
 
 def test_norm_group_presentations(matrix):
@@ -511,3 +557,58 @@ def test_search_audit_rejects_a_shared_probe_key(monkeypatch):
         rc.reciprocity_search(ext, ext.base_uniformizer(), _const(ext, 1), 0)
     with pytest.raises(ArithmeticError, match="found 0 matches"):
         rc.reciprocity_search(ext, ext.base_uniformizer(), _const(ext, 2), 0)
+
+
+def test_sampler_rejects_an_empty_range():
+    def hang(signum, frame):
+        raise TimeoutError("the sampler loops on an empty range")
+
+    # getrandbits(0) is always 0, so an unguarded loop never ends at n = 0
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                rc._below(random.Random(1), n)
+            with pytest.raises(ValueError):
+                rc.random_logs(types.SimpleNamespace(size=n),
+                               random.Random(1), 3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# sizes of l and draws below |k*| + 1 across the workloads, and the cap
+STREAM_SIZES = (2, 3, 4, 5, 9, 16, 49, 59, 64, 2**20)
+
+
+@pytest.mark.parametrize("n", STREAM_SIZES)
+def test_sampler_draws_the_randrange_stream(n):
+    ours, theirs = random.Random(n), random.Random(n)
+    assert [rc._below(ours, n) for _ in range(2000)] == \
+        [theirs.randrange(n) for _ in range(2000)]
+
+
+def test_sampler_stream_on_the_matrix_towers(matrix):
+    for name, ext in matrix.items():
+        tower = ext.tower
+        n = tower.subfield_units + 1
+        ours, theirs = random.Random(name), random.Random(name)
+        assert [rc._below(ours, n) for _ in range(2000)] == \
+            [theirs.randrange(n) for _ in range(2000)], name
+        # a window's logs: draw r below |l|, zero for r = 0, else log r - 1
+        want = [theirs.randrange(tower.size) for _ in range(2000)]
+        assert rc.random_logs(tower, ours, 2000) == \
+            [r - 1 if r else None for r in want], name
+        r = theirs.randrange(tower.size)
+        assert rc.random_log(tower, ours) == (r - 1 if r else None), name
+
+
+def test_sampler_stream_is_pinned():
+    # literal draws, so the stream does not rest on the interpreter's
+    # randrange
+    for n, want in ((9, [8, 4, 8, 6, 1, 2, 0, 7]),
+                    (2**20, [627133, 807851, 163617, 311523, 12204, 959342,
+                             41771, 319924])):
+        rng = random.Random(1803)
+        assert [rc._below(rng, n) for _ in range(8)] == want, n
