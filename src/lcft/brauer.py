@@ -152,7 +152,7 @@ def frobenius_exponent(sigma: GaloisElement) -> int:
     """
     ext = sigma.ext
     r = exponent_of(sigma,
-                    reciprocity_map(ext, BaseFieldClass(1, ext.tower.one())))
+                    reciprocity_map(ext, BaseFieldClass(ext.tower, 1, 0)))
     sign_u0 = ext.u0 if ext.e % 2 == 1 else -ext.u0
     assert (sigma**r).c == sign_u0 ** ((ext.q - 1) // ext.e), \
         "resolved exponent violates the residue identity"
@@ -187,9 +187,9 @@ class CrossedProduct:
         self.ext = ext
         self.n = ext.degree
         self.precision = precision
-        b_t = LaurentSeries.monomial(ext.tower, "t", b.unit, b.valuation,
+        b_t = LaurentSeries.monomial(b.tower, "t", b.unit, b.valuation,
                                      precision)
-        self.b_series = ext.embed(b_t)
+        self.b_series = ext.embed(b_t)  # refuses a class over another tower
         # b is a monomial, so a product with it is a truncation to its
         # window, a scale by its coefficient and a shift by its valuation
         b_logs = self.b_series.logs

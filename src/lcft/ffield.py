@@ -287,12 +287,6 @@ class FieldTower:
         """A fixed generator of k*: the norm of the stored generator."""
         return self.generator().norm_to_subfield()
 
-    def subfield_unit_elements(self) -> list:
-        """All of k*, as powers of the subfield generator."""
-        step = self.subfield_norm_exponent
-        return [FieldElement(self, j * step)
-                for j in range(self.subfield_units)]
-
     def parse(self, text: str) -> "FieldElement":
         """Parse "g^k", a bare integer, or a comma-separated coefficient list."""
         text = text.strip()

@@ -21,8 +21,9 @@ they can check each other:
   popcount(m) - 1 series products rather than m - 1, with the Galois
   powers the chain applies built once per extension.
 
-Base-field classes are reduced pairs (valuation, unit residue); 1-units
-are discarded throughout because they are norms in the tame case.
+Base-field classes are reduced pairs (valuation, unit residue), written
+``BaseFieldClass(tower, v, unit_log)`` with ``b.unit`` a view; 1-units are
+discarded throughout because they are norms in the tame case.
 """
 
 from __future__ import annotations
@@ -32,30 +33,44 @@ from dataclasses import dataclass, field
 
 from .extension import (EXT_SYMBOL, GaloisElement, TameAbelianExtension,
                         twist_logs)
-from .ffield import FieldElement
+from .ffield import FieldElement, FieldTower
 from .series import LaurentSeries, _convolve, _square
 from .snf import invariant_factors
 
 
-@dataclass(frozen=True)
+# not frozen: a frozen __init__ costs 1 us more, 2^20 - 1 times in a k* walk
+@dataclass(unsafe_hash=True, slots=True)
 class BaseFieldClass:
-    """The class of u * t^valuation modulo 1-units: (valuation, residue)."""
+    """The class of u * t^valuation modulo 1-units, on the log of u.
 
+    ``unit`` is a view, as ``GaloisElement.c`` is. The one constructor
+    checks on ints that u is nonzero and in k (its log a multiple of
+    |l*|/|k*|) and reduces the log mod |l*|.
+    """
+
+    tower: FieldTower
     valuation: int
-    unit: FieldElement
+    unit_log: int
 
     def __post_init__(self):
-        if not self.unit:
+        if self.unit_log is None:
             raise ValueError("unit residue must be nonzero")
-        if not self.unit.in_subfield():
+        if self.unit_log % self.tower.subfield_norm_exponent:
             raise ValueError("unit residue must lie in the base residue field")
+        self.unit_log %= self.tower.order
+
+    @property
+    def unit(self) -> FieldElement:
+        return FieldElement(self.tower, self.unit_log)
 
     def __mul__(self, other: "BaseFieldClass") -> "BaseFieldClass":
-        return BaseFieldClass(self.valuation + other.valuation,
-                              self.unit * other.unit)
+        if other.tower is not self.tower:
+            raise ValueError("classes over different towers")
+        return BaseFieldClass(self.tower, self.valuation + other.valuation,
+                              self.unit_log + other.unit_log)
 
     def inverse(self) -> "BaseFieldClass":
-        return BaseFieldClass(-self.valuation, self.unit.inverse())
+        return BaseFieldClass(self.tower, -self.valuation, -self.unit_log)
 
     def __repr__(self):
         return f"[v={self.valuation}, u={self.unit}]"
@@ -68,7 +83,7 @@ def class_of_series(ext: TameAbelianExtension,
         raise ValueError("expected a series in the base uniformizer")
     if b.is_zero():
         raise ValueError("the zero series has no class")
-    return BaseFieldClass(b.valuation, b.leading_coefficient)
+    return BaseFieldClass(b.tower, b.valuation, b.logs[0])
 
 
 def _sign_constant(ext: TameAbelianExtension) -> FieldElement:
@@ -94,12 +109,14 @@ def reciprocity_map(ext: TameAbelianExtension,
     the integer q^i. The sign needs m's parity, and the reduction keeps
     it: for odd p, |l*| = p^(tf) - 1 is even, and for p = 2 the sign is 1.
     """
+    if b.tower is not ext.tower:
+        raise ValueError("class over a different tower")
     if b.valuation < 0:
         return reciprocity_map(ext, b.inverse()).inverse()
     q, e = ext.q, ext.e
     order = ext.tower.order
     m = (pow(q, b.valuation, e * order) - 1) // e
-    c_log = m * ext.u0.log - (q - 1) // e * b.unit.log
+    c_log = m * ext.u0.log - (q - 1) // e * b.unit_log
     if ext.p % 2 and (e - 1) * m % 2:
         c_log += order // 2    # the log of -1
     return GaloisElement(ext, b.valuation, c_log)
@@ -322,6 +339,8 @@ class NormGroupPresentation:
 
     def contains(self, b: BaseFieldClass) -> bool:
         """Is the class a norm? Solves m * row1 + n * row2 = class."""
+        if b.tower is not self.ext.tower:
+            raise ValueError("class over a different tower")
         f = self.ext.f
         big_q = max(self.ext.q - 1, 1)
         if b.valuation % f != 0:
@@ -330,7 +349,7 @@ class NormGroupPresentation:
         d1 = self.generator_rows[0][1]
         d2 = self.generator_rows[1][1]
         d = math.gcd(d2, big_q)
-        rem = (b.unit.subfield_log() - mth * d1) % big_q
+        rem = (b.unit_log // b.tower.subfield_norm_exponent - mth * d1) % big_q
         return rem % d == 0
 
 
@@ -364,7 +383,7 @@ def norm_group(ext: TameAbelianExtension) -> NormGroupPresentation:
 
     d = math.gcd(d2, big_q)
     assert ext.f * d == ext.degree
-    reps = tuple(BaseFieldClass(i, gk**j)
+    reps = tuple(BaseFieldClass(tower, i, gk.log * j)
                  for i in range(ext.f) for j in range(d))
     ext._norm_group = NormGroupPresentation(
         ext=ext, subfield_generator=gk,
@@ -404,9 +423,9 @@ def random_logs(tower, rng, count: int) -> list:
 
     Each is a draw r = ``_below(rng, |l|)``, read as zero for r = 0 and
     as the log r - 1 otherwise; the loop inlines ``_below``. The one
-    sampler of series windows: ``random_log``, ``random_unit_series``,
-    the crossed product's random elements and the root-extraction check
-    all draw through it.
+    sampler of series windows: ``random_unit_series``, the crossed
+    product's random elements and the root-extraction check all draw
+    through it.
     """
     size = tower.size
     if size < 1:
@@ -420,11 +439,6 @@ def random_logs(tower, rng, count: int) -> list:
             r = bits(k)
         out.append(r - 1 if r else None)
     return out
-
-
-def random_log(tower, rng):
-    """Log of a uniform random element of l (None for zero)."""
-    return random_logs(tower, rng, 1)[0]
 
 
 def random_unit_series(ext: TameAbelianExtension, rng,
@@ -445,7 +459,7 @@ def random_base_unit_series(ext: TameAbelianExtension, rng,
     the j-th power of k's generator.
     """
     tower = ext.tower
-    gk = tower.subfield_generator().log
+    gk = tower.subfield_norm_exponent    # the log of k's generator
     units = max(tower.subfield_units, 1)
     logs = [None if j == units else gk * j % tower.order
             for j in [_below(rng, units + 1)

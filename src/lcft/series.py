@@ -20,12 +20,11 @@ is one lookup in the tower's Zech table ``_zech``, and a negation adds
 ``order // 2`` in odd characteristic (it is the identity for p = 2).
 Products run one of two kernels on those logs: ``_convolve`` for two
 different windows, and ``_square`` for x * x', where x' scales the
-coefficient of X^j by g^(step*j). The second runs in ``twisted_square``,
-every squaring of ``**`` with step = 0, and straight on the log window of
-``reciprocity.norm`` in each doubling step of its inertia chain, whose
+coefficient of X^j by g^(step*j). The second runs with step = 0 in
+``square``, so in every squaring of ``**``, and straight on the log window
+of ``reciprocity.norm`` in each doubling step of its inertia chain, whose
 Galois image x' is such a scale. It visits each pair of terms once, so it
-makes about half the steps; in characteristic 2 the plain square has no
-pairs at all.
+makes about half the steps, and a plain square in characteristic 2 none.
 The one constructor, ``LaurentSeries(tower, symbol, valuation, logs)``,
 takes such a window; ``zero``, ``one``, ``uniformizer``, ``monomial`` and
 ``constant`` are shorthands for it. ``FieldElement`` stays the public
@@ -60,7 +59,7 @@ def _convolve(terms, src, out, offset, start, stop, order, zech):
     (``reciprocity.norm``, on its one log window) and the crossed-product
     slots of ``brauer`` run it. The other, ``_square``, takes a window
     times itself or times its own inertia image
-    (``LaurentSeries.twisted_square`` and the norm's inertia doublings).
+    (``LaurentSeries.square`` and the norm's inertia doublings).
     """
     for k in range(start, stop):
         pos = offset + k
@@ -371,22 +370,12 @@ class LaurentSeries:
 
     __rmul__ = __mul__
 
-    def twisted_square(self, step: int = 0) -> "LaurentSeries":
-        """x * x', where x' scales the coefficient of X^j by g^(step*j).
-
-        With step = 0 this is x * x. For an inertia automorphism h = (0, c),
-        h.apply(x) is x' with step = log c, so x * h(x) is
-        ``x.twisted_square(h.c_log)``. Term for term equal to the product
-        by ``*``, on the same n-term window, in about half the kernel
-        steps (``_square``, which twists by the exponent itself).
-        """
-        if not self.logs:
-            # the exact zero stays exact; O(X^N) squares to O(X^2N)
-            return LaurentSeries(self.tower, self.symbol, 2 * self.valuation,
-                                 ())
+    def square(self) -> "LaurentSeries":
+        """x * x, term for term as ``*`` makes it on the same n-term window
+        (an empty one included), in about half the kernel steps."""
         tower = self.tower
         return LaurentSeries(tower, self.symbol, 2 * self.valuation,
-                             _square(self.logs, step, self.valuation,
+                             _square(self.logs, 0, self.valuation,
                                      tower.order, tower._zech))
 
     def inverse(self) -> "LaurentSeries":
@@ -426,7 +415,7 @@ class LaurentSeries:
         p^s. So the power is c^k * X^(vk) * (1 + y)^(k mod p^s), exact on
         the window and equal term for term to the product of k copies of
         the base; a monomial (y = 0) needs no product at all. Negative k
-        inverts the base first. The squarings run ``twisted_square``.
+        inverts the base first. The squarings run ``square``.
         """
         if not isinstance(k, int):
             raise TypeError("series powers must be integers")
@@ -459,7 +448,7 @@ class LaurentSeries:
             r >>= 1
             if not r:
                 break
-            base = base.twisted_square()
+            base = base.square()
         if not cut:
             return result
         return result._scaled(lead * cut).shift(v * cut)

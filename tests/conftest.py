@@ -67,6 +67,12 @@ def field_element_closed_form(ext, b):
     return GaloisElement(ext, b.valuation, c.log)
 
 
+def subfield_units(tower):
+    """All of k*, as FieldElement powers of the subfield generator."""
+    gk = tower.subfield_generator()
+    return [gk**j for j in range(tower.subfield_units)]
+
+
 def galois_element(ext, a, c):
     """The pair (a, c) for a scale c given as an int or FieldElement."""
     if isinstance(c, int):

@@ -1,8 +1,12 @@
+import random
 from fractions import Fraction
+
+import pytest
 
 from conftest import MATRIX_PARAMS
 from lcft import brauer, checks, reciprocity as rc
 from lcft.extension import TameAbelianExtension
+from lcft.ffield import FieldElement
 from lcft.series import LaurentSeries
 
 
@@ -143,3 +147,29 @@ def test_uniformizer_independence_reports_each_sample_and_class(
                 if rc.reciprocity_map(ext, b) != ext.identity()]
     assert not result.passed
     assert result.detail == "; ".join(expected[:3])
+
+
+@pytest.mark.parametrize("params", [
+    (2, 6, 1, 3, "g"), (2, 10, 1, 3, "g"),     # totally ramified, |k*| = 63, 1023
+    (2, 6, 2, 1, "1"), (2, 10, 2, 1, "1"),     # unramified, |k*| = 7, 31
+])
+def test_the_k_star_walks_build_no_field_elements(params, monkeypatch):
+    # the walks over k* run on unit logs; field elements would cost one
+    # object or more per unit, 2^20 - 1 units at the cap
+    ext = TameAbelianExtension.from_parameters(*params, precision=8)
+    ext.galois_group()
+    rc.norm_group(ext)
+    init = FieldElement.__init__
+    built = []
+
+    def counted(self, tower, log):
+        built.append(log)
+        init(self, tower, log)
+
+    monkeypatch.setattr(FieldElement, "__init__", counted)
+    results = [checks.check_totally_ramified_laws(ext),
+               checks.check_unramified_law(ext, random.Random(1), 10)]
+    assert [r.passed for r in results] == [True, True]
+    # one of the two checks is skipped, the other walks all of k*
+    assert sum(r.detail.startswith("skipped") for r in results) == 1
+    assert built == []

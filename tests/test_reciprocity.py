@@ -5,8 +5,8 @@ import types
 import pytest
 
 from conftest import (MATRIX_PARAMS, binary_power,
-                      field_element_closed_form)
-from lcft import checks, reciprocity as rc
+                      field_element_closed_form, subfield_units)
+from lcft import brauer, checks, reciprocity as rc
 from lcft.extension import GaloisElement, TameAbelianExtension
 from lcft.series import LaurentSeries
 
@@ -18,23 +18,47 @@ def _const(ext, value):
 def test_class_validation(matrix):
     ext = matrix["mixed_c9"]
     with pytest.raises(ValueError):
-        rc.BaseFieldClass(0, ext.tower.zero())
+        rc.BaseFieldClass(ext.tower, 0, ext.tower.zero().log)
     with pytest.raises(ValueError):
-        rc.BaseFieldClass(0, ext.tower.generator())   # not in k
-    b = rc.BaseFieldClass(2, ext.tower.subfield_generator())
-    assert (b * b.inverse()) == rc.BaseFieldClass(0, ext.tower.one())
+        rc.BaseFieldClass(ext.tower, 0, ext.tower.generator().log)  # not in k
+    b = rc.BaseFieldClass(ext.tower, 2, ext.tower.subfield_generator().log)
+    assert (b * b.inverse()) == rc.BaseFieldClass(ext.tower, 0, 0)
+
+
+def test_a_class_over_another_tower_is_refused(matrix):
+    # the unit 2 of F_5, but in the tower of another extension over F_5
+    ext = matrix["ram_e4"]
+    other = matrix["ram_e2"].tower
+    assert other is not ext.tower
+    for v in (1, -1):
+        b = rc.BaseFieldClass(other, v, other.from_int(2).log)
+        with pytest.raises(ValueError, match="different tower"):
+            rc.reciprocity_map(ext, b)
+        with pytest.raises(ValueError, match="different tower"):
+            rc.is_norm(ext, b)
+        for chi in brauer.character_group(ext):
+            with pytest.raises(ValueError, match="different tower"):
+                brauer.hasse_invariant(chi, b)
+        sigma = ext.inertia_generator()
+        with pytest.raises(ValueError, match="different tower"):
+            brauer.CrossedProduct(sigma, b)
+        own = rc.BaseFieldClass(ext.tower, v, ext.tower.from_int(2).log)
+        assert own != b
+        for left, right in ((own, b), (b, own)):
+            with pytest.raises(ValueError, match="different towers"):
+                left * right
 
 
 def test_closed_form_unramified_frobenius(matrix):
     ext = matrix["unram_f2"]
-    got = rc.reciprocity_map(ext, rc.BaseFieldClass(1, ext.tower.one()))
+    got = rc.reciprocity_map(ext, rc.BaseFieldClass(ext.tower, 1, 0))
     assert got == ext.frobenius_element()
 
 
 def test_closed_form_ramified_unit(matrix):
     # c = 2^(-(5-1)/2) = 4; cross-checked against the search oracle below
     ext = matrix["ram_e2"]
-    got = rc.reciprocity_map(ext, rc.BaseFieldClass(0, ext.tower.from_int(2)))
+    got = rc.reciprocity_map(ext, rc.BaseFieldClass(ext.tower, 0, ext.tower.from_int(2).log))
     assert (got.a, got.c) == (0, ext.tower.from_int(4))
     searched = rc.reciprocity_search(
         ext, ext.base_uniformizer(), _const(ext, 2), 0)
@@ -43,7 +67,7 @@ def test_closed_form_ramified_unit(matrix):
 
 def test_closed_form_mixed_uniformizer(matrix):
     ext = matrix["mixed_c9"]
-    got = rc.reciprocity_map(ext, rc.BaseFieldClass(1, ext.tower.one()))
+    got = rc.reciprocity_map(ext, rc.BaseFieldClass(ext.tower, 1, 0))
     assert got.a == 1 and got.c == ext.tower.generator()
     searched = rc.reciprocity_search(
         ext, ext.base_uniformizer(), _const(ext, 1), 1)
@@ -56,7 +80,7 @@ def test_uniformizer_class_is_a_norm_in_ram_e2(matrix):
     witness = ext.constant(2) * ext.uniformizer()
     assert rc.norm(ext, witness) == ext.base_uniformizer()
     assert rc.reciprocity_map(
-        ext, rc.BaseFieldClass(1, ext.tower.one())).is_identity()
+        ext, rc.BaseFieldClass(ext.tower, 1, 0)).is_identity()
 
 
 def test_congruence_rhs_examples(matrix):
@@ -103,7 +127,7 @@ def test_closed_form_on_logs_matches_the_field_element_powers(params, rng):
     for j in js:
         u = gk**j
         for i in range(-reach, reach + 1):
-            b = rc.BaseFieldClass(i, u)
+            b = rc.BaseFieldClass(ext.tower, i, u.log)
             got = rc.reciprocity_map(ext, b)
             want = field_element_closed_form(ext, b)
             assert (got.a, got.c_log) == (want.a, want.c_log), (params, b)
@@ -112,11 +136,11 @@ def test_closed_form_on_logs_matches_the_field_element_powers(params, rng):
 def test_negative_valuation_through_inverse(matrix):
     for ext in matrix.values():
         gk = ext.tower.subfield_generator()
-        b = rc.BaseFieldClass(-3, gk)
+        b = rc.BaseFieldClass(ext.tower, -3, gk.log)
         image = rc.reciprocity_map(ext, b)
         assert (image * rc.reciprocity_map(ext, b.inverse())).is_identity()
         # multiplying back to valuation 0 recovers the unit image
-        shift = rc.BaseFieldClass(3, ext.tower.one())
+        shift = rc.BaseFieldClass(ext.tower, 3, 0)
         combined = rc.reciprocity_map(ext, b * shift)
         assert combined == image * rc.reciprocity_map(ext, shift)
 
@@ -127,9 +151,9 @@ def test_inverse_class_equals_large_power(matrix):
     for ext in matrix.values():
         n = ext.degree
         gk = ext.tower.subfield_generator()
-        for b in (rc.BaseFieldClass(1, ext.tower.one()),
-                  rc.BaseFieldClass(0, gk),
-                  rc.BaseFieldClass(-2, gk)):
+        for b in (rc.BaseFieldClass(ext.tower, 1, 0),
+                  rc.BaseFieldClass(ext.tower, 0, gk.log),
+                  rc.BaseFieldClass(ext.tower, -2, gk.log)):
             power = b
             for _ in range(n - 2):
                 power = power * b
@@ -146,7 +170,7 @@ def test_reciprocity_of_series(matrix):
     # (2 + t) * t reduces to the class (1, 2)
     b_series = (_const(ext, 2) + t) * t
     assert rc.reciprocity_of_series(ext, b_series) == rc.reciprocity_map(
-        ext, rc.BaseFieldClass(1, ext.tower.from_int(2)))
+        ext, rc.BaseFieldClass(ext.tower, 1, ext.tower.from_int(2).log))
     ext2 = matrix["unram_f2"]
     assert rc.reciprocity_of_series(
         ext2, ext2.base_uniformizer()) == ext2.frobenius_element()
@@ -418,11 +442,11 @@ def test_norm_group_presentations(matrix):
 
 def test_norm_group_membership(matrix):
     ext = matrix["ram_e2"]
-    four = rc.BaseFieldClass(0, ext.tower.from_int(4))
-    two = rc.BaseFieldClass(0, ext.tower.from_int(2))
+    four = rc.BaseFieldClass(ext.tower, 0, ext.tower.from_int(4).log)
+    two = rc.BaseFieldClass(ext.tower, 0, ext.tower.from_int(2).log)
     assert rc.is_norm(ext, four)
     assert not rc.is_norm(ext, two)
-    assert rc.is_norm(ext, rc.BaseFieldClass(0, ext.tower.one()))
+    assert rc.is_norm(ext, rc.BaseFieldClass(ext.tower, 0, 0))
     # norms of random elements are always members
     for name, ext in matrix.items():
         pres = rc.norm_group(ext)
@@ -434,9 +458,10 @@ def test_totally_ramified_norm_criterion(matrix):
     for name in ("ram_e2", "ram_e4"):
         ext = matrix[name]
         exp = (ext.q - 1) // ext.e
-        for u in ext.tower.subfield_unit_elements():
+        for u in subfield_units(ext.tower):
             closed = u**exp == ext.tower.one()
-            assert rc.is_norm(ext, rc.BaseFieldClass(0, u)) == closed, \
+            assert rc.is_norm(ext, rc.BaseFieldClass(ext.tower, 0, u.log)) \
+                == closed, \
                 (name, u)
 
 
@@ -478,27 +503,26 @@ def test_unramified_specialization(matrix):
     ext = matrix["unram_f2"]
     frob = ext.frobenius_element()
     for i in range(-2, 5):
-        for u in ext.tower.subfield_unit_elements():
+        for u in subfield_units(ext.tower):
             assert rc.reciprocity_map(
-                ext, rc.BaseFieldClass(i, u)) == frob**i
+                ext, rc.BaseFieldClass(ext.tower, i, u.log)) == frob**i
 
 
 def test_totally_ramified_unit_formula(matrix):
     for name in ("ram_e2", "ram_e4"):
         ext = matrix[name]
         exp = (ext.q - 1) // ext.e
-        for u in ext.tower.subfield_unit_elements():
-            g = rc.reciprocity_map(ext, rc.BaseFieldClass(0, u))
+        for u in subfield_units(ext.tower):
+            g = rc.reciprocity_map(ext, rc.BaseFieldClass(ext.tower, 0, u.log))
             assert g.a == 0 and g.c == u ** (-exp), name
 
 
 def test_power_law(matrix):
     for ext in matrix.values():
-        one = ext.tower.one()
-        base = rc.reciprocity_map(ext, rc.BaseFieldClass(1, one))
+        base = rc.reciprocity_map(ext, rc.BaseFieldClass(ext.tower, 1, 0))
         for i in range(2 * ext.degree + 1):
             assert rc.reciprocity_map(
-                ext, rc.BaseFieldClass(i, one)) == base**i
+                ext, rc.BaseFieldClass(ext.tower, i, 0)) == base**i
 
 
 def test_norm_congruence_reports(matrix, rng):
@@ -544,7 +568,7 @@ def test_search_table_built_once_per_extension(monkeypatch):
     calls.clear()
     second = rc.reciprocity_search(ext, t, one, 2)
     assert calls == []
-    pi_class = rc.BaseFieldClass(1, ext.tower.one())
+    pi_class = rc.BaseFieldClass(ext.tower, 1, 0)
     assert first == rc.reciprocity_map(ext, pi_class)
     assert second == first * first
 
@@ -601,7 +625,7 @@ def test_sampler_stream_on_the_matrix_towers(matrix):
         assert rc.random_logs(tower, ours, 2000) == \
             [r - 1 if r else None for r in want], name
         r = theirs.randrange(tower.size)
-        assert rc.random_log(tower, ours) == (r - 1 if r else None), name
+        assert rc.random_logs(tower, ours, 1) == [r - 1 if r else None], name
 
 
 def test_sampler_stream_is_pinned():

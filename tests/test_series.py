@@ -3,7 +3,7 @@ import pytest
 from conftest import binary_power, make_series
 from lcft.extension import TameAbelianExtension
 from lcft.ffield import FieldTower
-from lcft.series import LaurentSeries
+from lcft.series import LaurentSeries, _square
 
 
 @pytest.fixture(scope="module")
@@ -343,25 +343,25 @@ def test_power_makes_products_only_for_the_cut_exponent(params, n, k,
     x = _random_series(tower, rng, 1, n, 1.0)
     mono = _random_series(tower, rng, 1, n, 0.0)
     mul = LaurentSeries.__mul__
-    square = LaurentSeries.twisted_square
+    square = LaurentSeries.square
     calls = []
-    square_steps = []
+    squares = []
 
     def counted(self, other):
         calls.append(other)
         return mul(self, other)
 
-    def counted_square(self, step=0):
+    def counted_square(self):
         calls.append(self)
-        square_steps.append(step)
-        return square(self, step)
+        squares.append(self)
+        return square(self)
 
     monkeypatch.setattr(LaurentSeries, "__mul__", counted)
-    monkeypatch.setattr(LaurentSeries, "twisted_square", counted_square)
+    monkeypatch.setattr(LaurentSeries, "square", counted_square)
     x**k
     assert len(calls) == products
-    # every squaring runs the square kernel, untwisted
-    assert square_steps == [0] * POWER_SQUARES[params, n, k]
+    # every squaring runs the square kernel
+    assert len(squares) == POWER_SQUARES[params, n, k]
     # a monomial's 1-unit part is 1: its power takes no product at all
     mono**k
     assert len(calls) == products
@@ -418,7 +418,12 @@ def test_twisted_square_matches_the_product(params, rng):
                     twin, image = _twisted(x, step), h.apply(x)
                     assert (twin.valuation, twin.logs) == \
                         (image.valuation, image.logs)
-                    got = x.twisted_square(step)
+                    # the twists run the kernel of the norm's inertia
+                    # doublings; h^0 is the plain square
+                    got = x.square() if not step else LaurentSeries(
+                        tower, "alpha", 2 * x.valuation,
+                        _square(x.logs, step, x.valuation, tower.order,
+                                tower._zech))
                     want = x * twin
                     assert (got.valuation, got.logs, got.precision) == \
                         (want.valuation, want.logs, want.precision), \
@@ -433,8 +438,8 @@ def test_nth_root_of_degree_one_is_the_series_itself(rng, monkeypatch):
     calls = []
     monkeypatch.setattr(LaurentSeries, "__mul__",
                         lambda self, other: calls.append(other))
-    monkeypatch.setattr(LaurentSeries, "twisted_square",
-                        lambda self, step=0: calls.append(self))
+    monkeypatch.setattr(LaurentSeries, "square",
+                        lambda self: calls.append(self))
     for params in [(2, 3, 1), (5, 1, 1), (7, 2, 1)]:
         tower = FieldTower(*params)
         for n in (1, 2, 8, 32):
