@@ -224,19 +224,27 @@ class TameAbelianExtension:
     def identity(self) -> "GaloisElement":
         return GaloisElement(self, 0, 0)
 
+    def _least_scale_log(self, a: int) -> int:
+        """The least log c of a pair (a, c): ((q^a - 1)/e * log u0) mod
+        |l*|/e.
+
+        The pairs with first entry a solve e * log c = (q^a - 1) * log u0
+        modulo |l*|. Tameness puts e | q - 1, which divides both q^a - 1
+        and |l*|, so the congruence divides through by e: its e solutions
+        are this one plus the multiples of |l*|/e.
+        """
+        tower = self.tower
+        return ((tower.q**a - 1) // self.e * self.u0.log
+                % (tower.order // self.e))
+
     def galois_group(self) -> tuple:
-        """All e*f elements (a, c), sorted by (a, generator exponent of c)."""
+        """All e*f elements (a, c), sorted by (a, generator exponent of c):
+        for each a, the least log c plus each multiple of |l*|/e."""
         if self._group is None:
-            out = []
-            for a in range(self.f):
-                rhs = self.u0.frobenius(a) / self.u0
-                roots = rhs.nth_roots(self.e)
-                assert len(roots) == math.gcd(self.e, self.tower.order), \
-                    "tame pair equation must always be solvable"
-                for c in roots:
-                    out.append(GaloisElement(self, a, c.log))
-            assert len(out) == self.degree
-            self._group = tuple(out)
+            step = self.tower.order // self.e
+            self._group = tuple(
+                GaloisElement(self, a, self._least_scale_log(a) + i * step)
+                for a in range(self.f) for i in range(self.e))
         return self._group
 
     def inertia_generator(self) -> "GaloisElement":
@@ -247,9 +255,7 @@ class TameAbelianExtension:
         """The lift of residue Frobenius with the smallest-log alpha scale."""
         if self._sigma is None:
             a = 1 % self.f
-            rhs = self.u0.frobenius(a) / self.u0
-            self._sigma = GaloisElement(self, a,
-                                        rhs.nth_roots(self.e)[0].log)
+            self._sigma = GaloisElement(self, a, self._least_scale_log(a))
         return self._sigma
 
     def frobenius_element(self) -> "GaloisElement":
@@ -401,13 +407,16 @@ class GaloisElement:
         return self.a == 0 and self.c_log == 0
 
     def order(self) -> int:
-        n = 1
-        g = self
-        while not g.is_identity():
-            g = g * self
-            n += 1
-            assert n <= self.ext.degree, "order exceeded the group size"
-        return n
+        """r * |l*| / gcd(log c', |l*|), where r = f / gcd(a, f) and
+        (0, c') = self^r.
+
+        self^k has first entry k*a mod f, which is 0 exactly when r | k,
+        and self^(r*k) = (0, c'^k): the order is r times the order of c'
+        in l*.
+        """
+        m = self.ext.tower.order
+        r = self.ext.f // math.gcd(self.a, self.ext.f)
+        return r * m // math.gcd((self ** r).c_log, m)
 
     def apply(self, beta: LaurentSeries) -> LaurentSeries:
         """Action on a series in alpha; valuation is preserved."""

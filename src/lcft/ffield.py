@@ -137,8 +137,7 @@ class FieldTower:
     The modulus is a monic polynomial of degree t*f over F_p such that the
     class of x has order p^(t*f) - 1, which makes it irreducible and x a
     generator of l*; it is found by a seeded random search so a tower
-    built from the same (p, t, f) is always identical. A modulus can also
-    be supplied explicitly; it passes the same order test.
+    built from the same (p, t, f) is always identical.
 
     ``FieldElement`` is the public face of its elements. A Laurent series
     (``series.py``) stores its coefficients as bare generator logs instead:
@@ -148,7 +147,7 @@ class FieldTower:
     ``subfield_norm_exponent``.
     """
 
-    def __init__(self, p: int, t: int, f: int, modulus=None):
+    def __init__(self, p: int, t: int, f: int):
         if t < 1 or f < 1:
             raise ValueError("t and f must be positive")
         # the cap comes first, so trial division only sees p <= 2^20
@@ -168,12 +167,7 @@ class FieldTower:
         self._order_factors = prime_factors(self.order)
         # norm exponent onto k: x |-> x^((q^f-1)/(q-1))
         self.subfield_norm_exponent = self.order // max(self.subfield_units, 1)
-        if modulus is None:
-            modulus = self._find_modulus()
-        else:
-            modulus = tuple(c % p for c in modulus)
-            self._validate_modulus(modulus)
-        self.modulus = tuple(modulus)
+        self.modulus = self._find_modulus()
         self._build_tables()
 
     def _find_modulus(self):
@@ -185,15 +179,6 @@ class FieldTower:
                 continue
             if _x_is_primitive(coeffs, self.p, self._order_factors, self.order):
                 return tuple(coeffs)
-
-    def _validate_modulus(self, modulus):
-        if len(modulus) != self.degree + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree t*f")
-        if not _x_is_primitive(list(modulus), self.p,
-                               self._order_factors, self.order):
-            raise ValueError(
-                "modulus is reducible over the prime field, or the class "
-                "of x does not generate the unit group")
 
     def _build_tables(self):
         # exp[k] packs g^k base p (digit i is the coefficient of x^i),

@@ -6,6 +6,12 @@ is known modulo X^(valuation + precision). The tame constructions in this
 package only ever divide by units or exact monomials, which keeps the
 window a bookkeeping device rather than an error bound.
 
+Powers and roots rest on one fact: the 1-units of an n-term window form
+a group of exponent p^s, the least power of p with p^s >= n
+(``_unit_exponent``). ``**`` cuts its exponent mod p^s, and since a tame
+root degree e is prime to p, ``nth_root`` takes the e-th root of a
+1-unit w1 as the single power w1^(e^(-1) mod p^s), with no iteration.
+
 The exact zero is a distinct value with an infinite-valuation sentinel;
 only ``zero()`` (and products and sums with it) make it. A window whose
 coefficients all cancel is the honest zero O(X^end) instead: it keeps the
@@ -157,13 +163,13 @@ def _square(logs, step, valuation, order, zech):
     return out
 
 
-def _pad(series, precision):
-    """Extend the retained window with zeros (truncation as a polynomial)."""
-    missing = precision - len(series.logs)
-    if missing <= 0 or series.is_zero():
-        return series
-    return LaurentSeries(series.tower, series.symbol, series.valuation,
-                         series.logs + (None,) * missing)
+def _unit_exponent(p, n):
+    """The least power p^s of p with p^s >= n: the exponent of the group
+    of 1-units on an n-term window (see ``LaurentSeries.__pow__``)."""
+    period = 1
+    while period < n:
+        period *= p
+    return period
 
 
 class LaurentSeries:
@@ -434,8 +440,7 @@ class LaurentSeries:
         lead, v = base.logs[0], base.valuation
         period = 1
         if base.logs.count(None) < n - 1:
-            while period < n:
-                period *= tower.p
+            period = _unit_exponent(tower.p, n)
         r = k % period
         cut = k - r
         if not r:
@@ -475,9 +480,11 @@ class LaurentSeries:
         Requires gcd(e, p) = 1 (wild degrees rejected), e | valuation, and
         the leading coefficient an e-th power. Among the e valid lifts the
         one whose leading coefficient has the smallest generator exponent
-        is returned; the unit part is lifted by Newton iteration from its
-        residue, which is exact on the retained window. For e = 1 that root
-        is the series itself, returned with no product.
+        is returned. The 1-unit part w1 has a unique e-th root on the
+        window: the 1-units of n terms form a group of exponent p^s (see
+        ``__pow__``), and p^s is prime to e, so the root is the power
+        w1^(e^(-1) mod p^s), exact on the window. For e = 1 that root is
+        the series itself, returned with no product.
         """
         if e < 1:
             raise ValueError("root degree must be positive")
@@ -496,25 +503,8 @@ class LaurentSeries:
         if not lead_roots:
             raise ValueError(
                 "leading coefficient is not an e-th power in the field")
-        root_lead = lead_roots[0]
-        # 1-unit part: w / (lc * X^v), then Newton for x^e = w1 from x = 1,
-        # doubling the working window each step
+        # 1-unit part: w / (lc * X^v)
         unit_part = self._scaled(-self.logs[0]).shift(-self.valuation)
-        n = len(self.logs)
-        e_const = self.tower.from_int(e)
-        if not e_const:
-            raise ValueError("root degree vanishes in the field")
-        x = LaurentSeries.one(self.tower, self.symbol, 1)
-        window = 1
-        while window < n:
-            window = min(2 * window, n)
-            x = _pad(x, window)
-            fx = x**e - unit_part.truncate(window)
-            if not fx.is_zero():
-                # the quotient keeps len(fx.logs) terms, and the first k
-                # terms of a unit's inverse read only its first k terms
-                deriv = e_const * x.truncate(len(fx.logs)) ** (e - 1)
-                x = x - fx / deriv
-                x = _pad(x, window)
-        assert (x**e - unit_part).is_zero(), "Newton lift failed to converge"
-        return (x * root_lead).shift(self.valuation // e)
+        x = unit_part ** pow(e, -1, _unit_exponent(self.tower.p,
+                                                  len(self.logs)))
+        return (x * lead_roots[0]).shift(self.valuation // e)

@@ -277,9 +277,17 @@ def test_structure_examples(matrix):
         3, 1, 1, 1, "1").structure() == ()
 
 
+# the benchmark's high-degree descriptors: groups of order 63, 58 and 62
+HIGH_DEGREE_PARAMS = [(2, 6, 1, 63, "1"), (59, 1, 1, 58, "g"),
+                      (2, 10, 2, 31, "g")]
+
+
 def test_structure_against_order_statistics(matrix):
     # independent oracle: element orders of the abstract product group
-    for name, ext in matrix.items():
+    exts = dict(matrix)
+    for params in HIGH_DEGREE_PARAMS:
+        exts[params] = TameAbelianExtension.from_parameters(*params, 8)
+    for name, ext in exts.items():
         factors = ext.structure()
         expected = sorted(
             _lcm_of_orders(combo, factors)

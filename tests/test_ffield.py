@@ -39,8 +39,6 @@ def test_construction_validation():
         FieldTower(2, 0, 3)
     with pytest.raises(ValueError):
         FieldTower(2, 3, 8)           # 2^24 over the cap
-    with pytest.raises(ValueError):
-        FieldTower(3, 1, 2, modulus=(0, 0, 1))   # x^2 reducible
 
 
 def test_modulus_is_deterministic(f9):

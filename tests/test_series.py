@@ -240,9 +240,16 @@ def test_root_matches_the_full_derivative_newton_loop(rng):
     checked = 0
     for params, degrees in ROOT_TOWERS.items():
         tower = FieldTower(*params)
-        for _ in range(36):
-            e = rng.choice(degrees)
-            window = rng.randrange(1, 40)
+        # 36 random windows, then p^s - 1, p^s and p^s + 1 for every power
+        # p <= p^s <= 32 of p, where the 1-unit exponent p^s steps, at
+        # each degree
+        cases = [(rng.choice(degrees), rng.randrange(1, 40))
+                 for _ in range(36)]
+        ps = tower.p
+        while ps <= 32:
+            cases += [(e, n) for n in (ps - 1, ps, ps + 1) for e in degrees]
+            ps *= tower.p
+        for e, window in cases:
             w = _random_series(tower, rng, e * rng.randrange(-2, 3), window,
                                density=rng.choice((0.2, 0.7, 1.0)))
             w = LaurentSeries(tower, "t", w.valuation,
@@ -253,7 +260,32 @@ def test_root_matches_the_full_derivative_newton_loop(rng):
             assert (got.valuation, got.logs) == (want.valuation, want.logs), \
                 (params, e, window)
             checked += 1
-    assert checked == 8 * 36
+    # the edge windows: 6 * 2 + 3 * 3 + 3 * 2 + 15 * 1 + 15 * 3 + 15 * 3
+    # + 9 * 3 + 9 * 2
+    assert checked == 8 * 36 + 177
+
+
+def test_root_divides_by_nothing(matrix, rng, monkeypatch):
+    """For e > 1 the root is one power of the 1-unit part: no series
+    inverse, so no division, on any root degree of the matrix towers."""
+    towers = {(ext.p, ext.t, ext.f): ext.tower for ext in matrix.values()}
+    cases = []
+    for tower in towers.values():
+        for e in range(2, tower.order + 1):
+            if tower.order % e == 0:
+                x = _random_series(tower, rng, rng.randrange(-2, 3), 32)
+                cases.append((e, x, x**e))
+    # the divisors e > 1 of |l*| = 8, 4, 63 and 48
+    assert len(cases) == 3 + 2 + 5 + 9
+
+    def refuse(self):
+        raise AssertionError("nth_root inverted a series")
+
+    monkeypatch.setattr(LaurentSeries, "inverse", refuse)
+    for e, x, w in cases:
+        r = w.nth_root(e)
+        assert r**e == w, (x, e)
+        assert r.leading_coefficient == w.leading_coefficient.nth_roots(e)[0]
 
 
 def test_residue(f5, rng):
