@@ -28,6 +28,10 @@ from .series import INFINITE, LaurentSeries, _convolve
 
 _BROKEN_RELATIONS = "(x, y) breaks e*y = 0 or f*x = s*y mod 1"
 
+# The crossed product's alpha-window: its relations hold term by term on any
+# window, so a longer one only checks the same identities at more cost.
+ALGEBRA_PRECISION = 8
+
 
 class Character:
     """A homomorphism from the Galois group to Q/Z.
@@ -177,18 +181,14 @@ class CrossedProduct:
     past its end costs nothing.
     """
 
-    def __init__(self, sigma: GaloisElement, b: BaseFieldClass,
-                 precision: int = 8):
+    def __init__(self, sigma: GaloisElement, b: BaseFieldClass):
         ext = sigma.ext
         if sigma.order() != ext.degree:
             raise ValueError("sigma must generate the full cyclic group")
-        if precision < 1:
-            raise ValueError("precision must be positive")
         self.ext = ext
         self.n = ext.degree
-        self.precision = precision
         b_t = LaurentSeries.monomial(b.tower, "t", b.unit, b.valuation,
-                                     precision)
+                                     ALGEBRA_PRECISION)
         self.b_series = ext.embed(b_t)  # refuses a class over another tower
         # b is a monomial, so a product with it is a truncation to its
         # window, a scale by its coefficient and a shift by its valuation
@@ -196,10 +196,6 @@ class CrossedProduct:
         assert b_logs.count(None) == len(b_logs) - 1, \
             "b must embed as a monomial"
         self.sigma_powers = [sigma**i for i in range(self.n)]
-        # sigma^i on logs: lam -> lam * q^(a_i) + c_i * (exponent)
-        m = ext.tower.order
-        self._twists = [(pow(ext.q, g.a, m), g.c_log)
-                        for g in self.sigma_powers]
 
     # -- element constructors ------------------------------------------------
 
@@ -214,7 +210,7 @@ class CrossedProduct:
 
     def one(self) -> tuple:
         return self.scalar(LaurentSeries.one(self.ext.tower, "alpha",
-                                             self.precision))
+                                             ALGEBRA_PRECISION))
 
     def v(self) -> tuple:
         out = list(self.zero())
@@ -222,7 +218,8 @@ class CrossedProduct:
             # v = b itself in the degenerate rank-1 algebra
             out[0] = self.b_series
             return tuple(out)
-        out[1] = LaurentSeries.one(self.ext.tower, "alpha", self.precision)
+        out[1] = LaurentSeries.one(self.ext.tower, "alpha",
+                                   ALGEBRA_PRECISION)
         return tuple(out)
 
     def random_element(self, rng, sparse=True) -> tuple:
@@ -231,12 +228,12 @@ class CrossedProduct:
             if sparse and rng.random() < 0.5:
                 out.append(LaurentSeries.zero(self.ext.tower, "alpha"))
             else:
-                logs = random_logs(self.ext.tower, rng, self.precision)
+                logs = random_logs(self.ext.tower, rng, ALGEBRA_PRECISION)
                 out.append(LaurentSeries(self.ext.tower, "alpha",
                                          rng.randrange(-2, 3), logs))
         if all(x.is_zero() for x in out):
             out[0] = LaurentSeries.one(self.ext.tower, "alpha",
-                                       self.precision)
+                                       ALGEBRA_PRECISION)
         return tuple(out)
 
     # -- ring operations -----------------------------------------------------
@@ -257,6 +254,7 @@ class CrossedProduct:
         tower = self.ext.tower
         m, zech = tower.order, tower._zech
         n = self.n
+        powers = self.sigma_powers
         b = self.b_series
         vb, lb, b_lead = b.valuation, len(b.logs), b.logs[0]
         ys = [(j, yj.valuation, yj.logs, len(yj.logs))
@@ -301,9 +299,8 @@ class CrossedProduct:
                 width = hi - v
                 if width <= 0:
                     continue
-                frob, c = self._twists[i]
                 _convolve(terms[i][wrapped],
-                          twist_logs(logs[:width], frob, c, vy, m), acc,
+                          twist_logs(logs[:width], powers[i], vy), acc,
                           v - lo, 0, width, m, zech)
             # a window that cancels is the honest zero O(alpha^hi)
             out.append(LaurentSeries(tower, "alpha", lo, acc))
@@ -325,7 +322,7 @@ class CrossedProduct:
 
 
 def cyclic_algebra_check(sigma: GaloisElement, b: BaseFieldClass, rng,
-                         samples: int = 100, precision: int = 8) -> list:
+                         samples: int = 100) -> list:
     """Verify the defining relations of the crossed product on samples.
 
     Checks associativity on random triples, the twisted commutation rule
@@ -333,8 +330,9 @@ def cyclic_algebra_check(sigma: GaloisElement, b: BaseFieldClass, rng,
     with everything precisely when it lies in the base field. Returns the
     failure messages (empty when all hold).
     """
-    alg = CrossedProduct(sigma, b, precision)
+    alg = CrossedProduct(sigma, b)
     ext = sigma.ext
+    window = ALGEBRA_PRECISION
     failures = []
 
     vv = alg.v()
@@ -350,7 +348,7 @@ def cyclic_algebra_check(sigma: GaloisElement, b: BaseFieldClass, rng,
                          alg.multiply(x, alg.multiply(y, z))):
             failures.append(f"associativity failed on sample {k}")
         a = random_unit_series(
-            ext, rng, valuation=rng.randrange(-2, 3)).truncate(precision)
+            ext, rng, valuation=rng.randrange(-2, 3)).truncate(window)
         if not alg.equal(alg.multiply(vv, alg.scalar(a)),
                          alg.multiply(alg.scalar(sigma.apply(a)), vv)):
             failures.append(f"twist rule failed on sample {k}")
@@ -360,12 +358,12 @@ def cyclic_algebra_check(sigma: GaloisElement, b: BaseFieldClass, rng,
     # center audit: scalars commute with v exactly when they lie in K
     for k in range(max(1, samples // 4)):
         base = random_base_unit_series(
-            ext, rng, valuation=rng.randrange(-2, 3)).truncate(precision)
-        emb = ext.embed(base).truncate(precision)
+            ext, rng, valuation=rng.randrange(-2, 3)).truncate(window)
+        emb = ext.embed(base).truncate(window)
         if not alg.commutes(alg.scalar(emb), vv):
             failures.append(f"embedded base scalar fails to commute ({k})")
         lam = random_unit_series(
-            ext, rng, valuation=rng.randrange(-2, 3)).truncate(precision)
+            ext, rng, valuation=rng.randrange(-2, 3)).truncate(window)
         fixed = sigma.apply(lam) == lam
         is_central = alg.commutes(alg.scalar(lam), vv)
         if is_central != fixed:

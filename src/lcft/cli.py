@@ -9,7 +9,7 @@ field elements are written as g^k, a bare integer, or a comma-separated
 coefficient list. The series precision comes from --precision, then the
 config, then ``series.DEFAULT_PRECISION`` (32). Exit codes: 0 success,
 1 descriptor validation failure, 2 property-suite failure, 3 I/O or
-parse failure.
+parse failure, malformed arguments included.
 """
 
 from __future__ import annotations
@@ -239,8 +239,17 @@ HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Malformed arguments are a parse failure: exit 3, not argparse's 2,
+    which ``lcft`` gives to a failed property suite."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lcft",
         description="tame local reciprocity maps over Laurent series fields")
     parser.add_argument("command", choices=COMMANDS)

@@ -30,17 +30,18 @@ BASE_SYMBOL = "t"
 EXT_SYMBOL = "alpha"
 
 
-def twist_logs(logs, frob, c_log, start, order):
-    """A window's image under the pair that sends lam to lam^(q^a) and
-    alpha to c * alpha, on generator logs.
+def twist_logs(logs, g, start):
+    """A window's image under g = (a, c), which sends lam to lam^(q^a)
+    and alpha to c * alpha, on generator logs.
 
     ``logs`` holds the coefficients of alpha^start, alpha^(start + 1),
-    ... (None for zero), ``frob`` is q^a mod ``order`` and ``c_log`` is
-    log c. The term lam * alpha^n goes to lam^(q^a) * c^n * alpha^n, so
-    its log becomes (log lam * q^a + log c * n) mod |l*|. The one formula
-    of the action: ``GaloisElement.apply``, the crossed-product slots and
-    the norm's chain steps all run it.
+    ... (None for zero). The term lam * alpha^n goes to
+    lam^(q^a) * c^n * alpha^n, so its log becomes
+    (log lam * q^a + log c * n) mod |l*|, with q^a read from ``g.frob``.
+    The one formula of the action: ``GaloisElement.apply``, the
+    crossed-product slots and the norm's chain steps all run it.
     """
+    frob, c_log, order = g.frob, g.c_log, g.ext.tower.order
     return [None if L is None else (L * frob + c_log * n) % order
             for n, L in enumerate(logs, start)]
 
@@ -125,10 +126,6 @@ class TameAbelianExtension:
             "p": self.p, "t": self.t, "f": self.f, "e": self.e,
             "u0": str(self.u0), "precision": self.precision,
         }
-
-    def descriptor_text(self) -> str:
-        """The descriptor as key=value lines (the CLI config format)."""
-        return "".join(f"{k}={v}\n" for k, v in self.descriptor().items())
 
     def __repr__(self):
         return (f"TameAbelianExtension(p={self.p}, t={self.t}, f={self.f}, "
@@ -335,23 +332,26 @@ class GaloisElement:
     a view that builds the FieldElement on each access, as
     ``LaurentSeries.coeffs`` does. There is one constructor and it always
     checks membership, so every element, including each product, inverse
-    and power, satisfies c^e = u0^(q^a - 1).
+    and power, satisfies c^e = u0^(q^a - 1). The check's q^a mod |l*| is
+    kept as ``frob``, for products, the action, the norm and the algebra.
     """
 
-    __slots__ = ("ext", "a", "c_log")
+    __slots__ = ("ext", "a", "c_log", "frob")
 
     def __init__(self, ext: TameAbelianExtension, a: int, c_log: int):
         tower = ext.tower
         m = tower.order
         a %= tower.f
         c_log %= m
+        frob = pow(tower.q, a, m)
         # c^e = u0^(q^a - 1), on generator logs
-        if (ext.e * c_log - (pow(tower.q, a, m) - 1) * ext.u0.log) % m:
+        if (ext.e * c_log - (frob - 1) * ext.u0.log) % m:
             raise ValueError(
                 "pair fails the membership constraint c^e = u0^(q^a - 1)")
         self.ext = ext
         self.a = a
         self.c_log = c_log
+        self.frob = frob
 
     @property
     def c(self) -> FieldElement:
@@ -376,10 +376,8 @@ class GaloisElement:
             return NotImplemented
         if other.ext is not self.ext:
             raise ValueError("elements of different extensions")
-        tower = self.ext.tower
-        frob = pow(tower.q, self.a, tower.order)
         return GaloisElement(self.ext, self.a + other.a,
-                             other.c_log * frob + self.c_log)
+                             other.c_log * self.frob + self.c_log)
 
     def inverse(self) -> "GaloisElement":
         """(-a, c^(-q^(-a))), the pair undoing self."""
@@ -426,9 +424,6 @@ class GaloisElement:
             raise ValueError("series belongs to a different tower")
         if beta.is_zero():
             return beta
-        tower = self.ext.tower
-        m = tower.order
         return LaurentSeries(
-            tower, EXT_SYMBOL, beta.valuation,
-            twist_logs(beta.logs, pow(tower.q, self.a, m), self.c_log,
-                       beta.valuation, m))
+            beta.tower, EXT_SYMBOL, beta.valuation,
+            twist_logs(beta.logs, self, beta.valuation))

@@ -5,8 +5,8 @@ they can check each other:
 
 * ``reciprocity_map``: a closed form for the pair (a, c) of the image of
   the class u * t^i, derived by evaluating the defining congruence at
-  beta = alpha and beta = a residue generator. Negative valuations go
-  through the group inverse.
+  beta = alpha and beta = a residue generator. The same formula covers
+  every valuation, negative ones included.
 * ``reciprocity_search``: evaluates the congruence right-hand side as an
   exact series quotient at two probes and looks the pair of residues up
   in a table of the whole Galois group, built once per extension by
@@ -97,22 +97,23 @@ def reciprocity_map(ext: TameAbelianExtension,
                     b: BaseFieldClass) -> GaloisElement:
     """Closed-form image of a base-field class under local reciprocity.
 
-    For i >= 0 the pair is a = i mod f and
+    The pair is a = i mod f and
         c = (-1)^((e-1)m) * u0^m * ubar^(-(q-1)/e),  m = (q^i-1)/e,
-    which is the exact residue of the defining congruence at beta = alpha;
-    the membership constraint is re-checked on construction. Negative i is
-    mapped through the inverse class.
+    which for i >= 0 is the exact residue of the defining congruence at
+    beta = alpha; the membership constraint is re-checked on construction.
 
     It runs on generator logs, modulo |l*|:
         log c = m * log u0 - ((q-1)/e) * log ubar  (+ |l*|/2 for the sign),
     with m taken from q^i mod e*|l*|, which fixes m modulo |l*| without
-    the integer q^i. The sign needs m's parity, and the reduction keeps
-    it: for odd p, |l*| = p^(tf) - 1 is even, and for p = 2 the sign is 1.
+    the integer q^i. q is prime to e*|l*|, so the same power serves a
+    negative i, where q^i = 1 mod e still holds. As m(i + j) = m(i) +
+    q^i * m(j) is the group law's rule for scales, theta(b^-1) =
+    theta(b)^-1 follows from the formula, with no inverse taken. The sign
+    needs m's parity, and the reduction keeps it: for odd p,
+    |l*| = p^(tf) - 1 is even, and for p = 2 the sign is 1.
     """
     if b.tower is not ext.tower:
         raise ValueError("class over a different tower")
-    if b.valuation < 0:
-        return reciprocity_map(ext, b.inverse()).inverse()
     q, e = ext.q, ext.e
     order = ext.tower.order
     m = (pow(q, b.valuation, e * order) - 1) // e
@@ -266,20 +267,20 @@ def norm(ext: TameAbelianExtension, beta: LaurentSeries) -> LaurentSeries:
     m, zech = tower.order, tower._zech
     n = len(beta.logs)
     v, logs = beta.valuation, beta.logs
-    for h_frob, h_c, steps in _norm_chain(ext):
+    for h, steps in _norm_chain(ext):
         v_y = v
         y_terms = [(i, a) for i, a in enumerate(logs) if a is not None]
-        for frob, c, one_bit in steps:
-            if frob == 1:
+        for g, one_bit in steps:
+            if g.frob == 1:
                 # a = 0: h^c only scales alpha, so the step is a square
-                logs = _square(logs, c, v, m, zech)
+                logs = _square(logs, g.c_log, v, m, zech)
             else:
                 terms = [(i, a) for i, a in enumerate(logs) if a is not None]
-                logs = _convolve(terms, twist_logs(logs, frob, c, v, m),
+                logs = _convolve(terms, twist_logs(logs, g, v),
                                  [None] * n, 0, 0, n, m, zech)
             v *= 2
             if one_bit:
-                logs = _convolve(y_terms, twist_logs(logs, h_frob, h_c, v, m),
+                logs = _convolve(y_terms, twist_logs(logs, h, v),
                                  [None] * n, 0, 0, n, m, zech)
                 v += v_y
     try:
@@ -294,27 +295,19 @@ def norm(ext: TameAbelianExtension, beta: LaurentSeries) -> LaurentSeries:
 def _norm_chain(ext: TameAbelianExtension) -> tuple:
     """The Galois powers that ``norm``'s two doubling chains apply.
 
-    One triple (q^a, log c, steps) for each cyclic product, with (a, c)
-    the pair of its generator h: the inertia generator with m = e, then
-    the residue Frobenius lift with m = f. ``steps`` has one triple
-    (q^a, log c, bit) for each bit of m below the leading one, with (a, c)
-    the pair of h^c, where c is the prefix of m read before that bit;
-    each q^a is reduced mod |l*|, as ``twist_logs`` takes it. Built once
-    per extension and cached on it, so a norm makes no group products.
+    One pair (h, steps) for each cyclic product, with h its generator:
+    the inertia generator with m = e, then the residue Frobenius lift
+    with m = f. ``steps`` has one pair (h^c, bit) for each bit of m below
+    the leading one, where c is the prefix of m read before that bit.
+    Built once per extension and cached on it, so a norm makes no group
+    products.
     """
     if ext._norm_chain is None:
-        m_order = ext.tower.order
-
-        def twist(g):
-            return pow(ext.q, g.a, m_order), g.c_log
-
-        chain = []
-        for h, m in ((ext.inertia_generator(), ext.e),
-                     (ext.residue_frobenius_lift(), ext.f)):
-            steps = tuple((*twist(h ** (m >> (k + 1))), bool(m >> k & 1))
-                          for k in reversed(range(m.bit_length() - 1)))
-            chain.append((*twist(h), steps))
-        ext._norm_chain = tuple(chain)
+        ext._norm_chain = tuple(
+            (h, tuple((h ** (m >> (k + 1)), bool(m >> k & 1))
+                      for k in reversed(range(m.bit_length() - 1))))
+            for h, m in ((ext.inertia_generator(), ext.e),
+                         (ext.residue_frobenius_lift(), ext.f)))
     return ext._norm_chain
 
 

@@ -55,7 +55,8 @@ def field_element_closed_form(ext, b):
 
     The reference for ``reciprocity_map``, which computes the same scale
     on generator logs: here m is the whole integer and c is built from
-    field elements, the sign included.
+    field elements, the sign included. A negative valuation goes through
+    both inverses, a route the library's closed form does not take.
     """
     if b.valuation < 0:
         return field_element_closed_form(ext, b.inverse()).inverse()

@@ -272,7 +272,7 @@ def test_crossed_product_square_example(matrix):
     # (delta v)^2 = delta sigma(delta) v^2 = -t * t for the quadratic case
     ext = matrix["ram_e2"]
     sigma = galois_element(ext, 0, 4)
-    alg = brauer.CrossedProduct(sigma, _pi_class(ext), 8)
+    alg = brauer.CrossedProduct(sigma, _pi_class(ext))
     delta_v = alg.multiply(alg.scalar(ext.uniformizer(8)), alg.v())
     square = alg.multiply(delta_v, delta_v)
     t_emb = ext.embed(ext.base_uniformizer(8))
@@ -283,7 +283,7 @@ def test_crossed_product_square_example(matrix):
 def test_crossed_product_rank_one():
     from lcft.extension import TameAbelianExtension
     ext = TameAbelianExtension.from_parameters(3, 1, 1, 1, "1")
-    alg = brauer.CrossedProduct(ext.identity(), _pi_class(ext), 8)
+    alg = brauer.CrossedProduct(ext.identity(), _pi_class(ext))
     assert alg.equal(alg.power(alg.v(), 1), alg.scalar(alg.b_series))
 
 
@@ -314,7 +314,7 @@ def test_associativity_on_the_seed_1803_triple(matrix):
     # the exact zero there would claim terms nobody computed
     ext = matrix["ram_e4"]
     sigma = next(g for g in ext.galois_group() if g.order() == ext.degree)
-    alg = brauer.CrossedProduct(sigma, _pi_class(ext), 8)
+    alg = brauer.CrossedProduct(sigma, _pi_class(ext))
     x, y, z = (tuple(LaurentSeries.zero(ext.tower, "alpha") if s is None
                      else LaurentSeries(ext.tower, "alpha", *s)
                      for s in element)
@@ -333,7 +333,7 @@ def test_associativity_on_the_seed_1803_triple(matrix):
 def test_crossed_product_equal_is_agreement_on_the_common_window(matrix):
     ext = matrix["ram_e4"]
     sigma = next(g for g in ext.galois_group() if g.order() == ext.degree)
-    alg = brauer.CrossedProduct(sigma, _pi_class(ext), 8)
+    alg = brauer.CrossedProduct(sigma, _pi_class(ext))
     rest = alg.zero()[1:]
 
     def slot0(valuation, logs):
@@ -458,7 +458,7 @@ def test_crossed_product_multiply_against_reference(params, rng,
         last = sample == 6
         b = rc.BaseFieldClass(ext.tower, 16 if last else rng.randrange(-1, 3),
                               gk.log * rng.randrange(ext.q - 1))
-        alg = brauer.CrossedProduct(sigma, b, 8)
+        alg = brauer.CrossedProduct(sigma, b)
         x = alg.random_element(rng, sparse=sample % 2 == 0 and not last)
         y = alg.random_element(rng, sparse=sample % 3 == 0 and not last)
         for left, right in ((x, y), (y, x), (alg.v(), x), (x, alg.one())):
@@ -474,7 +474,7 @@ def test_dense_product_skips_every_wrapped_sum(rng, monkeypatch):
     ext = TameAbelianExtension.from_parameters(59, 1, 1, 58, "g",
                                                precision=8)
     sigma = next(g for g in ext.galois_group() if g.order() == ext.degree)
-    alg = brauer.CrossedProduct(sigma, _pi_class(ext), 8)
+    alg = brauer.CrossedProduct(sigma, _pi_class(ext))
     x = alg.random_element(rng, sparse=False)
     y = alg.random_element(rng, sparse=False)
     steps = _count_kernel_steps(monkeypatch)
@@ -581,7 +581,7 @@ def test_crossed_product_multiply_matches_slotwise_loop(params, rng,
     for b_val in range(-1, 3):
         b = rc.BaseFieldClass(ext.tower, b_val,
                               gk.log * rng.randrange(ext.q - 1))
-        alg = brauer.CrossedProduct(sigma, b, 8)
+        alg = brauer.CrossedProduct(sigma, b)
         pairs = [*_cancelling_pairs(alg, rng),
                  (alg.random_element(rng), alg.random_element(rng))]
         # a product's cancelled slots are honest zeros: feed some back in

@@ -171,7 +171,31 @@ def test_nonpositive_samples_config_exits_three(tmp_path, capsys):
 
 def test_descriptor_text_round_trip(tmp_path):
     ext = TameAbelianExtension.from_parameters(2, 2, 3, 3, "g", 16)
-    cfg = _write(tmp_path, ext.descriptor_text())
+    cfg = _write(tmp_path, "".join(
+        f"{k}={v}\n" for k, v in ext.descriptor().items()))
     raw = cli.parse_config(cfg)
     again = cli.build_extension(raw)
     assert again.descriptor() == ext.descriptor()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "CFG", "--samples", "abc"],
+    ["check", "CFG", "--seed", "1.5"],
+    ["check", "CFG", "--precision", "x"],
+    ["frobnicate", "CFG"],
+    ["check"],
+])
+def test_malformed_arguments_exit_three(tmp_path, capsys, argv):
+    # argparse's own exit code, 2, is the property-suite failure's
+    cfg = _write(tmp_path, UNRAM)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([cfg if a == "CFG" else a for a in argv])
+    assert exc.value.code == cli.EXIT_IO
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: lcft" in capsys.readouterr().out

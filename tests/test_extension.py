@@ -81,7 +81,7 @@ def test_products_recheck_membership(matrix):
     # an element that bypassed the constructor is caught by the next product
     ext = matrix["mixed_c9"]
     corrupt = object.__new__(GaloisElement)
-    corrupt.ext, corrupt.a, corrupt.c_log = ext, 0, 1
+    corrupt.ext, corrupt.a, corrupt.c_log, corrupt.frob = ext, 0, 1, 1
     with pytest.raises(ValueError):
         GaloisElement(ext, 0, 1)
     with pytest.raises(ValueError, match="membership"):
@@ -102,9 +102,9 @@ def test_galois_element_rejects_bad_scales(matrix):
 
 def test_products_inverses_powers_are_members(matrix):
     # the group law builds every product, inverse and power through the
-    # checking constructor; each result must be a member of the group
-    for name in ("deg12", "mixed_c9"):
-        ext = matrix[name]
+    # checking constructor; each result must be a member of the group and
+    # carry its own twist q^a mod |l*|
+    for name, ext in matrix.items():
         group = ext.galois_group()
         for g in group:
             derived = [g * h for h in group] + [g.inverse()]
@@ -112,6 +112,7 @@ def test_products_inverses_powers_are_members(matrix):
             for x in derived:
                 assert GaloisElement(ext, x.a, x.c_log) == x, (name, x)
                 assert x in group, (name, x)
+                assert x.frob == pow(ext.q, x.a, ext.tower.order), (name, x)
 
 
 def test_power_matches_repeated_products_with_fewest_muls(matrix,

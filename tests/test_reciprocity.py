@@ -133,6 +133,32 @@ def test_closed_form_on_logs_matches_the_field_element_powers(params, rng):
             assert (got.a, got.c_log) == (want.a, want.c_log), (params, b)
 
 
+@pytest.mark.parametrize("params", [
+    *MATRIX_PARAMS.values(),
+    (2, 6, 1, 63, "1"),
+    (59, 1, 1, 58, "g"),
+    (2, 10, 2, 31, "g"),
+])
+def test_negative_valuations_take_no_inverse(params, rng, monkeypatch):
+    # the closed form covers i < 0 itself; the reference takes inverses,
+    # so its expectations are computed before both inverses are disabled
+    ext = TameAbelianExtension.from_parameters(*params, precision=8)
+    units = ext.q - 1
+    js = range(units) if units <= 64 else rng.sample(range(units), 64)
+    gk_log = ext.tower.subfield_generator().log
+    classes = [rc.BaseFieldClass(ext.tower, i, gk_log * j)
+               for i in range(-3 * ext.f - 2, 0) for j in js]
+    want = [field_element_closed_form(ext, b) for b in classes]
+
+    def refuse(self):
+        raise AssertionError("an inverse was taken")
+
+    monkeypatch.setattr(rc.BaseFieldClass, "inverse", refuse)
+    monkeypatch.setattr(GaloisElement, "inverse", refuse)
+    for b, expected in zip(classes, want):
+        assert rc.reciprocity_map(ext, b) == expected, (params, b)
+
+
 def test_negative_valuation_through_inverse(matrix):
     for ext in matrix.values():
         gk = ext.tower.subfield_generator()
