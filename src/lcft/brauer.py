@@ -322,7 +322,7 @@ class CrossedProduct:
 
 
 def cyclic_algebra_check(sigma: GaloisElement, b: BaseFieldClass, rng,
-                         samples: int = 100) -> list:
+                         samples: int) -> list:
     """Verify the defining relations of the crossed product on samples.
 
     Checks associativity on random triples, the twisted commutation rule

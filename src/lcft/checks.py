@@ -57,7 +57,7 @@ def check_group_axioms(ext: TameAbelianExtension) -> CheckResult:
                    f"{len(group)} elements, {len(group)**2} pairs")
 
 
-def check_action_is_ring_hom(ext, rng, samples=20) -> CheckResult:
+def check_action_is_ring_hom(ext, rng, samples) -> CheckResult:
     """apply respects + and * and fixes the embedded base field."""
     failures = []
     t_emb = ext.embed(ext.base_uniformizer())
@@ -99,7 +99,7 @@ def check_inertia_pairs(ext) -> CheckResult:
     return _result("inertia-pair-injectivity", failures)
 
 
-def check_ramification_filtration(ext, rng, samples=10) -> CheckResult:
+def check_ramification_filtration(ext, rng, samples) -> CheckResult:
     """Closed form vs direct definition for i in {-1, 0, 1, 2} + audits."""
     failures = []
     for i in (-1, 0, 1, 2):
@@ -128,9 +128,7 @@ def check_ramification_filtration(ext, rng, samples=10) -> CheckResult:
 def check_structure(ext) -> CheckResult:
     failures = []
     factors = ext.structure()
-    prod = 1
-    for d in factors:
-        prod *= d
+    prod = math.prod(factors)
     if prod != ext.degree:
         failures.append(f"invariant factor product {prod} != {ext.degree}")
     for a, b in zip(factors, factors[1:]):
@@ -178,7 +176,7 @@ def check_reciprocity_homomorphism(ext) -> CheckResult:
     return _result("reciprocity-homomorphism", failures)
 
 
-def check_kernel_and_bijection(ext, rng, samples=200) -> CheckResult:
+def check_kernel_and_bijection(ext, rng, samples) -> CheckResult:
     """theta kills norms; theta is a bijection from classes to the group."""
     failures = []
     for n in range(samples):
@@ -196,7 +194,7 @@ def check_kernel_and_bijection(ext, rng, samples=200) -> CheckResult:
     return _result("kernel-and-bijection", failures, f"{samples} norms")
 
 
-def check_uniformizer_independence(ext, rng, samples=10) -> CheckResult:
+def check_uniformizer_independence(ext, rng, samples) -> CheckResult:
     """Searching with pi' = w*t and u' = u*w^(-i) resolves the same element."""
     failures = []
     reps = rc.norm_group(ext).coset_representatives
@@ -217,7 +215,7 @@ def check_uniformizer_independence(ext, rng, samples=10) -> CheckResult:
     return _result("uniformizer-independence", failures)
 
 
-def check_unramified_law(ext, rng, samples=20) -> CheckResult:
+def check_unramified_law(ext, rng, samples) -> CheckResult:
     """e = 1: theta(b) = Frob^v(b) for every class, including 1-unit tails."""
     if ext.e != 1:
         return CheckResult("unramified-law", True, "skipped: e > 1")
@@ -257,8 +255,11 @@ def check_totally_ramified_laws(ext) -> CheckResult:
 
 
 def check_power_law(ext) -> CheckResult:
-    """theta((i, 1)) telescopes to theta((1, 1))^i for |i| <= 2ef; for i < 0
-    the power takes the group inverse, which the closed form does not."""
+    """theta((i, 1)) telescopes to theta((1, 1))^i for |i| <= 2ef.
+
+    The power is the group's geometric sum (``GaloisElement.__pow__``),
+    at a negative exponent for i < 0: a route that ``reciprocity_map``,
+    which reads q^i off modulo e*|l*|, does not share."""
     failures = []
     tower = ext.tower
     base = rc.reciprocity_map(ext, rc.BaseFieldClass(tower, 1, 0))
@@ -268,8 +269,8 @@ def check_power_law(ext) -> CheckResult:
     return _result("reciprocity-power-law", failures)
 
 
-def check_norm_congruences(ext, rng, unit_samples=100,
-                           uniformizer_samples=10) -> CheckResult:
+def check_norm_congruences(ext, rng, unit_samples,
+                           uniformizer_samples) -> CheckResult:
     """Residue identities satisfied by norms, checked on random samples.
 
     For a unit u of L: the residue of N(u) equals the residue norm of
@@ -302,7 +303,7 @@ def check_norm_congruences(ext, rng, unit_samples=100,
                    f"{unit_samples}+{uniformizer_samples} samples")
 
 
-def check_root_extraction(ext, rng, samples=100) -> CheckResult:
+def check_root_extraction(ext, rng, samples) -> CheckResult:
     """nth_root inverts e-th powers on eligible random series, exactly."""
     failures = []
     tower = ext.tower
@@ -325,7 +326,7 @@ def check_root_extraction(ext, rng, samples=100) -> CheckResult:
     return _result("hensel-root-extraction", failures, f"{samples} roots")
 
 
-def check_hasse_layer(ext, rng, samples=100) -> CheckResult:
+def check_hasse_layer(ext, rng, samples) -> CheckResult:
     """Bilinearity, unramified value, faithful-kernel and algebra relations."""
     failures = []
     chars = brauer.character_group(ext)
@@ -387,7 +388,7 @@ def check_hasse_layer(ext, rng, samples=100) -> CheckResult:
     return _result("hasse-layer", failures)
 
 
-def run_checks(ext: TameAbelianExtension, samples=100, seed=0) -> list:
+def run_checks(ext: TameAbelianExtension, samples: int, seed: int) -> list:
     """The full per-extension suite with deterministic sampling."""
     rng = random.Random(seed)
     small = max(10, samples // 10)

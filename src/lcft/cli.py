@@ -27,8 +27,6 @@ EXIT_INVALID = 1
 EXIT_PROPERTY = 2
 EXIT_IO = 3
 
-COMMANDS = ("validate", "galois", "recip", "norm-group", "hasse", "check")
-
 
 def parse_config(path: str) -> dict:
     raw = {}
@@ -252,7 +250,7 @@ def main(argv=None) -> int:
     parser = _Parser(
         prog="lcft",
         description="tame local reciprocity maps over Laurent series fields")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=HANDLERS)
     parser.add_argument("config", help="key=value descriptor file")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")

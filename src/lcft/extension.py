@@ -10,10 +10,10 @@ q^a power and scales alpha by c, subject to the membership constraint
 c^e = u0^(q^a - 1) obtained by applying the map to alpha^e = u0 * t. The
 pair is stored as (a, log c), a generator log as in a series window, so
 the constraint is the congruence e * log c = (q^a - 1) * log u0 modulo
-|l*|. Every element is checked against it on construction, the products,
-inverses and powers of the group law included. The group law, the
-ramification filtration and the abelian invariant factors are all
-computed from these pairs.
+|l*|. Every element is checked against it on construction, products and
+powers included; g^n = (n*a, c^((Q^n - 1)/(Q - 1))) for Q = q^a is one
+closed form, negative n and the inverse g^-1 included. The group law, the
+ramification filtration and the invariant factors come from these pairs.
 """
 
 from __future__ import annotations
@@ -54,15 +54,15 @@ class TameAbelianExtension:
     construction; the Galois group, its distinguished generators and their
     relation exponent, the Galois powers of the norm's doubling chain, the
     norm-group presentation and the congruence search's probe-residue
-    table (the group scanned once) are each computed once and cached.
+    table (the group scanned once) are each computed once and cached. u0
+    is a ``FieldElement``; ``from_parameters`` parses it from text.
     """
 
-    def __init__(self, tower: FieldTower, e: int, u0=1,
-                 precision: int = DEFAULT_PRECISION):
-        if isinstance(u0, int):
-            u0 = tower.from_int(u0)
-        if isinstance(u0, str):
-            u0 = tower.parse(u0)
+    def __init__(self, tower: FieldTower, e: int, u0: FieldElement,
+                 precision: int):
+        if not isinstance(u0, FieldElement):
+            raise TypeError("u0 must be a FieldElement of the tower; "
+                            "from_parameters parses text")
         if u0.tower is not tower:
             raise ValueError("u0 must live in the given tower")
         if not u0:
@@ -96,8 +96,10 @@ class TameAbelianExtension:
     @classmethod
     def from_parameters(cls, p, t, f, e, u0="1",
                         precision=DEFAULT_PRECISION):
+        """The extension of a descriptor, with u0 written as text ("g^k",
+        "g", a bare integer or a coefficient list), as in a config file."""
         tower = FieldTower(p, t, f)
-        return cls(tower, e, u0, precision)
+        return cls(tower, e, tower.parse(u0), precision)
 
     # -- convenience views ---------------------------------------------------
 
@@ -133,19 +135,19 @@ class TameAbelianExtension:
 
     # -- series constructors and the K <-> L change of presentation ----------
 
-    def uniformizer(self, precision=None) -> LaurentSeries:
+    def uniformizer(self) -> LaurentSeries:
         """The distinguished uniformizer alpha of L."""
-        return LaurentSeries.uniformizer(
-            self.tower, EXT_SYMBOL, precision or self.precision)
+        return LaurentSeries.uniformizer(self.tower, EXT_SYMBOL,
+                                         self.precision)
 
-    def base_uniformizer(self, precision=None) -> LaurentSeries:
+    def base_uniformizer(self) -> LaurentSeries:
         """The uniformizer t of K."""
-        return LaurentSeries.uniformizer(
-            self.tower, BASE_SYMBOL, precision or self.precision)
+        return LaurentSeries.uniformizer(self.tower, BASE_SYMBOL,
+                                         self.precision)
 
-    def constant(self, value, precision=None) -> LaurentSeries:
-        return LaurentSeries.constant(
-            self.tower, EXT_SYMBOL, value, precision or self.precision)
+    def constant(self, value) -> LaurentSeries:
+        return LaurentSeries.constant(self.tower, EXT_SYMBOL, value,
+                                      self.precision)
 
     def embed(self, x: LaurentSeries) -> LaurentSeries:
         """Re-express a K-series in L via t = u0^(-1) * alpha^e. Exact."""
@@ -333,7 +335,8 @@ class GaloisElement:
     ``LaurentSeries.coeffs`` does. There is one constructor and it always
     checks membership, so every element, including each product, inverse
     and power, satisfies c^e = u0^(q^a - 1). The check's q^a mod |l*| is
-    kept as ``frob``, for products, the action, the norm and the algebra.
+    kept as ``frob``, for products, powers (the inverse among them, with
+    no group product), the action, the norm and the algebra.
     """
 
     __slots__ = ("ext", "a", "c_log", "frob")
@@ -380,26 +383,25 @@ class GaloisElement:
                              other.c_log * self.frob + self.c_log)
 
     def inverse(self) -> "GaloisElement":
-        """(-a, c^(-q^(-a))), the pair undoing self."""
-        tower = self.ext.tower
-        frob = pow(tower.q, -self.a % tower.f, tower.order)
-        return GaloisElement(self.ext, -self.a, -self.c_log * frob)
+        """The pair undoing self: ``self ** -1``."""
+        return self ** -1
 
     def __pow__(self, n: int) -> "GaloisElement":
-        if n == 0:
-            return GaloisElement(self.ext, 0, 0)
-        base = self if n > 0 else self.inverse()
-        n = abs(n)
-        # square-and-multiply from the lowest bit, with no product by the
-        # identity and no squaring after the top bit
-        out = None
-        while True:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if not n:
-                return out
-            base = base * base
+        """(n*a, c^((Q^n - 1)/(Q - 1))) for Q = q^a, by the group law.
+
+        On logs the scale is log c times the geometric sum, mod |l*|: n
+        for a = 0, else read off Q^n mod |l*| * (Q - 1), as Q - 1 divides
+        Q^n - 1. Q is ``frob`` (q^a < |l*| for 0 < a < f) and prime to
+        that modulus, so a negative n takes the same line: the sum at a
+        negative exponent, with no inverse and no group product.
+        """
+        big_q = self.frob
+        if self.a:
+            total = ((pow(big_q, n, self.ext.tower.order * (big_q - 1)) - 1)
+                     // (big_q - 1))
+        else:
+            total = n
+        return GaloisElement(self.ext, n * self.a, self.c_log * total)
 
     def is_identity(self) -> bool:
         return self.a == 0 and self.c_log == 0

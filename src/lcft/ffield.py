@@ -46,15 +46,6 @@ ZECH_ARRAY_MIN = 2**16
 _ZECH_CHUNK = 2**12
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            return False
-    return True
-
-
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors by trial division (n <= 2^20 here)."""
     out = []
@@ -68,6 +59,11 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def is_prime(n: int) -> bool:
+    """n is its only prime factor (n < 2 has none)."""
+    return prime_factors(n) == [n]
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +162,7 @@ class FieldTower:
         self.subfield_units = self.q - 1       # |k*|
         self._order_factors = prime_factors(self.order)
         # norm exponent onto k: x |-> x^((q^f-1)/(q-1))
-        self.subfield_norm_exponent = self.order // max(self.subfield_units, 1)
+        self.subfield_norm_exponent = self.order // self.subfield_units
         self.modulus = self._find_modulus()
         self._build_tables()
 
@@ -451,7 +447,7 @@ class FieldElement:
         if self.log % d != 0:
             return ()
         step = m // d
-        y0 = (self.log // d) * pow(e // d, -1, step) % step if step > 1 else 0
+        y0 = (self.log // d) * pow(e // d, -1, step) % step
         logs = sorted((y0 + i * step) % m for i in range(d))
         return tuple(FieldElement(self.tower, L) for L in logs)
 
@@ -459,5 +455,5 @@ class FieldElement:
         """Discrete log w.r.t. the subfield generator (element must be in k*)."""
         if self.log is None or not self.in_subfield():
             raise ValueError("element is not a unit of the subfield")
-        return (self.log // self.tower.subfield_norm_exponent) % max(
-            self.tower.subfield_units, 1)
+        return ((self.log // self.tower.subfield_norm_exponent)
+                % self.tower.subfield_units)

@@ -335,7 +335,7 @@ class NormGroupPresentation:
         if b.tower is not self.ext.tower:
             raise ValueError("class over a different tower")
         f = self.ext.f
-        big_q = max(self.ext.q - 1, 1)
+        big_q = self.ext.q - 1
         if b.valuation % f != 0:
             return False
         mth = b.valuation // f
@@ -359,7 +359,7 @@ def norm_group(ext: TameAbelianExtension) -> NormGroupPresentation:
     tower = ext.tower
     gen = tower.generator()
     gk = tower.subfield_generator()
-    big_q = max(tower.subfield_units, 1)
+    big_q = tower.subfield_units
 
     alpha_norm = norm(ext, ext.uniformizer())
     d1 = alpha_norm.leading_coefficient.subfield_log()
@@ -368,9 +368,7 @@ def norm_group(ext: TameAbelianExtension) -> NormGroupPresentation:
 
     rows = [[ext.f, d1], [0, d2], [0, big_q]]
     factors = tuple(invariant_factors(rows))
-    order = 1
-    for d in factors:
-        order *= d
+    order = math.prod(factors)
     assert order == ext.degree, (
         f"norm quotient has order {order}, expected {ext.degree}")
 
@@ -453,7 +451,7 @@ def random_base_unit_series(ext: TameAbelianExtension, rng,
     """
     tower = ext.tower
     gk = tower.subfield_norm_exponent    # the log of k's generator
-    units = max(tower.subfield_units, 1)
+    units = tower.subfield_units
     logs = [None if j == units else gk * j % tower.order
             for j in [_below(rng, units + 1)
                       for _ in range(ext.precision)]]

@@ -216,20 +216,19 @@ class LaurentSeries:
         return cls(tower, symbol, INFINITE, ())
 
     @classmethod
-    def constant(cls, tower, symbol, value, precision=DEFAULT_PRECISION):
+    def constant(cls, tower, symbol, value, precision):
         return cls.monomial(tower, symbol, value, 0, precision)
 
     @classmethod
-    def one(cls, tower, symbol, precision=DEFAULT_PRECISION):
+    def one(cls, tower, symbol, precision):
         return cls(tower, symbol, 0, (0,) + (None,) * (precision - 1))
 
     @classmethod
-    def uniformizer(cls, tower, symbol, precision=DEFAULT_PRECISION):
+    def uniformizer(cls, tower, symbol, precision):
         return cls(tower, symbol, 1, (0,) + (None,) * (precision - 1))
 
     @classmethod
-    def monomial(cls, tower, symbol, value, exponent,
-                 precision=DEFAULT_PRECISION):
+    def monomial(cls, tower, symbol, value, exponent, precision):
         if isinstance(value, int):
             value = tower.from_int(value)
         return cls(tower, symbol, exponent,

@@ -273,9 +273,10 @@ def test_crossed_product_square_example(matrix):
     ext = matrix["ram_e2"]
     sigma = galois_element(ext, 0, 4)
     alg = brauer.CrossedProduct(sigma, _pi_class(ext))
-    delta_v = alg.multiply(alg.scalar(ext.uniformizer(8)), alg.v())
+    alpha = LaurentSeries.uniformizer(ext.tower, "alpha", 8)
+    delta_v = alg.multiply(alg.scalar(alpha), alg.v())
     square = alg.multiply(delta_v, delta_v)
-    t_emb = ext.embed(ext.base_uniformizer(8))
+    t_emb = ext.embed(LaurentSeries.uniformizer(ext.tower, "t", 8))
     assert alg.equal(square,
                      alg.scalar(t_emb * t_emb * ext.tower.minus_one()))
 

@@ -10,10 +10,25 @@ from lcft.reciprocity import random_unit_series
 from lcft.series import LaurentSeries
 
 
+# the benchmark's high-degree descriptors: groups of order 63, 58 and 62
+HIGH_DEGREE_PARAMS = [(2, 6, 1, 63, "1"), (59, 1, 1, 58, "g"),
+                      (2, 10, 2, 31, "g")]
+
+
 def test_construction_examples(matrix):
     assert matrix["unram_f2"].degree == 2
     assert matrix["ram_e2"].degree == 2
     assert matrix["mixed_c9"].degree == 9
+
+
+def test_u0_is_a_field_element_and_text_goes_through_from_parameters():
+    tower = TameAbelianExtension.from_parameters(2, 2, 3, 3, "g").tower
+    for u0 in (1, "g"):
+        with pytest.raises(TypeError, match="FieldElement"):
+            TameAbelianExtension(tower, 3, u0, 8)
+    for text in ("g^5", "g", "3", "1,0,1"):
+        ext = TameAbelianExtension.from_parameters(2, 2, 3, 3, text)
+        assert ext.u0 == ext.tower.parse(text), text
 
 
 def test_construction_rejections():
@@ -117,9 +132,9 @@ def test_products_inverses_powers_are_members(matrix):
 
 def test_power_matches_repeated_products_with_fewest_muls(matrix,
                                                           monkeypatch):
-    # g**n is square-and-multiply: bit_length - 1 squarings and
-    # popcount - 1 products of |n|, so g**2 is a single product, and it
-    # equals n-fold multiplication by g (by g^-1 when n < 0)
+    # g**n is one closed form on the pair, with no group product: it
+    # equals n-fold multiplication by g, and for n < 0 by the h in the
+    # group with g * h = identity, found by a scan rather than inverse()
     calls = 0
     mul = GaloisElement.__mul__
 
@@ -128,21 +143,24 @@ def test_power_matches_repeated_products_with_fewest_muls(matrix,
         calls += 1
         return mul(self, other)
 
-    for name in ("deg12", "mixed_c9"):
-        ext = matrix[name]
+    exts = dict(matrix)
+    for params in HIGH_DEGREE_PARAMS:
+        exts[params] = TameAbelianExtension.from_parameters(*params, 8)
+    for name, ext in exts.items():
+        group = ext.galois_group()
         span = range(-2 * ext.degree - 1, 2 * ext.degree + 2)
-        for g in ext.galois_group():
+        for g in group:
+            h = next(x for x in group if (g * x).is_identity())
             want = {0: ext.identity()}
             for k in range(1, span.stop):
                 want[k] = want[k - 1] * g
-                want[-k] = want[-k + 1] * g.inverse()
+                want[-k] = want[-k + 1] * h
             monkeypatch.setattr(GaloisElement, "__mul__", counting_mul)
+            calls = 0
             for n in span:
-                calls = 0
                 assert g**n == want[n], (name, g, n)
-                k = abs(n)
-                assert calls == (k and k.bit_length() + k.bit_count() - 2), \
-                    (name, g, n, calls)
+            assert g.inverse() == h, (name, g)
+            assert calls == 0, (name, g, calls)
             monkeypatch.undo()
 
 
@@ -276,11 +294,6 @@ def test_structure_examples(matrix):
     assert matrix["mixed_e2_cyclic"].structure() == (4,)
     assert TameAbelianExtension.from_parameters(
         3, 1, 1, 1, "1").structure() == ()
-
-
-# the benchmark's high-degree descriptors: groups of order 63, 58 and 62
-HIGH_DEGREE_PARAMS = [(2, 6, 1, 63, "1"), (59, 1, 1, 58, "g"),
-                      (2, 10, 2, 31, "g")]
 
 
 def test_structure_against_order_statistics(matrix):

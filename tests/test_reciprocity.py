@@ -333,15 +333,20 @@ def test_norm_makes_one_product_per_coset_step(params, products,
 
 @pytest.mark.parametrize("params", [(7, 1, 2, 6, "1"), (2, 6, 1, 63, "1")])
 def test_norm_builds_its_galois_powers_once(params, monkeypatch, rng):
+    # the chain's powers h^c are group powers, built in closed form; a
+    # later norm makes neither a power nor a product of group elements
     ext = TameAbelianExtension.from_parameters(*params, precision=8)
-    mul = GaloisElement.__mul__
     calls = []
 
-    def counted(self, other):
-        calls.append(other)
-        return mul(self, other)
+    def counted(method):
+        def wrapper(self, other):
+            calls.append(other)
+            return method(self, other)
+        return wrapper
 
-    monkeypatch.setattr(GaloisElement, "__mul__", counted)
+    for name in ("__mul__", "__pow__"):
+        monkeypatch.setattr(GaloisElement, name,
+                            counted(getattr(GaloisElement, name)))
     first = rc.norm(ext, rc.random_unit_series(ext, rng, 1))
     assert calls, "the first norm builds the chain's powers"
     calls.clear()
