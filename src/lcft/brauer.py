@@ -222,10 +222,10 @@ class CrossedProduct:
                                    ALGEBRA_PRECISION)
         return tuple(out)
 
-    def random_element(self, rng, sparse=True) -> tuple:
+    def random_element(self, rng) -> tuple:
         out = []
         for _ in range(self.n):
-            if sparse and rng.random() < 0.5:
+            if rng.random() < 0.5:
                 out.append(LaurentSeries.zero(self.ext.tower, "alpha"))
             else:
                 logs = random_logs(self.ext.tower, rng, ALGEBRA_PRECISION)
@@ -314,7 +314,11 @@ class CrossedProduct:
 
     def equal(self, x: tuple, y: tuple) -> bool:
         """Slot-wise agreement on the common window: O(alpha^E) agrees with
-        any slot of valuation at least E."""
+        any slot of valuation at least E.
+
+        This is the one comparison on the common window, not ``==``: a
+        slot's window depends on the order of the products, so (xy)z and
+        x(yz) can keep different windows of the same element."""
         return all((a - b).is_zero() for a, b in zip(x, y))
 
     def commutes(self, x: tuple, y: tuple) -> bool:

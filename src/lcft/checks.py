@@ -304,7 +304,8 @@ def check_norm_congruences(ext, rng, unit_samples,
 
 
 def check_root_extraction(ext, rng, samples) -> CheckResult:
-    """nth_root inverts e-th powers on eligible random series, exactly."""
+    """nth_root inverts e-th powers on eligible random series, exactly:
+    r^e == w holds only on w's whole window, so a short root fails."""
     failures = []
     tower = ext.tower
     e = ext.e
@@ -316,9 +317,6 @@ def check_root_extraction(ext, rng, samples) -> CheckResult:
         logs += rc.random_logs(tower, rng, ext.precision - 1)
         w = LaurentSeries(tower, "alpha", e * rng.randrange(-2, 3), logs)
         r = w.nth_root(e)
-        if r.precision != w.precision:
-            failures.append(f"root sample {n}: precision {r.precision} "
-                            f"!= {w.precision}")
         if r**e != w:
             failures.append(f"root sample {n}: r^e != w")
         if r.leading_coefficient != w.leading_coefficient.nth_roots(e)[0]:
@@ -405,7 +403,7 @@ def run_checks(ext: TameAbelianExtension, samples: int, seed: int) -> list:
         check_unramified_law(ext, rng, small),
         check_totally_ramified_laws(ext),
         check_power_law(ext),
-        check_norm_congruences(ext, rng, samples, max(10, samples // 10)),
+        check_norm_congruences(ext, rng, samples, small),
         check_root_extraction(ext, rng, samples),
         check_hasse_layer(ext, rng, samples),
     ]

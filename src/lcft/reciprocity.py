@@ -76,9 +76,9 @@ class BaseFieldClass:
         return f"[v={self.valuation}, u={self.unit}]"
 
 
-def class_of_series(ext: TameAbelianExtension,
-                    b: LaurentSeries) -> BaseFieldClass:
-    """Reduce a nonzero K-series to its (valuation, unit residue) class."""
+def class_of_series(b: LaurentSeries) -> BaseFieldClass:
+    """Reduce a nonzero K-series to its (valuation, unit residue) class,
+    over the series' own tower (``reciprocity_map`` refuses another)."""
     if b.symbol != "t":
         raise ValueError("expected a series in the base uniformizer")
     if b.is_zero():
@@ -126,7 +126,7 @@ def reciprocity_map(ext: TameAbelianExtension,
 def reciprocity_of_series(ext: TameAbelianExtension,
                           b: LaurentSeries) -> GaloisElement:
     """Reciprocity image of a full K-series; its 1-unit part is dropped."""
-    return reciprocity_map(ext, class_of_series(ext, b))
+    return reciprocity_map(ext, class_of_series(b))
 
 
 def congruence_rhs(ext: TameAbelianExtension, pi: LaurentSeries,

@@ -17,6 +17,9 @@ only ``zero()`` (and products and sums with it) make it. A window whose
 coefficients all cancel is the honest zero O(X^end) instead: it keeps the
 end of the window as its valuation and retains no terms, so the terms
 past that end stay unknown. Both are ``is_zero()`` and compare equal.
+Two nonzero series are equal only on the same valuation and the same
+whole window, so a truncation is a different series; ``(a - b).is_zero()``
+is the comparison on the common window.
 
 The window is stored as generator logs: ``logs`` holds ints reduced mod
 the tower's ``order``, with None for a zero coefficient. Every operation
@@ -191,10 +194,10 @@ class LaurentSeries:
     end: a sum keeps the common window of its operands, so
     O(X^N) + s drops the terms of s from X^N on, and
     O(X^N) * s = O(X^(N + v(s))). Two nonzero series compare equal when
-    they share the valuation and agree on their common window; every zero
-    equals every zero and no nonzero series. ``(a - b).is_zero()`` is the
-    comparison on the common window that also lets O(X^N) agree with a
-    series of valuation at least N.
+    they share the valuation and the whole ``logs`` tuple, and ``hash``
+    reads the same key; every zero equals every zero and no nonzero
+    series. ``(a - b).is_zero()`` is the comparison on the common window
+    that also lets O(X^N) agree with a series of valuation at least N.
     """
 
     __slots__ = ("tower", "symbol", "valuation", "logs")
@@ -272,26 +275,18 @@ class LaurentSeries:
 
     __repr__ = __str__
 
+    def _key(self):
+        # every zero, the exact one and each O(X^N), is one value
+        return (id(self.tower), self.symbol,
+                self.valuation if self.logs else INFINITE, self.logs)
+
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        if self.tower is not other.tower or self.symbol != other.symbol:
-            return False
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        if self.valuation != other.valuation:
-            return False
-        n = min(len(self.logs), len(other.logs))
-        return self.logs[:n] == other.logs[:n]
+        return self._key() == other._key()
 
     def __hash__(self):
-        # equal nonzero series share the valuation and the lead coefficient
-        # (the common window is never empty), but not the rest; every zero
-        # equals every zero, whatever its end
-        if not self.logs:
-            return hash((id(self.tower), self.symbol))
-        return hash((id(self.tower), self.symbol, self.valuation,
-                     self.logs[0]))
+        return hash(self._key())
 
     def _check_compatible(self, other):
         if not isinstance(other, LaurentSeries):

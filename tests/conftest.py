@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from lcft.extension import GaloisElement, TameAbelianExtension
+from lcft.extension import DEGREE_CAP, GaloisElement, TameAbelianExtension
+from lcft.ffield import is_prime
 from lcft.series import LaurentSeries
 
 # the standing verification matrix: one extension per interesting shape
@@ -16,6 +17,23 @@ MATRIX_PARAMS = {
     "mixed_e2_split": (3, 1, 2, 2, "1"),
     "mixed_e2_cyclic": (3, 1, 2, 2, "g"),
 }
+
+
+def admissible_descriptors(max_size):
+    """Every admissible (p, t, f, e, u0) with p^(t*f) <= max_size and u0 in
+    {1, g}: p prime, e | p^t - 1 (which makes e tame) and e*f <= DEGREE_CAP.
+    """
+    out = []
+    for p in filter(is_prime, range(2, max_size + 1)):
+        for t in range(1, max_size.bit_length()):
+            for f in range(1, max_size.bit_length()):
+                if p ** (t * f) > max_size:
+                    continue
+                q = p**t
+                out += [(p, t, f, e, u0) for e in range(1, q)
+                        if (q - 1) % e == 0 and e * f <= DEGREE_CAP
+                        for u0 in ("1", "g")]
+    return out
 
 
 def make_series(tower, symbol, valuation, coeffs, precision=0):

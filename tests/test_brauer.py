@@ -415,6 +415,17 @@ def _window_steps(alg, x, y, want, outcomes):
     return steps
 
 
+def _dense_element(alg, rng):
+    """An element with every slot a random window of ALGEBRA_PRECISION
+    terms at valuation -2..2: ``random_element`` with no slot left zero."""
+    tower = alg.ext.tower
+    out = []
+    for _ in range(alg.n):
+        logs = rc.random_logs(tower, rng, brauer.ALGEBRA_PRECISION)
+        out.append(LaurentSeries(tower, "alpha", rng.randrange(-2, 3), logs))
+    return tuple(out)
+
+
 def _multiply_counting_steps(alg, x, y, steps, outcomes):
     """``alg.multiply(x, y)``, after checking it against the reference and
     that its kernel steps are those of ``_window_steps``."""
@@ -460,8 +471,10 @@ def test_crossed_product_multiply_against_reference(params, rng,
         b = rc.BaseFieldClass(ext.tower, 16 if last else rng.randrange(-1, 3),
                               gk.log * rng.randrange(ext.q - 1))
         alg = brauer.CrossedProduct(sigma, b)
-        x = alg.random_element(rng, sparse=sample % 2 == 0 and not last)
-        y = alg.random_element(rng, sparse=sample % 3 == 0 and not last)
+        x = (alg.random_element(rng) if sample % 2 == 0 and not last
+             else _dense_element(alg, rng))
+        y = (alg.random_element(rng) if sample % 3 == 0 and not last
+             else _dense_element(alg, rng))
         for left, right in ((x, y), (y, x), (alg.v(), x), (x, alg.one())):
             _multiply_counting_steps(alg, left, right, steps, outcomes)
     assert steps[0] == REFERENCE_STEPS[params]
@@ -476,8 +489,8 @@ def test_dense_product_skips_every_wrapped_sum(rng, monkeypatch):
                                                precision=8)
     sigma = next(g for g in ext.galois_group() if g.order() == ext.degree)
     alg = brauer.CrossedProduct(sigma, _pi_class(ext))
-    x = alg.random_element(rng, sparse=False)
-    y = alg.random_element(rng, sparse=False)
+    x = _dense_element(alg, rng)
+    y = _dense_element(alg, rng)
     steps = _count_kernel_steps(monkeypatch)
     outcomes = Counter()
     got = _multiply_counting_steps(alg, x, y, steps, outcomes)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import MATRIX_PARAMS
+from conftest import MATRIX_PARAMS, admissible_descriptors
 from lcft import brauer, checks, reciprocity as rc
 from lcft.extension import TameAbelianExtension
 from lcft.ffield import FieldElement
@@ -20,7 +20,7 @@ def test_root_extraction_rejects_a_truncated_root(matrix, rng, monkeypatch):
     monkeypatch.setattr(LaurentSeries, "nth_root", truncated)
     result = checks.check_root_extraction(matrix["ram_e2"], rng, 5)
     assert not result.passed
-    assert "precision 31 != 32" in result.detail
+    assert "r^e != w" in result.detail
 
 
 def _sign_descriptors():
@@ -29,13 +29,9 @@ def _sign_descriptors():
     m = (q^i - 1)/e at some i. The benchmark runs the acceptance matrix,
     (2,6,1,63,"1"), (59,1,1,58,"g"), (2,10,2,31,"g") and every admissible
     (p, t, f, e) with p^(t*f) <= 16, u0 in {1, g}."""
-    small = [(p, t, f, e, u0)
-             for p in (2, 3, 5, 7, 11, 13) for t in range(1, 5)
-             for f in range(1, 5) if p ** (t * f) <= 16
-             for e in range(1, p**t) if (p**t - 1) % e == 0
-             for u0 in ("1", "g")]
     every = [*MATRIX_PARAMS.values(), (2, 6, 1, 63, "1"),
-             (59, 1, 1, 58, "g"), (2, 10, 2, 31, "g"), *small]
+             (59, 1, 1, 58, "g"), (2, 10, 2, 31, "g"),
+             *admissible_descriptors(16)]
     return sorted({(p, t, f, e, u0) for p, t, f, e, u0 in every
                    if p % 2 and e % 2 == 0 and (p**t - 1) // e % 2})
 
@@ -58,6 +54,20 @@ def test_oracle_agreement_rejects_the_other_search_sign(monkeypatch):
         result = checks.check_oracle_agreement(ext)
         assert not result.passed, d
         assert "closed" in result.detail, d
+
+
+@pytest.mark.parametrize("seed", [1, 1803])
+def test_run_checks_passes_on_every_small_admissible_descriptor(seed):
+    # the whole suite, past the matrix: every admissible descriptor with
+    # p^(t*f) <= 16, at precision 8 with 10 samples
+    descriptors = admissible_descriptors(16)
+    assert len(descriptors) == 78
+    failed = []
+    for d in descriptors:
+        ext = TameAbelianExtension.from_parameters(*d, precision=8)
+        failed += [(d, r.line()) for r in checks.run_checks(ext, 10, seed)
+                   if not r.passed]
+    assert failed == []
 
 
 def test_check_passes_at_seed_1803_on_ram_e4():

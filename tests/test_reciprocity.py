@@ -78,7 +78,9 @@ def test_uniformizer_class_is_a_norm_in_ram_e2(matrix):
     # N(2*delta) = t exactly, so theta(t) must be the identity
     ext = matrix["ram_e2"]
     witness = ext.constant(2) * ext.uniformizer()
-    assert rc.norm(ext, witness) == ext.base_uniformizer()
+    # 32 alpha-terms make a norm of 16 t-terms
+    assert rc.norm(ext, witness) == \
+        LaurentSeries.uniformizer(ext.tower, "t", 16)
     assert rc.reciprocity_map(
         ext, rc.BaseFieldClass(ext.tower, 1, 0)).is_identity()
 
@@ -205,10 +207,10 @@ def test_reciprocity_of_series(matrix):
 
 
 def test_norm_examples(matrix):
-    # totally ramified quadratic: N(delta) = -t = 4t
+    # totally ramified quadratic: N(delta) = -t = 4t, on 16 t-terms
     ext = matrix["ram_e2"]
     assert rc.norm(ext, ext.uniformizer()) == \
-        ext.base_uniformizer() * ext.tower.from_int(4)
+        LaurentSeries.monomial(ext.tower, "t", 4, 1, 16)
     # unramified residue norm: N(omega) = omega^((9-1)/(3-1)) = omega^4
     ext = matrix["unram_f2"]
     omega = ext.tower.generator()
@@ -482,7 +484,7 @@ def test_norm_group_membership(matrix):
     for name, ext in matrix.items():
         pres = rc.norm_group(ext)
         alpha_norm = rc.norm(ext, ext.uniformizer())
-        assert pres.contains(rc.class_of_series(ext, alpha_norm)), name
+        assert pres.contains(rc.class_of_series(alpha_norm)), name
 
 
 def test_totally_ramified_norm_criterion(matrix):

@@ -492,7 +492,8 @@ def test_truncate_and_str(f5):
     a = make_series(f5, "t", -1, [1, 2, 3, 4], 8)
     b = a.truncate(2)
     assert b.precision == 2
-    assert b == a            # agreement on the common window
+    assert b != a            # a shorter window is another series
+    assert (b - a).is_zero()  # that agrees with a on the common window
     assert "O(t^" in str(a)
     assert str(LaurentSeries.zero(f5, "t")) == "0"
 
@@ -636,9 +637,37 @@ def test_constructor_reproduces_logs(kernel_towers, rng):
 def test_equal_series_hash_equal(f5):
     a = make_series(f5, "t", 0, [1, 2, 3], 3)
     b = make_series(f5, "t", 0, [1], 1)
-    assert a == b                # lax: they agree on the common window
-    assert hash(a) == hash(b)
-    assert len({a, b}) == 1
+    assert a != b                # strict: the prefix drops two known terms
+    assert len({a, b}) == 2
+    assert (a - b).is_zero()     # the comparison on the common window
+    c = make_series(f5, "t", 0, [1, 2, 3], 3)
+    assert a == c and hash(a) == hash(c)
+
+
+def test_equality_reads_valuation_and_whole_window(kernel_towers, rng):
+    for tower in kernel_towers:
+        for _ in range(60):
+            a = _random_series(tower, rng, rng.randrange(-3, 3),
+                               rng.randrange(1, 8), rng.random())
+            n = len(a.logs)
+            last = rng.randrange(tower.order)
+            # a copy, a prefix, a longer window, a changed last term, a
+            # shift and an independent draw, each nonzero
+            for b in (LaurentSeries(tower, "t", a.valuation, list(a.logs)),
+                      a.truncate(rng.randrange(1, n + 1)),
+                      LaurentSeries(tower, "t", a.valuation,
+                                    a.logs + (rng.choice((None, last)),)),
+                      LaurentSeries(tower, "t", a.valuation,
+                                    a.logs[:-1] + (last,)),
+                      a.shift(rng.randrange(-1, 2)),
+                      _random_series(tower, rng, a.valuation, n,
+                                     rng.random())):
+                same = (a.valuation, a.logs) == (b.valuation, b.logs)
+                assert (a == b) == (b == a) == same, (tower, a, b)
+                assert (a != b) != same
+                if same:
+                    assert hash(a) == hash(b)
+                    assert len({a, b}) == 1
 
 
 def _honest_zero(tower, end):
