@@ -18,9 +18,11 @@ non-cyclic abelian groups are handled the same way as cyclic ones.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
-from .extension import GaloisElement, TameAbelianExtension, twist_logs
+from .extension import (BASE_SYMBOL, EXT_SYMBOL, GaloisElement,
+                        TameAbelianExtension, twist_logs)
 from .reciprocity import (BaseFieldClass, random_base_unit_series,
                           random_logs, reciprocity_map, random_unit_series)
 from .series import INFINITE, LaurentSeries, _convolve
@@ -38,44 +40,22 @@ class Character:
 
     Given by x = chi(sigma) and y = chi(zeta) mod 1, which must satisfy
     the group relations e*y = 0 and f*x = s*y in Q/Z. The relations put x
-    and y in (1/n)Z for n = e*f, so the state is the pair of numerators
-    x*n and y*n mod n, and the relations are checked on those integers;
-    ``x`` and ``y`` are Fraction views.
+    and y in (1/n)Z for n = e*f, so a character is built from the integer
+    numerators ``Character(ext, xn, yn)``, x = xn/n and y = yn/n, kept
+    mod n; the relations e*yn = 0 and f*xn = s*yn mod n are checked on
+    them. ``chi(g)`` is the one read of a value.
     """
 
-    def __init__(self, ext: TameAbelianExtension, x, y):
+    def __init__(self, ext: TameAbelianExtension, xn: int, yn: int):
         n = ext.degree
-        xn, yn = Fraction(x) * n, Fraction(y) * n
-        if xn.denominator != 1 or yn.denominator != 1:
-            raise ValueError(_BROKEN_RELATIONS)
-        self._set(ext, int(xn), int(yn))
-
-    @classmethod
-    def _of_numerators(cls, ext, xn: int, yn: int) -> "Character":
-        """The character with x = xn/n and y = yn/n, for n = e*f."""
-        chi = cls.__new__(cls)
-        chi._set(ext, xn, yn)
-        return chi
-
-    def _set(self, ext, xn, yn):
-        n = ext.degree
-        xn, yn = xn % n, yn % n
+        # index, not int: a Fraction numerator is refused, never truncated
+        xn, yn = operator.index(xn) % n, operator.index(yn) % n
         s = ext.frobenius_relation_exponent()
         if ext.e * yn % n or (ext.f * xn - s * yn) % n:
             raise ValueError(_BROKEN_RELATIONS)
         self.ext = ext
         self._xn, self._yn = xn, yn
         self._sigma_log = ext.residue_frobenius_lift().c_log
-
-    @property
-    def x(self) -> Fraction:
-        """chi(sigma) in [0, 1)."""
-        return Fraction(self._xn, self.ext.degree)
-
-    @property
-    def y(self) -> Fraction:
-        """chi(zeta) in [0, 1)."""
-        return Fraction(self._yn, self.ext.degree)
 
     def __call__(self, g: GaloisElement) -> Fraction:
         """a*x + j*y for g = sigma^a zeta^j, with j read off g's scale log:
@@ -93,8 +73,7 @@ class Character:
     def __add__(self, other: "Character") -> "Character":
         if other.ext is not self.ext:
             raise ValueError("characters of different extensions")
-        return Character._of_numerators(self.ext, self._xn + other._xn,
-                                        self._yn + other._yn)
+        return Character(self.ext, self._xn + other._xn, self._yn + other._yn)
 
     def __eq__(self, other):
         if not isinstance(other, Character):
@@ -122,7 +101,7 @@ def character_group(ext: TameAbelianExtension) -> list:
     their numerators are y*n = j*f and x*n = s*j + m*e.
     """
     s = ext.frobenius_relation_exponent()
-    return [Character._of_numerators(ext, s * j + m * ext.e, j * ext.f)
+    return [Character(ext, s * j + m * ext.e, j * ext.f)
             for j in range(ext.e) for m in range(ext.f)]
 
 
@@ -187,8 +166,8 @@ class CrossedProduct:
             raise ValueError("sigma must generate the full cyclic group")
         self.ext = ext
         self.n = ext.degree
-        b_t = LaurentSeries.monomial(b.tower, "t", b.unit, b.valuation,
-                                     ALGEBRA_PRECISION)
+        b_t = LaurentSeries.monomial(b.tower, BASE_SYMBOL, b.unit,
+                                     b.valuation, ALGEBRA_PRECISION)
         self.b_series = ext.embed(b_t)  # refuses a class over another tower
         # b is a monomial, so a product with it is a truncation to its
         # window, a scale by its coefficient and a shift by its valuation
@@ -200,7 +179,7 @@ class CrossedProduct:
     # -- element constructors ------------------------------------------------
 
     def zero(self) -> tuple:
-        z = LaurentSeries.zero(self.ext.tower, "alpha")
+        z = LaurentSeries.zero(self.ext.tower, EXT_SYMBOL)
         return tuple(z for _ in range(self.n))
 
     def scalar(self, a: LaurentSeries) -> tuple:
@@ -209,7 +188,7 @@ class CrossedProduct:
         return tuple(out)
 
     def one(self) -> tuple:
-        return self.scalar(LaurentSeries.one(self.ext.tower, "alpha",
+        return self.scalar(LaurentSeries.one(self.ext.tower, EXT_SYMBOL,
                                              ALGEBRA_PRECISION))
 
     def v(self) -> tuple:
@@ -218,7 +197,7 @@ class CrossedProduct:
             # v = b itself in the degenerate rank-1 algebra
             out[0] = self.b_series
             return tuple(out)
-        out[1] = LaurentSeries.one(self.ext.tower, "alpha",
+        out[1] = LaurentSeries.one(self.ext.tower, EXT_SYMBOL,
                                    ALGEBRA_PRECISION)
         return tuple(out)
 
@@ -226,13 +205,13 @@ class CrossedProduct:
         out = []
         for _ in range(self.n):
             if rng.random() < 0.5:
-                out.append(LaurentSeries.zero(self.ext.tower, "alpha"))
+                out.append(LaurentSeries.zero(self.ext.tower, EXT_SYMBOL))
             else:
                 logs = random_logs(self.ext.tower, rng, ALGEBRA_PRECISION)
-                out.append(LaurentSeries(self.ext.tower, "alpha",
+                out.append(LaurentSeries(self.ext.tower, EXT_SYMBOL,
                                          rng.randrange(-2, 3), logs))
         if all(x.is_zero() for x in out):
-            out[0] = LaurentSeries.one(self.ext.tower, "alpha",
+            out[0] = LaurentSeries.one(self.ext.tower, EXT_SYMBOL,
                                        ALGEBRA_PRECISION)
         return tuple(out)
 
@@ -292,7 +271,7 @@ class CrossedProduct:
         out = []
         for lo, hi, pairs in zip(start, stop, slots):
             if not pairs:
-                out.append(LaurentSeries.zero(tower, "alpha"))
+                out.append(LaurentSeries.zero(tower, EXT_SYMBOL))
                 continue
             acc = [None] * (hi - lo)
             for v, i, wrapped, vy, logs in pairs:
@@ -303,7 +282,7 @@ class CrossedProduct:
                           twist_logs(logs[:width], powers[i], vy), acc,
                           v - lo, 0, width, m, zech)
             # a window that cancels is the honest zero O(alpha^hi)
-            out.append(LaurentSeries(tower, "alpha", lo, acc))
+            out.append(LaurentSeries(tower, EXT_SYMBOL, lo, acc))
         return tuple(out)
 
     def power(self, x: tuple, k: int) -> tuple:

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from . import brauer, reciprocity as rc
-from .extension import TameAbelianExtension
+from .extension import BASE_SYMBOL, EXT_SYMBOL, TameAbelianExtension
 from .series import LaurentSeries
 
 
@@ -152,7 +152,8 @@ def check_oracle_agreement(ext) -> CheckResult:
     pres = rc.norm_group(ext)
     t = ext.base_uniformizer()
     for rep in pres.coset_representatives:
-        u = LaurentSeries.constant(ext.tower, "t", rep.unit, ext.precision)
+        u = LaurentSeries.constant(ext.tower, BASE_SYMBOL, rep.unit,
+                                   ext.precision)
         for i in range(rep.valuation, rep.valuation + 3 * ext.f, ext.f):
             b = rc.BaseFieldClass(ext.tower, i, rep.unit_log)
             closed = rc.reciprocity_map(ext, b)
@@ -200,8 +201,8 @@ def check_uniformizer_independence(ext, rng, samples) -> CheckResult:
     reps = rc.norm_group(ext).coset_representatives
     t = ext.base_uniformizer()
     # the search with pi = t does not depend on the sample: once per class
-    units = [LaurentSeries.constant(ext.tower, "t", b.unit, ext.precision)
-             for b in reps]
+    units = [LaurentSeries.constant(ext.tower, BASE_SYMBOL, b.unit,
+                                    ext.precision) for b in reps]
     found = [rc.reciprocity_search(ext, t, u1, b.valuation)
              for b, u1 in zip(reps, units)]
     for n in range(samples):
@@ -315,7 +316,7 @@ def check_root_extraction(ext, rng, samples) -> CheckResult:
             lead = rc.random_logs(tower, rng, 1)[0]
         logs = [lead * e % tower.order]
         logs += rc.random_logs(tower, rng, ext.precision - 1)
-        w = LaurentSeries(tower, "alpha", e * rng.randrange(-2, 3), logs)
+        w = LaurentSeries(tower, EXT_SYMBOL, e * rng.randrange(-2, 3), logs)
         r = w.nth_root(e)
         if r**e != w:
             failures.append(f"root sample {n}: r^e != w")

@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import brauer, checks, reciprocity as rc
-from .extension import TameAbelianExtension
+from .extension import BASE_SYMBOL, TameAbelianExtension
 from .series import DEFAULT_PRECISION, LaurentSeries
 
 EXIT_OK = 0
@@ -112,7 +112,8 @@ def cmd_recip(ext, raw, args, out):
     agree = True
     for b in pres.coset_representatives:
         closed = rc.reciprocity_map(ext, b)
-        u = LaurentSeries.constant(ext.tower, "t", b.unit, ext.precision)
+        u = LaurentSeries.constant(ext.tower, BASE_SYMBOL, b.unit,
+                                   ext.precision)
         searched = rc.reciprocity_search(ext, t, u, b.valuation)
         same = closed == searched
         agree = agree and same

@@ -289,8 +289,8 @@ class FieldTower:
 class FieldElement:
     """An element of the tower field, stored as a generator exponent.
 
-    ``log`` is None for zero. Arithmetic partners must come from the very
-    same tower object; plain integers are lifted through the prime field.
+    ``log`` is None for zero. Arithmetic partners must be elements of the
+    very same tower object.
     """
 
     __slots__ = ("tower", "log")
@@ -337,9 +337,7 @@ class FieldElement:
         return hash((id(self.tower), self.log))
 
     def _coerce(self, other):
-        """Lift ints through the prime field; None means 'not our type'."""
-        if isinstance(other, int):
-            return self.tower.from_int(other)
+        """The partner element; None means 'not our type'."""
         if isinstance(other, FieldElement):
             if other.tower is not self.tower:
                 raise ValueError("elements belong to different towers")
@@ -362,8 +360,6 @@ class FieldElement:
             return self.tower.zero()
         return FieldElement(self.tower, (self.log + z) % m)
 
-    __radd__ = __add__
-
     def __neg__(self):
         if self.log is None or self.tower.p == 2:
             return self
@@ -385,19 +381,6 @@ class FieldElement:
         return FieldElement(self.tower,
                             (self.log + other.log) % self.tower.order)
 
-    __rmul__ = __mul__
-
-    def inverse(self) -> "FieldElement":
-        if self.log is None:
-            raise ZeroDivisionError("zero has no inverse")
-        return FieldElement(self.tower, (-self.log) % self.tower.order)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
     def __pow__(self, k: int):
         if self.log is None:
             if k == 0:
@@ -409,7 +392,7 @@ class FieldElement:
 
     # -- tower structure -----------------------------------------------------
 
-    def frobenius(self, j: int = 1) -> "FieldElement":
+    def frobenius(self, j: int) -> "FieldElement":
         """The j-fold q-power Frobenius x^(q^j); depends on j only mod f."""
         if self.log is None:
             return self

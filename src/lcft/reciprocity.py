@@ -31,8 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .extension import (EXT_SYMBOL, GaloisElement, TameAbelianExtension,
-                        twist_logs)
+from .extension import (BASE_SYMBOL, EXT_SYMBOL, GaloisElement,
+                        TameAbelianExtension, twist_logs)
 from .ffield import FieldElement, FieldTower
 from .series import LaurentSeries, _convolve, _square
 from .snf import invariant_factors
@@ -79,7 +79,7 @@ class BaseFieldClass:
 def class_of_series(b: LaurentSeries) -> BaseFieldClass:
     """Reduce a nonzero K-series to its (valuation, unit residue) class,
     over the series' own tower (``reciprocity_map`` refuses another)."""
-    if b.symbol != "t":
+    if b.symbol != BASE_SYMBOL:
         raise ValueError("expected a series in the base uniformizer")
     if b.is_zero():
         raise ValueError("the zero series has no class")
@@ -150,7 +150,7 @@ def congruence_rhs(ext: TameAbelianExtension, pi: LaurentSeries,
     """
     if i < 0:
         raise ValueError("the congruence form needs a nonnegative exponent")
-    if pi.symbol != "t" or u.symbol != "t":
+    if pi.symbol != BASE_SYMBOL or u.symbol != BASE_SYMBOL:
         raise ValueError("pi and u must be series in the base uniformizer")
     if pi.is_zero() or pi.valuation != 1:
         raise ValueError("pi must be a uniformizer of the base field")
@@ -457,4 +457,4 @@ def random_base_unit_series(ext: TameAbelianExtension, rng,
                       for _ in range(ext.precision)]]
     if logs[0] is None:
         logs[0] = 0
-    return LaurentSeries(tower, "t", valuation, logs)
+    return LaurentSeries(tower, BASE_SYMBOL, valuation, logs)

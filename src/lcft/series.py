@@ -232,8 +232,10 @@ class LaurentSeries:
 
     @classmethod
     def monomial(cls, tower, symbol, value, exponent, precision):
-        if isinstance(value, int):
-            value = tower.from_int(value)
+        if not isinstance(value, FieldElement):
+            raise TypeError("a monomial's coefficient is a FieldElement")
+        if value.tower is not tower:
+            raise ValueError("coefficient belongs to a different tower")
         return cls(tower, symbol, exponent,
                    (value.log,) + (None,) * (precision - 1))
 
@@ -298,9 +300,7 @@ class LaurentSeries:
                 f"uniformizer mismatch: {self.symbol!r} vs {other.symbol!r}")
 
     def _scalar_log(self, value):
-        """Log of an int or FieldElement scalar (None for zero)."""
-        if isinstance(value, int):
-            return self.tower.from_int(value).log
+        """Log of a FieldElement scalar (None for zero)."""
         if value.tower is not self.tower:
             raise ValueError("scalar belongs to a different tower")
         return value.log
@@ -350,7 +350,7 @@ class LaurentSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, FieldElement)):
+        if isinstance(other, FieldElement):
             c = self._scalar_log(other)
             if c is None:
                 return LaurentSeries.zero(self.tower, self.symbol)
@@ -367,8 +367,6 @@ class LaurentSeries:
             tower, self.symbol, self.valuation + other.valuation,
             _convolve(terms, other.logs, [None] * n, 0, 0, n, tower.order,
                       tower._zech))
-
-    __rmul__ = __mul__
 
     def square(self) -> "LaurentSeries":
         """x * x, term for term as ``*`` makes it on the same n-term window
@@ -395,11 +393,6 @@ class LaurentSeries:
             _convolve(terms, out, out, 0, 1, len(self.logs), m, tower._zech))
 
     def __truediv__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            c = self._scalar_log(other)
-            if c is None:
-                raise ZeroDivisionError("division by the zero series")
-            return self._scaled(-c)
         self._check_compatible(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero series")

@@ -36,6 +36,25 @@ def test_field_size_over_the_cap_exits_one(tmp_path, capsys):
     assert "exceeds the cap" in capsys.readouterr().err
 
 
+def test_comment_and_blank_lines_are_skipped(tmp_path, capsys):
+    cfg = _write(tmp_path, "# a descriptor\n\n" + UNRAM.replace(
+        "e=1\n", "e=1   # unramified\n\n"))
+    assert cli.main(["validate", cfg]) == 0
+    assert "degree 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p=3\nt=1\nf=2\nu0=1\n", "missing descriptor key"),
+    ("p=2\nt=2\nf=3\ne=3\nu0=1,0,1,1,1,1,1\n", "longer than the degree"),
+    ("p=3\nt=1\nf=2\ne=1\nu0=0,0\n", "u0 must be a unit"),
+    ("p=3\nt=1\nf=2\ne=0\nu0=1\n", "must be positive"),
+])
+def test_bad_descriptor_exits_one(tmp_path, capsys, text, message):
+    assert cli.main(["validate", _write(tmp_path, text)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid extension" in err and message in err
+
+
 def test_missing_config_exits_three(capsys):
     assert cli.main(["galois", "/does/not/exist.cfg"]) == 3
     assert "config error" in capsys.readouterr().err

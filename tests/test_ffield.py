@@ -52,7 +52,7 @@ def test_arithmetic_identities(f9):
     one = f9.one()
     assert one * g == g
     assert g ** (f9.order) == one           # Lagrange
-    assert g * g.inverse() == one
+    assert g * g ** -1 == one
 
 
 def test_equal_implies_equal_hash_against_ints(f5):
@@ -70,14 +70,14 @@ def test_inverse_in_f5_against_exhaustive_search(f5):
     # independent oracle: scan all candidates for 2*b = 1 mod 5
     expected = [b for b in range(1, 5) if (2 * b) % 5 == 1]
     assert expected == [3]
-    assert f5.from_int(2).inverse() == f5.from_int(3)
+    assert f5.from_int(2) ** -1 == f5.from_int(3)
 
 
 def test_division_by_zero(f5):
     with pytest.raises(ZeroDivisionError):
-        f5.zero().inverse()
+        f5.zero() ** -1
     with pytest.raises(ZeroDivisionError):
-        f5.one() / f5.zero()
+        f5.one() * f5.zero() ** -1
 
 
 def test_tower_mismatch(f5, f9):
@@ -97,8 +97,8 @@ def test_frobenius_is_field_automorphism(f9, rng):
     els = [f9.generator_power(k) for k in range(f9.order)] + [f9.zero()]
     for _ in range(200):
         a, b = rng.choice(els), rng.choice(els)
-        assert (a + b).frobenius() == a.frobenius() + b.frobenius()
-        assert (a * b).frobenius() == a.frobenius() * b.frobenius()
+        assert (a + b).frobenius(1) == a.frobenius(1) + b.frobenius(1)
+        assert (a * b).frobenius(1) == a.frobenius(1) * b.frobenius(1)
 
 
 def test_nth_roots_in_f5_against_exhaustive_squares(f5):

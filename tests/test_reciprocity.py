@@ -61,7 +61,7 @@ def test_closed_form_ramified_unit(matrix):
     got = rc.reciprocity_map(ext, rc.BaseFieldClass(ext.tower, 0, ext.tower.from_int(2).log))
     assert (got.a, got.c) == (0, ext.tower.from_int(4))
     searched = rc.reciprocity_search(
-        ext, ext.base_uniformizer(), _const(ext, 2), 0)
+        ext, ext.base_uniformizer(), _const(ext, ext.tower.from_int(2)), 0)
     assert searched == got
 
 
@@ -70,14 +70,14 @@ def test_closed_form_mixed_uniformizer(matrix):
     got = rc.reciprocity_map(ext, rc.BaseFieldClass(ext.tower, 1, 0))
     assert got.a == 1 and got.c == ext.tower.generator()
     searched = rc.reciprocity_search(
-        ext, ext.base_uniformizer(), _const(ext, 1), 1)
+        ext, ext.base_uniformizer(), _const(ext, ext.tower.one()), 1)
     assert searched == got
 
 
 def test_uniformizer_class_is_a_norm_in_ram_e2(matrix):
     # N(2*delta) = t exactly, so theta(t) must be the identity
     ext = matrix["ram_e2"]
-    witness = ext.constant(2) * ext.uniformizer()
+    witness = ext.constant(ext.tower.from_int(2)) * ext.uniformizer()
     # 32 alpha-terms make a norm of 16 t-terms
     assert rc.norm(ext, witness) == \
         LaurentSeries.uniformizer(ext.tower, "t", 16)
@@ -88,7 +88,7 @@ def test_uniformizer_class_is_a_norm_in_ram_e2(matrix):
 def test_congruence_rhs_examples(matrix):
     ext = matrix["mixed_c9"]
     t = ext.base_uniformizer()
-    one = _const(ext, 1)
+    one = _const(ext, ext.tower.one())
     alpha = ext.uniformizer()
     omega = ext.constant(ext.tower.generator())
     # i = 0 and u = 1 is the trivial class
@@ -196,7 +196,7 @@ def test_reciprocity_of_series(matrix):
     # 1-units are norms: they map to the identity
     assert rc.reciprocity_of_series(ext, one + t).is_identity()
     # (2 + t) * t reduces to the class (1, 2)
-    b_series = (_const(ext, 2) + t) * t
+    b_series = (_const(ext, ext.tower.from_int(2)) + t) * t
     assert rc.reciprocity_of_series(ext, b_series) == rc.reciprocity_map(
         ext, rc.BaseFieldClass(ext.tower, 1, ext.tower.from_int(2).log))
     ext2 = matrix["unram_f2"]
@@ -210,13 +210,13 @@ def test_norm_examples(matrix):
     # totally ramified quadratic: N(delta) = -t = 4t, on 16 t-terms
     ext = matrix["ram_e2"]
     assert rc.norm(ext, ext.uniformizer()) == \
-        LaurentSeries.monomial(ext.tower, "t", 4, 1, 16)
+        LaurentSeries.monomial(ext.tower, "t", ext.tower.from_int(4), 1, 16)
     # unramified residue norm: N(omega) = omega^((9-1)/(3-1)) = omega^4
     ext = matrix["unram_f2"]
     omega = ext.tower.generator()
     assert rc.norm(ext, ext.constant(omega)) == \
         _const(ext, omega**4)
-    assert rc.norm(ext, ext.constant(1)) == \
+    assert rc.norm(ext, ext.constant(ext.tower.one())) == \
         LaurentSeries.one(ext.tower, "t", ext.precision)
 
 
@@ -586,7 +586,7 @@ def test_search_table_built_once_per_extension(monkeypatch):
     # a fresh extension: a cached session fixture would hide the first scan
     ext = TameAbelianExtension.from_parameters(2, 2, 3, 3, "g")
     t = ext.base_uniformizer()
-    one = _const(ext, 1)
+    one = _const(ext, ext.tower.one())
     apply = GaloisElement.apply
     calls = []
 
@@ -610,10 +610,11 @@ def test_search_audit_rejects_a_shared_probe_key(monkeypatch):
     # with a trivial action every element lands on the key (1, 1)
     ext = TameAbelianExtension.from_parameters(5, 1, 1, 4, "1")
     monkeypatch.setattr(GaloisElement, "apply", lambda self, beta: beta)
+    t, two = ext.base_uniformizer(), ext.tower.from_int(2)
     with pytest.raises(ArithmeticError, match="found 4 matches"):
-        rc.reciprocity_search(ext, ext.base_uniformizer(), _const(ext, 1), 0)
+        rc.reciprocity_search(ext, t, _const(ext, ext.tower.one()), 0)
     with pytest.raises(ArithmeticError, match="found 0 matches"):
-        rc.reciprocity_search(ext, ext.base_uniformizer(), _const(ext, 2), 0)
+        rc.reciprocity_search(ext, t, _const(ext, two), 0)
 
 
 def test_sampler_rejects_an_empty_range():
