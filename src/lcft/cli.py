@@ -9,13 +9,15 @@ field elements are written as g^k, a bare integer, or a comma-separated
 coefficient list. The series precision comes from --precision, then the
 config, then ``series.DEFAULT_PRECISION`` (32). Exit codes: 0 success,
 1 descriptor validation failure, 2 property-suite failure, 3 I/O or
-parse failure, malformed arguments included.
+parse failure, malformed arguments and a reader that closed the output
+pipe included.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import brauer, checks, reciprocity as rc
@@ -276,9 +278,18 @@ def main(argv=None) -> int:
         return EXIT_INVALID
 
     try:
-        return HANDLERS[args.command](ext, raw, args, out)
+        code = HANDLERS[args.command](ext, raw, args, out)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except BrokenPipeError:
+        # the reader closed stdout (``lcft ... | head``): what is still
+        # buffered goes to devnull, so the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_IO
 
 

@@ -23,16 +23,25 @@ size. Below ``ZECH_ARRAY_MIN`` entries it is a list: such a table stays
 in cache, where CPython's specialised list indexing beats an array's. From
 there on it is an ``array('i')`` too: a list of separate ints would take
 about 36 MB at the cap, and its random lookups miss cache more often
-than the packed array's. Readers index either kind the same way. At
-p = 2 the powers of the generator are walked with a shift and an XOR on
-the packed int, which is then just a bitmask; odd p steps a digit vector.
+than the packed array's. Readers index either kind the same way.
+
+At p = 2 the packed int is the bitmask of the coefficients, and the
+build's per-entry work runs in the C runtime. The powers of the generator
+are walked on 32-bit lanes of one big int, 2^ceil(n/2) powers a step; a
+step is one shift and one masked XOR for every lane, and its bytes land
+in the exponential table as a strided slice. The Zech table is gathered:
+a chunk of the exponential table, its constant bits flipped as one int,
+is looked up in the log table with ``itemgetter``. Only the log scatter
+is a Python loop. Odd p steps a digit vector, one power at a time.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from array import array
+from operator import itemgetter
 
 SIZE_CAP = 2**20
 
@@ -42,8 +51,9 @@ SIZE_CAP = 2**20
 # faster from about 78,000 entries (5^7) up to the cap.
 ZECH_ARRAY_MIN = 2**16
 # the Zech table is filled this many entries at a time, so no list of
-# the whole table exists at once
-_ZECH_CHUNK = 2**12
+# the whole table exists at once; 2^10 keeps the chunk's temporaries
+# (its int objects above all) under the p = 2 cap build's peak RSS
+_ZECH_CHUNK = 2**10
 
 
 def prime_factors(n: int) -> list[int]:
@@ -112,6 +122,24 @@ def _poly_powmod(a, k, mod, p):
     return result
 
 
+def _times_mod2(a, b, mask, n):
+    """a*b over F_2 modulo the degree-n modulus ``mask``, all bitmasks."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a >> n:
+            a ^= mask
+    return out
+
+
+def _lane_ones(lanes):
+    """The int with bit 0 of each of ``lanes`` 32-bit lanes set."""
+    return ((1 << 32 * lanes) - 1) // 0xFFFFFFFF
+
+
 def _x_is_primitive(mod, p, order_factors, order):
     """Does the class of x have order exactly ``order`` = p^n - 1 mod m?
 
@@ -178,31 +206,64 @@ class FieldTower:
 
     def _build_tables(self):
         # exp[k] packs g^k base p (digit i is the coefficient of x^i),
-        # where g is the class of x; log is its inverse, -1 at 0. Both are
-        # array('i'), which only the cold constructors and views read.
-        p, n, size = self.p, self.degree, self.size
-        exp = array("i", [0]) * self.order
+        # where g is the class of x; log is its inverse, -1 at 0; zech[k]
+        # is log(1 + g^k), -1 where 1 + g^k = 0. exp and log are
+        # array('i'), which only the cold constructors and views read;
+        # the Zech table is a list below ZECH_ARRAY_MIN entries.
+        p, n, size, order = self.p, self.degree, self.size, self.order
+        log = array("i", [-1]) * size
         if p == 2:
-            # the packed int is the bitmask of the coefficients: times x is
-            # a shift, and a carry out of degree n is cancelled by the
-            # modulus, x^n = lower part of m
+            # the packed int is the bitmask of the coefficients: times x
+            # is a shift, and a carry out of degree n is cancelled by the
+            # modulus. The walk runs on 2^ceil(n/2) lanes of 32 bits in
+            # one int, lane j at g^(j*stride + s) on step s: a step is one
+            # shift and one masked XOR for every lane, and its lanes land
+            # in exp[s::stride].
+            endian = sys.byteorder
             mask = sum(c << i for i, c in enumerate(self.modulus))
-            v = 1
-            for k in range(self.order):
-                exp[k] = v
+            stride = 1 << n // 2
+            lanes = size // stride
+            ones = _lane_ones(lanes)
+            hop = 2                             # g^stride = x^(2^(n//2))
+            for _ in range(n // 2):
+                hop = _times_mod2(hop, hop, mask, n)
+            v = start = 1                       # lane j starts at g^(j*stride)
+            for j in range(1, lanes):
+                start = _times_mod2(start, hop, mask, n)
+                v |= start << 32 * j
+            # lanes * stride = size slots, one more than there are powers:
+            # the last, g^order = 1, is cut in place at the end, so no copy
+            # of a whole table is made
+            exp = array("i", [0]) * size
+            for s in range(stride):
+                exp[s::stride] = array("i", v.to_bytes(4 * lanes, endian))
                 v <<= 1
-                if v & size:
-                    v ^= mask
+                v ^= (v >> n & ones) * mask
+            for k, v in zip(range(order), exp):
+                log[v] = k
+            # 1 + g^k flips the constant bit of g^k, and log[0] == -1
+            # marks 1 + g^0 = 0: a chunk of exp at a time is flipped as one
+            # int and its logs gathered at C level. The chunks divide size
+            # and hold at least two entries, so itemgetter returns a tuple.
+            chunk = min(size, _ZECH_CHUNK)
+            ones = _lane_ones(chunk)
+            zech = array("i", [0]) * size
+            for lo in range(0, size, chunk):
+                v = int.from_bytes(exp[lo:lo + chunk], endian) ^ ones
+                flipped = array("i", v.to_bytes(4 * chunk, endian))
+                zech[lo:lo + chunk] = array("i", itemgetter(*flipped)(log))
+            del exp[order:], zech[order:]
         else:
             # odd p has at most 12 digits under the cap; times x uses
             # x^n = -(lower part of the modulus). The digits of the next
             # power are written from the top down, so the packed int is
             # accumulated in the same pass.
+            exp = array("i", [0]) * order
             poly = [1] + [0] * (n - 1)
             top = n - 1
             red = [(-c) % p for c in self.modulus[:-1]]
             packed = 1
-            for k in range(self.order):
+            for k in range(order):
                 exp[k] = packed
                 carry = poly[top]
                 packed = 0
@@ -213,20 +274,18 @@ class FieldTower:
                 d = (carry * red[0]) % p
                 poly[0] = d
                 packed = packed * p + d
-        log = array("i", [-1]) * size
-        for k, v in enumerate(exp):
-            log[v] = k
+            for k, v in enumerate(exp):
+                log[v] = k
+            # raise the constant digit of g^k by one mod p; log[0] == -1
+            # marks 1 + g^k = 0. fromlist, not extend, which appends a
+            # list to an array one item at a time.
+            zech = array("i")
+            for lo in range(0, order, _ZECH_CHUNK):
+                zech.fromlist([log[v - v % p + (v % p + 1) % p]
+                               for v in exp[lo:lo + _ZECH_CHUNK]])
         self._exp = exp
         self._log = log
-        # zech[k] = log(1 + g^k): raise the constant digit of g^k by one
-        # mod p; log[0] == -1 marks 1 + g^k = 0. A list below
-        # ZECH_ARRAY_MIN entries, an array from there on. fromlist, not
-        # extend, which appends a list to an array one item at a time.
-        zech = array("i")
-        for lo in range(0, self.order, _ZECH_CHUNK):
-            zech.fromlist([log[v - v % p + (v % p + 1) % p]
-                           for v in exp[lo:lo + _ZECH_CHUNK]])
-        self._zech = zech if self.order >= ZECH_ARRAY_MIN else zech.tolist()
+        self._zech = zech if order >= ZECH_ARRAY_MIN else zech.tolist()
 
     # -- element constructors ------------------------------------------------
 

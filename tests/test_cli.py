@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lcft
 from lcft import brauer, checks, cli
 from lcft.extension import TameAbelianExtension
 
@@ -218,3 +222,20 @@ def test_help_exits_zero(capsys):
         cli.main(["--help"])
     assert exc.value.code == 0
     assert "usage: lcft" in capsys.readouterr().out
+
+
+def test_closed_stdout_exits_three_without_a_traceback(tmp_path):
+    # the reader is gone before the child writes, as in
+    # ``lcft galois c9.cfg --json | head -2``
+    cfg = _write(tmp_path, C9)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(lcft.__file__)))
+    with open(tmp_path / "stderr", "w") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "lcft.cli", "galois", cfg, "--json"],
+            stdout=subprocess.PIPE, stderr=err, env=env)
+        child.stdout.close()
+        code = child.wait(timeout=120)
+    stderr = (tmp_path / "stderr").read_text()
+    assert code == cli.EXIT_IO, stderr
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
