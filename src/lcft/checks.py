@@ -45,7 +45,7 @@ def check_group_axioms(ext: TameAbelianExtension) -> CheckResult:
     for g in group:
         if g * ident != g:
             failures.append(f"identity fails on {g}")
-        if not (g * g.inverse()).is_identity():
+        if not (g * g ** -1).is_identity():
             failures.append(f"inverse fails on {g}")
         for h in group:
             gh = g * h

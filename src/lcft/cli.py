@@ -4,10 +4,12 @@ Usage: ``lcft COMMAND CONFIG [--json] [--seed N] [--samples N]
 [--precision N]``.
 
 The config is a line-based key=value file describing one extension
-(p, t, f, e, u0, precision) plus optional defaults for seed and samples;
-field elements are written as g^k, a bare integer, or a comma-separated
-coefficient list. The series precision comes from --precision, then the
-config, then ``series.DEFAULT_PRECISION`` (32). Exit codes: 0 success,
+(p, t, f, e, u0, precision) plus optional defaults for seed and samples
+and the ``hasse`` character index; any other key, or a key given twice,
+is a config error that names the file and line. Field elements are
+written as g^k, a bare integer, or a comma-separated coefficient list.
+The series precision comes from --precision, then the config, then
+``series.DEFAULT_PRECISION`` (32). Exit codes: 0 success,
 1 descriptor validation failure, 2 property-suite failure, 3 I/O or
 parse failure, malformed arguments and a reader that closed the output
 pipe included.
@@ -29,6 +31,9 @@ EXIT_INVALID = 1
 EXIT_PROPERTY = 2
 EXIT_IO = 3
 
+CONFIG_KEYS = ("p", "t", "f", "e", "u0", "precision", "seed", "samples",
+               "character")
+
 
 def parse_config(path: str) -> dict:
     raw = {}
@@ -39,8 +44,12 @@ def parse_config(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            raw[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in raw:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
+            raw[key] = value
     return raw
 
 

@@ -382,10 +382,6 @@ class GaloisElement:
         return GaloisElement(self.ext, self.a + other.a,
                              other.c_log * self.frob + self.c_log)
 
-    def inverse(self) -> "GaloisElement":
-        """The pair undoing self: ``self ** -1``."""
-        return self ** -1
-
     def __pow__(self, n: int) -> "GaloisElement":
         """(n*a, c^((Q^n - 1)/(Q - 1))) for Q = q^a, by the group law.
 

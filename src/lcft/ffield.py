@@ -165,10 +165,10 @@ class FieldTower:
 
     ``FieldElement`` is the public face of its elements. A Laurent series
     (``series.py``) stores its coefficients as bare generator logs instead:
-    its operations read ``order`` and the Zech table ``_zech`` directly,
-    and ``embed``, ``project`` and the Galois action (``extension.py``)
-    scale and offset those logs using ``order``, ``q`` and
-    ``subfield_norm_exponent``.
+    its operations read ``order``, ``_zech`` (the Zech table) and
+    ``minus_one_log`` directly, and ``embed``, ``project`` and the Galois
+    action (``extension.py``) scale and offset those logs using ``order``,
+    ``q`` and ``subfield_norm_exponent``.
     """
 
     def __init__(self, p: int, t: int, f: int):
@@ -191,6 +191,9 @@ class FieldTower:
         self._order_factors = prime_factors(self.order)
         # norm exponent onto k: x |-> x^((q^f-1)/(q-1))
         self.subfield_norm_exponent = self.order // self.subfield_units
+        # -1 is the one element of order 2 in the cyclic l* when |l*| is
+        # even (odd p); at p = 2, |l*| is odd and -1 = 1
+        self.minus_one_log = 0 if self.order % 2 else self.order // 2
         self.modulus = self._find_modulus()
         self._build_tables()
 
@@ -309,6 +312,8 @@ class FieldTower:
         return FieldElement(self, self._log[c])
 
     def minus_one(self) -> "FieldElement":
+        """-1 looked up in the log table as the constant p - 1; a second
+        route to the log that ``minus_one_log`` reads off |l*|."""
         return self.from_int(self.p - 1)
 
     def element(self, coeffs) -> "FieldElement":
@@ -420,10 +425,10 @@ class FieldElement:
         return FieldElement(self.tower, (self.log + z) % m)
 
     def __neg__(self):
-        if self.log is None or self.tower.p == 2:
+        if self.log is None:
             return self
-        m = self.tower.order
-        return FieldElement(self.tower, (self.log + m // 2) % m)
+        return FieldElement(self.tower, (self.log + self.tower.minus_one_log)
+                            % self.tower.order)
 
     def __sub__(self, other):
         other = self._coerce(other)

@@ -69,9 +69,6 @@ class BaseFieldClass:
         return BaseFieldClass(self.tower, self.valuation + other.valuation,
                               self.unit_log + other.unit_log)
 
-    def inverse(self) -> "BaseFieldClass":
-        return BaseFieldClass(self.tower, -self.valuation, -self.unit_log)
-
     def __repr__(self):
         return f"[v={self.valuation}, u={self.unit}]"
 
@@ -103,14 +100,16 @@ def reciprocity_map(ext: TameAbelianExtension,
     beta = alpha; the membership constraint is re-checked on construction.
 
     It runs on generator logs, modulo |l*|:
-        log c = m * log u0 - ((q-1)/e) * log ubar  (+ |l*|/2 for the sign),
+        log c = m * log u0 - ((q-1)/e) * log ubar  (+ log(-1) for the sign),
     with m taken from q^i mod e*|l*|, which fixes m modulo |l*| without
     the integer q^i. q is prime to e*|l*|, so the same power serves a
     negative i, where q^i = 1 mod e still holds. As m(i + j) = m(i) +
     q^i * m(j) is the group law's rule for scales, theta(b^-1) =
     theta(b)^-1 follows from the formula, with no inverse taken. The sign
     needs m's parity, and the reduction keeps it: for odd p,
-    |l*| = p^(tf) - 1 is even, and for p = 2 the sign is 1.
+    |l*| = p^(tf) - 1 is even, and for p = 2 the log of -1 is 0. That log
+    is the tower's ``minus_one_log``, read off |l*|; the search's
+    ``_sign_constant`` takes -1 from the log table instead.
     """
     if b.tower is not ext.tower:
         raise ValueError("class over a different tower")
@@ -118,8 +117,8 @@ def reciprocity_map(ext: TameAbelianExtension,
     order = ext.tower.order
     m = (pow(q, b.valuation, e * order) - 1) // e
     c_log = m * ext.u0.log - (q - 1) // e * b.unit_log
-    if ext.p % 2 and (e - 1) * m % 2:
-        c_log += order // 2    # the log of -1
+    if (e - 1) * m % 2:
+        c_log += ext.tower.minus_one_log
     return GaloisElement(ext, b.valuation, c_log)
 
 

@@ -25,13 +25,15 @@ The window is stored as generator logs: ``logs`` holds ints reduced mod
 the tower's ``order``, with None for a zero coefficient. Every operation
 here, ``embed``/``project`` and the Galois action in ``extension.py`` read
 and write those logs directly: a product of coefficients adds logs, a sum
-is one lookup in the tower's Zech table ``_zech``, and a negation adds
-``order // 2`` in odd characteristic (it is the identity for p = 2).
-Products run one of two kernels on those logs: ``_convolve`` for two
-different windows, and ``_square`` for x * x', where x' scales the
-coefficient of X^j by g^(step*j). The second runs with step = 0 in
-``square``, so in every squaring of ``**``, and straight on the log window
-of ``reciprocity.norm`` in each doubling step of its inertia chain, whose
+is one lookup in the tower's Zech table ``_zech``, and a negation adds the
+tower's ``minus_one_log`` (order/2 for odd p, 0 for p = 2). Every Zech
+sum here runs in one of two kernels: ``_convolve`` for two different
+windows, and ``_square`` for x * x', where x' scales the coefficient of
+X^j by g^(step*j). A sum a + g^s * b is ``_convolve`` of b with the
+one-term window of g^s into a's copy of the window, with s = 0 for ``+``
+and s = log(-1) for ``-``. The second kernel runs with step = 0 in every
+squaring of ``**``, and straight on the log window of
+``reciprocity.norm`` in each doubling step of its inertia chain, whose
 Galois image x' is such a scale. It visits each pair of terms once, so it
 makes about half the steps, and a plain square in characteristic 2 none.
 The one constructor, ``LaurentSeries(tower, symbol, valuation, logs)``,
@@ -63,12 +65,13 @@ def _convolve(terms, src, out, offset, start, stop, order, zech):
     log) of nonzero coefficients by increasing index; a log of None in
     ``src`` is zero. ``src`` may be ``out`` itself, as long as every index
     read is already filled (the inverse's recurrence). This is one of the
-    two kernels, for two different windows: ``*`` on two series,
-    ``inverse``, the norm's Frobenius chain and its y * h(P_c) steps
-    (``reciprocity.norm``, on its one log window) and the crossed-product
-    slots of ``brauer`` run it. The other, ``_square``, takes a window
-    times itself or times its own inertia image
-    (``LaurentSeries.square`` and the norm's inertia doublings).
+    two kernels, for two different windows: ``+`` and ``-`` (with one
+    term, the monomial g^s), ``*`` on two series, ``inverse``, the norm's
+    Frobenius chain and its y * h(P_c) steps (``reciprocity.norm``, on its
+    one log window) and the crossed-product slots of ``brauer`` run it.
+    The other, ``_square``, takes a window times itself or times its own
+    inertia image (the squarings of ``**`` and the norm's inertia
+    doublings).
     """
     for k in range(start, stop):
         pos = offset + k
@@ -105,7 +108,9 @@ def _square(logs, step, valuation, order, zech):
     half the steps of ``_convolve`` on the same window. With step = 0
     every weight is log 2: the fold adds it once per slot, and in
     characteristic 2, where 2 = 0, the square is the Frobenius spread
-    a_i -> 2a_i at 2i with no pair at all.
+    a_i -> 2a_i at 2i with no pair at all. Every squaring of
+    ``LaurentSeries.__pow__`` runs it at step 0, and each inertia doubling
+    of ``reciprocity.norm`` at step log c.
     """
     n = len(logs)
     out = [None] * n
@@ -299,12 +304,6 @@ class LaurentSeries:
             raise ValueError(
                 f"uniformizer mismatch: {self.symbol!r} vs {other.symbol!r}")
 
-    def _scalar_log(self, value):
-        """Log of a FieldElement scalar (None for zero)."""
-        if value.tower is not self.tower:
-            raise ValueError("scalar belongs to a different tower")
-        return value.log
-
     def _scaled(self, shift):
         """Every coefficient multiplied by g^shift."""
         m = self.tower.order
@@ -314,47 +313,44 @@ class LaurentSeries:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
+    def _plus_scaled(self, other, shift):
+        """self + g^shift * other on the common window (``+`` at shift 0,
+        ``-`` at the log of -1): ``_convolve`` of other with the one-term
+        window (0, shift) of g^shift, into self's copy of the window."""
         self._check_compatible(other)
-        if self.valuation == INFINITE:
-            return other
         if other.valuation == INFINITE:
             return self
+        if self.valuation == INFINITE:
+            return other._scaled(shift)
         va, vb = self.valuation, other.valuation
-        a, b = self.logs, other.logs
+        a = self.logs
         start = min(va, vb)
-        stop = min(va + len(a), vb + len(b))
+        stop = min(va + len(a), vb + len(other.logs))
         out = [None] * (stop - start)
         if stop > va:
             out[va - start:] = a[:stop - va]
-        m = self.tower.order
-        zech = self.tower._zech
-        k = vb - start
-        for y in b[:max(stop - vb, 0)]:
-            if y is not None:
-                x = out[k]
-                if x is None:
-                    out[k] = y
-                else:
-                    z = zech[(y - x) % m]
-                    out[k] = None if z < 0 else (x + z) % m
-            k += 1
-        return LaurentSeries(self.tower, self.symbol, start, out)
+        tower = self.tower
+        return LaurentSeries(
+            tower, self.symbol, start,
+            _convolve(((0, shift),), other.logs, out, vb - start, 0,
+                      stop - vb, tower.order, tower._zech))
 
-    def __neg__(self):
-        if self.tower.p == 2:
-            return self
-        return self._scaled(self.tower.order // 2)
+    def __add__(self, other):
+        return self._plus_scaled(other, 0)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus_scaled(other, self.tower.minus_one_log)
+
+    def __neg__(self):
+        return self._scaled(self.tower.minus_one_log)
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
-            c = self._scalar_log(other)
-            if c is None:
+            if other.tower is not self.tower:
+                raise ValueError("scalar belongs to a different tower")
+            if other.log is None:
                 return LaurentSeries.zero(self.tower, self.symbol)
-            return self._scaled(c)
+            return self._scaled(other.log)
         self._check_compatible(other)
         if not self.logs or not other.logs:
             # the exact zero stays exact; O(X^N) * s = O(X^(N + v(s)))
@@ -368,23 +364,14 @@ class LaurentSeries:
             _convolve(terms, other.logs, [None] * n, 0, 0, n, tower.order,
                       tower._zech))
 
-    def square(self) -> "LaurentSeries":
-        """x * x, term for term as ``*`` makes it on the same n-term window
-        (an empty one included), in about half the kernel steps."""
-        tower = self.tower
-        return LaurentSeries(tower, self.symbol, 2 * self.valuation,
-                             _square(self.logs, 0, self.valuation,
-                                     tower.order, tower._zech))
-
     def inverse(self) -> "LaurentSeries":
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero series")
         tower = self.tower
         m = tower.order
         lead = self.logs[0]
-        # out[j] = -(c_1 out[j-1] + ... + c_j out[0]) / c_0; negation adds
-        # m/2 to a log in odd characteristic and is the identity for p = 2
-        neg_lead_inv = -lead + (0 if tower.p == 2 else m // 2)
+        # out[j] = -(c_1 out[j-1] + ... + c_j out[0]) / c_0
+        neg_lead_inv = tower.minus_one_log - lead
         terms = [(k, a + neg_lead_inv) for k, a in enumerate(self.logs)
                  if k and a is not None]
         out = [-lead % m] + [None] * (len(self.logs) - 1)
@@ -408,7 +395,8 @@ class LaurentSeries:
         p^s. So the power is c^k * X^(vk) * (1 + y)^(k mod p^s), exact on
         the window and equal term for term to the product of k copies of
         the base; a monomial (y = 0) needs no product at all. Negative k
-        inverts the base first. The squarings run ``square``.
+        inverts the base first. Each squaring runs ``_square`` at step 0,
+        term for term the product x * x in about half the kernel steps.
         """
         if not isinstance(k, int):
             raise TypeError("series powers must be integers")
@@ -440,7 +428,9 @@ class LaurentSeries:
             r >>= 1
             if not r:
                 break
-            base = base.square()
+            base = LaurentSeries(tower, self.symbol, 2 * base.valuation,
+                                 _square(base.logs, 0, base.valuation,
+                                         tower.order, tower._zech))
         if not cut:
             return result
         return result._scaled(lead * cut).shift(v * cut)

@@ -4,6 +4,7 @@ import pytest
 
 from lcft.extension import DEGREE_CAP, GaloisElement, TameAbelianExtension
 from lcft.ffield import is_prime
+from lcft.reciprocity import BaseFieldClass
 from lcft.series import LaurentSeries
 
 # the standing verification matrix: one extension per interesting shape
@@ -68,16 +69,22 @@ def binary_power(x, k):
         base = base * base
 
 
+def class_inverse(b):
+    """The class of 1/(u * t^v): valuation -v and the unit's log negated."""
+    return BaseFieldClass(b.tower, -b.valuation, -b.unit_log)
+
+
 def field_element_closed_form(ext, b):
     """The closed form on FieldElement powers of m = (q^i - 1)/e.
 
     The reference for ``reciprocity_map``, which computes the same scale
     on generator logs: here m is the whole integer and c is built from
     field elements, the sign included. A negative valuation goes through
-    both inverses, a route the library's closed form does not take.
+    the inverse class and the inverse pair g ** -1, a route the library's
+    closed form does not take.
     """
     if b.valuation < 0:
-        return field_element_closed_form(ext, b.inverse()).inverse()
+        return field_element_closed_form(ext, class_inverse(b)) ** -1
     q, e = ext.q, ext.e
     m = (q**b.valuation - 1) // e
     c = ext.u0**m * b.unit ** (-((q - 1) // e))

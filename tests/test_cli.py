@@ -69,6 +69,63 @@ def test_malformed_config_exits_three(tmp_path, capsys):
     assert cli.main(["validate", cfg]) == 3
 
 
+@pytest.mark.parametrize("text, line, message", [
+    # a misspelt key used to run silently at the default precision
+    (UNRAM + "precison=8\n", 7, "unknown key 'precison'"),
+    ("p=3\nt=1\nf=2\nE=1\nu0=1\n", 4, "unknown key 'E'"),
+    # a repeated key used to keep its last value silently
+    ("p=3\nt=1\nf=2\ne=1\ne=2\nu0=1\n", 5, "key 'e' given twice"),
+    (UNRAM + "# twice\nprecision = 8\n", 8, "key 'precision' given twice"),
+])
+def test_bad_config_key_exits_three(tmp_path, capsys, text, line, message):
+    cfg = _write(tmp_path, text)
+    assert cli.main(["validate", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert f"{cfg}:{line}: {message}" in err
+    with pytest.raises(ValueError, match=f":{line}: "):
+        cli.parse_config(cfg)
+
+
+def test_every_config_key_is_accepted(tmp_path):
+    cfg = _write(tmp_path, C9 + "character=2\n")
+    assert sorted(cli.parse_config(cfg)) == sorted(cli.CONFIG_KEYS)
+
+
+C9_SHORT = "p=2\nt=2\nf=3\ne=3\nu0=g\nprecision=8\n"
+
+
+# the fast console commands on the degree-9 mixed extension: config text,
+# arguments after the config, and the exit code
+@pytest.mark.parametrize("text, args, code", [
+    (C9_SHORT, ["check", "--samples", "3"], 0),
+    # the character path: closed-form characters through the entry point
+    (C9_SHORT, ["hasse"], 0),
+    (C9_SHORT, ["hasse", "--json"], 0),
+    (C9_SHORT, ["galois", "--json"], 0),
+    # the norm-group presentation through the entry point
+    (C9_SHORT, ["norm-group", "--json"], 0),
+    # the two u0 text forms no workload uses: a generator power and a
+    # coefficient list
+    (C9_SHORT.replace("u0=g", "u0=g^5"), ["galois", "--json"], 0),
+    (C9_SHORT.replace("u0=g", "u0=1,0,1"), ["galois", "--json"], 0),
+    # a coefficient list longer than the degree is an invalid descriptor
+    ("p=2\nt=2\nf=3\ne=3\nu0=1,0,1,1,1,1,1\n", ["validate"], 1),
+    # malformed arguments are a parse failure, not a property failure
+    (C9_SHORT, ["check", "--samples", "abc"], 3),
+])
+def test_console_command_table(tmp_path, capsys, text, args, code):
+    argv = [args[0], _write(tmp_path, text)] + args[1:]
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:       # argparse exits from inside main
+        got = exc.code
+    out = capsys.readouterr().out
+    assert got == code, (argv, out)
+    if code == 0 and "--json" in args:
+        json.loads(out)
+
+
 def test_recip_table_contains_frobenius_row(tmp_path, capsys):
     code = cli.main(["recip", _write(tmp_path, UNRAM), "--json"])
     assert code == 0

@@ -122,7 +122,7 @@ def test_products_inverses_powers_are_members(matrix):
     for name, ext in matrix.items():
         group = ext.galois_group()
         for g in group:
-            derived = [g * h for h in group] + [g.inverse()]
+            derived = [g * h for h in group]
             derived += [g**k for k in range(-2, ext.degree + 2)]
             for x in derived:
                 assert GaloisElement(ext, x.a, x.c_log) == x, (name, x)
@@ -134,7 +134,7 @@ def test_power_matches_repeated_products_with_fewest_muls(matrix,
                                                           monkeypatch):
     # g**n is one closed form on the pair, with no group product: it
     # equals n-fold multiplication by g, and for n < 0 by the h in the
-    # group with g * h = identity, found by a scan rather than inverse()
+    # group with g * h = identity, found by a scan rather than a power
     calls = 0
     mul = GaloisElement.__mul__
 
@@ -159,7 +159,6 @@ def test_power_matches_repeated_products_with_fewest_muls(matrix,
             calls = 0
             for n in span:
                 assert g**n == want[n], (name, g, n)
-            assert g.inverse() == h, (name, g)
             assert calls == 0, (name, g, calls)
             monkeypatch.undo()
 
@@ -183,7 +182,7 @@ def test_group_axioms_exhaustive(matrix):
         group = ext.galois_group()
         members = set(group)
         for g in group:
-            assert (g * g.inverse()).is_identity()
+            assert (g * g ** -1).is_identity()
             for h in group:
                 assert g * h == h * g, (name, g, h)
                 assert g * h in members

@@ -4,7 +4,7 @@ import types
 
 import pytest
 
-from conftest import (MATRIX_PARAMS, binary_power,
+from conftest import (MATRIX_PARAMS, binary_power, class_inverse,
                       field_element_closed_form, subfield_units)
 from lcft import brauer, checks, reciprocity as rc
 from lcft.extension import GaloisElement, TameAbelianExtension
@@ -22,7 +22,7 @@ def test_class_validation(matrix):
     with pytest.raises(ValueError):
         rc.BaseFieldClass(ext.tower, 0, ext.tower.generator().log)  # not in k
     b = rc.BaseFieldClass(ext.tower, 2, ext.tower.subfield_generator().log)
-    assert (b * b.inverse()) == rc.BaseFieldClass(ext.tower, 0, 0)
+    assert (b * class_inverse(b)) == rc.BaseFieldClass(ext.tower, 0, 0)
 
 
 def test_a_class_over_another_tower_is_refused(matrix):
@@ -113,6 +113,73 @@ def test_search_matches_closed_form_on_all_classes(matrix):
             assert closed == searched, (name, b)
 
 
+# each oracle's entry points in lcft.reciprocity
+ORACLES = {
+    "closed form": ("reciprocity_map",),
+    "search": ("reciprocity_search", "_probe_table", "congruence_rhs"),
+    "norm group": ("norm_group", "norm", "is_norm"),
+}
+
+
+def _classes(ext, low):
+    """Every class u * t^v with u in k*, for v from ``low`` to 2f."""
+    gk_log = ext.tower.subfield_norm_exponent
+    return [rc.BaseFieldClass(ext.tower, v, gk_log * j)
+            for v in range(low, 2 * ext.f + 1)
+            for j in range(ext.tower.subfield_units)]
+
+
+def _answers(oracle, ext):
+    """One oracle's answer on each class, keyed on (v, unit log): the pair
+    (a, log c) of its image, or for the norm group whether it is a norm."""
+    if oracle == "closed form":
+        return {(b.valuation, b.unit_log): rc.reciprocity_map(ext, b)
+                for b in _classes(ext, -ext.f)}
+    if oracle == "search":
+        t = ext.base_uniformizer()
+        return {(b.valuation, b.unit_log):
+                rc.reciprocity_search(ext, t, _const(ext, b.unit),
+                                      b.valuation)
+                for b in _classes(ext, 0)}
+    return {(b.valuation, b.unit_log): rc.is_norm(ext, b)
+            for b in _classes(ext, -ext.f)}
+
+
+def test_each_oracle_runs_with_the_other_two_disabled(monkeypatch):
+    # the closed form, the search and the norm group stay independent:
+    # each answers on its own fresh extensions, so no cache carries over,
+    # while every entry point of the other two raises
+    def disabled(entry):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{entry} was called")
+        return refuse
+
+    answers = {}
+    for oracle in ORACLES:
+        with monkeypatch.context() as patch:
+            for other, entries in ORACLES.items():
+                if other != oracle:
+                    for entry in entries:
+                        patch.setattr(rc, entry, disabled(entry))
+            answers[oracle] = {
+                name: _answers(oracle,
+                               TameAbelianExtension.from_parameters(*params))
+                for name, params in MATRIX_PARAMS.items()}
+    # the three agree: the search with the closed form on v >= 0, and the
+    # norms are exactly the classes the closed form sends to the identity
+    for name in MATRIX_PARAMS:
+        closed = {key: (g.a, g.c_log)
+                  for key, g in answers["closed form"][name].items()}
+        searched = answers["search"][name]
+        assert searched.keys() == {key for key in closed if key[0] >= 0}
+        for key, g in searched.items():
+            assert (g.a, g.c_log) == closed[key], (name, key)
+        norms = answers["norm group"][name]
+        assert norms.keys() == closed.keys()
+        for key, pair in closed.items():
+            assert norms[key] == (pair == (0, 0)), (name, key)
+
+
 @pytest.mark.parametrize("params", [
     *MATRIX_PARAMS.values(),
     (2, 6, 1, 63, "1"),
@@ -142,8 +209,9 @@ def test_closed_form_on_logs_matches_the_field_element_powers(params, rng):
     (2, 10, 2, 31, "g"),
 ])
 def test_negative_valuations_take_no_inverse(params, rng, monkeypatch):
-    # the closed form covers i < 0 itself; the reference takes inverses,
-    # so its expectations are computed before both inverses are disabled
+    # the closed form covers i < 0 itself; the reference takes inverse
+    # pairs, so its expectations are computed before negative powers of a
+    # pair are disabled
     ext = TameAbelianExtension.from_parameters(*params, precision=8)
     units = ext.q - 1
     js = range(units) if units <= 64 else rng.sample(range(units), 64)
@@ -152,11 +220,14 @@ def test_negative_valuations_take_no_inverse(params, rng, monkeypatch):
                for i in range(-3 * ext.f - 2, 0) for j in js]
     want = [field_element_closed_form(ext, b) for b in classes]
 
-    def refuse(self):
-        raise AssertionError("an inverse was taken")
+    power = GaloisElement.__pow__
 
-    monkeypatch.setattr(rc.BaseFieldClass, "inverse", refuse)
-    monkeypatch.setattr(GaloisElement, "inverse", refuse)
+    def refuse(self, n):
+        if n < 0:
+            raise AssertionError("an inverse was taken")
+        return power(self, n)
+
+    monkeypatch.setattr(GaloisElement, "__pow__", refuse)
     for b, expected in zip(classes, want):
         assert rc.reciprocity_map(ext, b) == expected, (params, b)
 
@@ -166,7 +237,8 @@ def test_negative_valuation_through_inverse(matrix):
         gk = ext.tower.subfield_generator()
         b = rc.BaseFieldClass(ext.tower, -3, gk.log)
         image = rc.reciprocity_map(ext, b)
-        assert (image * rc.reciprocity_map(ext, b.inverse())).is_identity()
+        assert (image * rc.reciprocity_map(ext, class_inverse(b))) \
+            .is_identity()
         # multiplying back to valuation 0 recovers the unit image
         shift = rc.BaseFieldClass(ext.tower, 3, 0)
         combined = rc.reciprocity_map(ext, b * shift)
@@ -185,7 +257,7 @@ def test_inverse_class_equals_large_power(matrix):
             power = b
             for _ in range(n - 2):
                 power = power * b
-            assert rc.reciprocity_map(ext, b.inverse()) == \
+            assert rc.reciprocity_map(ext, class_inverse(b)) == \
                 rc.reciprocity_map(ext, power)
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import binary_power, make_series
+from lcft import series
 from lcft.extension import TameAbelianExtension
 from lcft.ffield import FieldTower
 from lcft.series import LaurentSeries, _square
@@ -375,7 +376,6 @@ def test_power_makes_products_only_for_the_cut_exponent(params, n, k,
     x = _random_series(tower, rng, 1, n, 1.0)
     mono = _random_series(tower, rng, 1, n, 0.0)
     mul = LaurentSeries.__mul__
-    square = LaurentSeries.square
     calls = []
     squares = []
 
@@ -383,17 +383,17 @@ def test_power_makes_products_only_for_the_cut_exponent(params, n, k,
         calls.append(other)
         return mul(self, other)
 
-    def counted_square(self):
-        calls.append(self)
-        squares.append(self)
-        return square(self)
+    def counted_square(logs, step, *rest):
+        calls.append(logs)
+        squares.append(step)
+        return _square(logs, step, *rest)
 
     monkeypatch.setattr(LaurentSeries, "__mul__", counted)
-    monkeypatch.setattr(LaurentSeries, "square", counted_square)
+    monkeypatch.setattr(series, "_square", counted_square)
     x**k
     assert len(calls) == products
-    # every squaring runs the square kernel
-    assert len(squares) == POWER_SQUARES[params, n, k]
+    # every squaring runs the square kernel, untwisted
+    assert squares == [0] * POWER_SQUARES[params, n, k]
     # a monomial's 1-unit part is 1: its power takes no product at all
     mono**k
     assert len(calls) == products
@@ -451,8 +451,8 @@ def test_twisted_square_matches_the_product(params, rng):
                     assert (twin.valuation, twin.logs) == \
                         (image.valuation, image.logs)
                     # the twists run the kernel of the norm's inertia
-                    # doublings; h^0 is the plain square
-                    got = x.square() if not step else LaurentSeries(
+                    # doublings; h^0 is the plain square of ``**``
+                    got = LaurentSeries(
                         tower, "alpha", 2 * x.valuation,
                         _square(x.logs, step, x.valuation, tower.order,
                                 tower._zech))
@@ -470,8 +470,8 @@ def test_nth_root_of_degree_one_is_the_series_itself(rng, monkeypatch):
     calls = []
     monkeypatch.setattr(LaurentSeries, "__mul__",
                         lambda self, other: calls.append(other))
-    monkeypatch.setattr(LaurentSeries, "square",
-                        lambda self: calls.append(self))
+    monkeypatch.setattr(series, "_square",
+                        lambda logs, *rest: calls.append(logs))
     for params in [(2, 3, 1), (5, 1, 1), (7, 2, 1)]:
         tower = FieldTower(*params)
         for n in (1, 2, 8, 32):
@@ -543,6 +543,35 @@ def test_sum_against_reference(kernel_towers, rng):
             assert _strict(a - b) == _reference_sum(a, b, -1), tower
             want_neg = _expected(tower, a.valuation, [-c for c in a.coeffs])
             assert _strict(-a) == want_neg, tower
+
+
+def test_difference_takes_no_negation(kernel_towers, rng, monkeypatch):
+    # a - b is one kernel pass at the log of -1: no -b is built first
+    cases = []
+    for tower in kernel_towers:
+        for _ in range(40):
+            a, b = (_random_series(tower, rng, rng.randrange(-6, 6),
+                                   rng.randrange(1, 10), rng.random())
+                    for _ in range(2))
+            cases.append((a, b, _reference_sum(a, b, -1)))
+        exact = LaurentSeries.zero(tower, "t")
+        cases.append((exact, a, _strict(-a)))
+        cases.append((a, exact, _strict(a)))
+
+    def refuse(self):
+        raise AssertionError("a difference negated its operand")
+
+    monkeypatch.setattr(LaurentSeries, "__neg__", refuse)
+    for a, b, want in cases:
+        assert _strict(a - b) == want, a.tower
+
+
+def test_minus_one_log_is_the_tables_minus_one(kernel_towers):
+    for tower in kernel_towers:
+        assert tower.minus_one_log == tower.minus_one().log, tower
+        assert (-tower.one()).log == tower.minus_one_log, tower
+        if tower.p == 2:
+            assert tower.minus_one_log == 0, tower
 
 
 def test_sum_disjoint_windows(kernel_towers):
@@ -694,6 +723,10 @@ def test_honest_zero_sum_and_difference(kernel_towers, rng):
             if s.valuation >= end:
                 assert _strict(o + s) == (end, ()), tower
             assert _strict(o + exact) == _strict(exact + o) == (end, ())
+            # the exact zero is the identity of + and -, and 0 - s = -s
+            assert _strict(exact - s) == _strict(-s), tower
+            assert _strict(s - exact) == _strict(s), tower
+            assert _strict(exact - o) == _strict(o - exact) == (end, ())
             assert _strict(o + _honest_zero(tower, end + 3)) == (end, ())
             assert _strict(-o) == (end, ()), tower
             assert _strict(o - o) == (end, ()), tower
