@@ -341,23 +341,20 @@ def check_hasse_layer(ext, rng, samples) -> CheckResult:
         if brauer.hasse_invariant(c1 + c2, b1) != (
                 h11 + brauer.hasse_invariant(c2, b1)) % 1:
             failures.append("bilinearity fails in the character slot")
-    if ext.e == 1:
-        frob = ext.frobenius_element()
-        for chi in chars:
-            for b in reps:
-                if brauer.hasse_invariant(chi, b) != (
-                        b.valuation * chi(frob)) % 1:
-                    failures.append("unramified invariant formula fails")
+    # e = 1: the invariant is v(b) * chi(Frobenius), the unramified formula
+    frob = ext.frobenius_element() if ext.e == 1 else None
     # per representative: is it a norm, and does theta(b) generate?
     rep_facts = [(b, rc.is_norm(ext, b),
                   rc.reciprocity_map(ext, b).order() == ext.degree)
                  for b in reps]
     for chi in chars:
-        # chi at every representative, each evaluated once for both loops
+        # chi at every representative, each evaluated once for all loops
         row = [brauer.hasse_invariant(chi, b) for b in reps]
         for b, inv in zip(reps, row):
             if ext.degree % inv.denominator:
                 failures.append(f"invariant order does not divide ef at {b}")
+            if frob is not None and inv != (b.valuation * chi(frob)) % 1:
+                failures.append("unramified invariant formula fails")
         if not chi.is_faithful():
             continue
         for (b, b_is_norm, generates), inv in zip(rep_facts, row):

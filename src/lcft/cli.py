@@ -73,6 +73,10 @@ def _galois_json(g) -> dict:
     return {"a": g.a, "c": str(g.c)}
 
 
+def _class_json(b) -> dict:
+    return {"valuation": b.valuation, "unit": str(b.unit)}
+
+
 def cmd_validate(ext, raw, args, out):
     report = {
         "descriptor": ext.descriptor(),
@@ -129,8 +133,7 @@ def cmd_recip(ext, raw, args, out):
         same = closed == searched
         agree = agree and same
         table.append({
-            "valuation": b.valuation,
-            "unit": str(b.unit),
+            **_class_json(b),
             "galois": _galois_json(closed),
             "search_agrees": same,
         })
@@ -161,8 +164,7 @@ def cmd_norm_group(ext, raw, args, out):
         "invariant_factors": list(pres.invariant_factors),
         "quotient_order": pres.quotient_order,
         "coset_representatives": [
-            {"valuation": b.valuation, "unit": str(b.unit)}
-            for b in pres.coset_representatives],
+            _class_json(b) for b in pres.coset_representatives],
     }
     if args.json:
         out(json.dumps(payload, indent=2))
@@ -191,7 +193,7 @@ def cmd_hasse(ext, raw, args, out):
     for b in pres.coset_representatives:
         inv = brauer.hasse_invariant(chi, b)
         table.append({
-            "b": {"valuation": b.valuation, "unit": str(b.unit)},
+            "b": _class_json(b),
             "invariant_numerator": inv.numerator,
             "invariant_denominator": inv.denominator,
         })

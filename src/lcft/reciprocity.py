@@ -9,17 +9,18 @@ they can check each other:
   every valuation, negative ones included.
 * ``reciprocity_search``: evaluates the congruence right-hand side as an
   exact series quotient at two probes and looks the pair of residues up
-  in a table of the whole Galois group, built once per extension by
-  applying each element to both probes; exactly one element may match.
+  in a table of the whole Galois group, built once per extension with
+  the probes by applying each element to both; exactly one may match.
 * ``norm_group``: the exact norm image inside Z x k* with its Smith-form
-  presentation, giving kernel/cokernel facts (which classes are norms,
-  coset representatives) without reference to either formula. Its
-  ``norm`` multiplies Galois conjugates, grouped by transitivity of the
-  norm through the inertia field, N_(L/K) = N_(M/K) o N_(L/M) with
-  M = L^I. Each of the two cyclic products, of order m = e and then
-  m = f, follows a doubling chain over the bits of m: floor(log2 m) +
-  popcount(m) - 1 series products rather than m - 1, with the Galois
-  powers the chain applies built once per extension.
+  presentation, giving kernel/cokernel facts (coset representatives, and
+  through ``is_norm`` which classes are norms) without reference to
+  either formula. Its ``norm`` multiplies Galois conjugates, grouped by
+  transitivity of the norm through the inertia field,
+  N_(L/K) = N_(M/K) o N_(L/M) with M = L^I. Each of the two cyclic
+  products, of order m = e and then m = f, follows a doubling chain over
+  the bits of m: floor(log2 m) + popcount(m) - 1 series products rather
+  than m - 1, with the Galois powers the chain applies built once per
+  extension.
 
 Base-field classes are reduced pairs (valuation, unit residue), written
 ``BaseFieldClass(tower, v, unit_log)`` with ``b.unit`` a view; 1-units are
@@ -29,7 +30,7 @@ discarded throughout because they are norms in the tame case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .extension import (BASE_SYMBOL, EXT_SYMBOL, GaloisElement,
                         TameAbelianExtension, twist_logs)
@@ -186,14 +187,14 @@ def reciprocity_search(ext: TameAbelianExtension, pi: LaurentSeries,
     The congruence residues at beta = alpha and at a residue-field
     generator pin the pair (a, c) completely in the tame case; exactly one
     group element may match. The group is scanned once per extension into
-    a probe-residue table (``_probe_table``); each call evaluates the
-    congruence at both probes and looks the pair of residues up.
+    a probe-residue table (``_probe_table``), which also holds the two
+    probe series; each call evaluates the congruence at both probes and
+    looks the pair of residues up.
     """
-    alpha = ext.uniformizer()
-    omega = ext.constant(ext.tower.generator())
+    alpha, omega, table = _probe_table(ext)
     want = (congruence_rhs(ext, pi, u, i, alpha),
             congruence_rhs(ext, pi, u, i, omega))
-    matches = _probe_table(ext).get(want, ())
+    matches = table.get(want, ())
     if len(matches) != 1:
         raise ArithmeticError(
             f"congruence search found {len(matches)} matches; "
@@ -201,14 +202,13 @@ def reciprocity_search(ext: TameAbelianExtension, pi: LaurentSeries,
     return matches[0]
 
 
-def _probe_table(ext: TameAbelianExtension) -> dict:
-    """Every group element g, keyed on its probe residues.
-
-    The key is the pair of residues of g(alpha) / alpha and
-    g(omega) / omega for a residue-field generator omega, each an exact
-    series quotient; the value lists the elements sharing that key.
-    Built once per extension by scanning the whole group, and cached on
-    it.
+def _probe_table(ext: TameAbelianExtension) -> tuple:
+    """The probes alpha and omega, a residue-field generator, with every
+    group element g keyed on the residues of g(alpha) / alpha and
+    g(omega) / omega, each an exact series quotient; a key lists the
+    elements that share it. Built once per extension by scanning the
+    whole group, and cached on it as (alpha, omega, table); ``norm_group``
+    builds its own alpha and omega.
     """
     if ext._probes is None:
         alpha = ext.uniformizer()
@@ -218,7 +218,7 @@ def _probe_table(ext: TameAbelianExtension) -> dict:
             key = ((g.apply(alpha) / alpha).residue(),
                    (g.apply(omega) / omega).residue())
             table.setdefault(key, []).append(g)
-        ext._probes = table
+        ext._probes = (alpha, omega, table)
     return ext._probes
 
 
@@ -314,35 +314,19 @@ def _norm_chain(ext: TameAbelianExtension) -> tuple:
 class NormGroupPresentation:
     """K*/N(L*) as the cokernel of the norm image inside Z x k*.
 
-    The unit coordinate is the discrete log with respect to
-    ``subfield_generator``. ``generator_rows`` are the classes of the
-    norms of alpha and of a residue generator; ``relation_matrix`` adds
-    the ambient relation (0, q-1) and its Smith form gives the invariant
-    factors of the quotient.
+    Plain data; ``is_norm`` answers membership. The unit coordinate is
+    the discrete log with respect to ``subfield_generator``.
+    ``generator_rows`` are the classes of the norms of alpha and of a
+    residue generator; ``relation_matrix`` adds the ambient relation
+    (0, q-1), and its Smith form gives the quotient's invariant factors.
     """
 
-    ext: TameAbelianExtension = field(repr=False)
     subfield_generator: FieldElement
     generator_rows: tuple
     relation_matrix: tuple
     invariant_factors: tuple
     coset_representatives: tuple
     quotient_order: int
-
-    def contains(self, b: BaseFieldClass) -> bool:
-        """Is the class a norm? Solves m * row1 + n * row2 = class."""
-        if b.tower is not self.ext.tower:
-            raise ValueError("class over a different tower")
-        f = self.ext.f
-        big_q = self.ext.q - 1
-        if b.valuation % f != 0:
-            return False
-        mth = b.valuation // f
-        d1 = self.generator_rows[0][1]
-        d2 = self.generator_rows[1][1]
-        d = math.gcd(d2, big_q)
-        rem = (b.unit_log // b.tower.subfield_norm_exponent - mth * d1) % big_q
-        return rem % d == 0
 
 
 def norm_group(ext: TameAbelianExtension) -> NormGroupPresentation:
@@ -376,7 +360,7 @@ def norm_group(ext: TameAbelianExtension) -> NormGroupPresentation:
     reps = tuple(BaseFieldClass(tower, i, gk.log * j)
                  for i in range(ext.f) for j in range(d))
     ext._norm_group = NormGroupPresentation(
-        ext=ext, subfield_generator=gk,
+        subfield_generator=gk,
         generator_rows=((ext.f, d1), (0, d2)),
         relation_matrix=tuple(tuple(r) for r in rows),
         invariant_factors=factors,
@@ -386,8 +370,18 @@ def norm_group(ext: TameAbelianExtension) -> NormGroupPresentation:
 
 
 def is_norm(ext: TameAbelianExtension, b: BaseFieldClass) -> bool:
-    """Norm-group membership of a base-field class."""
-    return norm_group(ext).contains(b)
+    """Norm-group membership of a class (v, u), the one route to it:
+    solves m * (f, d1) + n * (0, d2) = (v, log u) modulo (0, q - 1) on
+    ``norm_group``'s generator rows, with log u on k's generator."""
+    if b.tower is not ext.tower:
+        raise ValueError("class over a different tower")
+    (f, d1), (_, d2) = norm_group(ext).generator_rows
+    if b.valuation % f:
+        return False
+    big_q = ext.q - 1
+    rem = (b.unit_log // b.tower.subfield_norm_exponent
+           - b.valuation // f * d1) % big_q
+    return rem % math.gcd(d2, big_q) == 0
 
 
 def _below(rng, n: int) -> int:

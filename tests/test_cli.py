@@ -93,10 +93,13 @@ def test_every_config_key_is_accepted(tmp_path):
 
 
 C9_SHORT = "p=2\nt=2\nf=3\ne=3\nu0=g\nprecision=8\n"
+CAP2 = "p=2\nt=10\nf=2\ne=31\nu0=g\nprecision=8\n"
+E58 = "p=59\nt=1\nf=1\ne=58\nu0=g\nprecision=8\n"
+E63 = "p=2\nt=6\nf=1\ne=63\nu0=1\nprecision=8\n"
 
 
-# the fast console commands on the degree-9 mixed extension: config text,
-# arguments after the config, and the exit code
+# the console commands under a second: config text, arguments after the
+# config, and the exit code
 @pytest.mark.parametrize("text, args, code", [
     (C9_SHORT, ["check", "--samples", "3"], 0),
     # the character path: closed-form characters through the entry point
@@ -113,6 +116,47 @@ C9_SHORT = "p=2\nt=2\nf=3\ne=3\nu0=g\nprecision=8\n"
     ("p=2\nt=2\nf=3\ne=3\nu0=1,0,1,1,1,1,1\n", ["validate"], 1),
     # malformed arguments are a parse failure, not a property failure
     (C9_SHORT, ["check", "--samples", "abc"], 3),
+    # field tables at the size cap: the p = 2 walk
+    (CAP2, ["validate"], 0),
+    # the checks on the cap tower's array-backed Zech table
+    (CAP2, ["check", "--samples", "3"], 0),
+    # the congruence search at q = 2^10: its powers cut to the 1-unit
+    # exponent
+    (CAP2, ["recip", "--json"], 0),
+    # the p = 2 lane walk at an odd degree near the cap: 1024 lanes of 512
+    # steps, one slot more than the 2^19 - 1 powers
+    ("p=2\nt=19\nf=1\ne=1\nu0=1\n", ["validate"], 0),
+    # the largest crossed product of the benchmark (degree 58)
+    (E58, ["check", "--samples", "3"], 0),
+    (E58, ["hasse"], 0),
+    # the norm's doubling chain with zeros between its ones:
+    # 58 = 0b111010, 8 products
+    (E58, ["norm-group", "--json"], 0),
+    # the longest norm chain (63 = 0b111111, 10 products), the largest
+    # degree of the benchmark
+    (E63, ["check", "--samples", "3"], 0),
+    # the Hasse-invariant table at the largest degree of the benchmark
+    (E63, ["hasse"], 0),
+    # a crossed-product slot whose window cancels is O(alpha^N), not the
+    # exact zero (sample 82 of seed 1803)
+    ("p=5\nt=1\nf=1\ne=4\nu0=1\nprecision=32\n",
+     ["check", "--seed", "1803", "--samples", "100"], 0),
+    # the square kernel at precision 32: odd p, twisted by zeta of order 6
+    ("p=7\nt=1\nf=2\ne=6\nu0=1\nprecision=32\n",
+     ["check", "--samples", "100"], 0),
+    # the characteristic-2 square: the Frobenius spread, with no pairs
+    (C9_SHORT.replace("precision=8", "precision=32"),
+     ["check", "--samples", "100"], 0),
+    # the norm on one log window: e = 15 = 0b1111, 3 twisted squares and
+    # 3 y-steps, on norms at valuations -3..3
+    ("p=2\nt=4\nf=1\ne=15\nu0=1\nprecision=8\n",
+     ["check", "--samples", "200", "--seed", "1803"], 0),
+    # the cap descriptors with a real Frobenius: walks down to valuation
+    # -f, so a != 0 on the closed form
+    ("p=2\nt=10\nf=2\ne=1\nu0=1\nprecision=8\n",
+     ["check", "--samples", "10"], 0),
+    ("p=2\nt=1\nf=20\ne=1\nu0=1\nprecision=8\n",
+     ["check", "--samples", "10"], 0),
 ])
 def test_console_command_table(tmp_path, capsys, text, args, code):
     argv = [args[0], _write(tmp_path, text)] + args[1:]
