@@ -25,7 +25,7 @@ from .extension import (BASE_SYMBOL, EXT_SYMBOL, GaloisElement,
                         TameAbelianExtension, twist_logs)
 from .reciprocity import (BaseFieldClass, random_base_unit_series,
                           random_logs, reciprocity_map, random_unit_series)
-from .series import INFINITE, LaurentSeries, _convolve
+from .series import LaurentSeries, _convolve
 
 
 _BROKEN_RELATIONS = "(x, y) breaks e*y = 0 or f*x = s*y mod 1"
@@ -137,20 +137,22 @@ def frobenius_exponent(sigma: GaloisElement) -> int:
     r = exponent_of(sigma,
                     reciprocity_map(ext, BaseFieldClass(ext.tower, 1, 0)))
     sign_u0 = ext.u0 if ext.e % 2 == 1 else -ext.u0
-    assert (sigma**r).c == sign_u0 ** ((ext.q - 1) // ext.e), \
-        "resolved exponent violates the residue identity"
+    if (sigma**r).c != sign_u0 ** ((ext.q - 1) // ext.e):
+        raise ArithmeticError(
+            "resolved exponent violates the residue identity")
     return r
 
 
 class CrossedProduct:
     """The algebra with basis v^0 .. v^(n-1) over L, v^n = b, v a = s(a) v.
 
-    Elements are tuples of n Laurent series in alpha (zero series allowed
-    in any slot). ``multiply`` builds each output slot on generator logs
-    with one accumulator: every term x_i sigma^i(y_j) is convolved
-    straight into it, with sigma^i applied to the part of y_j it reads by
-    ``twist_logs``, as ``GaloisElement.apply`` does, and b, an embedded
-    monomial, is a valuation shift plus one log offset. The slot keeps
+    Elements are tuples of n slots, each a Laurent series in alpha or None
+    for an empty slot, which ``zero()`` has in every place and
+    ``random_element`` draws. ``multiply`` builds each output slot on
+    generator logs with one accumulator: every term x_i sigma^i(y_j) is
+    convolved straight into it, with sigma^i applied to the part of y_j
+    it reads by ``twist_logs``, as ``GaloisElement.apply`` does, and b, an
+    embedded monomial, is a valuation shift plus one log offset. The slot keeps
     exactly the window of the term-by-term series sum. Under the honest
     zero that window is known before any step runs: it starts at the
     least valuation of the slot's terms and ends at the least of their
@@ -172,15 +174,14 @@ class CrossedProduct:
         # b is a monomial, so a product with it is a truncation to its
         # window, a scale by its coefficient and a shift by its valuation
         b_logs = self.b_series.logs
-        assert b_logs.count(None) == len(b_logs) - 1, \
-            "b must embed as a monomial"
+        if b_logs.count(None) != len(b_logs) - 1:
+            raise ArithmeticError("b must embed as a monomial")
         self.sigma_powers = [sigma**i for i in range(self.n)]
 
     # -- element constructors ------------------------------------------------
 
     def zero(self) -> tuple:
-        z = LaurentSeries.zero(self.ext.tower, EXT_SYMBOL)
-        return tuple(z for _ in range(self.n))
+        return (None,) * self.n
 
     def scalar(self, a: LaurentSeries) -> tuple:
         out = list(self.zero())
@@ -205,12 +206,12 @@ class CrossedProduct:
         out = []
         for _ in range(self.n):
             if rng.random() < 0.5:
-                out.append(LaurentSeries.zero(self.ext.tower, EXT_SYMBOL))
+                out.append(None)
             else:
                 logs = random_logs(self.ext.tower, rng, ALGEBRA_PRECISION)
                 out.append(LaurentSeries(self.ext.tower, EXT_SYMBOL,
                                          rng.randrange(-2, 3), logs))
-        if all(x.is_zero() for x in out):
+        if all(x is None or x.is_zero() for x in out):
             out[0] = LaurentSeries.one(self.ext.tower, EXT_SYMBOL,
                                        ALGEBRA_PRECISION)
         return tuple(out)
@@ -221,14 +222,14 @@ class CrossedProduct:
         """Slot k is the sum of x_i sigma^i(y_j) over i + j = k, plus b
         times the sum over i + j = k + n.
 
-        The first pass walks the pairs of slots that are not the exact
-        zero and files each under its slot, with the pair's valuation
+        The first pass walks the pairs of slots that are not empty (None)
+        and files each under its slot, with the pair's valuation
         v(x_i) + v(y_j) (plus v(b) when it wraps) and its term count, the
         shorter window (at most len(b) when it wraps). The slot's window
         is [min v, min(v + count)) over its pairs, so it is fixed before
         any step runs. The second pass convolves each pair into the
         slot's one accumulator, only over the terms that land in that
-        window.
+        window. A slot that no pair reaches is empty (None).
         """
         tower = self.ext.tower
         m, zech = tower.order, tower._zech
@@ -237,14 +238,14 @@ class CrossedProduct:
         b = self.b_series
         vb, lb, b_lead = b.valuation, len(b.logs), b.logs[0]
         ys = [(j, yj.valuation, yj.logs, len(yj.logs))
-              for j, yj in enumerate(y) if yj.valuation != INFINITE]
-        start, stop = [INFINITE] * n, [INFINITE] * n
+              for j, yj in enumerate(y) if yj is not None]
+        start, stop = [math.inf] * n, [math.inf] * n
         slots = [[] for _ in range(n)]
         terms = [None] * n
         for i, a in enumerate(x):
-            va, la = a.valuation, len(a.logs)
-            if va == INFINITE:
+            if a is None:
                 continue
+            va, la = a.valuation, len(a.logs)
             low = [(ii, L) for ii, L in enumerate(a.logs) if L is not None]
             # b is a monomial: a wrapped pair adds its lead log to x_i's
             terms[i] = low, [(ii, L + b_lead) for ii, L in low]
@@ -271,7 +272,7 @@ class CrossedProduct:
         out = []
         for lo, hi, pairs in zip(start, stop, slots):
             if not pairs:
-                out.append(LaurentSeries.zero(tower, EXT_SYMBOL))
+                out.append(None)
                 continue
             acc = [None] * (hi - lo)
             for v, i, wrapped, vy, logs in pairs:
@@ -293,12 +294,16 @@ class CrossedProduct:
 
     def equal(self, x: tuple, y: tuple) -> bool:
         """Slot-wise agreement on the common window: O(alpha^E) agrees with
-        any slot of valuation at least E.
+        any slot of valuation at least E, and an empty slot (None) with
+        exactly the slots that are None or a zero series.
 
         This is the one comparison on the common window, not ``==``: a
         slot's window depends on the order of the products, so (xy)z and
         x(yz) can keep different windows of the same element."""
-        return all((a - b).is_zero() for a, b in zip(x, y))
+        # beside an empty slot, the other slot itself is the difference
+        return all(d is None or d.is_zero()
+                   for d in (b if a is None else a if b is None else a - b
+                             for a, b in zip(x, y)))
 
     def commutes(self, x: tuple, y: tuple) -> bool:
         return self.equal(self.multiply(x, y), self.multiply(y, x))

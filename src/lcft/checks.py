@@ -326,7 +326,8 @@ def check_root_extraction(ext, rng, samples) -> CheckResult:
 
 
 def check_hasse_layer(ext, rng, samples) -> CheckResult:
-    """Bilinearity, unramified value, faithful-kernel and algebra relations."""
+    """Bilinearity, the inflation law, the faithful kernel and the algebra
+    relations."""
     failures = []
     chars = brauer.character_group(ext)
     pres = rc.norm_group(ext)
@@ -341,8 +342,10 @@ def check_hasse_layer(ext, rng, samples) -> CheckResult:
         if brauer.hasse_invariant(c1 + c2, b1) != (
                 h11 + brauer.hasse_invariant(c2, b1)) % 1:
             failures.append("bilinearity fails in the character slot")
-    # e = 1: the invariant is v(b) * chi(Frobenius), the unramified formula
-    frob = ext.frobenius_element() if ext.e == 1 else None
+    # the inflation law: a chi trivial on inertia factors through
+    # Gal(K_f/K), so its invariant is v(b) * chi(lift) for the Frobenius
+    # lift (for e = 1, the unramified formula)
+    lift, zeta = ext.residue_frobenius_lift(), ext.inertia_generator()
     # per representative: is it a norm, and does theta(b) generate?
     rep_facts = [(b, rc.is_norm(ext, b),
                   rc.reciprocity_map(ext, b).order() == ext.degree)
@@ -350,11 +353,12 @@ def check_hasse_layer(ext, rng, samples) -> CheckResult:
     for chi in chars:
         # chi at every representative, each evaluated once for all loops
         row = [brauer.hasse_invariant(chi, b) for b in reps]
+        inflated = chi(lift) if chi(zeta) == 0 else None
         for b, inv in zip(reps, row):
             if ext.degree % inv.denominator:
                 failures.append(f"invariant order does not divide ef at {b}")
-            if frob is not None and inv != (b.valuation * chi(frob)) % 1:
-                failures.append("unramified invariant formula fails")
+            if inflated is not None and inv != (b.valuation * inflated) % 1:
+                failures.append(f"inflation law fails at {b}")
         if not chi.is_faithful():
             continue
         for (b, b_is_norm, generates), inv in zip(rep_facts, row):

@@ -10,9 +10,10 @@ is a config error that names the file and line. Field elements are
 written as g^k, a bare integer, or a comma-separated coefficient list.
 The series precision comes from --precision, then the config, then
 ``series.DEFAULT_PRECISION`` (32). Exit codes: 0 success,
-1 descriptor validation failure, 2 property-suite failure, 3 I/O or
-parse failure, malformed arguments and a reader that closed the output
-pipe included.
+1 descriptor validation failure, 2 property-suite failure (a check that
+raises an ArithmeticError or AssertionError included, reported as one
+stderr line), 3 I/O or parse failure, malformed arguments and a reader
+that closed the output pipe included.
 """
 
 from __future__ import annotations
@@ -295,6 +296,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (ArithmeticError, AssertionError) as exc:
+        # a property that breaks mid-computation, not a bad descriptor
+        print(f"property failure: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_PROPERTY
     except BrokenPipeError:
         # the reader closed stdout (``lcft ... | head``): what is still
         # buffered goes to devnull, so the flush at exit stays quiet

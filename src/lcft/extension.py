@@ -155,11 +155,8 @@ class TameAbelianExtension:
             raise ValueError("embed expects a series in the base uniformizer")
         if x.tower is not self.tower:
             raise ValueError("series belongs to a different tower")
-        if x.is_zero():
-            # O(t^N) embeds as O(alpha^(eN)); the exact zero stays exact
-            return LaurentSeries(self.tower, EXT_SYMBOL, self.e * x.valuation,
-                                 ())
-        # lam * t^n = lam * u0^(-n) * alpha^(e*n), on generator logs
+        # lam * t^n = lam * u0^(-n) * alpha^(e*n), on generator logs;
+        # O(t^N) (no logs) embeds as O(alpha^(eN)) through the same loop
         m = self.tower.order
         norm_exp = self.tower.subfield_norm_exponent
         step = self.u0.log
@@ -185,8 +182,6 @@ class TameAbelianExtension:
             raise ValueError("project expects a series in alpha")
         if x.tower is not self.tower:
             raise ValueError("series belongs to a different tower")
-        if x.valuation == math.inf:
-            return LaurentSeries.zero(self.tower, BASE_SYMBOL)
         # O(alpha^N) (no logs) projects to O(t^ceil(N/e)) through the same
         # window arithmetic
         e = self.e
@@ -420,8 +415,6 @@ class GaloisElement:
             raise ValueError("the Galois action acts on series in alpha")
         if beta.tower is not self.ext.tower:
             raise ValueError("series belongs to a different tower")
-        if beta.is_zero():
-            return beta
         return LaurentSeries(
             beta.tower, EXT_SYMBOL, beta.valuation,
             twist_logs(beta.logs, self, beta.valuation))

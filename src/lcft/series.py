@@ -12,14 +12,14 @@ a group of exponent p^s, the least power of p with p^s >= n
 root degree e is prime to p, ``nth_root`` takes the e-th root of a
 1-unit w1 as the single power w1^(e^(-1) mod p^s), with no iteration.
 
-The exact zero is a distinct value with an infinite-valuation sentinel;
-only ``zero()`` (and products and sums with it) make it. A window whose
-coefficients all cancel is the honest zero O(X^end) instead: it keeps the
-end of the window as its valuation and retains no terms, so the terms
-past that end stay unknown. Both are ``is_zero()`` and compare equal.
-Two nonzero series are equal only on the same valuation and the same
-whole window, so a truncation is a different series; ``(a - b).is_zero()``
-is the comparison on the common window.
+Every series is known only modulo X^end, and so is every zero: a
+window whose coefficients all cancel is the honest zero O(X^end). It
+keeps the end of the window as its valuation and retains no terms, so
+the terms past that end stay unknown; there is no exact zero. Every zero
+is ``is_zero()`` and equals every other zero. Two nonzero series are
+equal only on the same valuation and the same whole window, so a
+truncation is a different series; ``(a - b).is_zero()`` is the
+comparison on the common window.
 
 The window is stored as generator logs: ``logs`` holds ints reduced mod
 the tower's ``order``, with None for a zero coefficient. Every operation
@@ -37,7 +37,7 @@ squaring of ``**``, and straight on the log window of
 Galois image x' is such a scale. It visits each pair of terms once, so it
 makes about half the steps, and a plain square in characteristic 2 none.
 The one constructor, ``LaurentSeries(tower, symbol, valuation, logs)``,
-takes such a window; ``zero``, ``one``, ``uniformizer``, ``monomial`` and
+takes such a window; ``one``, ``uniformizer``, ``monomial`` and
 ``constant`` are shorthands for it. ``FieldElement`` stays the public
 type of a coefficient: ``coeffs`` is the window as elements, and the
 other coefficient views also build elements on demand.
@@ -48,8 +48,6 @@ from __future__ import annotations
 import math
 
 from .ffield import FieldElement, FieldTower
-
-INFINITE = math.inf
 
 DEFAULT_PRECISION = 32
 
@@ -191,9 +189,9 @@ class LaurentSeries:
     leading Nones, raising the valuation to match, so the stored ``logs``
     is a tuple with ``logs[0]`` not None, or empty. An all-None window of
     N terms from X^v is the honest zero O(X^(v+N)): valuation v + N and
-    no logs, so ``valuation + precision`` is the end of every window.
-    Only ``zero()`` has valuation inf. ``coeffs`` is the FieldElement
-    view of the same window.
+    no logs, so ``valuation + precision`` is the end of every window and
+    every valuation is an int. ``coeffs`` is the FieldElement view of the
+    same window.
 
     Arithmetic requires matching tower and symbol and keeps the honest
     end: a sum keeps the common window of its operands, so
@@ -218,10 +216,6 @@ class LaurentSeries:
         self.logs = tuple(logs[lead:]) if lead else tuple(logs)
 
     # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls, tower, symbol):
-        return cls(tower, symbol, INFINITE, ())
 
     @classmethod
     def constant(cls, tower, symbol, value, precision):
@@ -271,8 +265,6 @@ class LaurentSeries:
         return FieldElement(self.tower, self.logs[0])
 
     def __str__(self):
-        if self.valuation == INFINITE:
-            return "0"
         parts = []
         for j, c in enumerate(self.coeffs):
             if c:
@@ -283,9 +275,9 @@ class LaurentSeries:
     __repr__ = __str__
 
     def _key(self):
-        # every zero, the exact one and each O(X^N), is one value
+        # every zero O(X^N) is one value, whatever its N
         return (id(self.tower), self.symbol,
-                self.valuation if self.logs else INFINITE, self.logs)
+                self.valuation if self.logs else None, self.logs)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -318,10 +310,6 @@ class LaurentSeries:
         ``-`` at the log of -1): ``_convolve`` of other with the one-term
         window (0, shift) of g^shift, into self's copy of the window."""
         self._check_compatible(other)
-        if other.valuation == INFINITE:
-            return self
-        if self.valuation == INFINITE:
-            return other._scaled(shift)
         va, vb = self.valuation, other.valuation
         a = self.logs
         start = min(va, vb)
@@ -349,13 +337,11 @@ class LaurentSeries:
             if other.tower is not self.tower:
                 raise ValueError("scalar belongs to a different tower")
             if other.log is None:
-                return LaurentSeries.zero(self.tower, self.symbol)
+                # the honest zero over the window: O(X^(v + n))
+                return LaurentSeries(self.tower, self.symbol,
+                                     self.valuation + len(self.logs), ())
             return self._scaled(other.log)
         self._check_compatible(other)
-        if not self.logs or not other.logs:
-            # the exact zero stays exact; O(X^N) * s = O(X^(N + v(s)))
-            return LaurentSeries(self.tower, self.symbol,
-                                 self.valuation + other.valuation, ())
         tower = self.tower
         n = min(len(self.logs), len(other.logs))
         terms = [(i, a) for i, a in enumerate(self.logs[:n]) if a is not None]
@@ -403,7 +389,7 @@ class LaurentSeries:
         if self.is_zero():
             if k <= 0:
                 raise ZeroDivisionError("nonpositive power of the zero series")
-            # O(X^N)^k = O(X^(kN)); the exact zero stays exact
+            # O(X^N)^k = O(X^(kN))
             return LaurentSeries(self.tower, self.symbol, self.valuation * k,
                                  ())
         tower = self.tower

@@ -312,7 +312,7 @@ def test_cyclic_algebra_check(matrix, rng):
 
 
 # sample 82 of ``cyclic_algebra_check`` in ``lcft check --seed 1803`` on
-# (5,1,1,4,"1"): each slot as (valuation, logs), None for the exact zero
+# (5,1,1,4,"1"): each slot as (valuation, logs), None for an empty slot
 SEED_1803_TRIPLE = (
     ((0, (0, 2, 1, 2, 1, None, 2, 0)), None, None,
      (-1, (2, 1, 2, 2, None, 2, 0, None))),
@@ -324,11 +324,11 @@ SEED_1803_TRIPLE = (
 
 def test_associativity_on_the_seed_1803_triple(matrix):
     # slot 3 of (xy)z cancels on its whole window: it is O(alpha^4), and
-    # the exact zero there would claim terms nobody computed
+    # an empty slot there would claim terms nobody computed
     ext = matrix["ram_e4"]
     sigma = next(g for g in ext.galois_group() if g.order() == ext.degree)
     alg = brauer.CrossedProduct(sigma, _pi_class(ext))
-    x, y, z = (tuple(LaurentSeries.zero(ext.tower, "alpha") if s is None
+    x, y, z = (tuple(None if s is None
                      else LaurentSeries(ext.tower, "alpha", *s)
                      for s in element)
                for element in SEED_1803_TRIPLE)
@@ -339,8 +339,7 @@ def test_associativity_on_the_seed_1803_triple(matrix):
     for got, want in ((xy_z, _reference_multiply(alg, _reference_multiply(
             alg, x, y), z)), (x_yz, _reference_multiply(
             alg, x, _reference_multiply(alg, y, z)))):
-        assert [(g.valuation, g.logs) for g in got] == \
-            [(w.valuation, w.logs) for w in want]
+        assert _slots(got) == _slots(want)
 
 
 def test_crossed_product_equal_is_agreement_on_the_common_window(matrix):
@@ -352,9 +351,10 @@ def test_crossed_product_equal_is_agreement_on_the_common_window(matrix):
     def slot0(valuation, logs):
         return (LaurentSeries(ext.tower, "alpha", valuation, logs), *rest)
 
-    # O(alpha^4) agrees with the exact zero and with any slot of
+    # O(alpha^4) agrees with an empty slot and with any slot of
     # valuation >= 4, in either order, but not with one of valuation 3
     assert alg.equal(slot0(4, ()), alg.zero())
+    assert alg.equal(alg.zero(), slot0(4, ()))
     for v in (4, 5, 9):
         assert alg.equal(slot0(4, ()), slot0(v, (0, 1)))
         assert alg.equal(slot0(v, (0, 1)), slot0(4, ()))
@@ -363,21 +363,56 @@ def test_crossed_product_equal_is_agreement_on_the_common_window(matrix):
     assert alg.equal(slot0(0, (1, 2, 3)), slot0(0, (1, 2)))
     assert not alg.equal(slot0(0, (1, 2, 3)), slot0(0, (1, 3)))
     assert not alg.equal(slot0(0, (1, 2)), slot0(1, (1, 2)))
+    # an empty slot agrees with exactly the zero slots, in either order
     assert not alg.equal(slot0(0, (1,)), alg.zero())
+    assert not alg.equal(alg.zero(), slot0(0, (1,)))
+    assert alg.equal(alg.zero(), alg.zero())
+
+
+def test_an_empty_slot_is_none(matrix, rng):
+    ext = matrix["ram_e4"]
+    sigma = next(g for g in ext.galois_group() if g.order() == ext.degree)
+    alg = brauer.CrossedProduct(sigma, _pi_class(ext))
+    assert alg.zero() == (None,) * alg.n
+    assert alg.one()[1:] == (None,) * (alg.n - 1)
+    state = rng.getstate()
+    x = alg.random_element(rng)
+    # each slot is drawn empty (None) or a series
+    assert None in x and any(s is not None for s in x)
+    assert alg.multiply(alg.zero(), x) == alg.zero()
+    assert alg.multiply(x, alg.zero()) == alg.zero()
+    # the draws: one random() per slot, then a window and a valuation only
+    # where the slot is not empty
+    rng.setstate(state)
+    for s in x:
+        empty = rng.random() < 0.5
+        assert empty == (s is None)
+        if not empty:
+            rc.random_logs(ext.tower, rng, brauer.ALGEBRA_PRECISION)
+            rng.randrange(-2, 3)
+
+
+def _slots(element):
+    """Each slot of a crossed-product element as (valuation, logs), None
+    for an empty slot: the strict comparison of two products."""
+    return [None if s is None else (s.valuation, s.logs) for s in element]
 
 
 def _reference_multiply(alg, x, y):
     """The term-by-term product, pair by pair: each wrapped term is
     multiplied by b alone. Series sums keep the honest end, so this order
-    and the slot-wise one give the same windows."""
+    and the slot-wise one give the same windows. A slot that no pair of
+    nonempty slots reaches stays empty (None)."""
     out = list(alg.zero())
     for i, a in enumerate(x):
         for j, b in enumerate(y):
+            if a is None or b is None:
+                continue
             term = a * alg.sigma_powers[i].apply(b)
             if i + j >= alg.n:
                 term = term * alg.b_series
             k = (i + j) % alg.n
-            out[k] = out[k] + term
+            out[k] = term if out[k] is None else out[k] + term
     return tuple(out)
 
 
@@ -405,11 +440,11 @@ def _window_steps(alg, x, y, want, outcomes):
     ``outcomes``."""
     steps = 0
     for i, a in enumerate(x):
-        if not a.logs:
+        if a is None or not a.logs:
             continue
         indices = [ii for ii, L in enumerate(a.logs) if L is not None]
         for j, b in enumerate(y):
-            if not b.logs:
+            if b is None or not b.logs:
                 continue
             wrapped = i + j >= alg.n
             v = a.valuation + b.valuation
@@ -444,8 +479,7 @@ def _multiply_counting_steps(alg, x, y, steps, outcomes):
     before = steps[0]
     got = alg.multiply(x, y)
     want = _reference_multiply(alg, x, y)
-    for k, (g, w) in enumerate(zip(got, want)):
-        assert (g.valuation, g.logs) == (w.valuation, w.logs), k
+    assert _slots(got) == _slots(want)
     assert steps[0] - before == _window_steps(alg, x, y, want, outcomes)
     return got
 
@@ -511,8 +545,7 @@ def test_dense_product_skips_every_wrapped_sum(rng, monkeypatch):
     assert outcomes["wrapped pair in the window"] == 0
     assert steps[0] == 24374
     want, _ = _slotwise_multiply(alg, x, y)
-    assert [(g.valuation, g.logs) for g in got] == \
-        [(w.valuation, w.logs) for w in want]
+    assert _slots(got) == _slots(want)
 
 
 def _slotwise_multiply(alg, x, y):
@@ -521,33 +554,34 @@ def _slotwise_multiply(alg, x, y):
     arithmetic, which keeps the honest end of every sum.
 
     Returns the product and the number of sums, low, wrapped or final, of
-    two nonzero series that cancel on their whole window. Only the exact
-    zero is skipped: an honest zero O(alpha^N) in a slot still bounds the
-    windows of its products.
+    two nonzero series that cancel on their whole window. Only empty
+    slots (None) are skipped: an honest zero O(alpha^N) in a slot still
+    bounds the windows of its products.
     """
-    terms = [(i, a) for i, a in enumerate(x) if a.valuation != math.inf]
-    zero = LaurentSeries.zero(alg.ext.tower, "alpha")
+    terms = [(i, a) for i, a in enumerate(x) if a is not None]
     out = []
     hits = 0
 
     def add(acc, term):
         nonlocal hits
+        if acc is None:
+            return term
         total = acc + term
         hits += total.is_zero() and not acc.is_zero() and not term.is_zero()
         return total
 
     for k in range(alg.n):
-        low = wrapped = zero
+        low = wrapped = None
         for i, a in terms:
             b = y[k - i]     # j = k - i, or k - i + n when i > k
-            if b.valuation == math.inf:
+            if b is None:
                 continue
             term = a * alg.sigma_powers[i].apply(b)
             if i <= k:
                 low = add(low, term)
             else:
                 wrapped = add(wrapped, term)
-        if wrapped.valuation != math.inf:
+        if wrapped is not None:
             low = add(low, wrapped * alg.b_series)
         out.append(low)
     return tuple(out), hits
@@ -571,12 +605,11 @@ def _cancelling_pairs(alg, rng):
     and window, so each second partial sum cancels on its window). Last,
     honest zeros O(alpha^N) in every third slot against ones."""
     ext = alg.ext
-    zero = LaurentSeries.zero(ext.tower, "alpha")
     for _ in range(max(4, 240 // alg.n)):
-        yield tuple(zero if rng.random() < 0.3 else
+        yield tuple(None if rng.random() < 0.3 else
                     _short_series(ext, rng, rng.randrange(1, 3))
                     for _ in range(alg.n)), \
-            tuple(zero if rng.random() < 0.3 else
+            tuple(None if rng.random() < 0.3 else
                   _short_series(ext, rng, rng.randrange(1, 3))
                   for _ in range(alg.n))
     a = _short_series(ext, rng, rng.randrange(2, 4))
@@ -616,10 +649,8 @@ def test_crossed_product_multiply_matches_slotwise_loop(params, rng,
             got = _multiply_counting_steps(alg, x, y, steps, outcomes)
             want, cancelled = _slotwise_multiply(alg, x, y)
             hits += cancelled
-            honest += sum(not a.logs and a.valuation != math.inf for a in x)
-            for k, (g, w) in enumerate(zip(got, want)):
-                assert (g.valuation, g.logs) == (w.valuation, w.logs), \
-                    (b_val, k)
+            honest += sum(a is not None and not a.logs for a in x)
+            assert _slots(got) == _slots(want), b_val
     # every case must exercise whole-window cancellation and honest zeros
     assert hits >= 10, hits
     assert honest >= 4, honest

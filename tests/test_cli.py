@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import lcft
-from lcft import brauer, checks, cli
+from lcft import brauer, checks, cli, reciprocity as rc
 from lcft.extension import TameAbelianExtension
 
 
@@ -137,8 +137,8 @@ E63 = "p=2\nt=6\nf=1\ne=63\nu0=1\nprecision=8\n"
     (E63, ["check", "--samples", "3"], 0),
     # the Hasse-invariant table at the largest degree of the benchmark
     (E63, ["hasse"], 0),
-    # a crossed-product slot whose window cancels is O(alpha^N), not the
-    # exact zero (sample 82 of seed 1803)
+    # a crossed-product slot whose window cancels is O(alpha^N), not an
+    # empty slot (sample 82 of seed 1803)
     ("p=5\nt=1\nf=1\ne=4\nu0=1\nprecision=32\n",
      ["check", "--seed", "1803", "--samples", "100"], 0),
     # the square kernel at precision 32: odd p, twisted by zeta of order 6
@@ -271,6 +271,34 @@ def test_check_failure_exits_two(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.checks, "run_checks", checks.run_checks)
     assert cli.main(["check", _write(tmp_path, UNRAM)]) == 2
     assert "FAIL forced" in capsys.readouterr().out
+
+
+RAM_E4 = "p=5\nt=1\nf=1\ne=4\nu0=1\nprecision=8\n"
+
+
+@pytest.mark.parametrize("command", ["check", "recip"])
+def test_a_search_that_raises_exits_two(tmp_path, capsys, monkeypatch,
+                                        command):
+    # with no probe table the search finds no match and raises: a property
+    # failure, reported on one stderr line, not an invalid descriptor
+    monkeypatch.setattr(rc, "_probe_table", lambda ext: (
+        ext.uniformizer(), ext.constant(ext.tower.generator()), {}))
+    cfg = _write(tmp_path, RAM_E4)
+    assert cli.main([command, cfg, "--samples", "10"]) == cli.EXIT_PROPERTY
+    err = capsys.readouterr().err
+    assert err.startswith("property failure: ArithmeticError: congruence "
+                          "search found 0 matches"), err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_a_failed_assertion_exits_two(tmp_path, capsys, monkeypatch):
+    def broken(ext, samples, seed):
+        raise AssertionError("sigma^f must land in inertia")
+
+    monkeypatch.setattr(checks, "run_checks", broken)
+    assert cli.main(["check", _write(tmp_path, RAM_E4)]) == cli.EXIT_PROPERTY
+    assert capsys.readouterr().err == (
+        "property failure: AssertionError: sigma^f must land in inertia\n")
 
 
 @pytest.mark.parametrize("precision", ["0", "-1"])

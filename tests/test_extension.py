@@ -363,8 +363,8 @@ def test_embed_project_against_reference(matrix, rng):
 
 def test_embed_project_and_apply_keep_the_honest_end(matrix):
     # O(t^N) embeds as O(alpha^(eN)), O(alpha^M) projects to
-    # O(t^ceil(M/e)) and the Galois action keeps O(alpha^M); the exact
-    # zero stays exact through all three
+    # O(t^ceil(M/e)) and the Galois action keeps O(alpha^M), each through
+    # the general window arithmetic
     for name, ext in matrix.items():
         tower, e = ext.tower, ext.e
         for n in range(-3, 4):
@@ -379,9 +379,29 @@ def test_embed_project_and_apply_keep_the_honest_end(matrix):
                 for g in ext.galois_group()[:3]:
                     moved = g.apply(o)
                     assert (moved.valuation, moved.logs) == (m, ()), name
-        for z in (ext.embed(LaurentSeries.zero(tower, "t")),
-                  ext.project(LaurentSeries.zero(tower, "alpha"))):
-            assert (z.valuation, z.logs) == (math.inf, ()), name
+
+
+def test_no_zero_takes_a_non_integer_valuation(matrix, rng):
+    # every zero is some O(X^N): scaling by 0, embed, project, the Galois
+    # action, sums, differences and products of zeros keep an int end
+    for name, ext in matrix.items():
+        tower = ext.tower
+        for _ in range(20):
+            x = _random_base_series(ext, rng)
+            y = random_unit_series(ext, rng, valuation=rng.randrange(-3, 4))
+            zero_t = x * tower.zero()
+            zero_a = y * tower.zero()
+            assert (zero_t.valuation, zero_t.logs) == \
+                (x.valuation + x.precision, ()), name
+            assert (zero_a.valuation, zero_a.logs) == \
+                (y.valuation + y.precision, ()), name
+            got = [zero_t, zero_a, ext.embed(zero_t), ext.project(zero_a),
+                   ext.project(ext.embed(zero_t)), zero_t + x, x - zero_t,
+                   zero_a - zero_a, zero_a * y, y * zero_a, zero_a * zero_a,
+                   zero_t * tower.zero(), zero_a ** 3]
+            got += [g.apply(zero_a) for g in ext.galois_group()[:3]]
+            for z in got:
+                assert type(z.valuation) is int, (name, z)
 
 
 def test_project_rejects_non_members(matrix):

@@ -296,8 +296,10 @@ def test_reciprocity_of_series(matrix):
     ext2 = matrix["unram_f2"]
     assert rc.reciprocity_of_series(
         ext2, ext2.base_uniformizer()) == ext2.frobenius_element()
-    with pytest.raises(ValueError):
-        rc.reciprocity_of_series(ext, LaurentSeries.zero(ext.tower, "t"))
+    for end in (0, 3):
+        with pytest.raises(ValueError):
+            rc.reciprocity_of_series(ext, LaurentSeries(ext.tower, "t", end,
+                                                        ()))
 
 
 def test_norm_examples(matrix):

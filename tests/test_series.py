@@ -129,8 +129,9 @@ def test_division(f5, rng):
         a = _random_series(f5, rng, rng.randrange(-2, 3), 8)
         b = _random_series(f5, rng, rng.randrange(-2, 3), 8)
         assert (a / b) * b == a
-    with pytest.raises(ZeroDivisionError):
-        a / LaurentSeries.zero(f5, "t")
+    for end in (-2, 0, 5):
+        with pytest.raises(ZeroDivisionError):
+            a / LaurentSeries(f5, "t", end, ())
 
 
 def test_symbol_and_field_mismatch(f5, f3):
@@ -142,10 +143,12 @@ def test_symbol_and_field_mismatch(f5, f3):
 
 
 def test_zero_semantics(f5):
-    z = LaurentSeries.zero(f5, "t")
+    z = LaurentSeries(f5, "t", 10, ())     # O(t^10), at a's window end
     a = make_series(f5, "t", 2, [1, 1], 8)
     assert z.is_zero()
     assert (a + z) == a
+    # a zero inside a's window cuts the sum there: O(t^5) + a
+    assert (a + LaurentSeries(f5, "t", 5, ())) == a.truncate(3)
     assert (a * z).is_zero()
     assert (a - a).is_zero()          # cancels to the honest zero O(t^10)
     with pytest.raises(ZeroDivisionError):
@@ -444,7 +447,6 @@ def test_twisted_square_matches_the_product(params, rng):
                     LaurentSeries(tower, "alpha", v, dense),
                     *(LaurentSeries(tower, "alpha", v, w) for w in sparse),
                     LaurentSeries(tower, "alpha", v, [None] * n),  # O(X^(v+n))
-                    LaurentSeries.zero(tower, "alpha"),
                 ]
                 for x in windows:
                     twin, image = _twisted(x, step), h.apply(x)
@@ -481,7 +483,7 @@ def test_nth_root_of_degree_one_is_the_series_itself(rng, monkeypatch):
                 assert (root.valuation, root.logs, root.precision) == \
                     (x.valuation, x.logs, x.precision)
         # the argument checks still run first
-        for zero in (LaurentSeries.zero(tower, "t"),
+        for zero in (LaurentSeries(tower, "t", 0, ()),
                      LaurentSeries(tower, "t", 2, [None] * 4)):
             with pytest.raises(ValueError):
                 zero.nth_root(1)
@@ -495,7 +497,6 @@ def test_truncate_and_str(f5):
     assert b != a            # a shorter window is another series
     assert (b - a).is_zero()  # that agrees with a on the common window
     assert "O(t^" in str(a)
-    assert str(LaurentSeries.zero(f5, "t")) == "0"
 
 
 # -- log-native addition, negation and the constructor --------------------
@@ -554,9 +555,10 @@ def test_difference_takes_no_negation(kernel_towers, rng, monkeypatch):
                                    rng.randrange(1, 10), rng.random())
                     for _ in range(2))
             cases.append((a, b, _reference_sum(a, b, -1)))
-        exact = LaurentSeries.zero(tower, "t")
-        cases.append((exact, a, _strict(-a)))
-        cases.append((a, exact, _strict(a)))
+        # a zero at a's window end: 0 - a = -a and a - 0 = a
+        past = LaurentSeries(tower, "t", a.valuation + a.precision, ())
+        cases.append((past, a, _strict(-a)))
+        cases.append((a, past, _strict(a)))
 
     def refuse(self):
         raise AssertionError("a difference negated its operand")
@@ -617,7 +619,7 @@ def test_sum_cancels_to_the_honest_zero(kernel_towers, rng):
                 # O(X^end): nothing is known past the operands' window
                 assert total.is_zero(), tower
                 assert _strict(total) == (end, ()), tower
-                assert total == LaurentSeries.zero(tower, "t"), tower
+                assert total == LaurentSeries(tower, "t", 0, ()), tower
 
 
 def test_constructor_strips_leading_zeros():
@@ -635,11 +637,7 @@ def test_constructor_all_none_is_the_honest_zero():
         assert x.is_zero()
         assert x.valuation == -2 + len(logs)      # O(t^(v + N))
         assert x.logs == ()
-        assert x == LaurentSeries.zero(tower, "t")
-    # only zero() is exact, and the constructor keeps it exact
-    for z in (LaurentSeries.zero(tower, "t"),
-              LaurentSeries(tower, "t", float("inf"), [None, None])):
-        assert _strict(z) == (float("inf"), ())
+        assert x == LaurentSeries(tower, "t", 5, ())
 
 
 def test_constructor_stores_a_tuple():
@@ -705,7 +703,6 @@ def _honest_zero(tower, end):
 
 def test_honest_zero_sum_and_difference(kernel_towers, rng):
     for tower in kernel_towers:
-        exact = LaurentSeries.zero(tower, "t")
         for _ in range(40):
             end = rng.randrange(-4, 6)
             o = _honest_zero(tower, end)
@@ -722,11 +719,13 @@ def test_honest_zero_sum_and_difference(kernel_towers, rng):
                     min(end, s.valuation + s.precision), tower
             if s.valuation >= end:
                 assert _strict(o + s) == (end, ()), tower
-            assert _strict(o + exact) == _strict(exact + o) == (end, ())
-            # the exact zero is the identity of + and -, and 0 - s = -s
-            assert _strict(exact - s) == _strict(-s), tower
-            assert _strict(s - exact) == _strict(s), tower
-            assert _strict(exact - o) == _strict(o - exact) == (end, ())
+            # a zero at or past the end of s is the identity of + and -,
+            # and 0 - s = -s
+            past = _honest_zero(tower, s.valuation + s.precision
+                                + rng.randrange(3))
+            assert _strict(s + past) == _strict(past + s) == _strict(s)
+            assert _strict(past - s) == _strict(-s), tower
+            assert _strict(s - past) == _strict(s), tower
             assert _strict(o + _honest_zero(tower, end + 3)) == (end, ())
             assert _strict(-o) == (end, ()), tower
             assert _strict(o - o) == (end, ()), tower
@@ -734,7 +733,6 @@ def test_honest_zero_sum_and_difference(kernel_towers, rng):
 
 def test_honest_zero_product_shift_and_power(kernel_towers, rng):
     for tower in kernel_towers:
-        exact = LaurentSeries.zero(tower, "t")
         for _ in range(40):
             end = rng.randrange(-4, 6)
             o = _honest_zero(tower, end)
@@ -750,16 +748,16 @@ def test_honest_zero_product_shift_and_power(kernel_towers, rng):
             assert _strict(o.shift(k)) == (end + k, ()), tower
             assert _strict(o ** 3) == (3 * end, ()), tower
             assert _strict(o.truncate(2)) == (end, ()), tower
-            # the exact zero stays exact
-            for z in (o * exact, exact * s, o * tower.zero(), exact.shift(k),
-                      exact ** 2, s * tower.zero()):
-                assert _strict(z) == (float("inf"), ()), tower
+            # a zero scalar keeps the window's end: s * 0 = O(X^(v + n))
+            assert _strict(o * tower.zero()) == (end, ()), tower
+            assert _strict(s * tower.zero()) == \
+                (s.valuation + s.precision, ()), tower
 
 
 def test_every_zero_equals_every_zero_and_hashes_alike(f5):
-    zeros = [LaurentSeries.zero(f5, "t"), _honest_zero(f5, -3),
-             _honest_zero(f5, 0), _honest_zero(f5, 7),
-             make_series(f5, "t", 2, [1, 2]) - make_series(f5, "t", 2, [1, 2])]
+    zeros = [_honest_zero(f5, -3), _honest_zero(f5, 0), _honest_zero(f5, 7),
+             make_series(f5, "t", 2, [1, 2]) - make_series(f5, "t", 2, [1, 2]),
+             make_series(f5, "t", -1, [3, 4]) * f5.zero()]
     for a in zeros:
         for b in zeros:
             assert a == b
@@ -768,4 +766,3 @@ def test_every_zero_equals_every_zero_and_hashes_alike(f5):
     one = LaurentSeries.one(f5, "t", 4)
     assert all(z != one for z in zeros)
     assert str(_honest_zero(f5, 7)) == "O(t^7)"
-    assert str(LaurentSeries.zero(f5, "t")) == "0"
