@@ -10,10 +10,12 @@ is a config error that names the file and line. Field elements are
 written as g^k, a bare integer, or a comma-separated coefficient list.
 The series precision comes from --precision, then the config, then
 ``series.DEFAULT_PRECISION`` (32). Exit codes: 0 success,
-1 descriptor validation failure, 2 property-suite failure (a check that
-raises an ArithmeticError or AssertionError included, reported as one
-stderr line), 3 I/O or parse failure, malformed arguments and a reader
-that closed the output pipe included.
+1 descriptor validation failure, 2 property failure (a failed check, a
+``recip`` row where the search disagrees, or a ValueError,
+ArithmeticError or AssertionError raised by the computation, reported
+as one stderr line), 3 I/O or parse failure, malformed arguments, a bad
+``samples``, ``seed`` or ``character`` value (``InputError``) and a
+reader that closed the output pipe included.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import os
 import sys
 
 from . import brauer, checks, reciprocity as rc
-from .extension import BASE_SYMBOL, TameAbelianExtension
-from .series import DEFAULT_PRECISION, LaurentSeries
+from .extension import TameAbelianExtension
+from .series import DEFAULT_PRECISION
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -34,6 +36,18 @@ EXIT_IO = 3
 
 CONFIG_KEYS = ("p", "t", "f", "e", "u0", "precision", "seed", "samples",
                "character")
+
+
+class InputError(ValueError):
+    """A bad value from outside the library, a flag or a config setting:
+    exit 3, where a ValueError from the computation itself exits 2."""
+
+
+def _config_int(raw: dict, key: str, default=None) -> int:
+    try:
+        return int(raw.get(key, default))
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def parse_config(path: str) -> dict:
@@ -123,21 +137,13 @@ def cmd_galois(ext, raw, args, out):
 
 def cmd_recip(ext, raw, args, out):
     pres = rc.norm_group(ext)
-    t = ext.base_uniformizer()
-    table = []
-    agree = True
-    for b in pres.coset_representatives:
-        closed = rc.reciprocity_map(ext, b)
-        u = LaurentSeries.constant(ext.tower, BASE_SYMBOL, b.unit,
-                                   ext.precision)
-        searched = rc.reciprocity_search(ext, t, u, b.valuation)
-        same = closed == searched
-        agree = agree and same
-        table.append({
-            **_class_json(b),
-            "galois": _galois_json(closed),
-            "search_agrees": same,
-        })
+    # a row agrees when the search matched at v, v + f and v + 2f
+    table = [{
+        **_class_json(b),
+        "galois": _galois_json(closed),
+        "search_agrees": not mismatches,
+    } for b, closed, mismatches in checks.oracle_table(ext)]
+    agree = all(row["search_agrees"] for row in table)
     payload = {
         "descriptor": ext.descriptor(),
         "norm_group_invariants": list(pres.invariant_factors),
@@ -180,9 +186,9 @@ def cmd_norm_group(ext, raw, args, out):
 def cmd_hasse(ext, raw, args, out):
     chars = brauer.character_group(ext)
     if "character" in raw:
-        index = int(raw["character"])
+        index = _config_int(raw, "character")
         if not 0 <= index < len(chars):
-            raise ValueError(f"character index {index} out of range "
+            raise InputError(f"character index {index} out of range "
                              f"(only {len(chars)} characters)")
     else:
         # default: a character of maximal order (faithful when cyclic)
@@ -218,11 +224,12 @@ def cmd_hasse(ext, raw, args, out):
 
 
 def cmd_check(ext, raw, args, out):
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
-    samples = args.samples if args.samples is not None else int(
-        raw.get("samples", 100))
+    seed = args.seed if args.seed is not None else _config_int(
+        raw, "seed", 0)
+    samples = args.samples if args.samples is not None else _config_int(
+        raw, "samples", 100)
     if samples < 1:
-        raise ValueError("samples must be positive")
+        raise InputError("samples must be positive")
     results = checks.run_checks(ext, samples=samples, seed=seed)
     passed = all(r.passed for r in results)
     if args.json:
@@ -293,11 +300,11 @@ def main(argv=None) -> int:
         code = HANDLERS[args.command](ext, raw, args, out)
         sys.stdout.flush()
         return code
-    except ValueError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ArithmeticError, AssertionError) as exc:
-        # a property that breaks mid-computation, not a bad descriptor
+    except (ValueError, ArithmeticError, AssertionError) as exc:
+        # a property that breaks mid-computation, not a bad input
         print(f"property failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_PROPERTY

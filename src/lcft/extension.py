@@ -307,9 +307,9 @@ class TameAbelianExtension:
         """
         if self._s is None:
             w = self.residue_frobenius_lift() ** self.f
-            assert w.a == 0
             step = self.tower.order // self.e
-            assert w.c_log % step == 0, "sigma^f must land in inertia"
+            if w.a or w.c_log % step:
+                raise ArithmeticError("sigma^f must land in inertia")
             self._s = (w.c_log // step) % self.e
         return self._s
 

@@ -163,7 +163,8 @@ def congruence_rhs(ext: TameAbelianExtension, pi: LaurentSeries,
     num = beta ** (q**i - 1)
     exp_pi, rem1 = divmod((q**i - 1) * v_l, e)
     exp_u, rem2 = divmod((q - 1) * v_l, e)
-    assert rem1 == 0 and rem2 == 0, "tameness makes these exponents integral"
+    if rem1 or rem2:
+        raise ArithmeticError("tameness makes these exponents integral")
     window = max(beta.precision, 1)
     read = -(-window // e)  # the t-terms j with j*e < window
     sign = _sign_constant(ext)
@@ -287,7 +288,9 @@ def norm(ext: TameAbelianExtension, beta: LaurentSeries) -> LaurentSeries:
     except ValueError as exc:
         raise ArithmeticError(
             f"norm image failed the base-membership audit: {exc}") from exc
-    assert out.valuation == ext.f * beta.valuation
+    if out.valuation != ext.f * beta.valuation:
+        raise ArithmeticError(
+            f"norm has valuation {out.valuation}, not f * v(beta)")
     return out
 
 
@@ -352,11 +355,14 @@ def norm_group(ext: TameAbelianExtension) -> NormGroupPresentation:
     rows = [[ext.f, d1], [0, d2], [0, big_q]]
     factors = tuple(invariant_factors(rows))
     order = math.prod(factors)
-    assert order == ext.degree, (
-        f"norm quotient has order {order}, expected {ext.degree}")
+    if order != ext.degree:
+        raise ArithmeticError(
+            f"norm quotient has order {order}, expected {ext.degree}")
 
     d = math.gcd(d2, big_q)
-    assert ext.f * d == ext.degree
+    if ext.f * d != ext.degree:
+        raise ArithmeticError(f"norm group has {ext.f * d} coset "
+                              f"representatives, expected {ext.degree}")
     reps = tuple(BaseFieldClass(tower, i, gk.log * j)
                  for i in range(ext.f) for j in range(d))
     ext._norm_group = NormGroupPresentation(

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
@@ -129,6 +131,16 @@ def test_run_checks_catches_the_mutant_on_the_matrix(monkeypatch, owner,
         except (ArithmeticError, AssertionError, ValueError):
             caught.add("raises")
     assert caught == ways
+
+
+def test_the_library_holds_no_assert_statement():
+    # python -O drops asserts, so a check the catalog counts on would vanish
+    source = pathlib.Path(checks.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(source.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 @pytest.mark.parametrize("seed", [1, 1803])

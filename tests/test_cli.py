@@ -7,7 +7,7 @@ import pytest
 
 import lcft
 from lcft import brauer, checks, cli, reciprocity as rc
-from lcft.extension import TameAbelianExtension
+from lcft.extension import GaloisElement, TameAbelianExtension
 
 
 def _write(tmp_path, text, name="ext.cfg"):
@@ -102,6 +102,8 @@ E63 = "p=2\nt=6\nf=1\ne=63\nu0=1\nprecision=8\n"
 # config, and the exit code
 @pytest.mark.parametrize("text, args, code", [
     (C9_SHORT, ["check", "--samples", "3"], 0),
+    # the reciprocity table as text
+    (C9_SHORT, ["recip"], 0),
     # the character path: closed-form characters through the entry point
     (C9_SHORT, ["hasse"], 0),
     (C9_SHORT, ["hasse", "--json"], 0),
@@ -178,6 +180,22 @@ def test_recip_table_contains_frobenius_row(tmp_path, capsys):
     assert {"valuation": 1, "unit": "1", "galois": {"a": 1, "c": "1"},
             "search_agrees": True} in rows
     assert all(r["search_agrees"] for r in payload["table"])
+
+
+def test_recip_with_the_search_sign_dropped_exits_two(tmp_path, capsys,
+                                                      monkeypatch):
+    # f = 1: the representatives sit at valuation 0, where the sign is 1,
+    # so only criterion 1's v + f and v + 2f reach the dropped sign
+    monkeypatch.setattr(rc, "_sign_constant", lambda ext: ext.tower.one())
+    cfg = _write(tmp_path, "p=7\nt=1\nf=1\ne=2\nu0=1\nprecision=8\n")
+    assert cli.main(["recip", cfg, "--json"]) == cli.EXIT_PROPERTY
+    table = json.loads(capsys.readouterr().out)["table"]
+    assert len(table) == 2
+    assert not any(row["search_agrees"] for row in table)
+    assert cli.main(["recip", cfg]) == cli.EXIT_PROPERTY
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 2
+    assert all(row.endswith("<- MISMATCH") for row in rows), rows
 
 
 def test_descriptor_round_trip_through_json(tmp_path, capsys):
@@ -291,6 +309,25 @@ def test_a_search_that_raises_exits_two(tmp_path, capsys, monkeypatch,
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["check", "recip"])
+def test_a_value_error_from_the_library_exits_two(tmp_path, capsys,
+                                                  monkeypatch, command):
+    # a closed form one step off in c builds a pair outside the group:
+    # GaloisElement's own ValueError, a property failure, not bad input
+    closed_form = rc.reciprocity_map
+
+    def shifted(ext, b):
+        g = closed_form(ext, b)
+        return GaloisElement(ext, g.a, g.c_log + 1)
+
+    monkeypatch.setattr(rc, "reciprocity_map", shifted)
+    cfg = _write(tmp_path, "p=7\nt=1\nf=2\ne=6\nu0=1\nprecision=8\n")
+    assert cli.main([command, cfg, "--samples", "10"]) == cli.EXIT_PROPERTY
+    assert capsys.readouterr().err == (
+        "property failure: ValueError: pair fails the membership "
+        "constraint c^e = u0^(q^a - 1)\n")
+
+
 def test_a_failed_assertion_exits_two(tmp_path, capsys, monkeypatch):
     def broken(ext, samples, seed):
         raise AssertionError("sigma^f must land in inertia")
@@ -319,6 +356,15 @@ def test_nonpositive_samples_config_exits_three(tmp_path, capsys):
     cfg = _write(tmp_path, UNRAM + "samples=-3\n")
     assert cli.main(["check", cfg]) == 3
     assert "error: samples must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["seed=x", "samples=1.5", "character=g"])
+def test_non_integer_config_setting_exits_three(tmp_path, capsys, line):
+    command = "hasse" if line.startswith("character") else "check"
+    cfg = _write(tmp_path, UNRAM + line + "\n")
+    assert cli.main([command, cfg]) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith(
+        "error: invalid literal for int() with base 10: ")
 
 
 def test_descriptor_text_round_trip(tmp_path):
