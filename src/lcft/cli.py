@@ -5,17 +5,19 @@ Usage: ``lcft COMMAND CONFIG [--json] [--seed N] [--samples N]
 
 The config is a line-based key=value file describing one extension
 (p, t, f, e, u0, precision) plus optional defaults for seed and samples
-and the ``hasse`` character index; any other key, or a key given twice,
-is a config error that names the file and line. Field elements are
-written as g^k, a bare integer, or a comma-separated coefficient list.
+and the ``hasse`` character index; any other key, a key given twice, or
+a non-integer value of any key but u0 is a config error that names the
+file and line. Field elements are written as g^k, a bare integer, or a
+comma-separated coefficient list.
 The series precision comes from --precision, then the config, then
 ``series.DEFAULT_PRECISION`` (32). Exit codes: 0 success,
 1 descriptor validation failure, 2 property failure (a failed check, a
 ``recip`` row where the search disagrees, or a ValueError,
 ArithmeticError or AssertionError raised by the computation, reported
-as one stderr line), 3 I/O or parse failure, malformed arguments, a bad
-``samples``, ``seed`` or ``character`` value (``InputError``) and a
-reader that closed the output pipe included.
+as one stderr line), 3 I/O or parse failure, malformed arguments, a
+config error, a ``samples`` below 1 or a ``character`` index out of
+range (both ``InputError``) and a reader that closed the output pipe
+included.
 """
 
 from __future__ import annotations
@@ -43,13 +45,6 @@ class InputError(ValueError):
     exit 3, where a ValueError from the computation itself exits 2."""
 
 
-def _config_int(raw: dict, key: str, default=None) -> int:
-    try:
-        return int(raw.get(key, default))
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-
-
 def parse_config(path: str) -> dict:
     raw = {}
     with open(path) as handle:
@@ -64,6 +59,14 @@ def parse_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             if key in raw:
                 raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
+            # every key but u0 holds an int: the text is checked here,
+            # and the raw value stays a string
+            if key != "u0":
+                try:
+                    int(value)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: key {key!r} must be "
+                                     f"an integer, got {value!r}") from None
             raw[key] = value
     return raw
 
@@ -186,7 +189,7 @@ def cmd_norm_group(ext, raw, args, out):
 def cmd_hasse(ext, raw, args, out):
     chars = brauer.character_group(ext)
     if "character" in raw:
-        index = _config_int(raw, "character")
+        index = int(raw["character"])
         if not 0 <= index < len(chars):
             raise InputError(f"character index {index} out of range "
                              f"(only {len(chars)} characters)")
@@ -224,10 +227,9 @@ def cmd_hasse(ext, raw, args, out):
 
 
 def cmd_check(ext, raw, args, out):
-    seed = args.seed if args.seed is not None else _config_int(
-        raw, "seed", 0)
-    samples = args.samples if args.samples is not None else _config_int(
-        raw, "samples", 100)
+    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
+    samples = (args.samples if args.samples is not None
+               else int(raw.get("samples", 100)))
     if samples < 1:
         raise InputError("samples must be positive")
     results = checks.run_checks(ext, samples=samples, seed=seed)

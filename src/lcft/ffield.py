@@ -13,17 +13,19 @@ respect to a fixed multiplicative generator; addition goes through a
 precomputed Zech-logarithm table. This keeps every field operation O(1)
 after an O(field size) table build, which the size cap p^(t*f) <= 2^20
 makes affordable. Coefficient vectors over F_p remain the construction
-and printing surface.
+surface; a coefficient view is computed on demand as x^log modulo the
+modulus, and printing asks for one only for elements of F_p.
 
-The tables are stored by how they are read. The exponential and log
-tables, which only element construction and printing read, are
-``array('i')``: 4 bytes a slot, 4 MB each at the cap. The Zech table is
-read by every addition and series product, so its storage follows its
-size. Below ``ZECH_ARRAY_MIN`` entries it is a list: such a table stays
-in cache, where CPython's specialised list indexing beats an array's. From
-there on it is an ``array('i')`` too: a list of separate ints would take
-about 36 MB at the cap, and its random lookups miss cache more often
-than the packed array's. Readers index either kind the same way.
+A tower keeps two tables, log and Zech, stored by how they are read. The
+log table, which only element construction reads, is ``array('i')``:
+4 bytes a slot, 4 MB at the cap. The Zech table is read by every
+addition and series product, so its storage follows its size. Below
+``ZECH_ARRAY_MIN`` entries it is a list: such a table stays in cache,
+where CPython's specialised list indexing beats an array's. From there on
+it is an ``array('i')`` too: a list of separate ints would take about
+36 MB at the cap, and its random lookups miss cache more often than the
+packed array's. Readers index either kind the same way. The exponential
+table exists only during the build, which writes the Zech table over it.
 
 At p = 2 the packed int is the bitmask of the coefficients, and the
 build's per-entry work runs in the C runtime. The powers of the generator
@@ -31,8 +33,9 @@ are walked on 32-bit lanes of one big int, 2^ceil(n/2) powers a step; a
 step is one shift and one masked XOR for every lane, and its bytes land
 in the exponential table as a strided slice. The Zech table is gathered:
 a chunk of the exponential table, its constant bits flipped as one int,
-is looked up in the log table with ``itemgetter``. Only the log scatter
-is a Python loop. Odd p steps a digit vector, one power at a time.
+is looked up in the log table with ``itemgetter`` and the logs replace
+the chunk. Only the log scatter is a Python loop. Odd p steps a digit
+vector, one power at a time.
 """
 
 from __future__ import annotations
@@ -210,9 +213,11 @@ class FieldTower:
     def _build_tables(self):
         # exp[k] packs g^k base p (digit i is the coefficient of x^i),
         # where g is the class of x; log is its inverse, -1 at 0; zech[k]
-        # is log(1 + g^k), -1 where 1 + g^k = 0. exp and log are
-        # array('i'), which only the cold constructors and views read;
-        # the Zech table is a list below ZECH_ARRAY_MIN entries.
+        # is log(1 + g^k), -1 where 1 + g^k = 0. exp only lives through
+        # the build: each chunk of it is read once more, for the Zech
+        # logs, which are written back over that chunk, so the tower keeps
+        # two tables. log is array('i'), which only the cold constructors
+        # read; the Zech table is a list below ZECH_ARRAY_MIN entries.
         p, n, size, order = self.p, self.degree, self.size, self.order
         log = array("i", [-1]) * size
         if p == 2:
@@ -246,16 +251,16 @@ class FieldTower:
                 log[v] = k
             # 1 + g^k flips the constant bit of g^k, and log[0] == -1
             # marks 1 + g^0 = 0: a chunk of exp at a time is flipped as one
-            # int and its logs gathered at C level. The chunks divide size
-            # and hold at least two entries, so itemgetter returns a tuple.
+            # int, its logs gathered at C level and written back over it.
+            # The chunks divide size and hold at least two entries, so
+            # itemgetter returns a tuple.
             chunk = min(size, _ZECH_CHUNK)
             ones = _lane_ones(chunk)
-            zech = array("i", [0]) * size
             for lo in range(0, size, chunk):
                 v = int.from_bytes(exp[lo:lo + chunk], endian) ^ ones
                 flipped = array("i", v.to_bytes(4 * chunk, endian))
-                zech[lo:lo + chunk] = array("i", itemgetter(*flipped)(log))
-            del exp[order:], zech[order:]
+                exp[lo:lo + chunk] = array("i", itemgetter(*flipped)(log))
+            del exp[order:]
         else:
             # odd p has at most 12 digits under the cap; times x uses
             # x^n = -(lower part of the modulus). The digits of the next
@@ -279,16 +284,15 @@ class FieldTower:
                 packed = packed * p + d
             for k, v in enumerate(exp):
                 log[v] = k
-            # raise the constant digit of g^k by one mod p; log[0] == -1
-            # marks 1 + g^k = 0. fromlist, not extend, which appends a
-            # list to an array one item at a time.
-            zech = array("i")
+            # raise the constant digit of g^k by one mod p, a chunk at a
+            # time written back over it; log[0] == -1 marks 1 + g^k = 0
             for lo in range(0, order, _ZECH_CHUNK):
-                zech.fromlist([log[v - v % p + (v % p + 1) % p]
-                               for v in exp[lo:lo + _ZECH_CHUNK]])
-        self._exp = exp
+                exp[lo:lo + _ZECH_CHUNK] = array(
+                    "i", [log[v - v % p + (v % p + 1) % p]
+                          for v in exp[lo:lo + _ZECH_CHUNK]])
+        # every slot of exp now holds its Zech log
         self._log = log
-        self._zech = zech if order >= ZECH_ARRAY_MIN else zech.tolist()
+        self._zech = exp if order >= ZECH_ARRAY_MIN else exp.tolist()
 
     # -- element constructors ------------------------------------------------
 
@@ -367,22 +371,26 @@ class FieldElement:
 
     @property
     def coeffs(self) -> tuple:
-        """Coefficient vector over F_p, lowest degree first."""
+        """Coefficient vector over F_p, lowest degree first.
+
+        Computed on each call as x^log modulo the modulus by square and
+        multiply, O(n^2 log|l*|) operations over F_p for degree n: 1 to
+        2 ms at the cap tower (2, 10, 2) and tens of microseconds on small
+        towers. No hot path reads it.
+        """
+        tower = self.tower
         if self.log is None:
-            return (0,) * self.tower.degree
-        packed = self.tower._exp[self.log]
-        out = []
-        for _ in range(self.tower.degree):
-            packed, r = divmod(packed, self.tower.p)
-            out.append(r)
-        return tuple(out)
+            return (0,) * tower.degree
+        power = _poly_powmod([0, 1], self.log, tower.modulus, tower.p)
+        return tuple(power) + (0,) * (tower.degree - len(power))
 
     def __str__(self):
         if self.log is None:
             return "0"
-        coeffs = self.coeffs
-        if not any(coeffs[1:]):
-            return str(coeffs[0])
+        # F_p* is the subgroup of order p - 1 of the cyclic l*, so only
+        # its elements print as a constant, and only they need a view
+        if self.log % (self.tower.order // (self.tower.p - 1)) == 0:
+            return str(self.coeffs[0])
         if self.log == 1:
             return "g"
         return f"g^{self.log}"

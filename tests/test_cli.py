@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -170,6 +171,25 @@ def test_console_command_table(tmp_path, capsys, text, args, code):
     assert got == code, (argv, out)
     if code == 0 and "--json" in args:
         json.loads(out)
+
+
+# SHA-256 of stdout, taken when every element view read a stored
+# exponential table. Elements print through the coefficient view: at the
+# 2^20 tower only those of F_2, on the prime field F_59 every one.
+@pytest.mark.parametrize("text, command, digest", [
+    (CAP2, "galois",
+     "c2e77c0b5af0eb005325caef176be9da807dc31edd0fa1d49f45ff7f362f3c14"),
+    (CAP2, "recip",
+     "57a4407d3ec8f6fc819dba3e890955eb04217b82c47e8aa4d601d4a76afe1f32"),
+    (E58, "galois",
+     "b8fedcfe4a916833e1a9fa10c4ff972513fc148d382e97f298c0368bc736819d"),
+    (E58, "recip",
+     "a62fa543aefdd7d74014bbb958586e2ce43d402c5b2e86f87fb9181797a4a20a"),
+], ids=["2^20-galois", "2^20-recip", "59-galois", "59-recip"])
+def test_json_output_is_pinned(tmp_path, capsys, text, command, digest):
+    assert cli.main([command, _write(tmp_path, text), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_recip_table_contains_frobenius_row(tmp_path, capsys):
@@ -358,13 +378,19 @@ def test_nonpositive_samples_config_exits_three(tmp_path, capsys):
     assert "error: samples must be positive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["seed=x", "samples=1.5", "character=g"])
+@pytest.mark.parametrize("line", [
+    "p=x", "t=1.5", "f=", "e=three", "precision=x",
+    "seed=x", "samples=1.5", "character=g"])
 def test_non_integer_config_setting_exits_three(tmp_path, capsys, line):
-    command = "hasse" if line.startswith("character") else "check"
-    cfg = _write(tmp_path, UNRAM + line + "\n")
-    assert cli.main([command, cfg]) == cli.EXIT_IO
-    assert capsys.readouterr().err.startswith(
-        "error: invalid literal for int() with base 10: ")
+    # the bad line replaces its key's line of UNRAM or comes last, and it
+    # is named before any command runs
+    key, value = line.split("=")
+    lines = [k for k in UNRAM.splitlines() if not k.startswith(key + "=")]
+    cfg = _write(tmp_path, "\n".join(lines + [line]) + "\n")
+    assert cli.main(["check", cfg]) == cli.EXIT_IO
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}:{len(lines) + 1}: key {key!r} must be an "
+        f"integer, got {value!r}\n")
 
 
 def test_descriptor_text_round_trip(tmp_path):

@@ -8,7 +8,7 @@ from array import array
 import pytest
 
 import lcft
-from lcft.ffield import (SIZE_CAP, ZECH_ARRAY_MIN, FieldTower, _poly_powmod,
+from lcft.ffield import (SIZE_CAP, ZECH_ARRAY_MIN, FieldTower, _times_mod2,
                          is_prime)
 
 
@@ -210,7 +210,26 @@ def _reference_tables(tower):
     return exp, log, zech
 
 
+def _check_views(tower, exp, logs):
+    """The coefficient view of g^k against exp[k], for k in ``logs`` and
+    for zero, and the round trips through ``element`` and ``parse``."""
+    elements = [tower.generator_power(k) for k in logs] + [tower.zero()]
+    for x in elements:
+        coeffs = x.coeffs
+        assert len(coeffs) == tower.degree, (tower, x)
+        assert _pack(coeffs, tower.p) == (0 if x.log is None
+                                          else exp[x.log]), (tower, x)
+        assert tower.element(coeffs) == x, (tower, x)
+        assert tower.parse(str(x)) == x, (tower, x)
+
+
+def _sample_logs(tower, count):
+    rng = random.Random(f"views-{tower.p}-{tower.t}-{tower.f}")
+    return rng.sample(range(tower.order), min(count, tower.order))
+
+
 def test_tables_match_reference_builder():
+    # equal logs pin the exponential table too: log is its inverse
     shapes = [(p, t, f) for p in range(2, 1025) if is_prime(p)
               for t in range(1, 11) for f in range(1, 11)
               if p ** (t * f) <= 2**10]
@@ -218,9 +237,12 @@ def test_tables_match_reference_builder():
     for p, t, f in shapes:
         tower = FieldTower(p, t, f)
         exp, log, zech = _reference_tables(tower)
-        assert list(tower._exp) == exp, (p, t, f)
         assert list(tower._log) == log, (p, t, f)
         assert tower._zech == zech, (p, t, f)
+        if tower.size <= 2**6:
+            _check_views(tower, exp, range(tower.order))
+        else:
+            _check_views(tower, exp, _sample_logs(tower, 20))
 
 
 def test_zech_table_kind_follows_its_size():
@@ -237,9 +259,9 @@ def test_zech_table_kind_follows_its_size():
 def test_packed_tables_match_reference_builder(shape):
     tower = FieldTower(*shape)
     exp, log, zech = _reference_tables(tower)
-    assert list(tower._exp) == exp
     assert list(tower._log) == log
     assert list(tower._zech) == zech
+    _check_views(tower, exp, _sample_logs(tower, 200))
 
 
 # VmHWM is this process image's peak RSS in KiB. ru_maxrss would not do:
@@ -254,42 +276,62 @@ def peak_kib():
 
 before = peak_kib()
 from lcft.ffield import FieldTower
-FieldTower(2, 10, 2)
+FieldTower({p}, {t}, {f})
 print(peak_kib() - before)
 """
 
 
+# the cap towers keep a log and a Zech table, 4-byte arrays of 4 MB each;
+# the exponential table lives only during the build, which writes the
+# Zech table over it, and no list or copy of a whole table is made. A new
+# process's peak RSS grows by about 10.5 MB at (2, 10, 2) and 9.8 MB at
+# (1048573, 1, 1), 2.5 MB of it the import. A third table or a temporary
+# copy of one would add 4 MB, a list Zech table ~35.
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="reads the peak RSS from /proc")
-def test_cap_tower_build_peak_memory():
-    # the cap tower's exp, log and Zech tables are 4-byte arrays, 4 MB
-    # each, and the build holds no list or copy of a whole table: a new
-    # process's peak RSS grows by about 14.5 MB, 2.5 MB of it the import.
-    # A temporary copy of a table would add 4 MB, a list Zech table ~35.
+@pytest.mark.parametrize("p, t, f, bound_mb", [
+    pytest.param(2, 10, 2, 12, id="2-10-2"),
+    pytest.param(1048573, 1, 1, 11.5, id="1048573-1-1"),
+])
+def test_cap_tower_build_peak_memory(p, t, f, bound_mb):
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(lcft.__file__)))
-    probe = subprocess.run([sys.executable, "-c", _BUILD_PEAK_PROBE],
-                           env=env, capture_output=True, text=True,
-                           check=True, timeout=120)
+    probe = subprocess.run(
+        [sys.executable, "-c", _BUILD_PEAK_PROBE.format(p=p, t=t, f=f)],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
     growth_mb = int(probe.stdout) / 1024
-    assert growth_mb < 16, f"peak RSS grew by {growth_mb:.1f} MB"
+    assert growth_mb < bound_mb, f"peak RSS grew by {growth_mb:.1f} MB"
 
 
 def test_cap_tower_tables(cap_tower):
     t = cap_tower
     assert t.size == SIZE_CAP
-    exp, log, zech = t._exp, t._log, t._zech
-    assert len(exp) == len(zech) == t.order and len(log) == t.size
+    log, zech = t._log, t._zech
+    assert len(zech) == t.order and len(log) == t.size
     assert type(zech) is array
+    # the two tables are the only table-size attributes
+    assert sorted(k for k, v in vars(t).items()
+                  if hasattr(v, "__len__") and len(v) >= t.order) == \
+        ["_log", "_zech"]
     assert log[0] == -1
-    assert all(log[v] == k for k, v in enumerate(exp))
-    modulus = list(t.modulus)
-    for k in random.Random(20261018).sample(range(t.order), 200):
-        power = _poly_powmod([0, 1], k, modulus, t.p)   # x^k mod m
-        assert exp[k] == _pack(power, t.p), k
-        power[0] = (power[0] + 1) % t.p                 # 1 + x^k
-        packed = _pack(power, t.p)
-        assert zech[k] == (log[packed] if packed else -1), k
+    # 1 + g^(log v) flips the constant bit of v: the two tables agree on
+    # every nonzero v, v = 1 (zech[0] = log[0] = -1) included
+    assert all(zech[log[v]] == log[v ^ 1] for v in range(1, t.size))
+    mask = sum(c << i for i, c in enumerate(t.modulus))
+    logs = random.Random(20261018).sample(range(t.order), 200)
+    # x^k mod m on bitmasks, by square and multiply: a reference apart
+    # from the list-based _poly_powmod that the coefficient view runs
+    exp = {}
+    for k in logs:
+        power = 1
+        for bit in bin(k)[2:]:
+            power = _times_mod2(power, power, mask, t.degree)
+            if bit == "1":
+                power = _times_mod2(power, 2, mask, t.degree)
+        assert log[power] == k, k
+        assert zech[k] == log[power ^ 1], k
+        exp[k] = power
+    _check_views(t, exp, logs)
 
 
 def test_cap_tower_zech_identities(cap_tower):
