@@ -232,7 +232,6 @@ class CrossedProduct:
         window. A slot that no pair reaches is empty (None).
         """
         tower = self.ext.tower
-        m, zech = tower.order, tower._zech
         n = self.n
         powers = self.sigma_powers
         b = self.b_series
@@ -281,7 +280,7 @@ class CrossedProduct:
                     continue
                 _convolve(terms[i][wrapped],
                           twist_logs(logs[:width], powers[i], vy), acc,
-                          v - lo, 0, width, m, zech)
+                          v - lo, 0, width, tower)
             # a window that cancels is the honest zero O(alpha^hi)
             out.append(LaurentSeries(tower, EXT_SYMBOL, lo, acc))
         return tuple(out)

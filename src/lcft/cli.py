@@ -7,10 +7,15 @@ The config is a line-based key=value file describing one extension
 (p, t, f, e, u0, precision) plus optional defaults for seed and samples
 and the ``hasse`` character index; any other key, a key given twice, or
 a non-integer value of any key but u0 is a config error that names the
-file and line. Field elements are written as g^k, a bare integer, or a
-comma-separated coefficient list.
-The series precision comes from --precision, then the config, then
-``series.DEFAULT_PRECISION`` (32). Exit codes: 0 success,
+file and line; ``parse_config`` stores those values as ints, so nothing
+downstream parses them again. u0 is written as g^k, g, an integer or a
+comma-separated coefficient list; any other text is an invalid
+descriptor whose message quotes it and lists those forms.
+A flag wins over the config, which wins over the default: precision
+``series.DEFAULT_PRECISION`` (32), seed 0, samples 100. Each command
+builds one payload and prints it through ``_report``: under --json as
+one JSON object led by the descriptor, else as text lines drawn from
+the same values. Exit codes: 0 success,
 1 descriptor validation failure, 2 property failure (a failed check, a
 ``recip`` row where the search disagrees, or a ValueError,
 ArithmeticError or AssertionError raised by the computation, reported
@@ -59,32 +64,39 @@ def parse_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             if key in raw:
                 raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
-            # every key but u0 holds an int: the text is checked here,
-            # and the raw value stays a string
-            if key != "u0":
-                try:
-                    int(value)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: key {key!r} must be "
-                                     f"an integer, got {value!r}") from None
-            raw[key] = value
+            # every key but u0 holds an int, parsed here once
+            try:
+                raw[key] = value if key == "u0" else int(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: key {key!r} must be "
+                                 f"an integer, got {value!r}") from None
     return raw
+
+
+def _setting(flag, raw, key, default):
+    """A flag's value, else the config's, else the default."""
+    return flag if flag is not None else raw.get(key, default)
 
 
 def build_extension(raw: dict, precision_override=None) -> TameAbelianExtension:
     try:
-        p = int(raw["p"])
-        t = int(raw["t"])
-        f = int(raw["f"])
-        e = int(raw["e"])
+        p, t, f, e = raw["p"], raw["t"], raw["f"], raw["e"]
     except KeyError as exc:
         raise ValueError(f"missing descriptor key: {exc}") from exc
-    if precision_override is not None:
-        precision = precision_override
-    else:
-        precision = int(raw.get("precision", DEFAULT_PRECISION))
     return TameAbelianExtension.from_parameters(
-        p, t, f, e, raw.get("u0", "1"), precision)
+        p, t, f, e, raw.get("u0", "1"),
+        _setting(precision_override, raw, "precision", DEFAULT_PRECISION))
+
+
+def _report(ext, args, out, payload, lines, code=EXIT_OK):
+    """Print one command's result and return its exit code: under --json
+    the payload led by the descriptor, else the text lines."""
+    if args.json:
+        out(json.dumps({"descriptor": ext.descriptor(), **payload}, indent=2))
+    else:
+        for line in lines:
+            out(line)
+    return code
 
 
 def _galois_json(g) -> dict:
@@ -96,78 +108,60 @@ def _class_json(b) -> dict:
 
 
 def cmd_validate(ext, raw, args, out):
-    report = {
-        "descriptor": ext.descriptor(),
+    payload = {
         "modulus": ext.tower.modulus_str(),
         "generator_order": ext.tower.order,
         "degree": ext.degree,
         "structure": list(ext.structure()),
     }
-    if args.json:
-        out(json.dumps(report, indent=2))
-    else:
-        out(f"valid extension: degree {ext.degree} "
-            f"(e={ext.e}, f={ext.f}) over F_{ext.q}((t))")
-        out(f"residue modulus over F_{ext.p}: {report['modulus']}")
-        out(f"galois structure: {report['structure']}")
-    return EXIT_OK
+    return _report(ext, args, out, payload, [
+        f"valid extension: degree {ext.degree} "
+        f"(e={ext.e}, f={ext.f}) over F_{ext.q}((t))",
+        f"residue modulus over F_{ext.p}: {payload['modulus']}",
+        f"galois structure: {payload['structure']}"])
 
 
 def cmd_galois(ext, raw, args, out):
     group = ext.galois_group()
-    rows = [_galois_json(g) for g in group]
-    filtration = {
-        str(i): [_galois_json(g) for g in ext.ramification_group(i)]
-        for i in (-1, 0, 1)
+    payload = {
+        "order": len(group),
+        "structure": list(ext.structure()),
+        "elements": [_galois_json(g) for g in group],
+        "ramification": {
+            str(i): [_galois_json(g) for g in ext.ramification_group(i)]
+            for i in (-1, 0, 1)},
     }
-    if args.json:
-        out(json.dumps({
-            "descriptor": ext.descriptor(),
-            "order": len(group),
-            "structure": list(ext.structure()),
-            "elements": rows,
-            "ramification": filtration,
-        }, indent=2))
-    else:
-        out(f"galois group of order {len(group)}, "
-            f"structure {list(ext.structure())}")
-        for row in rows:
-            out(f"  (a={row['a']}, c={row['c']})")
-        for i in (-1, 0, 1):
-            out(f"  |G_{i}| = {len(filtration[str(i)])}")
-    return EXIT_OK
+    return _report(ext, args, out, payload, [
+        f"galois group of order {len(group)}, "
+        f"structure {payload['structure']}",
+        *(f"  (a={row['a']}, c={row['c']})" for row in payload["elements"]),
+        *(f"  |G_{i}| = {len(rows)}"
+          for i, rows in payload["ramification"].items())])
 
 
 def cmd_recip(ext, raw, args, out):
-    pres = rc.norm_group(ext)
+    invariants = list(rc.norm_group(ext).invariant_factors)
     # a row agrees when the search matched at v, v + f and v + 2f
     table = [{
         **_class_json(b),
         "galois": _galois_json(closed),
         "search_agrees": not mismatches,
     } for b, closed, mismatches in checks.oracle_table(ext)]
+    lines = [f"reciprocity table over {len(table)} classes "
+             f"(norm group {invariants}):"]
+    for row in table:
+        mark = "" if row["search_agrees"] else "   <- MISMATCH"
+        lines.append(f"  u={row['unit']} t^{row['valuation']} -> "
+                     f"(a={row['galois']['a']}, c={row['galois']['c']}){mark}")
     agree = all(row["search_agrees"] for row in table)
-    payload = {
-        "descriptor": ext.descriptor(),
-        "norm_group_invariants": list(pres.invariant_factors),
-        "table": table,
-    }
-    if args.json:
-        out(json.dumps(payload, indent=2))
-    else:
-        out(f"reciprocity table over {len(table)} classes "
-            f"(norm group {list(pres.invariant_factors)}):")
-        for row in table:
-            mark = "" if row["search_agrees"] else "   <- MISMATCH"
-            out(f"  u={row['unit']} t^{row['valuation']} -> "
-                f"(a={row['galois']['a']}, c={row['galois']['c']}){mark}")
-    return EXIT_OK if agree else EXIT_PROPERTY
+    return _report(ext, args, out,
+                   {"norm_group_invariants": invariants, "table": table},
+                   lines, EXIT_OK if agree else EXIT_PROPERTY)
 
 
 def cmd_norm_group(ext, raw, args, out):
     pres = rc.norm_group(ext)
     payload = {
-        "descriptor": ext.descriptor(),
         "subfield_generator": str(pres.subfield_generator),
         "generator_rows": [list(r) for r in pres.generator_rows],
         "relation_matrix": [list(r) for r in pres.relation_matrix],
@@ -176,20 +170,17 @@ def cmd_norm_group(ext, raw, args, out):
         "coset_representatives": [
             _class_json(b) for b in pres.coset_representatives],
     }
-    if args.json:
-        out(json.dumps(payload, indent=2))
-    else:
-        out(f"norm image generators (valuation, unit dlog): "
-            f"{payload['generator_rows']}")
-        out(f"K*/N invariant factors: {payload['invariant_factors']} "
-            f"(order {pres.quotient_order})")
-    return EXIT_OK
+    return _report(ext, args, out, payload, [
+        f"norm image generators (valuation, unit dlog): "
+        f"{payload['generator_rows']}",
+        f"K*/N invariant factors: {payload['invariant_factors']} "
+        f"(order {pres.quotient_order})"])
 
 
 def cmd_hasse(ext, raw, args, out):
     chars = brauer.character_group(ext)
     if "character" in raw:
-        index = int(raw["character"])
+        index = raw["character"]
         if not 0 <= index < len(chars):
             raise InputError(f"character index {index} out of range "
                              f"(only {len(chars)} characters)")
@@ -197,10 +188,9 @@ def cmd_hasse(ext, raw, args, out):
         # default: a character of maximal order (faithful when cyclic)
         index = max(range(len(chars)), key=lambda i: chars[i].order())
     chi = chars[index]
-    pres = rc.norm_group(ext)
     sigma = ext.residue_frobenius_lift()
     table = []
-    for b in pres.coset_representatives:
+    for b in rc.norm_group(ext).coset_representatives:
         inv = brauer.hasse_invariant(chi, b)
         table.append({
             "b": _class_json(b),
@@ -208,47 +198,37 @@ def cmd_hasse(ext, raw, args, out):
             "invariant_denominator": inv.denominator,
         })
     payload = {
-        "descriptor": ext.descriptor(),
         "character_index": index,
         "character_order": chi.order(),
         "chi_generator_value": str(chi(sigma)),
         "table": table,
     }
-    if args.json:
-        out(json.dumps(payload, indent=2))
-    else:
-        out(f"hasse invariants for character #{index} "
-            f"(order {chi.order()}):")
-        for row in table:
-            out(f"  (v={row['b']['valuation']}, u={row['b']['unit']}) -> "
-                f"{row['invariant_numerator']}/"
-                f"{row['invariant_denominator']}")
-    return EXIT_OK
+    return _report(ext, args, out, payload, [
+        f"hasse invariants for character #{index} (order {chi.order()}):",
+        *(f"  (v={row['b']['valuation']}, u={row['b']['unit']}) -> "
+          f"{row['invariant_numerator']}/{row['invariant_denominator']}"
+          for row in table)])
 
 
 def cmd_check(ext, raw, args, out):
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
-    samples = (args.samples if args.samples is not None
-               else int(raw.get("samples", 100)))
+    seed = _setting(args.seed, raw, "seed", 0)
+    samples = _setting(args.samples, raw, "samples", 100)
     if samples < 1:
         raise InputError("samples must be positive")
     results = checks.run_checks(ext, samples=samples, seed=seed)
     passed = all(r.passed for r in results)
-    if args.json:
-        out(json.dumps({
-            "descriptor": ext.descriptor(),
-            "seed": seed,
-            "samples": samples,
-            "passed": passed,
-            "results": [{"name": r.name, "passed": r.passed,
-                         "detail": r.detail} for r in results],
-        }, indent=2))
-    else:
-        out(f"property suite (seed={seed}, samples={samples}):")
-        for r in sorted(results, key=lambda r: r.name):
-            out("  " + r.line())
-        out("ALL CHECKS PASSED" if passed else "SUITE FAILED")
-    return EXIT_OK if passed else EXIT_PROPERTY
+    payload = {
+        "seed": seed,
+        "samples": samples,
+        "passed": passed,
+        "results": [{"name": r.name, "passed": r.passed,
+                     "detail": r.detail} for r in results],
+    }
+    return _report(ext, args, out, payload, [
+        f"property suite (seed={seed}, samples={samples}):",
+        *("  " + r.line() for r in sorted(results, key=lambda r: r.name)),
+        "ALL CHECKS PASSED" if passed else "SUITE FAILED"],
+        EXIT_OK if passed else EXIT_PROPERTY)
 
 
 HANDLERS = {
@@ -283,9 +263,6 @@ def main(argv=None) -> int:
     parser.add_argument("--precision", type=int, default=None)
     args = parser.parse_args(argv)
 
-    def out(line):
-        print(line)
-
     try:
         raw = parse_config(args.config)
     except (OSError, ValueError) as exc:
@@ -294,12 +271,12 @@ def main(argv=None) -> int:
 
     try:
         ext = build_extension(raw, args.precision)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"invalid extension: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
     try:
-        code = HANDLERS[args.command](ext, raw, args, out)
+        code = HANDLERS[args.command](ext, raw, args, print)
         sys.stdout.flush()
         return code
     except InputError as exc:

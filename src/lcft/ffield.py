@@ -337,15 +337,20 @@ class FieldTower:
         return self.generator().norm_to_subfield()
 
     def parse(self, text: str) -> "FieldElement":
-        """Parse "g^k", a bare integer, or a comma-separated coefficient list."""
+        """Parse "g^k", "g", an integer, or a comma-separated coefficient
+        list; an integer c is the one-entry list [c], which is c mod p."""
         text = text.strip()
-        if text.startswith("g^"):
-            return self.generator_power(int(text[2:]))
         if text == "g":
             return self.generator()
-        if "," in text:
-            return self.element([int(c) for c in text.split(",")])
-        return self.from_int(int(text))
+        try:
+            if text.startswith("g^"):
+                return self.generator_power(int(text[2:]))
+            coeffs = [int(c) for c in text.split(",")]
+        except ValueError:
+            raise ValueError(
+                f"field element {text!r} is none of g^k, g, an integer or a "
+                "comma-separated coefficient list") from None
+        return self.element(coeffs)
 
     def modulus_str(self) -> str:
         return ",".join(str(c) for c in self.modulus)

@@ -264,7 +264,6 @@ def norm(ext: TameAbelianExtension, beta: LaurentSeries) -> LaurentSeries:
     if beta.is_zero():
         raise ValueError("the norm of zero is not defined here")
     tower = ext.tower
-    m, zech = tower.order, tower._zech
     n = len(beta.logs)
     v, logs = beta.valuation, beta.logs
     for h, steps in _norm_chain(ext):
@@ -273,15 +272,15 @@ def norm(ext: TameAbelianExtension, beta: LaurentSeries) -> LaurentSeries:
         for g, one_bit in steps:
             if g.frob == 1:
                 # a = 0: h^c only scales alpha, so the step is a square
-                logs = _square(logs, g.c_log, v, m, zech)
+                logs = _square(logs, g.c_log, v, tower)
             else:
                 terms = [(i, a) for i, a in enumerate(logs) if a is not None]
                 logs = _convolve(terms, twist_logs(logs, g, v),
-                                 [None] * n, 0, 0, n, m, zech)
+                                 [None] * n, 0, 0, n, tower)
             v *= 2
             if one_bit:
                 logs = _convolve(y_terms, twist_logs(logs, h, v),
-                                 [None] * n, 0, 0, n, m, zech)
+                                 [None] * n, 0, 0, n, tower)
                 v += v_y
     try:
         out = ext.project(LaurentSeries(tower, EXT_SYMBOL, v, logs))

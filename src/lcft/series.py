@@ -52,14 +52,14 @@ from .ffield import FieldElement, FieldTower
 DEFAULT_PRECISION = 32
 
 
-def _convolve(terms, src, out, offset, start, stop, order, zech):
+def _convolve(terms, src, out, offset, start, stop, tower):
     """Add into ``out[offset + k]``, for k in [start, stop), the sum of
 
         g^(a + src[k - i]) over (i, a) in ``terms`` with i <= k,
 
-    on generator logs: each slot of ``out`` holds a log reduced mod
-    ``order`` or None for zero, and afterwards holds the log of its old
-    value plus that sum (None when they cancel). ``terms`` lists (index,
+    on generator logs: each slot of ``out`` holds a log reduced mod the
+    tower's ``order`` or None for zero, and afterwards holds the log of
+    its old value plus that sum (None when they cancel). ``terms`` lists (index,
     log) of nonzero coefficients by increasing index; a log of None in
     ``src`` is zero. ``src`` may be ``out`` itself, as long as every index
     read is already filled (the inverse's recurrence). This is one of the
@@ -69,8 +69,9 @@ def _convolve(terms, src, out, offset, start, stop, order, zech):
     one log window) and the crossed-product slots of ``brauer`` run it.
     The other, ``_square``, takes a window times itself or times its own
     inertia image (the squarings of ``**`` and the norm's inertia
-    doublings).
+    doublings). Both read the tower's ``order`` and Zech table once a call.
     """
+    order, zech = tower.order, tower._zech
     for k in range(start, stop):
         pos = offset + k
         acc = out[pos]
@@ -88,7 +89,7 @@ def _convolve(terms, src, out, offset, start, stop, order, zech):
     return out
 
 
-def _square(logs, step, valuation, order, zech):
+def _square(logs, step, valuation, tower):
     """The window of x * x', where x = sum of a_j X^(v+j) and x' scales
     the coefficient of X^(v+j) by g^(step*(v+j)):
 
@@ -110,6 +111,7 @@ def _square(logs, step, valuation, order, zech):
     ``LaurentSeries.__pow__`` runs it at step 0, and each inertia doubling
     of ``reciprocity.norm`` at step log c.
     """
+    order, zech = tower.order, tower._zech
     n = len(logs)
     out = [None] * n
     step %= order
@@ -321,7 +323,7 @@ class LaurentSeries:
         return LaurentSeries(
             tower, self.symbol, start,
             _convolve(((0, shift),), other.logs, out, vb - start, 0,
-                      stop - vb, tower.order, tower._zech))
+                      stop - vb, tower))
 
     def __add__(self, other):
         return self._plus_scaled(other, 0)
@@ -347,8 +349,7 @@ class LaurentSeries:
         terms = [(i, a) for i, a in enumerate(self.logs[:n]) if a is not None]
         return LaurentSeries(
             tower, self.symbol, self.valuation + other.valuation,
-            _convolve(terms, other.logs, [None] * n, 0, 0, n, tower.order,
-                      tower._zech))
+            _convolve(terms, other.logs, [None] * n, 0, 0, n, tower))
 
     def inverse(self) -> "LaurentSeries":
         if self.is_zero():
@@ -363,7 +364,7 @@ class LaurentSeries:
         out = [-lead % m] + [None] * (len(self.logs) - 1)
         return LaurentSeries(
             tower, self.symbol, -self.valuation,
-            _convolve(terms, out, out, 0, 1, len(self.logs), m, tower._zech))
+            _convolve(terms, out, out, 0, 1, len(self.logs), tower))
 
     def __truediv__(self, other):
         self._check_compatible(other)
@@ -415,8 +416,7 @@ class LaurentSeries:
             if not r:
                 break
             base = LaurentSeries(tower, self.symbol, 2 * base.valuation,
-                                 _square(base.logs, 0, base.valuation,
-                                         tower.order, tower._zech))
+                                 _square(base.logs, 0, base.valuation, tower))
         if not cut:
             return result
         return result._scaled(lead * cut).shift(v * cut)

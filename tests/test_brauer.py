@@ -422,10 +422,10 @@ def _count_kernel_steps(monkeypatch):
     steps = [0]
     convolve = brauer._convolve
 
-    def counted(terms, src, out, offset, start, stop, order, zech):
+    def counted(terms, src, out, offset, start, stop, tower):
         steps[0] += sum(1 for k in range(start, stop)
                         for i, _ in terms if i <= k)
-        return convolve(terms, src, out, offset, start, stop, order, zech)
+        return convolve(terms, src, out, offset, start, stop, tower)
 
     monkeypatch.setattr(brauer, "_convolve", counted)
     return steps

@@ -134,38 +134,41 @@ def test_run_checks_catches_the_mutant_on_the_matrix(monkeypatch, owner,
 
 
 def test_the_library_holds_no_assert_statement():
-    # python -O drops asserts, so a check the catalog counts on would vanish
+    # python -O drops asserts and the code under ``__debug__``, and nothing
+    # else, so with neither in the library it runs alike with and without
+    # -O, and a check the catalog counts on cannot vanish
     source = pathlib.Path(checks.__file__).parent
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(source.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Assert)]
+             if isinstance(node, ast.Assert)
+             or isinstance(node, ast.Name) and node.id == "__debug__"]
     assert found == []
 
 
-@pytest.mark.parametrize("seed", [1, 1803])
-def test_run_checks_passes_on_every_small_admissible_descriptor(seed):
-    # the whole suite, past the matrix: every admissible descriptor with
+@pytest.mark.parametrize("descriptors, precision, samples, seed", [
+    # the whole suite past the matrix: every admissible descriptor with
     # p^(t*f) <= 16, at precision 8 with 10 samples
-    descriptors = admissible_descriptors(16)
-    assert len(descriptors) == 78
+    pytest.param(admissible_descriptors(16), 8, 10, 1, id="1"),
+    pytest.param(admissible_descriptors(16), 8, 10, 1803, id="1803"),
+    # the acceptance matrix as ``lcft check`` runs it by default. At seed
+    # 1803, (5,1,1,4,"1")'s hasse-layer once failed "associativity failed
+    # on sample 82", when a crossed-product slot whose window cancelled
+    # became the exact zero (test_brauer.py pins that triple)
+    pytest.param(list(MATRIX_PARAMS.values()), 32, 100, 1, id="matrix-1"),
+    pytest.param(list(MATRIX_PARAMS.values()), 32, 100, 1803,
+                 id="matrix-1803"),
+])
+def test_run_checks_passes_on_every_small_admissible_descriptor(
+        descriptors, precision, samples, seed):
+    assert len(descriptors) in (78, 8)      # the sweep, or the matrix
     failed = []
     for d in descriptors:
-        ext = TameAbelianExtension.from_parameters(*d, precision=8)
-        failed += [(d, r.line()) for r in checks.run_checks(ext, 10, seed)
+        ext = TameAbelianExtension.from_parameters(*d, precision=precision)
+        failed += [(d, r.line())
+                   for r in checks.run_checks(ext, samples, seed)
                    if not r.passed]
     assert failed == []
-
-
-def test_check_passes_at_seed_1803_on_ram_e4():
-    # ``lcft check --seed 1803`` on (5,1,1,4,"1") at precision 32 with 100
-    # samples: hasse-layer once failed "associativity failed on sample 82",
-    # when a crossed-product slot whose window cancelled became the exact
-    # zero (test_brauer.py pins that triple)
-    ext = TameAbelianExtension.from_parameters(5, 1, 1, 4, "1",
-                                               precision=32)
-    results = checks.run_checks(ext, samples=100, seed=1803)
-    assert [r.line() for r in results if not r.passed] == []
 
 
 def test_hasse_layer_rejects_vanishing_invariants(matrix, rng, monkeypatch):

@@ -53,6 +53,10 @@ def test_comment_and_blank_lines_are_skipped(tmp_path, capsys):
     ("p=2\nt=2\nf=3\ne=3\nu0=1,0,1,1,1,1,1\n", "longer than the degree"),
     ("p=3\nt=1\nf=2\ne=1\nu0=0,0\n", "u0 must be a unit"),
     ("p=3\nt=1\nf=2\ne=0\nu0=1\n", "must be positive"),
+    # u0 text in none of the four forms names them and quotes the text
+    *((f"p=3\nt=1\nf=2\ne=1\nu0={u0}\n", f"field element {u0!r} is none of "
+       "g^k, g, an integer or a comma-separated coefficient list")
+      for u0 in ("abc", "g^x", "1,2,x", "")),
 ])
 def test_bad_descriptor_exits_one(tmp_path, capsys, text, message):
     assert cli.main(["validate", _write(tmp_path, text)]) == 1

@@ -456,8 +456,7 @@ def test_twisted_square_matches_the_product(params, rng):
                     # doublings; h^0 is the plain square of ``**``
                     got = LaurentSeries(
                         tower, "alpha", 2 * x.valuation,
-                        _square(x.logs, step, x.valuation, tower.order,
-                                tower._zech))
+                        _square(x.logs, step, x.valuation, tower))
                     want = x * twin
                     assert (got.valuation, got.logs, got.precision) == \
                         (want.valuation, want.logs, want.precision), \
