@@ -346,16 +346,18 @@ def check_hasse_layer(ext, rng, samples) -> CheckResult:
     chars = brauer.character_group(ext)
     pres = rc.norm_group(ext)
     reps = pres.coset_representatives
-    for _ in range(samples):
+    for n in range(samples):
         c1, c2 = rng.choice(chars), rng.choice(chars)
         b1, b2 = rng.choice(reps), rng.choice(reps)
         h11 = brauer.hasse_invariant(c1, b1)
         if brauer.hasse_invariant(c1, b1 * b2) != (
                 h11 + brauer.hasse_invariant(c1, b2)) % 1:
-            failures.append("bilinearity fails in the class slot")
+            failures.append(
+                f"bilinearity fails in the class slot on sample {n}")
         if brauer.hasse_invariant(c1 + c2, b1) != (
                 h11 + brauer.hasse_invariant(c2, b1)) % 1:
-            failures.append("bilinearity fails in the character slot")
+            failures.append(
+                f"bilinearity fails in the character slot on sample {n}")
     # the inflation law: a chi trivial on inertia factors through
     # Gal(K_f/K), so its invariant is v(b) * chi(lift) for the Frobenius
     # lift (for e = 1, the unramified formula)

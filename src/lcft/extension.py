@@ -25,6 +25,11 @@ from .series import DEFAULT_PRECISION, LaurentSeries
 from .snf import invariant_factors
 
 DEGREE_CAP = 64
+# The most terms a window keeps. Work grows about as precision squared:
+# ``lcft check`` with 100 samples on (1048573, 1, 1, 4, "1"), the slowest
+# descriptor per term, took 14 s at 128 and 38 s at 256 (Python 3.11 on a
+# shared 2-vCPU host), so 128 keeps it inside a quarter of a minute.
+PRECISION_CAP = 128
 
 BASE_SYMBOL = "t"
 EXT_SYMBOL = "alpha"
@@ -82,6 +87,9 @@ class TameAbelianExtension:
                 f"degree e*f = {e * tower.f} exceeds the cap {DEGREE_CAP}")
         if precision < 1:
             raise ValueError("precision must be positive")
+        if precision > PRECISION_CAP:
+            raise ValueError(
+                f"precision {precision} exceeds the cap {PRECISION_CAP}")
         self.tower = tower
         self.e = e
         self.u0 = u0

@@ -6,11 +6,15 @@ is known modulo X^(valuation + precision). The tame constructions in this
 package only ever divide by units or exact monomials, which keeps the
 window a bookkeeping device rather than an error bound.
 
-Powers and roots rest on one fact: the 1-units of an n-term window form
-a group of exponent p^s, the least power of p with p^s >= n
-(``_unit_exponent``). ``**`` cuts its exponent mod p^s, and since a tame
-root degree e is prime to p, ``nth_root`` takes the e-th root of a
-1-unit w1 as the single power w1^(e^(-1) mod p^s), with no iteration.
+Powers and roots rest on two facts of characteristic p. The p-th power
+is a spread, (sum of a_i X^i)^p = sum of a_i^p X^(ip), exact on the
+window (``_spread``). And the 1-units of an n-term window form a group of
+exponent p^s, the least power of p with p^s >= n (``_unit_exponent``).
+``**`` cuts its exponent mod p^s and runs Horner's rule on its base-p
+digits, so each p-th power is a spread and only the digit powers make
+products. Since a tame root degree e is prime to p, ``nth_root`` takes
+the e-th root of a 1-unit w1 as one inverse and one power,
+(w1^(-1))^(-e^(-1) mod p^s), with no iteration.
 
 Every series is known only modulo X^end, and so is every zero: a
 window whose coefficients all cancel is the honest zero O(X^end). It
@@ -31,11 +35,12 @@ sum here runs in one of two kernels: ``_convolve`` for two different
 windows, and ``_square`` for x * x', where x' scales the coefficient of
 X^j by g^(step*j). A sum a + g^s * b is ``_convolve`` of b with the
 one-term window of g^s into a's copy of the window, with s = 0 for ``+``
-and s = log(-1) for ``-``. The second kernel runs with step = 0 in every
-squaring of ``**``, and straight on the log window of
-``reciprocity.norm`` in each doubling step of its inertia chain, whose
-Galois image x' is such a scale. It visits each pair of terms once, so it
-makes about half the steps, and a plain square in characteristic 2 none.
+and s = log(-1) for ``-``. The second kernel runs with step = 0 in the
+squarings that build the digit powers of ``**`` (odd p only), and
+straight on the log window of ``reciprocity.norm`` in each doubling step
+of its inertia chain, whose Galois image x' is such a scale. It visits
+each pair of terms once, so it makes about half the steps. The p-th
+powers of ``**`` make no kernel steps at all: ``_spread`` moves each log.
 The one constructor, ``LaurentSeries(tower, symbol, valuation, logs)``,
 takes such a window; ``one``, ``uniformizer``, ``monomial`` and
 ``constant`` are shorthands for it. ``FieldElement`` stays the public
@@ -105,27 +110,25 @@ def _square(logs, step, valuation, tower):
     entry is a weight of zero, and the pair drops out). The middle term
     g^(2a_(k/2) + step*(v+k/2)) is added once. So a square makes about
     half the steps of ``_convolve`` on the same window. With step = 0
-    every weight is log 2: the fold adds it once per slot, and in
-    characteristic 2, where 2 = 0, the square is the Frobenius spread
-    a_i -> 2a_i at 2i with no pair at all. Every squaring of
-    ``LaurentSeries.__pow__`` runs it at step 0, and each inertia doubling
-    of ``reciprocity.norm`` at step log c.
+    every weight is log 2, and the fold adds it once per slot; in
+    characteristic 2, where 2 = 0, every weight is zero and only the
+    middle terms stay. The squarings of ``LaurentSeries.__pow__`` run it
+    at step 0, for odd p only: every p-th power there, the square at
+    p = 2 included, is a ``_spread``. Each inertia doubling of
+    ``reciprocity.norm`` runs it at step log c, which is never 0.
     """
     order, zech = tower.order, tower._zech
     n = len(logs)
     out = [None] * n
     step %= order
     two = zech[0]
-    if not step and two < 0:
-        for i in range((n + 1) // 2):
-            a = logs[i]
-            if a is not None:
-                out[2 * i] = 2 * a % order
-        return out
     # a pair (i, k - i) with i < k - i has i < n/2: twist the lower index
     terms = [(i, a + step * (valuation + i))
              for i, a in enumerate(logs[:(n + 1) // 2]) if a is not None]
-    weights = [zech[step * d % order] for d in range(n)] if step else None
+    # the plain loop adds the weight log 2 to every pair; at p = 2, where
+    # 2 = 0, the weighted loop drops them all
+    weights = ([zech[step * d % order] for d in range(n)]
+               if step or two < 0 else None)
     for k in range(n):
         acc = None
         if weights is None:
@@ -169,6 +172,33 @@ def _square(logs, step, valuation, tower):
         if acc is not None:
             out[k] = acc % order
     return out
+
+
+def _spread(logs, p, order):
+    """The window of x^p for x = sum of a_i X^(v+i), which starts at
+    X^(pv): in characteristic p, x^p = sum of a_i^p X^(p(v+i)), so the log
+    a_i moves to index p*i as p*a_i, exact on the window. The n slots
+    keep n terms, those at i < n/p. No coefficient meets another, so it
+    makes no kernel step."""
+    n = len(logs)
+    out = [None] * n
+    out[::p] = [None if a is None else a * p % order
+                for a in logs[:-(-n // p)]]
+    return out
+
+
+def _square_and_multiply(x, d):
+    """x^d for d >= 1 over the bits of d, each squaring one ``_square`` at
+    step 0: the digit powers of ``LaurentSeries.__pow__``."""
+    result = None
+    while True:
+        if d & 1:
+            result = x if result is None else result * x
+        d >>= 1
+        if not d:
+            return result
+        x = LaurentSeries(x.tower, x.symbol, 2 * x.valuation,
+                          _square(x.logs, 0, x.valuation, x.tower))
 
 
 def _unit_exponent(p, n):
@@ -382,8 +412,15 @@ class LaurentSeries:
         p^s. So the power is c^k * X^(vk) * (1 + y)^(k mod p^s), exact on
         the window and equal term for term to the product of k copies of
         the base; a monomial (y = 0) needs no product at all. Negative k
-        inverts the base first. Each squaring runs ``_square`` at step 0,
-        term for term the product x * x in about half the kernel steps.
+        inverts the base first.
+
+        The cut exponent r runs Horner's rule on its base-p digits, the
+        most significant first: acc <- acc^p * x^d. Each acc^p is a
+        ``_spread``, exact and free of kernel steps, and each distinct
+        nonzero digit power x^d is built once by ``_square_and_multiply``.
+        At p = 2 the only digit power is x itself, so this is the binary
+        method with free squarings; when p >= n, r is one digit, whose
+        power is square-and-multiply on r.
         """
         if not isinstance(k, int):
             raise TypeError("series powers must be integers")
@@ -400,23 +437,30 @@ class LaurentSeries:
         base = self if k > 0 else self.inverse()
         k = abs(k)
         lead, v = base.logs[0], base.valuation
+        p = tower.p
         period = 1
         if base.logs.count(None) < n - 1:
-            period = _unit_exponent(tower.p, n)
+            period = _unit_exponent(p, n)
         r = k % period
         cut = k - r
         if not r:
             return LaurentSeries(tower, self.symbol, v * k,
                                  (lead * k % tower.order,) + (None,) * (n - 1))
+        digits = []
+        while r:
+            r, d = divmod(r, p)
+            digits.append(d)
+        powers = {}
         result = None
-        while True:
-            if r & 1:
-                result = base if result is None else result * base
-            r >>= 1
-            if not r:
-                break
-            base = LaurentSeries(tower, self.symbol, 2 * base.valuation,
-                                 _square(base.logs, 0, base.valuation, tower))
+        for d in reversed(digits):
+            if result is not None:
+                result = LaurentSeries(tower, self.symbol,
+                                       p * result.valuation,
+                                       _spread(result.logs, p, tower.order))
+            if d:
+                if d not in powers:
+                    powers[d] = _square_and_multiply(base, d)
+                result = powers[d] if result is None else result * powers[d]
         if not cut:
             return result
         return result._scaled(lead * cut).shift(v * cut)
@@ -446,8 +490,15 @@ class LaurentSeries:
         is returned. The 1-unit part w1 has a unique e-th root on the
         window: the 1-units of n terms form a group of exponent p^s (see
         ``__pow__``), and p^s is prime to e, so the root is the power
-        w1^(e^(-1) mod p^s), exact on the window. For e = 1 that root is
-        the series itself, returned with no product.
+        w1^(e^(-1) mod p^s). It is taken as (w1^(-1))^(-e^(-1) mod p^s),
+        one inverse and one power, since that exponent has few distinct
+        base-p digits: tameness gives e | p^o - 1 for some o, and then
+        -1/e = c(1 + p^o + p^(2o) + ...) in the p-adic integers, with
+        c = (p^o - 1)/e, so its digits repeat c's o digits and ``**``
+        builds at most o digit powers. Both routes are exact on the
+        window: the inverse of the unique e-th root of w1 is the unique
+        e-th root of w1^(-1), so they give the same window term for term.
+        For e = 1 the root is the series itself, returned with no product.
         """
         if e < 1:
             raise ValueError("root degree must be positive")
@@ -468,6 +519,6 @@ class LaurentSeries:
                 "leading coefficient is not an e-th power in the field")
         # 1-unit part: w / (lc * X^v)
         unit_part = self._scaled(-self.logs[0]).shift(-self.valuation)
-        x = unit_part ** pow(e, -1, _unit_exponent(self.tower.p,
-                                                  len(self.logs)))
+        period = _unit_exponent(self.tower.p, len(self.logs))
+        x = unit_part.inverse() ** (-pow(e, -1, period) % period)
         return (x * lead_roots[0]).shift(self.valuation // e)

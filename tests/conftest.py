@@ -37,6 +37,19 @@ def admissible_descriptors(max_size):
     return out
 
 
+# Source of peak_kib() for a probe run in a child process: the process
+# image's peak RSS (VmHWM) in KiB. ru_maxrss would not do: it carries the
+# parent's peak across fork and exec, so under a large pytest process it
+# hides the child's growth.
+PEAK_KIB = """
+def peak_kib():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+"""
+
+
 def make_series(tower, symbol, valuation, coeffs, precision=0):
     """A series from ints and FieldElements, padded with zeros to precision.
 

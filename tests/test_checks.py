@@ -180,6 +180,23 @@ def test_hasse_layer_rejects_vanishing_invariants(matrix, rng, monkeypatch):
 
 
 
+def test_hasse_layer_names_the_sample_that_breaks_bilinearity(
+        matrix, rng, monkeypatch):
+    hasse_invariant = brauer.hasse_invariant
+    calls = []
+
+    def broken(chi, b):
+        # the second of sample 3's five calls is chi_1 at b_1 * b_2
+        calls.append(b)
+        h = hasse_invariant(chi, b)
+        return (h + Fraction(1, 2)) % 1 if len(calls) == 5 * 3 + 2 else h
+
+    monkeypatch.setattr(brauer, "hasse_invariant", broken)
+    result = checks.check_hasse_layer(matrix["deg12"], rng, 5)
+    assert not result.passed
+    assert result.detail == "bilinearity fails in the class slot on sample 3"
+
+
 def test_hasse_layer_evaluates_each_table_pair_once(matrix, rng,
                                                     monkeypatch):
     hasse_invariant = brauer.hasse_invariant

@@ -3,12 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+from conftest import PEAK_KIB
 import lcft
 from lcft import brauer, checks, cli, reciprocity as rc
-from lcft.extension import GaloisElement, TameAbelianExtension
+from lcft.extension import (PRECISION_CAP, GaloisElement,
+                            TameAbelianExtension)
+from lcft.series import LaurentSeries
 
 
 def _write(tmp_path, text, name="ext.cfg"):
@@ -39,6 +43,23 @@ def test_field_size_over_the_cap_exits_one(tmp_path, capsys):
     cfg = _write(tmp_path, "p=2097152\nt=1\nf=1\ne=1\nu0=1\n")
     assert cli.main(["validate", cfg]) == 1
     assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_precision_over_the_cap_exits_one(tmp_path, capsys, monkeypatch):
+    cfg = _write(tmp_path, UNRAM)
+    assert cli.main(["validate", cfg, "--precision", str(PRECISION_CAP)]) == 0
+    capsys.readouterr()
+
+    def refuse(self, *args):
+        raise AssertionError("a window was allocated")
+
+    # checked with the other caps, before any series is built: a window of
+    # precision=1000000000 would take about 8 GB
+    monkeypatch.setattr(LaurentSeries, "__init__", refuse)
+    assert cli.main(["validate", cfg, "--precision",
+                     str(PRECISION_CAP + 1)]) == 1
+    err = capsys.readouterr().err
+    assert f"precision {PRECISION_CAP + 1} exceeds the cap" in err
 
 
 def test_comment_and_blank_lines_are_skipped(tmp_path, capsys):
@@ -149,7 +170,7 @@ E63 = "p=2\nt=6\nf=1\ne=63\nu0=1\nprecision=8\n"
     # the square kernel at precision 32: odd p, twisted by zeta of order 6
     ("p=7\nt=1\nf=2\ne=6\nu0=1\nprecision=32\n",
      ["check", "--samples", "100"], 0),
-    # the characteristic-2 square: the Frobenius spread, with no pairs
+    # characteristic-2 powers at precision 32: every squaring a spread
     (C9_SHORT.replace("precision=8", "precision=32"),
      ["check", "--samples", "100"], 0),
     # the norm on one log window: e = 15 = 0b1111, 3 twisted squares and
@@ -175,6 +196,81 @@ def test_console_command_table(tmp_path, capsys, text, args, code):
     assert got == code, (argv, out)
     if code == 0 and "--json" in args:
         json.loads(out)
+
+
+# One console command in its own process. It prints to stderr, last, how
+# far the process's peak RSS (VmHWM, in KiB) rose from before the import,
+# as _BUILD_PEAK_PROBE in test_ffield.py does, and exits with the
+# command's code.
+_CAP_PROBE = PEAK_KIB + """
+import sys
+
+before = peak_kib()
+from lcft import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(peak_kib() - before, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+# The console commands at the caps, each a subprocess under a wall-time
+# and a peak-memory bound: config text, arguments after the config, exit
+# code, seconds and MB. Over three to four runs each on a shared 2-vCPU
+# host (Python 3.11), wall times spread by up to 1.7x between runs (the
+# range is in each comment); every bound is at least 3.4x the slowest
+# run and under the minute that CI once gave each row. The peak grew by
+# the same amount in every run: 12.0 MB where a 2^20-entry tower is
+# built, whose log and Zech arrays take 8 MB of it.
+CAP_ROWS = [
+    # field tables at the size cap: the odd-p walk (1.4-1.9 s, 8.0 MB)
+    pytest.param("p=3\nt=12\nf=1\ne=2\nu0=1\n", ["validate"], 0, 10, 9.5,
+                 id="cap3-validate"),
+    # the totally-ramified laws at the cap: all 2^20 - 1 units of k*
+    # walked on logs (2.7-4.4 s)
+    pytest.param("p=2\nt=20\nf=1\ne=3\nu0=g\nprecision=8\n",
+                 ["check", "--samples", "10"], 0, 20, 14, id="cap20-check"),
+    # the root's longest exponent: p > 32 terms, so p^s = p = 1048573, the
+    # largest prime under the cap (3.4-5.3 s)
+    pytest.param("p=1048573\nt=1\nf=1\ne=4\nu0=1\nprecision=32\n",
+                 ["check"], 0, 25, 14, id="bigp-check"),
+    # the unramified law at the cap: 4 x (2^20 - 1) classes of k* walked
+    # on logs (10.9-14.7 s)
+    pytest.param("p=2\nt=20\nf=1\ne=1\nu0=1\nprecision=8\n",
+                 ["check", "--samples", "10"], 0, 50, 14, id="unram20-check"),
+    # the precision cap, on a small tower where the windows are all the
+    # work (0.6-1.0 s, 4.0 MB) and on the prime cap, the slowest
+    # descriptor per term (10.5-15.0 s)
+    pytest.param("p=5\nt=1\nf=1\ne=4\nu0=1\n",
+                 ["check", "--precision", str(PRECISION_CAP)], 0, 10, 5,
+                 id="e4-check-precision-cap"),
+    pytest.param("p=1048573\nt=1\nf=1\ne=4\nu0=1\n",
+                 ["check", "--precision", str(PRECISION_CAP)], 0, 55, 14,
+                 id="bigp-check-precision-cap"),
+]
+
+
+@pytest.mark.skipif(not os.environ.get("LCFT_CAP_ROWS"),
+                    reason="about a minute: set LCFT_CAP_ROWS=1 to run")
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc")
+@pytest.mark.parametrize("text, args, code, wall_s, peak_mb", CAP_ROWS)
+def test_cap_rows_in_time_and_memory(tmp_path, text, args, code, wall_s,
+                                     peak_mb):
+    argv = [args[0], _write(tmp_path, text)] + args[1:]
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(lcft.__file__)))
+    start = time.monotonic()
+    child = subprocess.run([sys.executable, "-c", _CAP_PROBE, *argv],
+                           env=env, capture_output=True, text=True,
+                           timeout=2 * wall_s)
+    elapsed = time.monotonic() - start
+    assert child.returncode == code, child.stderr
+    growth_mb = int(child.stderr.split()[-1]) / 1024
+    assert elapsed < wall_s, f"{argv} took {elapsed:.1f} s"
+    assert growth_mb < peak_mb, f"peak RSS grew by {growth_mb:.1f} MB"
 
 
 # SHA-256 of stdout, taken when every element view read a stored

@@ -7,6 +7,7 @@ from array import array
 
 import pytest
 
+from conftest import PEAK_KIB
 import lcft
 from lcft.ffield import (SIZE_CAP, ZECH_ARRAY_MIN, FieldTower, _times_mod2,
                          is_prime)
@@ -264,16 +265,8 @@ def test_packed_tables_match_reference_builder(shape):
     _check_views(tower, exp, _sample_logs(tower, 200))
 
 
-# VmHWM is this process image's peak RSS in KiB. ru_maxrss would not do:
-# it carries the parent's peak across fork and exec, so under a large
-# pytest process it hides the child's growth.
-_BUILD_PEAK_PROBE = """
-def peak_kib():
-    with open("/proc/self/status") as status:
-        for line in status:
-            if line.startswith("VmHWM:"):
-                return int(line.split()[1])
-
+# how far a new process's peak RSS grows with one tower build
+_BUILD_PEAK_PROBE = PEAK_KIB + """
 before = peak_kib()
 from lcft.ffield import FieldTower
 FieldTower({p}, {t}, {f})

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import binary_power, make_series
-from lcft import series
+from lcft import checks, reciprocity, series
 from lcft.extension import TameAbelianExtension
 from lcft.ffield import FieldTower
 from lcft.series import LaurentSeries, _square
@@ -269,9 +269,10 @@ def test_root_matches_the_full_derivative_newton_loop(rng):
     assert checked == 8 * 36 + 177
 
 
-def test_root_divides_by_nothing(matrix, rng, monkeypatch):
-    """For e > 1 the root is one power of the 1-unit part: no series
-    inverse, so no division, on any root degree of the matrix towers."""
+def test_root_takes_one_inverse(matrix, rng, monkeypatch):
+    """For e > 1 the root is one power of the inverse of the 1-unit part:
+    exactly one series inverse per root, on any root degree of the matrix
+    towers."""
     towers = {(ext.p, ext.t, ext.f): ext.tower for ext in matrix.values()}
     cases = []
     for tower in towers.values():
@@ -282,12 +283,19 @@ def test_root_divides_by_nothing(matrix, rng, monkeypatch):
     # the divisors e > 1 of |l*| = 8, 4, 63 and 48
     assert len(cases) == 3 + 2 + 5 + 9
 
-    def refuse(self):
-        raise AssertionError("nth_root inverted a series")
+    inverse = LaurentSeries.inverse
+    inverted = []
 
-    monkeypatch.setattr(LaurentSeries, "inverse", refuse)
+    def counted(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(LaurentSeries, "inverse", counted)
     for e, x, w in cases:
         r = w.nth_root(e)
+        # one inverse, of the 1-unit part (lead 1, log 0)
+        assert [y.logs[0] for y in inverted] == [0], (x, e)
+        inverted.clear()
         assert r**e == w, (x, e)
         assert r.leading_coefficient == w.leading_coefficient.nth_roots(e)[0]
 
@@ -356,21 +364,39 @@ def test_power_cut_to_the_unit_exponent_matches_the_binary_loop(rng):
     assert checked == 14 * 3 * 16
 
 
-# how many of those products are squarings, keyed by (params, n, k)
-POWER_SQUARES = {((2, 3, 1), 8, 1023): 2, ((2, 3, 1), 8, -1023): 2,
+# how many of those products are squarings, and how many p-th powers are
+# spreads, keyed by (params, n, k)
+POWER_SQUARES = {((2, 3, 1), 8, 1023): 0, ((2, 3, 1), 8, -1023): 0,
+                 ((2, 3, 1), 8, 1024): 0, ((2, 3, 1), 8, 9): 0,
+                 ((2, 3, 1), 8, 5): 0, ((2, 3, 1), 9, 1023): 0,
+                 ((5, 1, 1), 8, 1023): 3, ((5, 1, 1), 32, 25): 0,
+                 ((5, 1, 1), 32, 53): 2}
+POWER_SPREADS = {((2, 3, 1), 8, 1023): 2, ((2, 3, 1), 8, -1023): 2,
                  ((2, 3, 1), 8, 1024): 0, ((2, 3, 1), 8, 9): 0,
                  ((2, 3, 1), 8, 5): 2, ((2, 3, 1), 9, 1023): 3,
-                 ((5, 1, 1), 8, 1023): 4}
+                 ((5, 1, 1), 8, 1023): 1, ((5, 1, 1), 32, 25): 2,
+                 ((5, 1, 1), 32, 53): 2}
 
 
 @pytest.mark.parametrize("params, n, k, products", [
-    ((2, 3, 1), 8, 1023, 4),     # 1023 mod 8 = 7: 2 squarings, 2 products
-    ((2, 3, 1), 8, -1023, 4),    # the inverse first, then the same cut
+    # 1023 mod 8 = 7 = 111_2: the digit power is x itself, 2 spreads and
+    # 2 products
+    ((2, 3, 1), 8, 1023, 2),
+    ((2, 3, 1), 8, -1023, 2),    # the inverse first, then the same cut
     ((2, 3, 1), 8, 1024, 0),     # a multiple of 8 leaves only c^k X^(vk)
-    ((2, 3, 1), 8, 9, 0),        # 9 mod 8 = 1: the base itself
-    ((2, 3, 1), 8, 5, 3),        # below the 1-unit exponent: no cut
-    ((2, 3, 1), 9, 1023, 6),     # n = 9 needs 16: 1023 mod 16 = 15
-    ((5, 1, 1), 8, 1023, 7),     # 25 >= 8: 1023 mod 25 = 23 = 0b10111
+    ((2, 3, 1), 8, 9, 0),        # 9 mod 8 = 1 = 1_2: the base itself
+    # below the 1-unit exponent, no cut: 5 = 101_2, 2 spreads, 1 product
+    ((2, 3, 1), 8, 5, 1),
+    # n = 9 needs 16: 1023 mod 16 = 15 = 1111_2, 3 spreads, 3 products
+    ((2, 3, 1), 9, 1023, 3),
+    # 25 >= 8: 1023 mod 25 = 23 = 43_5. x^4 takes 2 squarings and x^3 a
+    # squaring and a product; then 1 spread and 1 product
+    ((5, 1, 1), 8, 1023, 5),
+    # 125 >= 32: 25 = 100_5 is p^2, 2 spreads of x and no product
+    ((5, 1, 1), 32, 25, 0),
+    # 53 = 203_5, a zero digit: x^2 takes a squaring and x^3 a squaring
+    # and a product; then 2 spreads and 1 product, none for the 0
+    ((5, 1, 1), 32, 53, 4),
 ])
 def test_power_makes_products_only_for_the_cut_exponent(params, n, k,
                                                         products, rng,
@@ -378,9 +404,11 @@ def test_power_makes_products_only_for_the_cut_exponent(params, n, k,
     tower = FieldTower(*params)
     x = _random_series(tower, rng, 1, n, 1.0)
     mono = _random_series(tower, rng, 1, n, 0.0)
-    mul = LaurentSeries.__mul__
+    want = binary_power(x, k)
+    mul, spread = LaurentSeries.__mul__, series._spread
     calls = []
     squares = []
+    spreads = []
 
     def counted(self, other):
         calls.append(other)
@@ -391,15 +419,23 @@ def test_power_makes_products_only_for_the_cut_exponent(params, n, k,
         squares.append(step)
         return _square(logs, step, *rest)
 
+    def counted_spread(logs, *rest):
+        spreads.append(logs)
+        return spread(logs, *rest)
+
     monkeypatch.setattr(LaurentSeries, "__mul__", counted)
     monkeypatch.setattr(series, "_square", counted_square)
-    x**k
+    monkeypatch.setattr(series, "_spread", counted_spread)
+    assert x**k == want
     assert len(calls) == products
     # every squaring runs the square kernel, untwisted
     assert squares == [0] * POWER_SQUARES[params, n, k]
+    # each p-th power of Horner's rule is one spread, with no kernel call
+    assert len(spreads) == POWER_SPREADS[params, n, k]
     # a monomial's 1-unit part is 1: its power takes no product at all
+    del calls[:], spreads[:]
     mono**k
-    assert len(calls) == products
+    assert calls == [] and spreads == []
 
 
 def _twisted(x, step):
@@ -453,7 +489,8 @@ def test_twisted_square_matches_the_product(params, rng):
                     assert (twin.valuation, twin.logs) == \
                         (image.valuation, image.logs)
                     # the twists run the kernel of the norm's inertia
-                    # doublings; h^0 is the plain square of ``**``
+                    # doublings; h^0 is the plain square, which ``**``
+                    # runs at odd p
                     got = LaurentSeries(
                         tower, "alpha", 2 * x.valuation,
                         _square(x.logs, step, x.valuation, tower))
@@ -465,6 +502,25 @@ def test_twisted_square_matches_the_product(params, rng):
                         cancelled[c] += _product_cancellations(x, twin, want)
     # every twist meets at least 30 cancellations at this seed
     assert min(cancelled.values()) >= 25, cancelled
+
+
+def test_no_square_is_untwisted_in_characteristic_two(matrix, monkeypatch):
+    """At p = 2 ``**`` spreads its squares and the norm twists every
+    doubling by a nonzero step, so the matrix suite never calls the square
+    kernel at step 0 there."""
+    calls = []
+
+    def recorded(logs, step, valuation, tower):
+        calls.append((tower.p, step % tower.order))
+        return _square(logs, step, valuation, tower)
+
+    monkeypatch.setattr(series, "_square", recorded)
+    monkeypatch.setattr(reciprocity, "_square", recorded)
+    for ext in matrix.values():
+        assert all(r.passed for r in checks.run_checks(ext, 20, 1))
+    # the suite squares at p = 2 (the norms) and at step 0 (odd-p powers)
+    assert any(p == 2 for p, _ in calls) and (3, 0) in calls
+    assert (2, 0) not in calls
 
 
 def test_nth_root_of_degree_one_is_the_series_itself(rng, monkeypatch):
