@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .ffield import FieldElement, FieldTower
+from .ffield import FieldElement, FieldTower, check_tower_shape
 from .series import DEFAULT_PRECISION, LaurentSeries
 from .snf import invariant_factors
 
@@ -51,6 +51,29 @@ def twist_logs(logs, g, start):
             for n, L in enumerate(logs, start)]
 
 
+def _check_integers(p, q, f, e, precision):
+    """Refuse a descriptor on what its integers alone decide: tameness
+    (p does not divide e), existence (e divides q - 1), the degree cap
+    and the precision cap."""
+    if e < 1:
+        raise ValueError("ramification index must be positive")
+    if math.gcd(e, p) != 1:
+        raise ValueError(
+            f"e = {e} is divisible by p = {p}: wildly ramified "
+            "extensions are out of scope")
+    if (q - 1) % e != 0:
+        raise ValueError(
+            f"e = {e} does not divide |k*| = {q - 1}: no tame "
+            "abelian extension with this ramification exists over K")
+    if e * f > DEGREE_CAP:
+        raise ValueError(f"degree e*f = {e * f} exceeds the cap {DEGREE_CAP}")
+    if precision < 1:
+        raise ValueError("precision must be positive")
+    if precision > PRECISION_CAP:
+        raise ValueError(
+            f"precision {precision} exceeds the cap {PRECISION_CAP}")
+
+
 class TameAbelianExtension:
     """L = l((alpha)) over K = k((t)) with alpha^e = u0 * t.
 
@@ -72,24 +95,7 @@ class TameAbelianExtension:
             raise ValueError("u0 must live in the given tower")
         if not u0:
             raise ValueError("u0 must be a unit")
-        if e < 1:
-            raise ValueError("ramification index must be positive")
-        if math.gcd(e, tower.p) != 1:
-            raise ValueError(
-                f"e = {e} is divisible by p = {tower.p}: wildly ramified "
-                "extensions are out of scope")
-        if (tower.q - 1) % e != 0:
-            raise ValueError(
-                f"e = {e} does not divide |k*| = {tower.q - 1}: no tame "
-                "abelian extension with this ramification exists over K")
-        if e * tower.f > DEGREE_CAP:
-            raise ValueError(
-                f"degree e*f = {e * tower.f} exceeds the cap {DEGREE_CAP}")
-        if precision < 1:
-            raise ValueError("precision must be positive")
-        if precision > PRECISION_CAP:
-            raise ValueError(
-                f"precision {precision} exceeds the cap {PRECISION_CAP}")
+        _check_integers(tower.p, tower.q, tower.f, e, precision)
         self.tower = tower
         self.e = e
         self.u0 = u0
@@ -106,6 +112,10 @@ class TameAbelianExtension:
                         precision=DEFAULT_PRECISION):
         """The extension of a descriptor, with u0 written as text ("g^k",
         "g", a bare integer or a coefficient list), as in a config file."""
+        check_tower_shape(p, t, f)
+        # refused on its integers before the tables are built: at the
+        # size cap the build takes seconds and tens of MB
+        _check_integers(p, p**t, f, e, precision)
         tower = FieldTower(p, t, f)
         return cls(tower, e, tower.parse(u0), precision)
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from lcft.extension import DEGREE_CAP, GaloisElement, TameAbelianExtension
-from lcft.ffield import is_prime
+from lcft.ffield import is_prime, prime_factors
 from lcft.reciprocity import BaseFieldClass
 from lcft.series import LaurentSeries
 
@@ -48,6 +48,65 @@ def peak_kib():
             if line.startswith("VmHWM:"):
                 return int(line.split()[1])
 """
+
+
+def _poly_rem(a, mod, p):
+    """a mod the monic ``mod``, coefficient lists lowest degree first."""
+    a = list(a)
+    n = len(mod) - 1
+    for i in range(len(a) - 1, n - 1, -1):
+        c = a[i] % p
+        if c:
+            for j, mj in enumerate(mod):
+                a[i - n + j] = (a[i - n + j] - c * mj) % p
+    del a[n:]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_mulmod(a, b, mod, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _poly_rem(out, mod, p)
+
+
+def poly_powmod(a, k, mod, p):
+    """a^k mod the monic ``mod`` by right-to-left square and multiply on
+    coefficient lists: a full base square on every bit and a full product
+    on every 1 bit, trailing zeros trimmed.
+
+    The reference for ``ffield._x_power``: another bit order, another
+    product and no bitmasks at p = 2.
+    """
+    result = [1]
+    base = _poly_rem(a, mod, p)
+    while k:
+        if k & 1:
+            result = _poly_mulmod(result, base, mod, p)
+        base = _poly_mulmod(base, base, mod, p)
+        k >>= 1
+    return result
+
+
+def reference_modulus(p, t, f):
+    """The modulus search on ``poly_powmod``: the first candidate from the
+    seeded stream, constant term nonzero, on which x has order p^n - 1."""
+    n = t * f
+    order = p**n - 1
+    rng = random.Random(f"field-tower-{p}-{t}-{f}")
+    while True:
+        coeffs = [rng.randrange(p) for _ in range(n)] + [1]
+        if coeffs[0] == 0 or poly_powmod([0, 1], order, coeffs, p) != [1]:
+            continue
+        if all(poly_powmod([0, 1], order // r, coeffs, p) != [1]
+               for r in prime_factors(order)):
+            return tuple(coeffs)
 
 
 def make_series(tower, symbol, valuation, coeffs, precision=0):

@@ -12,6 +12,7 @@ import lcft
 from lcft import brauer, checks, cli, reciprocity as rc
 from lcft.extension import (PRECISION_CAP, GaloisElement,
                             TameAbelianExtension)
+from lcft.ffield import FieldTower
 from lcft.series import LaurentSeries
 
 
@@ -51,11 +52,13 @@ def test_precision_over_the_cap_exits_one(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
     def refuse(self, *args):
-        raise AssertionError("a window was allocated")
+        raise AssertionError("built before the caps were checked")
 
-    # checked with the other caps, before any series is built: a window of
-    # precision=1000000000 would take about 8 GB
+    # checked with the other caps, before any series is built (a window of
+    # precision=1000000000 would take about 8 GB) and before the tower's
+    # tables are (seconds and tens of MB at the size cap)
     monkeypatch.setattr(LaurentSeries, "__init__", refuse)
+    monkeypatch.setattr(FieldTower, "_build_tables", refuse)
     assert cli.main(["validate", cfg, "--precision",
                      str(PRECISION_CAP + 1)]) == 1
     err = capsys.readouterr().err
@@ -228,6 +231,12 @@ CAP_ROWS = [
     # field tables at the size cap: the odd-p walk (1.4-1.9 s, 8.0 MB)
     pytest.param("p=3\nt=12\nf=1\ne=2\nu0=1\n", ["validate"], 0, 10, 9.5,
                  id="cap3-validate"),
+    # the same tower over the precision cap, refused before its tables are
+    # built (0.09-0.16 s, 3.9 MB: the import); building them first took
+    # 1.2-1.9 s and 7.7 MB
+    pytest.param("p=3\nt=12\nf=1\ne=2\nu0=1\n",
+                 ["validate", "--precision", "1000000000"], 1, 1, 5,
+                 id="cap3-validate-precision-over-cap"),
     # the totally-ramified laws at the cap: all 2^20 - 1 units of k*
     # walked on logs (2.7-4.4 s)
     pytest.param("p=2\nt=20\nf=1\ne=3\nu0=g\nprecision=8\n",

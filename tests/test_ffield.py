@@ -7,10 +7,14 @@ from array import array
 
 import pytest
 
-from conftest import PEAK_KIB
+from conftest import PEAK_KIB, poly_powmod, reference_modulus
 import lcft
-from lcft.ffield import (SIZE_CAP, ZECH_ARRAY_MIN, FieldTower, _times_mod2,
-                         is_prime)
+from lcft.ffield import SIZE_CAP, ZECH_ARRAY_MIN, FieldTower, is_prime
+
+# every tower shape up to 2^10 elements
+SMALL_SHAPES = [(p, t, f) for p in range(2, 1025) if is_prime(p)
+                for t in range(1, 11) for f in range(1, 11)
+                if p ** (t * f) <= 2**10]
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +50,26 @@ def test_modulus_is_deterministic(f9):
     again = FieldTower(3, 1, 2)
     assert again.modulus == f9.modulus
     assert again.generator().coeffs == f9.generator().coeffs
+
+
+def test_modulus_matches_reference_search(monkeypatch):
+    # the tables are valid on any modulus on which x is primitive, so pin
+    # the one the seeded search picks: every candidate of its stream gets
+    # the reference's verdict. The cap towers' moduli are literals; the
+    # tables are not built.
+    monkeypatch.setattr(FieldTower, "_build_tables", lambda self: None)
+    for shape in SMALL_SHAPES:
+        assert FieldTower(*shape).modulus == reference_modulus(*shape), shape
+    cap_moduli = {
+        (2, 10, 2): (1, 0, 0, 0, 1, 1, 1, 0, 1, 1, 0, 0, 0, 1, 0, 0, 1, 1,
+                     0, 1, 1),
+        (2, 20, 1): (1, 1, 1, 1, 1, 0, 0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 1, 1,
+                     1, 0, 1),
+        (3, 12, 1): (2, 0, 2, 0, 1, 2, 1, 2, 0, 1, 2, 0, 1),
+        (1048573, 1, 1): (792439, 1),
+    }
+    for shape, modulus in cap_moduli.items():
+        assert FieldTower(*shape).modulus == modulus, shape
 
 
 def test_arithmetic_identities(f9):
@@ -231,11 +255,8 @@ def _sample_logs(tower, count):
 
 def test_tables_match_reference_builder():
     # equal logs pin the exponential table too: log is its inverse
-    shapes = [(p, t, f) for p in range(2, 1025) if is_prime(p)
-              for t in range(1, 11) for f in range(1, 11)
-              if p ** (t * f) <= 2**10]
-    assert len(shapes) == 236
-    for p, t, f in shapes:
+    assert len(SMALL_SHAPES) == 236
+    for p, t, f in SMALL_SHAPES:
         tower = FieldTower(p, t, f)
         exp, log, zech = _reference_tables(tower)
         assert list(tower._log) == log, (p, t, f)
@@ -310,17 +331,13 @@ def test_cap_tower_tables(cap_tower):
     # 1 + g^(log v) flips the constant bit of v: the two tables agree on
     # every nonzero v, v = 1 (zech[0] = log[0] = -1) included
     assert all(zech[log[v]] == log[v ^ 1] for v in range(1, t.size))
-    mask = sum(c << i for i, c in enumerate(t.modulus))
     logs = random.Random(20261018).sample(range(t.order), 200)
-    # x^k mod m on bitmasks, by square and multiply: a reference apart
-    # from the list-based _poly_powmod that the coefficient view runs
+    # x^k mod m by the list-based square and multiply of conftest: a
+    # reference apart from the bitmask ladder that the coefficient view
+    # runs at p = 2
     exp = {}
     for k in logs:
-        power = 1
-        for bit in bin(k)[2:]:
-            power = _times_mod2(power, power, mask, t.degree)
-            if bit == "1":
-                power = _times_mod2(power, 2, mask, t.degree)
+        power = _pack(poly_powmod([0, 1], k, t.modulus, 2), 2)
         assert log[power] == k, k
         assert zech[k] == log[power ^ 1], k
         exp[k] = power
