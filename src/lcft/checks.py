@@ -216,11 +216,14 @@ def check_uniformizer_independence(ext, rng, samples) -> CheckResult:
                                     ext.precision) for b in reps]
     found = [rc.reciprocity_search(ext, t, u1, b.valuation)
              for b, u1 in zip(reps, units)]
+    valuations = {b.valuation for b in reps}
     for n in range(samples):
         w = rc.random_base_unit_series(ext, rng)
         pi2 = w * t
+        # w^(-i) once per distinct valuation i of the representatives
+        scales = {i: w ** -i for i in valuations}
         for b, u1, g1 in zip(reps, units, found):
-            u2 = u1 * w ** (-b.valuation)
+            u2 = u1 * scales[b.valuation]
             g2 = rc.reciprocity_search(ext, pi2, u2, b.valuation)
             if g1 != g2:
                 failures.append(f"sample {n}, {b}: {g1} vs {g2}")

@@ -224,8 +224,11 @@ def cmd_check(ext, raw, args, out):
         "results": [{"name": r.name, "passed": r.passed,
                      "detail": r.detail} for r in results],
     }
+    # the text header names all that reproduces the run; --json carries
+    # the same values as its descriptor, seed and samples
+    descriptor = ", ".join(f"{k}={v}" for k, v in ext.descriptor().items())
     return _report(ext, args, out, payload, [
-        f"property suite (seed={seed}, samples={samples}):",
+        f"property suite on {descriptor} (seed={seed}, samples={samples}):",
         *("  " + r.line() for r in sorted(results, key=lambda r: r.name)),
         "ALL CHECKS PASSED" if passed else "SUITE FAILED"],
         EXIT_OK if passed else EXIT_PROPERTY)

@@ -35,18 +35,20 @@ BASE_SYMBOL = "t"
 EXT_SYMBOL = "alpha"
 
 
-def twist_logs(logs, g, start):
+def twist_logs(logs, g, start, stride=1):
     """A window's image under g = (a, c), which sends lam to lam^(q^a)
     and alpha to c * alpha, on generator logs.
 
-    ``logs`` holds the coefficients of alpha^start, alpha^(start + 1),
-    ... (None for zero). The term lam * alpha^n goes to
-    lam^(q^a) * c^n * alpha^n, so its log becomes
-    (log lam * q^a + log c * n) mod |l*|, with q^a read from ``g.frob``.
-    The one formula of the action: ``GaloisElement.apply``, the
-    crossed-product slots and the norm's chain steps all run it.
+    ``logs`` holds the coefficients of X^start, X^(start + 1), ... (None
+    for zero) in X = alpha^stride, the uniformizer of the subfield
+    l((alpha^stride)) that a window in alpha^stride lies in. The term
+    lam * X^n goes to lam^(q^a) * c^(stride*n) * X^n, so its log becomes
+    (log lam * q^a + log c * stride * n) mod |l*|, with q^a read from
+    ``g.frob``. The one formula of the action: ``GaloisElement.apply``
+    and the crossed-product slots run it at stride 1, and the norm's
+    stages at the stride of the field each stage's product lies in.
     """
-    frob, c_log, order = g.frob, g.c_log, g.ext.tower.order
+    frob, c_log, order = g.frob, g.c_log * stride, g.ext.tower.order
     return [None if L is None else (L * frob + c_log * n) % order
             for n, L in enumerate(logs, start)]
 
@@ -80,7 +82,7 @@ class TameAbelianExtension:
     Rejects wild input (p | e) and input with no tame abelian extension of
     the requested shape (e not dividing q - 1). Immutable after
     construction; the Galois group, its distinguished generators and their
-    relation exponent, the Galois powers of the norm's doubling chain, the
+    relation exponent, the norm's stage plan (its Galois powers), the
     norm-group presentation and the congruence search's probe-residue
     table (the group scanned once) are each computed once and cached. u0
     is a ``FieldElement``; ``from_parameters`` parses it from text.
@@ -103,7 +105,7 @@ class TameAbelianExtension:
         self._group = None
         self._sigma = None           # residue_frobenius_lift()
         self._s = None               # frobenius_relation_exponent()
-        self._norm_chain = None      # set by reciprocity._norm_chain
+        self._norm_plan = None       # set by reciprocity._norm_plan
         self._norm_group = None      # set by reciprocity.norm_group
         self._probes = None          # set by reciprocity._probe_table
 

@@ -15,12 +15,17 @@ they can check each other:
   presentation, giving kernel/cokernel facts (coset representatives, and
   through ``is_norm`` which classes are norms) without reference to
   either formula. Its ``norm`` multiplies Galois conjugates, grouped by
-  transitivity of the norm through the inertia field,
-  N_(L/K) = N_(M/K) o N_(L/M) with M = L^I. Each of the two cyclic
-  products, of order m = e and then m = f, follows a doubling chain over
-  the bits of m: floor(log2 m) + popcount(m) - 1 series products rather
-  than m - 1, with the Galois powers the chain applies built once per
-  extension.
+  transitivity of the norm down a tower of fixed fields: one stage per
+  prime p of e, smallest first, each mapping l((alpha^d)) onto
+  l((alpha^(dp))), then the Frobenius stage from the inertia field
+  M = l((alpha^e)) to K. Each stage is a cyclic product of order m = p
+  or f along a doubling chain over the bits of m,
+  floor(log2 m) + popcount(m) - 1 series products rather than m - 1, on
+  the window of the field its factor lies in: ceil(n/d) terms in
+  alpha^d, and ceil(n/e) in the Frobenius stage. After an inertia stage
+  the terms off its fixed field must be zero (an ArithmeticError naming
+  the stage) and are dropped; the result is audited to lie in K. The
+  stage plan and its Galois powers are built once per extension.
 
 Base-field classes are reduced pairs (valuation, unit residue), written
 ``BaseFieldClass(tower, v, unit_log)`` with ``b.unit`` a view; 1-units are
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 from .extension import (BASE_SYMBOL, EXT_SYMBOL, GaloisElement,
                         TameAbelianExtension, twist_logs)
-from .ffield import FieldElement, FieldTower
+from .ffield import FieldElement, FieldTower, prime_factors
 from .series import LaurentSeries, _convolve, _square
 from .snf import invariant_factors
 
@@ -226,35 +231,46 @@ def _probe_table(ext: TameAbelianExtension) -> tuple:
 def norm(ext: TameAbelianExtension, beta: LaurentSeries) -> LaurentSeries:
     """Norm to the base field: the product of all Galois conjugates.
 
-    The product runs through the inertia field M = L^I, by transitivity
-    of the norm in the tower K < M < L: N_(L/K) = N_(M/K) o N_(L/M).
-    N_(L/M) is the product over the inertia group I = <zeta>, and
-    N_(M/K) the product over sigma^j for j < f, which represent the
-    cosets of I and act on M as its cyclic group. Each of the two cyclic
-    products P_m = y * h(y) * ... * h^(m-1)(y), with (h, m) = (zeta, e)
-    and then (sigma, f), is built over the bits of m from the top, as
+    The product runs down a tower of fixed fields, by transitivity of the
+    norm, N_(L/K) = N_(M/K) o N_(L/M), with M = L^I the inertia field
+    (Serre, *Local Fields*). N_(L/M) is taken one prime p of e at a time,
+    smallest first: with d the product of the primes already taken, a
+    stage maps L_d = l((alpha^d)) onto L_(dp) = l((alpha^(dp))), its
+    group the cyclic Gal(L_d/L_(dp)), generated by h = zeta^(e/(dp)). The
+    last stage, N_(M/K), is the product over sigma^j for j < f, which
+    represent the cosets of I and act on M = l((alpha^e)) as its cyclic
+    group. Each stage's cyclic product P_m = y * h(y) * ... * h^(m-1)(y),
+    of order m = p or f, is built over the bits of m from the top, as
     Itoh and Tsujii chain Frobenius products in finite fields:
     P_2c = P_c * h^c(P_c), and P_(c+1) = y * h(P_c) on each 1 bit. Each
     step joins two disjoint runs of exponents, j < c and c <= j < 2c (or
-    j = 0 and 1 <= j <= c), so the chain multiplies the same m conjugates
-    in floor(log2 m) + popcount(m) - 1 series products instead of m - 1:
-    8 for e = 58, 10 for e = 63. Products of unit windows are exact
-    modulo the window, so the regrouping gives the flat product of all
-    e*f conjugates bit for bit. The powers h^c are built once per
-    extension (``_norm_chain``).
+    j = 0 and 1 <= j <= c), so a stage makes
+    floor(log2 m) + popcount(m) - 1 series products instead of m - 1.
+    Products of unit windows are exact modulo the window, so the
+    regrouping gives the flat product of all e*f conjugates bit for bit.
+    The plan of stages and its powers h^c are built once per extension
+    (``_norm_plan``).
 
-    Both chains run on one window of generator logs, beta's n terms, with
-    the valuation a plain int: the lead of a product of units never
-    cancels, so every step keeps all n terms. In the inertia chain
-    h^c = (0, c) fixes the residue field and scales alpha^j by c^j, so
-    each doubling step P_c * h^c(P_c) is one ``_square`` twisted by log c:
-    it visits each pair of terms once and builds no image. The Frobenius
-    chain's powers also move the coefficients by lam -> lam^(q^c), so P_c
-    and sigma^c(P_c) are not one window under a scale; those steps, like
-    every y * h(P_c) step, twist the window by ``twist_logs`` and run
-    ``_convolve``. No series is built until the end.
+    Every stage runs on the window of the field that holds its factor:
+    y lies in L_d, whose terms sit at the powers of alpha^d, so its window
+    is the every-d-th term of beta's n terms, ceil(n/d) logs in
+    X = alpha^d, with the valuation a plain int in X. The lead of a
+    product of units never cancels, so every step keeps all the window's
+    terms. In an inertia stage h^c = (0, c) fixes the residue field and
+    scales X by c^d, so each doubling step P_c * h^c(P_c) is one
+    ``_square`` twisted by d * log c: it visits each pair of terms once
+    and builds no image. The Frobenius stage's powers also move the
+    coefficients by lam -> lam^(q^c), so P_c and sigma^c(P_c) are not one
+    window under a scale; those steps, like every y * h(P_c) step, twist
+    the window by ``twist_logs`` at stride d and run ``_convolve``. After
+    an inertia stage its product lies in L_(dp): the stage checks that
+    every term off the p-th slots is zero, raising ArithmeticError naming
+    the stage if one is not, and keeps every p-th term, the window in
+    alpha^(dp). The Frobenius stage so runs on ceil(n/e) terms, not n. No
+    series is built until the end.
 
-    The result is audited to lie in K and returned as a series in t; its
+    The result is spread back to beta's window in alpha, audited to lie
+    in K (``ext.project``) and returned as a series in t; its
     t-valuation is f times the alpha-valuation of beta.
     """
     if beta.symbol != EXT_SYMBOL:
@@ -264,26 +280,44 @@ def norm(ext: TameAbelianExtension, beta: LaurentSeries) -> LaurentSeries:
     if beta.is_zero():
         raise ValueError("the norm of zero is not defined here")
     tower = ext.tower
-    n = len(beta.logs)
     v, logs = beta.valuation, beta.logs
-    for h, steps in _norm_chain(ext):
-        v_y = v
-        y_terms = [(i, a) for i, a in enumerate(logs) if a is not None]
+    for stride, keep, h, steps in _norm_plan(ext):
+        n = len(logs)
+        y, v_y = logs, v
         for g, one_bit in steps:
             if g.frob == 1:
-                # a = 0: h^c only scales alpha, so the step is a square
-                logs = _square(logs, g.c_log, v, tower)
+                # a = 0: h^c only scales X = alpha^stride: a square
+                logs = _square(logs, g.c_log * stride, v, tower)
             else:
                 terms = [(i, a) for i, a in enumerate(logs) if a is not None]
-                logs = _convolve(terms, twist_logs(logs, g, v),
+                logs = _convolve(terms, twist_logs(logs, g, v, stride),
                                  [None] * n, 0, 0, n, tower)
             v *= 2
             if one_bit:
-                logs = _convolve(y_terms, twist_logs(logs, h, v),
+                y_terms = [(i, a) for i, a in enumerate(y) if a is not None]
+                logs = _convolve(y_terms, twist_logs(logs, h, v, stride),
                                  [None] * n, 0, 0, n, tower)
                 v += v_y
+        if keep > 1:
+            # the product lies in l((alpha^(stride*keep))); v is a multiple
+            # of keep, so its terms sit at the slots i = 0 mod keep, and
+            # every other slot must be zero
+            kept = logs[::keep]
+            if logs.count(None) - kept.count(None) != n - len(kept):
+                i = next(i for i, a in enumerate(logs)
+                         if a is not None and i % keep)
+                raise ArithmeticError(
+                    f"norm stage of degree {keep} in alpha^{stride}: "
+                    f"term alpha^{stride * (v + i)} off the fixed field "
+                    f"l((alpha^{stride * keep}))")
+            logs = kept
+            v //= keep
+    # the window in alpha^e, spread back to beta's n terms in alpha
+    window = [None] * len(beta.logs)
+    window[::ext.e] = logs
     try:
-        out = ext.project(LaurentSeries(tower, EXT_SYMBOL, v, logs))
+        out = ext.project(LaurentSeries(tower, EXT_SYMBOL, ext.e * v,
+                                        window))
     except ValueError as exc:
         raise ArithmeticError(
             f"norm image failed the base-membership audit: {exc}") from exc
@@ -293,23 +327,35 @@ def norm(ext: TameAbelianExtension, beta: LaurentSeries) -> LaurentSeries:
     return out
 
 
-def _norm_chain(ext: TameAbelianExtension) -> tuple:
-    """The Galois powers that ``norm``'s two doubling chains apply.
+def _norm_plan(ext: TameAbelianExtension) -> tuple:
+    """The stages of ``norm``, with the Galois powers each applies.
 
-    One pair (h, steps) for each cyclic product, with h its generator:
-    the inertia generator with m = e, then the residue Frobenius lift
-    with m = f. ``steps`` has one pair (h^c, bit) for each bit of m below
-    the leading one, where c is the prefix of m read before that bit.
-    Built once per extension and cached on it, so a norm makes no group
-    products.
+    One tuple (stride, keep, h, steps) per stage: the stage's window is in
+    alpha^stride, it keeps every keep-th term of its product, and h
+    generates its cyclic group, of order m. First one stage per prime p of
+    e, counted with multiplicity and smallest first, with stride d the
+    product of the primes before it, keep = m = p and h = zeta^(e/(dp));
+    then the Frobenius stage, with stride e, keep 1, the residue
+    Frobenius lift as h and m = f. ``steps`` has one pair (h^c, bit) for
+    each bit of m below the leading one, where c is the prefix of m read
+    before that bit. Built once per extension and cached on it, so a norm
+    makes no group products.
     """
-    if ext._norm_chain is None:
-        ext._norm_chain = tuple(
-            (h, tuple((h ** (m >> (k + 1)), bool(m >> k & 1))
-                      for k in reversed(range(m.bit_length() - 1))))
-            for h, m in ((ext.inertia_generator(), ext.e),
-                         (ext.residue_frobenius_lift(), ext.f)))
-    return ext._norm_chain
+    if ext._norm_plan is None:
+        e, zeta = ext.e, ext.inertia_generator()
+        stages = []
+        d = 1
+        for p in prime_factors(e):
+            while e % (d * p) == 0:
+                stages.append((d, p, zeta ** (e // (d * p)), p))
+                d *= p
+        stages.append((e, 1, ext.residue_frobenius_lift(), ext.f))
+        ext._norm_plan = tuple(
+            (stride, keep, h,
+             tuple((h ** (m >> (k + 1)), bool(m >> k & 1))
+                   for k in reversed(range(m.bit_length() - 1))))
+            for stride, keep, h, m in stages)
+    return ext._norm_plan
 
 
 @dataclass(frozen=True)

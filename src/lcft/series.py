@@ -37,8 +37,8 @@ X^j by g^(step*j). A sum a + g^s * b is ``_convolve`` of b with the
 one-term window of g^s into a's copy of the window, with s = 0 for ``+``
 and s = log(-1) for ``-``. The second kernel runs with step = 0 in the
 squarings that build the digit powers of ``**`` (odd p only), and
-straight on the log window of ``reciprocity.norm`` in each doubling step
-of its inertia chain, whose Galois image x' is such a scale. It visits
+straight on the log windows of ``reciprocity.norm`` in each doubling step
+of its inertia stages, whose Galois image x' is such a scale. It visits
 each pair of terms once, so it makes about half the steps. The p-th
 powers of ``**`` make no kernel steps at all: ``_spread`` moves each log.
 The one constructor, ``LaurentSeries(tower, symbol, valuation, logs)``,
@@ -69,12 +69,14 @@ def _convolve(terms, src, out, offset, start, stop, tower):
     ``src`` is zero. ``src`` may be ``out`` itself, as long as every index
     read is already filled (the inverse's recurrence). This is one of the
     two kernels, for two different windows: ``+`` and ``-`` (with one
-    term, the monomial g^s), ``*`` on two series, ``inverse``, the norm's
-    Frobenius chain and its y * h(P_c) steps (``reciprocity.norm``, on its
-    one log window) and the crossed-product slots of ``brauer`` run it.
-    The other, ``_square``, takes a window times itself or times its own
-    inertia image (the squarings of ``**`` and the norm's inertia
-    doublings). Both read the tower's ``order`` and Zech table once a call.
+    term, the monomial g^s), ``*`` on two series (walking the factor with
+    more zeros), ``inverse``, the norm's Frobenius stage and its
+    y * h(P_c) steps (``reciprocity.norm``, on each stage's log window)
+    and the crossed-product slots of ``brauer`` run it. The other,
+    ``_square``, takes a window times itself or times its own inertia
+    image (the squarings of ``**`` and the doublings of the norm's
+    inertia stages). Both read the tower's ``order`` and Zech table once
+    a call.
     """
     order, zech = tower.order, tower._zech
     for k in range(start, stop):
@@ -109,13 +111,17 @@ def _square(logs, step, valuation, tower):
     log(1 + g^(step*(j - i))) is one Zech lookup per distance (a negative
     entry is a weight of zero, and the pair drops out). The middle term
     g^(2a_(k/2) + step*(v+k/2)) is added once. So a square makes about
-    half the steps of ``_convolve`` on the same window. With step = 0
-    every weight is log 2, and the fold adds it once per slot; in
-    characteristic 2, where 2 = 0, every weight is zero and only the
-    middle terms stay. The squarings of ``LaurentSeries.__pow__`` run it
+    half the steps of ``_convolve`` on the same window. Slot k meets only
+    distances of k's parity and has a middle term only when k is even, so
+    where every odd distance weighs zero, as under a twist by -1 (the
+    norm's stages of degree 2), the odd slots are empty and are skipped.
+    With step = 0 every weight is log 2, and the fold adds it once per
+    slot; in characteristic 2, where 2 = 0, every weight is zero and only
+    the middle terms stay. The squarings of ``LaurentSeries.__pow__`` run it
     at step 0, for odd p only: every p-th power there, the square at
-    p = 2 included, is a ``_spread``. Each inertia doubling of
-    ``reciprocity.norm`` runs it at step log c, which is never 0.
+    p = 2 included, is a ``_spread``. Each doubling of an inertia stage
+    of ``reciprocity.norm`` runs it on that stage's window in X = alpha^d
+    at step d * log c, the log of a p-th root of unity, which is never 0.
     """
     order, zech = tower.order, tower._zech
     n = len(logs)
@@ -129,7 +135,10 @@ def _square(logs, step, valuation, tower):
     # 2 = 0, the weighted loop drops them all
     weights = ([zech[step * d % order] for d in range(n)]
                if step or two < 0 else None)
-    for k in range(n):
+    slots = range(n)
+    if weights is not None and all(w < 0 for w in weights[1::2]):
+        slots = range(0, n, 2)
+    for k in slots:
         acc = None
         if weights is None:
             for i, a in terms:
@@ -375,11 +384,16 @@ class LaurentSeries:
             return self._scaled(other.log)
         self._check_compatible(other)
         tower = self.tower
-        n = min(len(self.logs), len(other.logs))
-        terms = [(i, a) for i, a in enumerate(self.logs[:n]) if a is not None]
+        a, b = self.logs, other.logs
+        n = min(len(a), len(b))
+        # a field sum does not depend on its order, so the kernel walks
+        # the terms of the factor with more zeros: a step per nonzero term
+        if b[:n].count(None) > a[:n].count(None):
+            a, b = b, a
+        terms = [(i, x) for i, x in enumerate(a[:n]) if x is not None]
         return LaurentSeries(
             tower, self.symbol, self.valuation + other.valuation,
-            _convolve(terms, other.logs, [None] * n, 0, 0, n, tower))
+            _convolve(terms, b, [None] * n, 0, 0, n, tower))
 
     def inverse(self) -> "LaurentSeries":
         if self.is_zero():

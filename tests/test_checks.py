@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import MATRIX_PARAMS, admissible_descriptors
-from lcft import brauer, checks, reciprocity as rc
+from lcft import brauer, checks, reciprocity as rc, series
 from lcft.extension import TameAbelianExtension
-from lcft.ffield import FieldElement
+from lcft.ffield import FieldElement, FieldTower
 from lcft.series import LaurentSeries
 
 
@@ -80,12 +80,56 @@ def _next_log(tower, log):
     return 0 if log is None else (log + 1) % tower.order
 
 
+def _zech_swapped(build):
+    """Two Zech entries swapped, those of 1 + g and 1 + g^2, on every
+    tower with more than 8 entries."""
+    def mutant(tower):
+        build(tower)
+        zech = tower._zech
+        if tower.order > 8:
+            zech[1], zech[2] = zech[2], zech[1]
+    return mutant
+
+
+def _zech_one_off(build):
+    """The Zech entry of 1 + g one log off, where 1 + g is nonzero."""
+    def mutant(tower):
+        build(tower)
+        zech = tower._zech
+        if tower.order > 1 and zech[1] >= 0:
+            zech[1] = (zech[1] + 1) % tower.order
+    return mutant
+
+
+def _last_slot_from_the_lead(convolve):
+    """``_convolve`` with its last output slot filled from the lead term
+    only."""
+    def mutant(terms, src, out, offset, start, stop, tower):
+        if stop > start:
+            convolve(terms, src, out, offset, start, stop - 1, tower)
+            start, terms = stop - 1, terms[:1]
+        return convolve(terms, src, out, offset, start, stop, tower)
+    return mutant
+
+
+def _last_slot_plus_one(square):
+    """``_square`` with 1 added to the log of its last slot, where that
+    slot is nonzero."""
+    def mutant(logs, step, valuation, tower):
+        out = square(logs, step, valuation, tower)
+        if out and out[-1] is not None:
+            out[-1] = (out[-1] + 1) % tower.order
+        return out
+    return mutant
+
+
 def _uncaught(item):
     return pytest.mark.xfail(strict=True, reason=f"ROADMAP item {item}")
 
 
 # one library function per row and its mutant, with how run_checks catches
-# the mutant on the matrix: a failed result, a raise, or both
+# the mutant on the matrix: a failed result, a raise, or both. A kernel
+# that modules import by name is patched in each of them.
 MUTANTS = [
     pytest.param(rc, "norm",
                  lambda norm: lambda ext, beta: _lead_only(norm(ext, beta)),
@@ -114,13 +158,26 @@ MUTANTS = [
                  lambda root: lambda self, e: _term_changed(
                      root(self, e), -1, _next_log),
                  {"fails"}, id="nth-root-changes-its-last-term"),
+    # the substrate all three oracles share (ROADMAP item 11): the Zech
+    # table and the two series kernels. Caught on 3, 8, 8 and 7 of the 8
+    # matrix extensions, before and after the norm's windows shrank; the
+    # swap touches only the 3 towers of more than 8 entries.
+    pytest.param(FieldTower, "_build_tables", _zech_swapped,
+                 {"raises"}, id="zech-entries-swapped"),
+    pytest.param(FieldTower, "_build_tables", _zech_one_off,
+                 {"fails", "raises"}, id="zech-entry-one-log-off"),
+    pytest.param((series, rc, brauer), "_convolve", _last_slot_from_the_lead,
+                 {"fails", "raises"}, id="convolve-last-slot-from-the-lead"),
+    pytest.param((series, rc), "_square", _last_slot_plus_one,
+                 {"fails", "raises"}, id="square-adds-one-to-its-last-slot"),
 ]
 
 
 @pytest.mark.parametrize("owner, name, mutate, ways", MUTANTS)
 def test_run_checks_catches_the_mutant_on_the_matrix(monkeypatch, owner,
                                                      name, mutate, ways):
-    monkeypatch.setattr(owner, name, mutate(getattr(owner, name)))
+    for site in owner if isinstance(owner, tuple) else (owner,):
+        monkeypatch.setattr(site, name, mutate(getattr(site, name)))
     caught = set()
     for params in MATRIX_PARAMS.values():
         # a fresh extension: a cached norm group would hide a norm mutant

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import PEAK_KIB
+from conftest import PEAK_KIB, MATRIX_PARAMS, admissible_descriptors
 import lcft
 from lcft import brauer, checks, cli, reciprocity as rc
 from lcft.extension import (PRECISION_CAP, GaloisElement,
@@ -158,11 +158,11 @@ E63 = "p=2\nt=6\nf=1\ne=63\nu0=1\nprecision=8\n"
     # the largest crossed product of the benchmark (degree 58)
     (E58, ["check", "--samples", "3"], 0),
     (E58, ["hasse"], 0),
-    # the norm's doubling chain with zeros between its ones:
-    # 58 = 0b111010, 8 products
+    # the norm's stages with a zero between the ones of a prime:
+    # 58 = 2 * 29 and 29 = 0b11101, 1 + 7 products
     (E58, ["norm-group", "--json"], 0),
-    # the longest norm chain (63 = 0b111111, 10 products), the largest
-    # degree of the benchmark
+    # the most norm stages (63 = 3 * 3 * 7, 2 + 2 + 4 products), the
+    # largest degree of the benchmark
     (E63, ["check", "--samples", "3"], 0),
     # the Hasse-invariant table at the largest degree of the benchmark
     (E63, ["hasse"], 0),
@@ -176,8 +176,9 @@ E63 = "p=2\nt=6\nf=1\ne=63\nu0=1\nprecision=8\n"
     # characteristic-2 powers at precision 32: every squaring a spread
     (C9_SHORT.replace("precision=8", "precision=32"),
      ["check", "--samples", "100"], 0),
-    # the norm on one log window: e = 15 = 0b1111, 3 twisted squares and
-    # 3 y-steps, on norms at valuations -3..3
+    # the norm on shrinking log windows: e = 15 = 3 * 5, 3 twisted
+    # squares and 2 y-steps, on 8 and then 3 terms, on norms at
+    # valuations -3..3
     ("p=2\nt=4\nf=1\ne=15\nu0=1\nprecision=8\n",
      ["check", "--samples", "200", "--seed", "1803"], 0),
     # the cap descriptors with a real Frobenius: walks down to valuation
@@ -301,6 +302,39 @@ def test_json_output_is_pinned(tmp_path, capsys, text, command, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# The 89 descriptors of the benchmark's three workloads, each with its
+# precision and sample count: the acceptance matrix at 32 terms and 100
+# samples, the three of high degree and the 78 admissible ones with
+# p^(t*f) <= 16 at 8 terms and 10 samples.
+WORKLOAD_DESCRIPTORS = [
+    *((d, 32, 100) for d in MATRIX_PARAMS.values()),
+    *((d, 8, 10) for d in [(2, 6, 1, 63, "1"), (59, 1, 1, 58, "g"),
+                           (2, 10, 2, 31, "g")]),
+    *((d, 8, 10) for d in admissible_descriptors(16)),
+]
+DIGEST_COMMANDS = (["validate"], ["galois"], ["recip"], ["norm-group"],
+                   ["hasse"], ["check", "--seed", "1"])
+
+
+def test_json_output_over_the_workload_descriptors_is_pinned(tmp_path,
+                                                             capsys):
+    # one SHA-256 over the --json output of six commands on every
+    # workload descriptor, 534 runs in process: a change that keeps the
+    # output byte-identical keeps this digest
+    assert len(WORKLOAD_DESCRIPTORS) == 89
+    digest = hashlib.sha256()
+    for (p, t, f, e, u0), precision, samples in WORKLOAD_DESCRIPTORS:
+        cfg = _write(tmp_path, f"p={p}\nt={t}\nf={f}\ne={e}\nu0={u0}\n"
+                               f"precision={precision}\n")
+        for command, *flags in DIGEST_COMMANDS:
+            code = cli.main([command, cfg, "--json", "--samples",
+                             str(samples), *flags])
+            assert code == 0, (command, p, t, f, e, u0)
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == \
+        "b53a3e2a71066a18f6398cf57c16e2e4adda33fedd3ac41f35dc44dd135f498e"
+
+
 def test_recip_table_contains_frobenius_row(tmp_path, capsys):
     code = cli.main(["recip", _write(tmp_path, UNRAM), "--json"])
     assert code == 0
@@ -400,6 +434,18 @@ def test_check_passes_and_embeds_seed(tmp_path, capsys):
     assert payload["passed"] is True
     assert payload["seed"] == 5
     assert len(payload["results"]) == 15
+
+
+def test_check_text_header_names_the_descriptor_seed_and_samples(
+        tmp_path, capsys):
+    # the header alone reproduces the run: p, t, f, e, u0 and precision,
+    # the seed and the sample count
+    assert cli.main(["check", _write(tmp_path, C9), "--samples", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("property suite on p=2, t=2, f=3, e=3, u0=g, "
+                        "precision=32 (seed=5, samples=10):")
+    assert lines[-1] == "ALL CHECKS PASSED"
+    assert len(lines) == 17
 
 
 def test_check_deterministic_output(tmp_path, capsys):

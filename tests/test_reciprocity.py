@@ -1,4 +1,5 @@
 import random
+import re
 import signal
 import types
 
@@ -362,9 +363,14 @@ def _sparse_unit(ext, rng, valuation):
 
 @pytest.mark.parametrize("params, precision", [
     *((params, 32) for params in MATRIX_PARAMS.values()),
-    ((2, 6, 1, 63, "1"), 8),     # characteristic 2, e = 0b111111
+    ((2, 6, 1, 63, "1"), 8),     # characteristic 2, e = 3 * 3 * 7
     ((2, 10, 2, 31, "g"), 8),    # composite f over a 2^20 tower
-    ((59, 1, 1, 58, "g"), 8),    # e = 0b111010: zeros between the ones
+    ((59, 1, 1, 58, "g"), 8),    # 29 = 0b11101: a zero between the ones
+    # stages with repeated and mixed primes: e = 12 = 2^2 * 3 makes a
+    # window of 32, then 16, then 8 terms, and e = 63 = 3^2 * 7 one of
+    # 32, 11 and 4, and the Frobenius stage 3 and 1 terms
+    ((13, 1, 1, 12, "g"), 32),
+    ((2, 6, 1, 63, "1"), 32),
 ])
 def test_norm_chain_matches_the_flat_product(params, precision, rng):
     ext = TameAbelianExtension.from_parameters(*params, precision=precision)
@@ -382,26 +388,52 @@ def test_norm_chain_matches_the_flat_product(params, precision, rng):
     assert cancelled >= 50, params
 
 
-# of a norm's products, the inertia chain's floor(log2 e) doublings are
-# twisted squares: e = 58 = 0b111010 makes 5 squares and 3 y-steps
+def _primes_with_multiplicity(n):
+    """The prime factors of n, each as often as it divides n, smallest
+    first."""
+    out, p = [], 2
+    while n > 1:
+        while n % p == 0:
+            out.append(p)
+            n //= p
+        p += 1
+    return out
+
+
+# of a norm's products, the inertia stages' floor(log2 p) doublings are
+# twisted squares: e = 58 = 2 * 29 makes 1 + 4 squares and 0 + 3 y-steps
 NORM_SQUARES = {(7, 1, 2, 6, "1"): 2, (2, 2, 3, 3, "g"): 1,
-                (5, 1, 1, 4, "1"): 2, (2, 6, 1, 63, "1"): 5,
+                (5, 1, 1, 4, "1"): 2, (2, 6, 1, 63, "1"): 4,
                 (59, 1, 1, 58, "g"): 5, (2, 10, 2, 31, "g"): 4}
 
 
+# the window of each kernel call of a norm at precision 8, in order
+NORM_WINDOWS = {
+    # e = 2 * 3 on 8 and then 4 terms, f = 0b10 on ceil(8/6) = 2
+    (7, 1, 2, 6, "1"): [8, 4, 4, 2],
+    # e = 0b11 on 8 terms, f = 0b11 on ceil(8/3) = 3
+    (2, 2, 3, 3, "g"): [8, 8, 3, 3],
+    (5, 1, 1, 4, "1"): [8, 4],                      # e = 2 * 2
+    (2, 6, 1, 63, "1"): [8, 8, 3, 3, 1, 1, 1, 1],   # e = 3 * 3 * 7
+    (59, 1, 1, 58, "g"): [8] + [4] * 7,             # e = 2 * 29
+    (2, 10, 2, 31, "g"): [8] * 8 + [1],             # e = 31, f = 0b10
+}
+
+
 @pytest.mark.parametrize("params, products", [
-    ((7, 1, 2, 6, "1"), 4),      # e = 0b110: 2 + 2 - 1, f = 0b10: 1
+    ((7, 1, 2, 6, "1"), 4),      # e = 2 * 3: 1 + 2, f = 0b10: 1
     ((2, 2, 3, 3, "g"), 4),      # e = f = 0b11: 1 + 2 - 1 each
-    ((5, 1, 1, 4, "1"), 2),      # e = 0b100: 2 + 1 - 1
-    ((2, 6, 1, 63, "1"), 10),    # e = 0b111111: 5 + 6 - 1
-    ((59, 1, 1, 58, "g"), 8),    # e = 0b111010: 5 + 4 - 1
+    ((5, 1, 1, 4, "1"), 2),      # e = 2 * 2: 1 + 1
+    ((2, 6, 1, 63, "1"), 8),     # e = 3 * 3 * 7: 2 + 2 + 4
+    ((59, 1, 1, 58, "g"), 8),    # e = 2 * 29, 29 = 0b11101: 1 + 7
     ((2, 10, 2, 31, "g"), 9),    # e = 0b11111: 4 + 5 - 1, f = 0b10: 1
 ])
 def test_norm_makes_one_product_per_coset_step(params, products,
                                                 monkeypatch, rng):
     ext = TameAbelianExtension.from_parameters(*params, precision=8)
     beta = rc.random_unit_series(ext, rng, 1)
-    # norm runs the kernels on logs: one call per product of its chain
+    # norm runs the kernels on logs: one call per product of its stages,
+    # each on the window of the field its factor lies in
     convolve, square = rc._convolve, rc._square
     calls = []
     square_steps = []
@@ -412,27 +444,37 @@ def test_norm_makes_one_product_per_coset_step(params, products,
 
     def counted_square(logs, step, *args):
         calls.append(logs)
-        square_steps.append(step)
+        square_steps.append(step % ext.tower.order)
         return square(logs, step, *args)
 
     monkeypatch.setattr(rc, "_convolve", counted)
     monkeypatch.setattr(rc, "_square", counted_square)
     rc.norm(ext, beta)
-    # floor(log2 m) + popcount(m) - 1 for m = e and m = f, not e*f - 1
+    # floor(log2 m) + popcount(m) - 1 for each prime m = p of e and for
+    # m = f, not e*f - 1
     assert len(calls) == products
-    # the squares twist by the powers zeta^c of the inertia chain; the
-    # Frobenius doublings and the y-steps are plain products
-    zeta = ext.inertia_generator()
-    e = ext.e
-    assert square_steps == [(zeta ** (e >> (k + 1))).c_log
-                            for k in reversed(range(e.bit_length() - 1))]
+    assert [len(w) for w in calls] == NORM_WINDOWS[params]
+    # the squares twist X = alpha^d by the p-th roots of unity g^(c|l*|/p)
+    # of each prime stage's chain; the Frobenius doublings and the
+    # y-steps are plain products
+    order = ext.tower.order
+    primes = _primes_with_multiplicity(ext.e)
+    assert square_steps == [(p >> (k + 1)) * order // p for p in primes
+                            for k in reversed(range(p.bit_length() - 1))]
     assert len(square_steps) == NORM_SQUARES[params]
+
+
+# the group powers the first norm builds: each prime stage's generator
+# h and its powers h^c, and the Frobenius stage's sigma^c
+NORM_POWERS = {(7, 1, 2, 6, "1"): 2 + 2 + 1,       # e = 2 * 3, f = 2
+               (2, 6, 1, 63, "1"): 2 + 2 + 3}      # e = 3 * 3 * 7, f = 1
 
 
 @pytest.mark.parametrize("params", [(7, 1, 2, 6, "1"), (2, 6, 1, 63, "1")])
 def test_norm_builds_its_galois_powers_once(params, monkeypatch, rng):
-    # the chain's powers h^c are group powers, built in closed form; a
-    # later norm makes neither a power nor a product of group elements
+    # the stage plan's generators h and powers h^c are group powers,
+    # built in closed form; a later norm makes neither a power nor a
+    # product of group elements
     ext = TameAbelianExtension.from_parameters(*params, precision=8)
     calls = []
 
@@ -446,11 +488,41 @@ def test_norm_builds_its_galois_powers_once(params, monkeypatch, rng):
         monkeypatch.setattr(GaloisElement, name,
                             counted(getattr(GaloisElement, name)))
     first = rc.norm(ext, rc.random_unit_series(ext, rng, 1))
-    assert calls, "the first norm builds the chain's powers"
+    assert len(calls) == NORM_POWERS[params], \
+        "the first norm builds the plan's powers"
     calls.clear()
     second = rc.norm(ext, rc.random_unit_series(ext, rng, 1))
     assert calls == []
     assert first.valuation == second.valuation == ext.f
+
+
+@pytest.mark.parametrize("call, stage", [
+    (1, "degree 2 in alpha^1: term alpha^3 off the fixed field "
+        "l((alpha^2))"),
+    (2, "degree 2 in alpha^2: term alpha^6 off the fixed field "
+        "l((alpha^4))"),
+])
+def test_a_stage_product_off_its_fixed_field_raises(call, stage,
+                                                     monkeypatch, rng):
+    # e = 4 = 2 * 2 runs one twisted square per stage; a nonzero term in
+    # slot 1 of the n-th one lies off the field the stage maps onto
+    ext = TameAbelianExtension.from_parameters(5, 1, 1, 4, "1",
+                                               precision=8)
+    beta = rc.random_unit_series(ext, rng, 1)
+    square = rc._square
+    calls = []
+
+    def stray(logs, *args):
+        out = square(logs, *args)
+        calls.append(logs)
+        if len(calls) == call:
+            out[1] = 0
+        return out
+
+    monkeypatch.setattr(rc, "_square", stray)
+    with pytest.raises(ArithmeticError,
+                       match=re.escape(f"norm stage of {stage}")):
+        rc.norm(ext, beta)
 
 
 def _full_embed_rhs(ext, pi, u, i, beta):

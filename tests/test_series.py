@@ -64,6 +64,36 @@ def _recurrence_inverse(a):
     return make_series(a.tower, a.symbol, -a.valuation, out)
 
 
+def test_a_product_is_one_window_in_either_order(rng, monkeypatch):
+    # ``*`` walks the terms of the factor with more zeros, whichever side
+    # it is on; a field sum does not depend on its order, so a * b and
+    # b * a keep the same window, equal to the schoolbook product
+    convolve = series._convolve
+    walked = []
+
+    def counted(terms, *rest):
+        walked.append(len(terms))
+        return convolve(terms, *rest)
+
+    monkeypatch.setattr(series, "_convolve", counted)
+    for params in [(2, 3, 1), (3, 1, 2), (7, 1, 1)]:
+        tower = FieldTower(*params)
+        for n in (1, 2, 8, 32):
+            for v in (-2, 0, 3):
+                dense = _random_series(tower, rng, v, n, 1.0)
+                sparse = _random_series(tower, rng, 1 - v, n, 0.2)
+                monomial = _random_series(tower, rng, v + 1, n, 0.0)
+                for x in (sparse, monomial):
+                    walked.clear()
+                    xy, yx = x * dense, dense * x
+                    assert (xy.valuation, xy.logs, xy.precision) == \
+                        (yx.valuation, yx.logs, yx.precision), (params, n)
+                    assert _same_window(xy, _schoolbook_product(x, dense))
+                    # both orders walk the sparse factor's nonzero terms
+                    nonzero = n - x.logs.count(None)
+                    assert walked == [nonzero, nonzero], (params, n, v)
+
+
 def test_one_is_neutral(f5):
     a = make_series(f5, "t", -1, [2, 1, 3], 8)
     assert a * LaurentSeries.one(f5, "t", 8) == a
