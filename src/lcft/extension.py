@@ -19,6 +19,7 @@ ramification filtration and the invariant factors come from these pairs.
 from __future__ import annotations
 
 import math
+import operator
 
 from .ffield import FieldElement, FieldTower, check_tower_shape
 from .series import DEFAULT_PRECISION, LaurentSeries
@@ -406,6 +407,7 @@ class GaloisElement:
         that modulus, so a negative n takes the same line: the sum at a
         negative exponent, with no inverse and no group product.
         """
+        n = operator.index(n)
         big_q = self.frob
         if self.a:
             total = ((pow(big_q, n, self.ext.tower.order * (big_q - 1)) - 1)

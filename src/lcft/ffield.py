@@ -44,6 +44,7 @@ vector, one power at a time.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import sys
 from array import array
@@ -459,6 +460,8 @@ class FieldElement:
                             (self.log + other.log) % self.tower.order)
 
     def __pow__(self, k: int):
+        # index, not int: a float or Fraction exponent is refused
+        k = operator.index(k)
         if self.log is None:
             if k == 0:
                 return self.tower.one()

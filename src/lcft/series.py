@@ -38,9 +38,11 @@ one-term window of g^s into a's copy of the window, with s = 0 for ``+``
 and s = log(-1) for ``-``. The second kernel runs with step = 0 in the
 squarings that build the digit powers of ``**`` (odd p only), and
 straight on the log windows of ``reciprocity.norm`` in each doubling step
-of its inertia stages, whose Galois image x' is such a scale. It visits
-each pair of terms once, so it makes about half the steps. The p-th
-powers of ``**`` make no kernel steps at all: ``_spread`` moves each log.
+of its inertia stages, whose Galois image x' is such a scale. One loop
+visits each pair of terms once, the middle term of an even slot being
+the pair at distance 0, so it makes about half the steps; step 0 is
+no special case. The p-th powers of ``**`` make no kernel steps at
+all: ``_spread`` moves each log.
 The one constructor, ``LaurentSeries(tower, symbol, valuation, logs)``,
 takes such a window; ``one``, ``uniformizer``, ``monomial`` and
 ``constant`` are shorthands for it. ``FieldElement`` stays the public
@@ -106,18 +108,21 @@ def _square(logs, step, valuation, tower):
     zero and v = ``valuation``; ``out`` has n slots, None where a sum is
     zero. The twist is by the exponent v + j, as in the Galois image
     (``extension.twist_logs``), so the caller adds only 2v to the
-    valuation. The pairs (i, j) and (j, i) with i < j fold into one term,
+    valuation. One loop visits each pair i <= j once. For i < j the pairs
+    (i, j) and (j, i) fold into one term,
     g^(a_i + a_j + step*(v+i)) * (1 + g^(step*(j - i))), whose weight
     log(1 + g^(step*(j - i))) is one Zech lookup per distance (a negative
     entry is a weight of zero, and the pair drops out). The middle term
-    g^(2a_(k/2) + step*(v+k/2)) is added once. So a square makes about
+    of an even slot is the pair (k/2, k/2) at distance 0, met once with
+    weight log 1 = 0: g^(2a_(k/2) + step*(v+k/2)). So a square makes about
     half the steps of ``_convolve`` on the same window. Slot k meets only
     distances of k's parity and has a middle term only when k is even, so
     where every odd distance weighs zero, as under a twist by -1 (the
     norm's stages of degree 2), the odd slots are empty and are skipped.
-    With step = 0 every weight is log 2, and the fold adds it once per
-    slot; in characteristic 2, where 2 = 0, every weight is zero and only
-    the middle terms stay. The squarings of ``LaurentSeries.__pow__`` run it
+    Step 0 needs no code of its own: every weight past distance 0 is
+    log 2, read once per pair; in characteristic 2, where 2 = 0, those
+    weights are all zero and only the middle terms stay (the odd slots
+    are skipped). The squarings of ``LaurentSeries.__pow__`` run it
     at step 0, for odd p only: every p-th power there, the square at
     p = 2 included, is a ``_spread``. Each doubling of an inertia stage
     of ``reciprocity.norm`` runs it on that stage's window in X = alpha^d
@@ -127,57 +132,28 @@ def _square(logs, step, valuation, tower):
     n = len(logs)
     out = [None] * n
     step %= order
-    two = zech[0]
-    # a pair (i, k - i) with i < k - i has i < n/2: twist the lower index
+    # the lower index i of a pair (i, k - i) has 2i <= k < n: twist it
     terms = [(i, a + step * (valuation + i))
              for i, a in enumerate(logs[:(n + 1) // 2]) if a is not None]
-    # the plain loop adds the weight log 2 to every pair; at p = 2, where
-    # 2 = 0, the weighted loop drops them all
-    weights = ([zech[step * d % order] for d in range(n)]
-               if step or two < 0 else None)
+    weights = [0] + [zech[step * d % order] for d in range(1, n)]
     slots = range(n)
-    if weights is not None and all(w < 0 for w in weights[1::2]):
+    if all(w < 0 for w in weights[1::2]):
         slots = range(0, n, 2)
     for k in slots:
         acc = None
-        if weights is None:
-            for i, a in terms:
-                j = k - i
-                if j <= i:
-                    break
-                b = logs[j]
-                if b is not None:
-                    if acc is None:
-                        acc = a + b
-                    else:
-                        z = zech[(a + b - acc) % order]
-                        acc = None if z < 0 else acc + z
-            if acc is not None:
-                acc += two
-        else:
-            for i, a in terms:
-                j = k - i
-                if j <= i:
-                    break
-                b = logs[j]
-                if b is not None:
-                    w = weights[j - i]
-                    if w >= 0:
-                        if acc is None:
-                            acc = a + b + w
-                        else:
-                            z = zech[(a + b + w - acc) % order]
-                            acc = None if z < 0 else acc + z
-        if not k & 1:
-            h = k >> 1
-            b = logs[h]
+        for i, a in terms:
+            j = k - i
+            if j < i:
+                break
+            b = logs[j]
             if b is not None:
-                b = 2 * b + step * (valuation + h)
-                if acc is None:
-                    acc = b
-                else:
-                    z = zech[(b - acc) % order]
-                    acc = None if z < 0 else acc + z
+                w = weights[j - i]
+                if w >= 0:
+                    if acc is None:
+                        acc = a + b + w
+                    else:
+                        z = zech[(a + b + w - acc) % order]
+                        acc = None if z < 0 else acc + z
         if acc is not None:
             out[k] = acc % order
     return out

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -113,6 +114,11 @@ def test_galois_element_rejects_bad_scales(matrix):
             GaloisElement(ext, 0, c_log)
     assert [GaloisElement(ext, 0, c_log).c_log for c_log in (0, 2, 4)] \
         == [0, 2, 0]
+    # nor is a power taken at a non-integer exponent, a = 0 or not
+    for g in matrix["mixed_c9"].galois_group():
+        for n in (0.5, 2.0, Fraction(1, 2)):
+            with pytest.raises(TypeError, match="as an integer"):
+                g ** n
 
 
 def test_products_inverses_powers_are_members(matrix):

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from array import array
+from fractions import Fraction
 
 import pytest
 
@@ -78,6 +79,11 @@ def test_arithmetic_identities(f9):
     assert one * g == g
     assert g ** (f9.order) == one           # Lagrange
     assert g * g ** -1 == one
+    # the exponent is an index: no float or Fraction log is ever stored
+    for k in (0.5, 2.0, Fraction(1, 2)):
+        for x in (g, f9.zero()):
+            with pytest.raises(TypeError, match="as an integer"):
+                x ** k
 
 
 def test_equal_implies_equal_hash_against_ints(f5):

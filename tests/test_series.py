@@ -499,10 +499,10 @@ def test_twisted_square_matches_the_product(params, rng):
     signs = sorted({tower.one().log, tower.minus_one().log})
     cancelled = {}
     for c in range(ext.e):
-        h = zeta ** c          # h^0 is the identity: the plain square
+        h = zeta ** c          # h^0 is the identity: the step-0 square
         step = h.c_log
         cancelled[c] = 0
-        for n in (1, 2, 8, 32):
+        for n in (1, 2, 3, 7, 8, 32):
             for v in range(-3, 4):
                 dense = [rng.randrange(tower.order) if rng.random() < 0.8
                          else None for _ in range(n)]
@@ -519,7 +519,7 @@ def test_twisted_square_matches_the_product(params, rng):
                     assert (twin.valuation, twin.logs) == \
                         (image.valuation, image.logs)
                     # the twists run the kernel of the norm's inertia
-                    # doublings; h^0 is the plain square, which ``**``
+                    # doublings; h^0 is the step-0 square, which ``**``
                     # runs at odd p
                     got = LaurentSeries(
                         tower, "alpha", 2 * x.valuation,
