@@ -343,10 +343,13 @@ def check_root_extraction(ext, rng, samples) -> CheckResult:
 
 
 def check_hasse_layer(ext, rng, samples) -> CheckResult:
-    """Bilinearity, the inflation law, the faithful kernel and the algebra
-    relations."""
+    """The size of the character group, bilinearity, the inflation law,
+    the faithful kernel and the algebra relations."""
     failures = []
     chars = brauer.character_group(ext)
+    if len(set(chars)) != ext.degree:
+        failures.append("character group has fewer than ef distinct "
+                        "characters")
     pres = rc.norm_group(ext)
     reps = pres.coset_representatives
     for n in range(samples):

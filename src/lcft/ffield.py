@@ -306,7 +306,8 @@ class FieldTower:
         return FieldElement(self, 1 % self.order)
 
     def generator_power(self, k: int) -> "FieldElement":
-        return FieldElement(self, k % self.order)
+        # index, as in ``**``: a float or Fraction log is never stored
+        return FieldElement(self, operator.index(k) % self.order)
 
     def from_int(self, c: int) -> "FieldElement":
         """Constant from the prime field (c reduced mod p)."""

@@ -170,7 +170,7 @@ def congruence_rhs(ext: TameAbelianExtension, pi: LaurentSeries,
     exp_u, rem2 = divmod((q - 1) * v_l, e)
     if rem1 or rem2:
         raise ArithmeticError("tameness makes these exponents integral")
-    window = max(beta.precision, 1)
+    window = beta.precision  # at least 1: beta is nonzero
     read = -(-window // e)  # the t-terms j with j*e < window
     sign = _sign_constant(ext)
     signed_pi = ext.embed(pi.truncate(read)).truncate(window) * sign

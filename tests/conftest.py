@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -6,6 +7,21 @@ from lcft.extension import DEGREE_CAP, GaloisElement, TameAbelianExtension
 from lcft.ffield import is_prime, prime_factors
 from lcft.reciprocity import BaseFieldClass
 from lcft.series import LaurentSeries
+
+# Hypothesis reports a falsifying example through hypothesis.extra._patching,
+# whose import (libcst, then mypy_extensions) warns that
+# mypy_extensions.TypedDict is deprecated. Under ``-W error``, which the
+# command line applies after any ini filter, that warning would turn the
+# report into a pytest INTERNALERROR and lose the example. Import it once
+# here, with only that warning ignored.
+try:
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", "mypy_extensions.TypedDict is deprecated",
+            DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
 
 # the standing verification matrix: one extension per interesting shape
 MATRIX_PARAMS = {

@@ -311,6 +311,61 @@ def test_cyclic_algebra_check(matrix, rng):
         assert failures == [], (name, failures[:3])
 
 
+def test_cyclic_algebra_check_pairs_linearly_in_the_rank(rng, monkeypatch):
+    # x is dense and y, z have one or two slots, so a product pairs at most
+    # 4n slots (x times yz, of up to four slots), where a dense y or z
+    # pairs about n^2/4. A slot still sums several pairs: that is the path
+    # on which the seed-1803 triple below failed.
+    ext = TameAbelianExtension.from_parameters(59, 1, 1, 58, "g",
+                                               precision=8)
+    sigma = next(g for g in ext.galois_group() if g.order() == ext.degree)
+    multiply, convolve = brauer.CrossedProduct.multiply, brauer._convolve
+    products, accumulators = [], []
+
+    def counted_multiply(alg, x, y):
+        products.append(Counter())
+        return multiply(alg, x, y)
+
+    def counted_convolve(terms, src, out, *window):
+        products[-1][id(out)] += 1
+        accumulators.append(out)    # alive, so no two share an id
+        return convolve(terms, src, out, *window)
+
+    monkeypatch.setattr(brauer.CrossedProduct, "multiply", counted_multiply)
+    monkeypatch.setattr(brauer, "_convolve", counted_convolve)
+    assert brauer.cyclic_algebra_check(sigma, _pi_class(ext), rng,
+                                       samples=10) == []
+    n = ext.degree
+    assert max(sum(slots.values()) for slots in products) <= 4 * n
+    # a slot of x(yz) sums up to four pairs
+    assert max(max(slots.values(), default=0) for slots in products) >= 3
+
+
+@pytest.mark.parametrize("params", [
+    (3, 1, 1, 1, "1"),       # rank 1: one slot
+    (3, 1, 1, 2, "g"),       # rank 2: the two draws often coincide
+    (59, 1, 1, 58, "g"),     # rank 58
+])
+def test_random_sparse_fills_one_or_two_slots(params, rng, monkeypatch):
+    ext = TameAbelianExtension.from_parameters(*params, precision=8)
+    sigma = next(g for g in ext.galois_group() if g.order() == ext.degree)
+    alg = brauer.CrossedProduct(sigma, _pi_class(ext))
+    filled = Counter()
+    for _ in range(100):
+        state = rng.getstate()
+        x = alg.random_sparse(rng)
+        filled[sum(s is not None for s in x)] += 1
+        assert not alg.equal(x, alg.zero())
+        # the same draws from the same state
+        rng.setstate(state)
+        assert alg.random_sparse(rng) == x
+    assert set(filled) == ({1} if alg.n == 1 else {1, 2})
+    # every filled slot zero: the element falls back to one()
+    monkeypatch.setattr(brauer, "random_logs",
+                        lambda tower, rng, count: [None] * count)
+    assert alg.random_sparse(rng) == alg.one()
+
+
 # sample 82 of ``cyclic_algebra_check`` in ``lcft check --seed 1803`` on
 # (5,1,1,4,"1"): each slot as (valuation, logs), None for an empty slot
 SEED_1803_TRIPLE = (

@@ -123,6 +123,16 @@ def _last_slot_plus_one(square):
     return mutant
 
 
+def _characters_collapsed(character_group):
+    """``character_group`` with x*n = s*j + m // e for s*j + m*e: for
+    m < e the f characters of one j collapse to one."""
+    def mutant(ext):
+        s = ext.frobenius_relation_exponent()
+        return [brauer.Character(ext, s * j + m // ext.e, j * ext.f)
+                for j in range(ext.e) for m in range(ext.f)]
+    return mutant
+
+
 def _uncaught(item):
     return pytest.mark.xfail(strict=True, reason=f"ROADMAP item {item}")
 
@@ -147,6 +157,10 @@ MUTANTS = [
                  lambda is_norm: lambda ext, b: is_norm(
                      ext, rc.BaseFieldClass(b.tower, 0, b.unit_log)),
                  {"fails"}, id="is-norm-ignores-the-valuation"),
+    # collapses the characters of 5 of the 8 matrix extensions, e.g. of
+    # (2,2,3,3,*) from 9 to 3; caught by hasse-layer's size law alone
+    pytest.param(brauer, "character_group", _characters_collapsed,
+                 {"fails"}, id="character-group-m-over-e"),
     pytest.param(rc, "_sign_constant",
                  lambda sign: lambda ext: ext.tower.one(),
                  {"fails"}, id="search-sign-dropped"),

@@ -84,6 +84,8 @@ def test_arithmetic_identities(f9):
         for x in (g, f9.zero()):
             with pytest.raises(TypeError, match="as an integer"):
                 x ** k
+        with pytest.raises(TypeError, match="as an integer"):
+            f9.generator_power(k)
 
 
 def test_equal_implies_equal_hash_against_ints(f5):
