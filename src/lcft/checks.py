@@ -207,7 +207,16 @@ def check_kernel_and_bijection(ext, rng, samples) -> CheckResult:
 
 
 def check_uniformizer_independence(ext, rng, samples) -> CheckResult:
-    """Searching with pi' = w*t and u' = u*w^(-i) resolves the same element."""
+    """Searching with pi' = w*t and u' = u*w^(-i) resolves the same element.
+
+    Blind spot: at a representative of valuation i = 0 the sampled search
+    reads neither pi' nor w. There u' = u*w^0 = u, and the congruence
+    raises pi' to the power (q^0 - 1)*v = 0 at both probes, so each sample
+    repeats the search with pi = t and finds its element. Every
+    representative of an f = 1 extension has valuation 0, so there the
+    check is vacuous; only representatives of nonzero valuation test
+    anything.
+    """
     failures = []
     reps = rc.norm_group(ext).coset_representatives
     t = ext.base_uniformizer()

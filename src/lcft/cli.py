@@ -8,9 +8,12 @@ The config is a line-based key=value file describing one extension
 and the ``hasse`` character index; any other key, a key given twice, or
 a non-integer value of any key but u0 is a config error that names the
 file and line; ``parse_config`` stores those values as ints, so nothing
-downstream parses them again. u0 is written as g^k, g, an integer or a
-comma-separated coefficient list; any other text is an invalid
-descriptor whose message quotes it and lists those forms.
+downstream parses them again. Every integer, in the config, in u0 and
+in the --seed, --samples and --precision flags, is ASCII digits with an
+optional sign (``ffield.parse_int``): "1_3" and the digits of other
+scripts, which ``int()`` reads, are refused. u0 is written as g^k, g,
+an integer or a comma-separated coefficient list; any other text is an
+invalid descriptor whose message quotes it and lists those forms.
 A flag wins over the config, which wins over the default: precision
 ``series.DEFAULT_PRECISION`` (32), seed 0, samples 100. Each command
 builds one payload and prints it through ``_report``: under --json as
@@ -34,6 +37,7 @@ import sys
 
 from . import brauer, checks, reciprocity as rc
 from .extension import TameAbelianExtension
+from .ffield import parse_int
 from .series import DEFAULT_PRECISION
 
 EXIT_OK = 0
@@ -66,7 +70,7 @@ def parse_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
             # every key but u0 holds an int, parsed here once
             try:
-                raw[key] = value if key == "u0" else int(value)
+                raw[key] = value if key == "u0" else parse_int(value)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: key {key!r} must be "
                                  f"an integer, got {value!r}") from None
@@ -244,6 +248,16 @@ HANDLERS = {
 }
 
 
+def _int_flag(text):
+    """The value of an integer flag, read by ``parse_int``; bad text gets
+    argparse's own message, as ``type=int`` would."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     """Malformed arguments are a parse failure: exit 3, not argparse's 2,
     which ``lcft`` gives to a failed property suite."""
@@ -261,9 +275,9 @@ def main(argv=None) -> int:
     parser.add_argument("config", help="key=value descriptor file")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--precision", type=int, default=None)
+    parser.add_argument("--seed", type=_int_flag, default=None)
+    parser.add_argument("--samples", type=_int_flag, default=None)
+    parser.add_argument("--precision", type=_int_flag, default=None)
     args = parser.parse_args(argv)
 
     try:

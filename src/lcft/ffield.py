@@ -7,9 +7,11 @@ needed. The whole field is built once from a monic modulus m over F_p,
 chosen deterministically from (p, t, f) so runs reproduce. A modulus is
 accepted when the class of x has order p^(t*f) - 1 modulo m; that alone
 proves m irreducible, since every nonzero residue is then a power of x.
-That search and the coefficient view compute x^k mod m with one ladder,
-``_x_power``: left to right over the bits of k, a squaring per bit and a
-times-x shift per 1 bit, on a bitmask at p = 2 and a list at odd p.
+That search and the coefficient view compute x^k mod m with one routine,
+``_x_power``. On a prime field (t*f = 1) the modulus is x + c0, so x is
+the constant g = -c0 mod p and x^k is ``pow(g, k, p)``. Otherwise it is a
+ladder left to right over the bits of k, a squaring per bit and a times-x
+shift per 1 bit, on a bitmask at p = 2 and a list at odd p.
 
 Internally every nonzero element is stored as its discrete logarithm with
 respect to a fixed multiplicative generator; addition goes through a
@@ -30,15 +32,24 @@ it is an ``array('i')`` too: a list of separate ints would take about
 packed array's. Readers index either kind the same way. The exponential
 table exists only during the build, which writes the Zech table over it.
 
-At p = 2 the packed int is the bitmask of the coefficients, and the
-build's per-entry work runs in the C runtime. The powers of the generator
-are walked on 32-bit lanes of one big int, 2^ceil(n/2) powers a step; a
-step is one shift and one masked XOR for every lane, and its bytes land
-in the exponential table as a strided slice. The Zech table is gathered:
-a chunk of the exponential table, its constant bits flipped as one int,
-is looked up in the log table with ``itemgetter`` and the logs replace
-the chunk. Only the log scatter is a Python loop. Odd p steps a digit
-vector, one power at a time.
+The tables are built on one of three routes, chosen by (p, t*f):
+
+- p = 2: the packed int is the bitmask of the coefficients, and the
+  build's per-entry work runs in the C runtime. The powers of the
+  generator are walked on 32-bit lanes of one big int, 2^ceil(n/2)
+  powers a step; a step is one shift and one masked XOR for every lane,
+  and its bytes land in the exponential table as a strided slice. The
+  Zech table is gathered: a chunk of the exponential table, its constant
+  bits flipped as one int, is looked up in the log table with
+  ``itemgetter`` and the logs replace the chunk. Only the log scatter is
+  a Python loop.
+- odd p, t*f = 1: l = F_p and the generator is the int g. One loop,
+  v = v * g % p over v = g^k, writes log[v] and, in slot k of the
+  exponential table, the index of 1 + v in the log table (0 at v = -1).
+  The Zech table is gathered from those indices a chunk at a time with
+  ``itemgetter``, as at p = 2.
+- odd p, t*f >= 2: a digit vector is stepped one power at a time, and
+  each Zech log is looked up with the constant digit raised by one.
 """
 
 from __future__ import annotations
@@ -61,6 +72,22 @@ ZECH_ARRAY_MIN = 2**16
 # the whole table exists at once; 2^10 keeps the chunk's temporaries
 # (its int objects above all) under the p = 2 cap build's peak RSS
 _ZECH_CHUNK = 2**10
+
+
+def parse_int(text: str) -> int:
+    """The integer written in ``text``: ASCII digits, a sign allowed first.
+
+    ``int()`` alone also reads "1_3" as 13 and the digits of other
+    scripts, such as the Arabic-Indic three "\u0663", as their values;
+    both raise ValueError here. Whitespace around the digits is ignored,
+    as ``int()`` ignores it.
+    """
+    digits = text.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
 
 
 def prime_factors(n: int) -> list[int]:
@@ -104,12 +131,17 @@ def _lane_ones(lanes):
 def _x_power(k, modulus, p):
     """x^k modulo the monic ``modulus``, packed base p as in the tables.
 
-    Left to right over the bits of k: one squaring a bit, then a times-x
-    shift on each 1 bit, with x^n = -(lower part of the modulus). At p = 2
-    the polynomial is its bitmask, as in the table walk; odd p squares a
-    coefficient list and folds the shift into the square's reduction.
+    On a prime field the modulus is x + c0, so x is the constant -c0 and
+    x^k is ``pow(-c0, k, p)``: about 2 microseconds for a 20-bit k.
+    Otherwise left to right over the bits of k: one squaring a bit, then a
+    times-x shift on each 1 bit, with x^n = -(lower part of the modulus).
+    At p = 2 the polynomial is its bitmask, as in the table walk; odd p
+    squares a coefficient list and folds the shift into the square's
+    reduction.
     """
     n = len(modulus) - 1
+    if n == 1:
+        return pow(-modulus[0] % p, k, p)
     if p == 2:
         mask = sum(c << i for i, c in enumerate(modulus))
         v = 1
@@ -201,13 +233,33 @@ class FieldTower:
         self._build_tables()
 
     def _find_modulus(self):
+        """The first monic candidate of a stream seeded by (p, t, f) whose
+        constant term is nonzero and on which x is primitive.
+
+        Each coefficient is ``rng.randrange(p)``'s own draw, written out:
+        ``getrandbits(p.bit_length())`` until the value falls below p, so
+        the stream is randrange's without its argument handling and every
+        modulus is the one ``randrange`` picked. On a prime field a
+        candidate costs one ``pow`` call, plus one per prime factor of
+        p - 1 once x^(p - 1) = 1. The search takes about 12 microseconds
+        at p = 13, most of it seeding the generator with its string, and
+        40 at the prime cap 1048573; degree 2 at p = 3 takes about 40, the
+        cap towers (2, 10, 2) 0.6 ms and (3, 12, 1) 22 ms.
+        """
         rng = random.Random(f"field-tower-{self.p}-{self.t}-{self.f}")
-        n = self.degree
+        p, n = self.p, self.degree
+        bits, width = rng.getrandbits, p.bit_length()
         while True:
-            coeffs = [rng.randrange(self.p) for _ in range(n)] + [1]
+            coeffs = []
+            for _ in range(n):
+                c = bits(width)
+                while c >= p:
+                    c = bits(width)
+                coeffs.append(c)
+            coeffs.append(1)
             if coeffs[0] == 0:
                 continue
-            if _x_is_primitive(coeffs, self.p, self._order_factors, self.order):
+            if _x_is_primitive(coeffs, p, self._order_factors, self.order):
                 return tuple(coeffs)
 
     def _build_tables(self):
@@ -261,6 +313,26 @@ class FieldTower:
                 flipped = array("i", v.to_bytes(4 * chunk, endian))
                 exp[lo:lo + chunk] = array("i", itemgetter(*flipped)(log))
             del exp[order:]
+        elif n == 1:
+            # l = F_p and g is the constant -c0 of the modulus x + c0: one
+            # walk of ints mod p writes log and, in exp[k], the slot of
+            # 1 + g^k in log. That is g^k + 1, except at g^k = -1, whose
+            # 1 + g^k = 0 sits in slot 0, where log[0] == -1. The Zech
+            # logs are gathered a chunk of exp at a time, as at p = 2. p is
+            # odd here (F_2 takes the lanes above), so order = p - 1 is
+            # even, every chunk holds at least two entries and itemgetter
+            # returns a tuple.
+            g = -self.modulus[0] % p
+            exp = array("i", [0]) * order
+            v = 1
+            for k in range(order):
+                log[v] = k
+                exp[k] = v + 1
+                v = v * g % p
+            exp[self.minus_one_log] = 0
+            for lo in range(0, order, _ZECH_CHUNK):
+                exp[lo:lo + _ZECH_CHUNK] = array(
+                    "i", itemgetter(*exp[lo:lo + _ZECH_CHUNK])(log))
         else:
             # odd p has at most 12 digits under the cap; times x uses
             # x^n = -(lower part of the modulus). The digits of the next
@@ -345,8 +417,8 @@ class FieldTower:
             return self.generator()
         try:
             if text.startswith("g^"):
-                return self.generator_power(int(text[2:]))
-            coeffs = [int(c) for c in text.split(",")]
+                return self.generator_power(parse_int(text[2:]))
+            coeffs = [parse_int(c) for c in text.split(",")]
         except ValueError:
             raise ValueError(
                 f"field element {text!r} is none of g^k, g, an integer or a "
@@ -379,10 +451,12 @@ class FieldElement:
     def coeffs(self) -> tuple:
         """Coefficient vector over F_p, lowest degree first.
 
-        Computed on each call as x^log modulo the modulus by the
-        ``_x_power`` ladder, one squaring per bit of the log: about 60
+        Computed on each call as x^log modulo the modulus by
+        ``_x_power``. On a prime field that is one ``pow``: about 1
+        microsecond at p = 13 and 3 at the prime cap 1048573. Otherwise it
+        is the ladder, one squaring per bit of the log: about 50
         microseconds at the cap tower (2, 10, 2), 0.2 ms at (3, 12, 1) and
-        under 20 on small towers. No hot path reads it.
+        under 10 on small towers. No hot path reads it.
         """
         tower = self.tower
         if self.log is None:

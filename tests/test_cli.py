@@ -80,7 +80,10 @@ def test_comment_and_blank_lines_are_skipped(tmp_path, capsys):
     # u0 text in none of the four forms names them and quotes the text
     *((f"p=3\nt=1\nf=2\ne=1\nu0={u0}\n", f"field element {u0!r} is none of "
        "g^k, g, an integer or a comma-separated coefficient list")
-      for u0 in ("abc", "g^x", "1,2,x", "")),
+      for u0 in ("abc", "g^x", "1,2,x", "",
+                 # int() reads these as g^10, 3 and 13: only ASCII digits
+                 # and a sign make an integer
+                 "g^1_0", "\u0663", "1_3,0")),
 ])
 def test_bad_descriptor_exits_one(tmp_path, capsys, text, message):
     assert cli.main(["validate", _write(tmp_path, text)]) == 1
@@ -232,6 +235,11 @@ CAP_ROWS = [
     # field tables at the size cap: the odd-p walk (1.4-1.9 s, 8.0 MB)
     pytest.param("p=3\nt=12\nf=1\ne=2\nu0=1\n", ["validate"], 0, 10, 9.5,
                  id="cap3-validate"),
+    # the prime cap's set-up alone, which bigp-check's budget would hide:
+    # the closed-form walk of F_p (0.38-0.51 s over six runs, 12.0 MB;
+    # the digit walk it replaced took 0.71-0.99 s)
+    pytest.param("p=1048573\nt=1\nf=1\ne=4\nu0=1\n", ["validate"], 0, 2, 14,
+                 id="bigp-validate"),
     # the same tower over the precision cap, refused before its tables are
     # built (0.09-0.16 s, 3.9 MB: the import); building them first took
     # 1.2-1.9 s and 7.7 MB
@@ -535,7 +543,9 @@ def test_nonpositive_samples_config_exits_three(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", [
     "p=x", "t=1.5", "f=", "e=three", "precision=x",
-    "seed=x", "samples=1.5", "character=g"])
+    "seed=x", "samples=1.5", "character=g",
+    # int() reads these as 13, 10 and 32
+    "p=1_3", "seed=1_0", "precision=\u06632"])
 def test_non_integer_config_setting_exits_three(tmp_path, capsys, line):
     # the bad line replaces its key's line of UNRAM or comes last, and it
     # is named before any command runs
@@ -546,6 +556,19 @@ def test_non_integer_config_setting_exits_three(tmp_path, capsys, line):
     assert capsys.readouterr().err == (
         f"config error: {cfg}:{len(lines) + 1}: key {key!r} must be an "
         f"integer, got {value!r}\n")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "1_0"), ("--samples", "1_0"), ("--precision", "\u0663"),
+    ("--seed", "x")])
+def test_non_integer_flag_exits_three(tmp_path, capsys, flag, value):
+    # int() reads 1_0 as 10 and the Arabic-Indic three as 3
+    cfg = _write(tmp_path, UNRAM)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", cfg, flag, value])
+    assert exc.value.code == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.endswith(f"argument {flag}: invalid int value: {value!r}\n")
 
 
 def test_descriptor_text_round_trip(tmp_path):

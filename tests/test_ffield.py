@@ -10,7 +10,8 @@ import pytest
 
 from conftest import PEAK_KIB, poly_powmod, reference_modulus
 import lcft
-from lcft.ffield import SIZE_CAP, ZECH_ARRAY_MIN, FieldTower, is_prime
+from lcft.ffield import (SIZE_CAP, ZECH_ARRAY_MIN, FieldTower, _x_power,
+                         is_prime)
 
 # every tower shape up to 2^10 elements
 SMALL_SHAPES = [(p, t, f) for p in range(2, 1025) if is_prime(p)
@@ -36,6 +37,11 @@ def f64():
 @pytest.fixture(scope="module")
 def cap_tower():
     return FieldTower(2, 10, 2)           # p^(t*f) = 2^20, the size cap
+
+
+@pytest.fixture(scope="module")
+def prime_cap_tower():
+    return FieldTower(1048573, 1, 1)      # the largest prime under the cap
 
 
 def test_construction_validation():
@@ -209,6 +215,17 @@ def test_parse_and_print_round_trip(f64):
     assert "," in f64.modulus_str()
 
 
+def test_parse_takes_only_ascii_integers(f9):
+    # int() would read each of these: "1_0" as 10, "\u0663" (the
+    # Arabic-Indic three) as 3
+    for text in ("g^1_0", "\u0663", "1_3", "1,\u0660", "g^\u0661"):
+        with pytest.raises(ValueError, match="is none of g"):
+            f9.parse(text)
+    # a sign and whitespace around the digits stay allowed, as in int()
+    assert f9.parse("g^-1") == f9.generator() ** -1
+    assert f9.parse(" 1, +2 ") == f9.element([1, 2])
+
+
 def test_str_of_prime_constants(f5, f9):
     assert str(f5.from_int(3)) == "3"
     assert str(f9.from_int(2)) == "2"
@@ -285,7 +302,9 @@ def test_zech_table_kind_follows_its_size():
         assert tower.order >= ZECH_ARRAY_MIN and type(tower._zech) is array
 
 
-@pytest.mark.parametrize("shape", [(2, 17, 1), (5, 7, 1)])
+# (65537, 1, 1) is a prime field of order 2^16: its Zech table is the
+# first array on the prime-field route
+@pytest.mark.parametrize("shape", [(2, 17, 1), (5, 7, 1), (65537, 1, 1)])
 def test_packed_tables_match_reference_builder(shape):
     tower = FieldTower(*shape)
     exp, log, zech = _reference_tables(tower)
@@ -362,3 +381,36 @@ def test_cap_tower_zech_identities(cap_tower):
     assert all(zech[z] == k for k, z in enumerate(zech) if k)
     assert all(zech[2 * k % order] == 2 * z % order
                for k, z in enumerate(zech) if k)
+
+
+def test_prime_cap_tower_identities(prime_cap_tower):
+    # whole-table identities of F_p at the prime cap, read off the int g
+    # with neither the walk nor the gather that built the tables: log is
+    # the discrete log to base g, and zech[log v] is the log of v + 1
+    t = prime_cap_tower
+    p, order, log, zech = t.p, t.order, t._log, t._zech
+    assert (p, t.degree) == (1048573, 1) and type(zech) is array
+    assert len(log) == t.size and len(zech) == order
+    (g,) = t.generator().coeffs
+    assert t.modulus == (p - g, 1)        # x + c0 with g = -c0
+    assert log[0] == -1 and log[1] == 0 and log[g] == 1
+    assert all(log[v * g % p] == (log[v] + 1) % order for v in range(1, p))
+    assert all(zech[log[v]] == log[(v + 1) % p] for v in range(1, p))
+    assert zech[log[p - 1]] == -1 and log[p - 1] == t.minus_one_log
+
+
+def test_x_power_on_prime_fields_matches_the_reference():
+    # the prime-field closed form pow(-c0, k, p) against conftest's list
+    # square and multiply, on primes just under the cap, the cap's own
+    # modulus among them, with 20-bit exponents
+    rng = random.Random(20261020)
+    primes = [p for p in range(SIZE_CAP - 100, SIZE_CAP) if is_prime(p)]
+    assert 1048573 in primes and len(primes) >= 5
+    for p in primes:
+        moduli = [(792439, 1)] if p == 1048573 else []
+        moduli += [(rng.randrange(p), 1) for _ in range(3)]
+        for modulus in moduli:
+            for k in [0, 1, p - 1] + [rng.getrandbits(20) | 1 << 19
+                                      for _ in range(5)]:
+                want = _pack(poly_powmod([0, 1], k, modulus, p), p)
+                assert _x_power(k, modulus, p) == want, (p, modulus, k)
