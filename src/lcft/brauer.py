@@ -43,7 +43,9 @@ class Character:
     and y in (1/n)Z for n = e*f, so a character is built from the integer
     numerators ``Character(ext, xn, yn)``, x = xn/n and y = yn/n, kept
     mod n; the relations e*yn = 0 and f*xn = s*yn mod n are checked on
-    them. ``chi(g)`` is the one read of a value.
+    them. ``chi(g)`` is the one read of a value. Its tables, the scale
+    of each sigma^a and the n values i/n, are built once per extension
+    (``_character_tables``) and shared by all its characters.
     """
 
     def __init__(self, ext: TameAbelianExtension, xn: int, yn: int):
@@ -55,20 +57,20 @@ class Character:
             raise ValueError(_BROKEN_RELATIONS)
         self.ext = ext
         self._xn, self._yn = xn, yn
-        self._sigma_log = ext.residue_frobenius_lift().c_log
+        self._sigma_scales, self._values = _character_tables(ext)
 
     def __call__(self, g: GaloisElement) -> Fraction:
         """a*x + j*y for g = sigma^a zeta^j, with j read off g's scale log:
-        sigma^a scales alpha by c(sigma)^((q^a - 1)/(q - 1)), and zeta^j by
-        the root of unity of log j*|l*|/e.
+        sigma^a scales alpha by c(sigma)^((q^a - 1)/(q - 1)), read from
+        the extension's table, and zeta^j by the root of unity of log
+        j*|l*|/e. The value is the table's Fraction i/n, not a new one.
         """
         if g.ext is not self.ext:
             raise ValueError("element of a different extension")
         ext = self.ext
-        m, n, q = ext.tower.order, ext.degree, ext.q
-        j = (g.c_log - self._sigma_log * ((q**g.a - 1) // (q - 1))) % m \
-            // (m // ext.e)
-        return Fraction((g.a * self._xn + j * self._yn) % n, n)
+        m = ext.tower.order
+        j = (g.c_log - self._sigma_scales[g.a]) % m // (m // ext.e)
+        return self._values[(g.a * self._xn + j * self._yn) % ext.degree]
 
     def __add__(self, other: "Character") -> "Character":
         if other.ext is not self.ext:
@@ -91,6 +93,21 @@ class Character:
     def order(self) -> int:
         n = self.ext.degree
         return math.lcm(n // math.gcd(self._xn, n), n // math.gcd(self._yn, n))
+
+
+def _character_tables(ext: TameAbelianExtension) -> tuple:
+    """The tables of ``Character.__call__`` on one extension, built once
+    and cached on it: for each a < f, the log of c(sigma)^((q^a - 1)/(q - 1))
+    mod |l*|, the alpha-scale of sigma^a; and the n = e*f values i/n for
+    i < n, as Fractions."""
+    if ext._character_tables is None:
+        q, m, n = ext.q, ext.tower.order, ext.degree
+        sigma_log = ext.residue_frobenius_lift().c_log
+        ext._character_tables = (
+            tuple(sigma_log * ((q**a - 1) // (q - 1)) % m
+                  for a in range(ext.f)),
+            tuple(Fraction(i, n) for i in range(n)))
+    return ext._character_tables
 
 
 def character_group(ext: TameAbelianExtension) -> list:

@@ -58,10 +58,16 @@ def check_group_axioms(ext: TameAbelianExtension) -> CheckResult:
 
 
 def check_action_is_ring_hom(ext, rng, samples) -> CheckResult:
-    """apply respects + and * and fixes the embedded base field."""
+    """apply respects + and * and fixes the embedded base field.
+
+    On the same draws, two series laws under the strict ``==``: x times
+    its inverse is 1 on x's whole window (an inverse at a lead other than
+    1 included), and ``project`` takes the embedded base unit back to the
+    drawn series, window end included."""
     failures = []
     t_emb = ext.embed(ext.base_uniformizer())
-    for _ in range(samples):
+    one = LaurentSeries.one(ext.tower, EXT_SYMBOL, ext.precision)
+    for n in range(samples):
         g = rng.choice(ext.galois_group())
         x = rc.random_unit_series(ext, rng, rng.randrange(-2, 3))
         y = rc.random_unit_series(ext, rng, rng.randrange(-2, 3))
@@ -71,10 +77,18 @@ def check_action_is_ring_hom(ext, rng, samples) -> CheckResult:
             failures.append(f"additivity fails for {g}")
         if g.apply(t_emb) != t_emb:
             failures.append(f"{g} moves the base uniformizer")
+        if x * x.inverse() != one:
+            failures.append(f"x * x^-1 != 1 on sample {n}")
         base = rc.random_base_unit_series(ext, rng)
         emb = ext.embed(base)
         if g.apply(emb) != emb:
             failures.append(f"{g} moves an embedded base unit")
+        try:
+            round_trip = ext.project(emb) == base
+        except ValueError:      # the membership audit refused emb
+            round_trip = False
+        if not round_trip:
+            failures.append(f"project(embed(b)) != b on sample {n}")
     return _result("galois-action-ring-hom", failures)
 
 
@@ -177,13 +191,15 @@ def check_oracle_agreement(ext) -> CheckResult:
 
 
 def check_reciprocity_homomorphism(ext) -> CheckResult:
+    """theta(b1 * b2) = theta(b1) * theta(b2) on every pair of coset
+    representatives: each representative is mapped once, then each pair
+    maps only b1 * b2, r + r^2 maps for r representatives."""
     failures = []
     reps = rc.norm_group(ext).coset_representatives
-    for b1 in reps:
-        for b2 in reps:
-            lhs = rc.reciprocity_map(ext, b1 * b2)
-            rhs = rc.reciprocity_map(ext, b1) * rc.reciprocity_map(ext, b2)
-            if lhs != rhs:
+    images = [rc.reciprocity_map(ext, b) for b in reps]
+    for b1, g1 in zip(reps, images):
+        for b2, g2 in zip(reps, images):
+            if rc.reciprocity_map(ext, b1 * b2) != g1 * g2:
                 failures.append(f"hom fails at {b1}, {b2}")
     return _result("reciprocity-homomorphism", failures)
 

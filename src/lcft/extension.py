@@ -83,10 +83,12 @@ class TameAbelianExtension:
     Rejects wild input (p | e) and input with no tame abelian extension of
     the requested shape (e not dividing q - 1). Immutable after
     construction; the Galois group, its distinguished generators and their
-    relation exponent, the norm's stage plan (its Galois powers), the
-    norm-group presentation and the congruence search's probe-residue
-    table (the group scanned once) are each computed once and cached. u0
-    is a ``FieldElement``; ``from_parameters`` parses it from text.
+    relation exponent, the norm's stage plan (its Galois powers and the
+    Zech weights of its twisted squares), the norm-group presentation, the
+    congruence search's probe-residue table (the group scanned once) and
+    the characters' value tables are each computed once and cached on the
+    extension, never on a module-level table keyed by ``id``. u0 is a
+    ``FieldElement``; ``from_parameters`` parses it from text.
     """
 
     def __init__(self, tower: FieldTower, e: int, u0: FieldElement,
@@ -109,6 +111,7 @@ class TameAbelianExtension:
         self._norm_plan = None       # set by reciprocity._norm_plan
         self._norm_group = None      # set by reciprocity.norm_group
         self._probes = None          # set by reciprocity._probe_table
+        self._character_tables = None    # set by brauer._character_tables
 
     @classmethod
     def from_parameters(cls, p, t, f, e, u0="1",

@@ -8,9 +8,10 @@ they can check each other:
   beta = alpha and beta = a residue generator. The same formula covers
   every valuation, negative ones included.
 * ``reciprocity_search``: evaluates the congruence right-hand side as an
-  exact series quotient at two probes and looks the pair of residues up
-  in a table of the whole Galois group, built once per extension with
-  the probes by applying each element to both; exactly one may match.
+  exact series quotient at two probes, on one embedding of pi and u per
+  call, and looks the pair of residues up in a table of the whole Galois
+  group, built once per extension with the probes by applying each
+  element to both; exactly one may match.
 * ``norm_group``: the exact norm image inside Z x k* with its Smith-form
   presentation, giving kernel/cokernel facts (coset representatives, and
   through ``is_norm`` which classes are norms) without reference to
@@ -25,7 +26,8 @@ they can check each other:
   alpha^d, and ceil(n/e) in the Frobenius stage. After an inertia stage
   the terms off its fixed field must be zero (an ArithmeticError naming
   the stage) and are dropped; the result is audited to lie in K. The
-  stage plan and its Galois powers are built once per extension.
+  stage plan, its Galois powers and the Zech weights of its twisted
+  squares are built once per extension and kept on it.
 
 Base-field classes are reduced pairs (valuation, unit residue), written
 ``BaseFieldClass(tower, v, unit_log)`` with ``b.unit`` a view; 1-units are
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from .extension import (BASE_SYMBOL, EXT_SYMBOL, GaloisElement,
                         TameAbelianExtension, twist_logs)
 from .ffield import FieldElement, FieldTower, prime_factors
-from .series import LaurentSeries, _convolve, _square
+from .series import LaurentSeries, _convolve, _square, _square_plan
 from .snf import invariant_factors
 
 
@@ -135,23 +137,39 @@ def reciprocity_of_series(ext: TameAbelianExtension,
 
 
 def congruence_rhs(ext: TameAbelianExtension, pi: LaurentSeries,
-                   u: LaurentSeries, i: int,
-                   beta: LaurentSeries) -> FieldElement:
+                   u: LaurentSeries, i: int, beta: LaurentSeries,
+                   inputs: tuple | None = None) -> FieldElement:
     """Residue of beta^(q^i-1) / (((-1)^(e-1) pi)^(q^i-1)v * u^((q-1)v)).
 
     Here v is the base-field valuation of beta, so both exponents are
     integers because e divides q - 1. The quotient is always a unit;
     a nonzero valuation signals an internal error.
 
-    Everything is exact on beta's window of n terms. Only the first
-    ceil(n/e) terms of pi and u are embedded, since t = u0^(-1) alpha^e
-    puts t-term j at alpha-term j*e. The powers reduce their exponents
-    modulo the 1-unit exponent of the window (``LaurentSeries.__pow__``),
-    which leaves every retained term unchanged. When beta is a unit (v =
-    0, the search's omega probe) both exponents are 0 and the quotient is
-    the numerator itself: pi and u are still embedded, so their
-    membership audits still run, but no denominator is built or divided
-    by.
+    Everything is exact on beta's window of n terms. It is the
+    composition of two steps: ``_congruence_inputs`` checks pi, u and i
+    and embeds the signed pi and u on that window, and
+    ``_congruence_residue`` evaluates the quotient at beta. ``inputs``,
+    when given, is that first step's pair, already built for (pi, u, i)
+    on beta's window: ``reciprocity_search`` builds it once and passes it
+    to both of its probes, so a search embeds pi and u once.
+    """
+    if beta.is_zero():
+        raise ValueError("beta must be nonzero")
+    if inputs is None:
+        inputs = _congruence_inputs(ext, pi, u, i, beta.precision)
+    return _congruence_residue(ext, *inputs, i, beta)
+
+
+def _congruence_inputs(ext: TameAbelianExtension, pi: LaurentSeries,
+                       u: LaurentSeries, i: int, window: int) -> tuple:
+    """The pair ((-1)^(e-1) pi, u), both embedded in L on ``window``
+    terms, after checking that i >= 0, pi is a uniformizer and u a unit
+    of K.
+
+    Only the first ceil(window/e) terms of pi and u are embedded, since
+    t = u0^(-1) alpha^e puts t-term j at alpha-term j*e; ``embed`` audits
+    each of their coefficients to lie in k. Two ``embed`` calls, whatever
+    the number of probes the pair serves.
     """
     if i < 0:
         raise ValueError("the congruence form needs a nonnegative exponent")
@@ -161,8 +179,25 @@ def congruence_rhs(ext: TameAbelianExtension, pi: LaurentSeries,
         raise ValueError("pi must be a uniformizer of the base field")
     if u.is_zero() or u.valuation != 0:
         raise ValueError("u must be a unit of the base field")
-    if beta.is_zero():
-        raise ValueError("beta must be nonzero")
+    read = -(-window // ext.e)  # the t-terms j with j*e < window
+    signed_pi = ext.embed(pi.truncate(read)).truncate(window) \
+        * _sign_constant(ext)
+    unit = ext.embed(u.truncate(read)).truncate(window)
+    return signed_pi, unit
+
+
+def _congruence_residue(ext: TameAbelianExtension, signed_pi: LaurentSeries,
+                        unit: LaurentSeries, i: int,
+                        beta: LaurentSeries) -> FieldElement:
+    """The residue of the congruence quotient at a nonzero beta, from the
+    pair of ``_congruence_inputs`` embedded on beta's window.
+
+    The powers reduce their exponents modulo the 1-unit exponent of the
+    window (``LaurentSeries.__pow__``), which leaves every retained term
+    unchanged. When beta is a unit (v = 0, the search's omega probe) both
+    exponents are 0 and the quotient is the numerator itself: no
+    denominator is built or divided by.
+    """
     q, e = ext.q, ext.e
     v_l = beta.valuation
     num = beta ** (q**i - 1)
@@ -170,11 +205,6 @@ def congruence_rhs(ext: TameAbelianExtension, pi: LaurentSeries,
     exp_u, rem2 = divmod((q - 1) * v_l, e)
     if rem1 or rem2:
         raise ArithmeticError("tameness makes these exponents integral")
-    window = beta.precision  # at least 1: beta is nonzero
-    read = -(-window // e)  # the t-terms j with j*e < window
-    sign = _sign_constant(ext)
-    signed_pi = ext.embed(pi.truncate(read)).truncate(window) * sign
-    unit = ext.embed(u.truncate(read)).truncate(window)
     if exp_pi or exp_u:
         quotient = num / (signed_pi**exp_pi * unit**exp_u)
     else:
@@ -194,12 +224,15 @@ def reciprocity_search(ext: TameAbelianExtension, pi: LaurentSeries,
     generator pin the pair (a, c) completely in the tame case; exactly one
     group element may match. The group is scanned once per extension into
     a probe-residue table (``_probe_table``), which also holds the two
-    probe series; each call evaluates the congruence at both probes and
-    looks the pair of residues up.
+    probe series. Both probes keep the extension's window, so each call
+    checks and embeds pi and u once (``_congruence_inputs``, two ``embed``
+    calls), evaluates ``congruence_rhs`` at both probes on that one
+    embedding and looks the pair of residues up.
     """
     alpha, omega, table = _probe_table(ext)
-    want = (congruence_rhs(ext, pi, u, i, alpha),
-            congruence_rhs(ext, pi, u, i, omega))
+    inputs = _congruence_inputs(ext, pi, u, i, alpha.precision)
+    want = (congruence_rhs(ext, pi, u, i, alpha, inputs),
+            congruence_rhs(ext, pi, u, i, omega, inputs))
     matches = table.get(want, ())
     if len(matches) != 1:
         raise ArithmeticError(
@@ -248,7 +281,8 @@ def norm(ext: TameAbelianExtension, beta: LaurentSeries) -> LaurentSeries:
     floor(log2 m) + popcount(m) - 1 series products instead of m - 1.
     Products of unit windows are exact modulo the window, so the
     regrouping gives the flat product of all e*f conjugates bit for bit.
-    The plan of stages and its powers h^c are built once per extension
+    The plan of stages, its powers h^c and the weights of each twisted
+    square per window length are built once per extension
     (``_norm_plan``).
 
     Every stage runs on the window of the field that holds its factor:
@@ -284,10 +318,14 @@ def norm(ext: TameAbelianExtension, beta: LaurentSeries) -> LaurentSeries:
     for stride, keep, h, steps in _norm_plan(ext):
         n = len(logs)
         y, v_y = logs, v
-        for g, one_bit in steps:
-            if g.frob == 1:
-                # a = 0: h^c only scales X = alpha^stride: a square
-                logs = _square(logs, g.c_log * stride, v, tower)
+        for g, one_bit, squares in steps:
+            if squares is not None:
+                # a = 0: h^c only scales X = alpha^stride: a square, its
+                # weights kept per window length
+                step = g.c_log * stride
+                if n not in squares:
+                    squares[n] = _square_plan(step, n, tower)
+                logs = _square(logs, step, v, tower, squares[n])
             else:
                 terms = [(i, a) for i, a in enumerate(logs) if a is not None]
                 logs = _convolve(terms, twist_logs(logs, g, v, stride),
@@ -336,10 +374,15 @@ def _norm_plan(ext: TameAbelianExtension) -> tuple:
     e, counted with multiplicity and smallest first, with stride d the
     product of the primes before it, keep = m = p and h = zeta^(e/(dp));
     then the Frobenius stage, with stride e, keep 1, the residue
-    Frobenius lift as h and m = f. ``steps`` has one pair (h^c, bit) for
-    each bit of m below the leading one, where c is the prefix of m read
-    before that bit. Built once per extension and cached on it, so a norm
-    makes no group products.
+    Frobenius lift as h and m = f. ``steps`` has one triple
+    (h^c, bit, squares) for each bit of m below the leading one, where c
+    is the prefix of m read before that bit. ``squares`` is None when h^c
+    moves the residue field (a != 0); for an inertia step (a = 0) it is a
+    dict from the window length n to the ``_square_plan`` of its twisted
+    square, the Zech weights and slot range, filled by ``norm`` the first
+    time a window of n terms meets the step. Built once per extension and
+    cached on it, the weights with it, so a norm makes no group products
+    and rebuilds no weights.
     """
     if ext._norm_plan is None:
         e, zeta = ext.e, ext.inertia_generator()
@@ -350,11 +393,15 @@ def _norm_plan(ext: TameAbelianExtension) -> tuple:
                 stages.append((d, p, zeta ** (e // (d * p)), p))
                 d *= p
         stages.append((e, 1, ext.residue_frobenius_lift(), ext.f))
-        ext._norm_plan = tuple(
-            (stride, keep, h,
-             tuple((h ** (m >> (k + 1)), bool(m >> k & 1))
-                   for k in reversed(range(m.bit_length() - 1))))
-            for stride, keep, h, m in stages)
+        plan = []
+        for stride, keep, h, m in stages:
+            steps = []
+            for k in reversed(range(m.bit_length() - 1)):
+                hc = h ** (m >> (k + 1))
+                steps.append((hc, bool(m >> k & 1),
+                              {} if hc.a == 0 else None))
+            plan.append((stride, keep, h, tuple(steps)))
+        ext._norm_plan = tuple(plan)
     return ext._norm_plan
 
 

@@ -42,7 +42,9 @@ of its inertia stages, whose Galois image x' is such a scale. One loop
 visits each pair of terms once, the middle term of an even slot being
 the pair at distance 0, so it makes about half the steps; step 0 is
 no special case. The p-th powers of ``**`` make no kernel steps at
-all: ``_spread`` moves each log.
+all: ``_spread`` moves each log, and neither does a product one of whose
+factors has a single nonzero term on the common window, which scales the
+other window by that term's log, as ``**`` treats a monomial.
 The one constructor, ``LaurentSeries(tower, symbol, valuation, logs)``,
 takes such a window; ``one``, ``uniformizer``, ``monomial`` and
 ``constant`` are shorthands for it. ``FieldElement`` stays the public
@@ -71,8 +73,9 @@ def _convolve(terms, src, out, offset, start, stop, tower):
     ``src`` is zero. ``src`` may be ``out`` itself, as long as every index
     read is already filled (the inverse's recurrence). This is one of the
     two kernels, for two different windows: ``+`` and ``-`` (with one
-    term, the monomial g^s), ``*`` on two series (walking the factor with
-    more zeros), ``inverse``, the norm's Frobenius stage and its
+    term, the monomial g^s), ``*`` on two series of two or more terms each
+    on the common window (walking the factor with more zeros),
+    ``inverse``, the norm's Frobenius stage and its
     y * h(P_c) steps (``reciprocity.norm``, on each stage's log window)
     and the crossed-product slots of ``brauer`` run it. The other,
     ``_square``, takes a window times itself or times its own inertia
@@ -98,7 +101,7 @@ def _convolve(terms, src, out, offset, start, stop, tower):
     return out
 
 
-def _square(logs, step, valuation, tower):
+def _square(logs, step, valuation, tower, plan=None):
     """The window of x * x', where x = sum of a_j X^(v+j) and x' scales
     the coefficient of X^(v+j) by g^(step*(v+j)):
 
@@ -127,6 +130,10 @@ def _square(logs, step, valuation, tower):
     p = 2 included, is a ``_spread``. Each doubling of an inertia stage
     of ``reciprocity.norm`` runs it on that stage's window in X = alpha^d
     at step d * log c, the log of a p-th root of unity, which is never 0.
+    The weights and the slot range depend only on the step and n:
+    ``_square_plan`` builds them, and ``plan`` passes a pair built before,
+    as the norm's stage plan keeps one per inertia step and window length
+    on its extension; the squarings of ``**`` build theirs each call.
     """
     order, zech = tower.order, tower._zech
     n = len(logs)
@@ -135,10 +142,7 @@ def _square(logs, step, valuation, tower):
     # the lower index i of a pair (i, k - i) has 2i <= k < n: twist it
     terms = [(i, a + step * (valuation + i))
              for i, a in enumerate(logs[:(n + 1) // 2]) if a is not None]
-    weights = [0] + [zech[step * d % order] for d in range(1, n)]
-    slots = range(n)
-    if all(w < 0 for w in weights[1::2]):
-        slots = range(0, n, 2)
+    weights, slots = plan or _square_plan(step, n, tower)
     for k in slots:
         acc = None
         for i, a in terms:
@@ -157,6 +161,20 @@ def _square(logs, step, valuation, tower):
         if acc is not None:
             out[k] = acc % order
     return out
+
+
+def _square_plan(step, n, tower):
+    """The pair (weights, slots) of ``_square`` at this step on n slots:
+    the Zech weight log(1 + g^(step*d)) of each distance d < n (0 at
+    d = 0), and the slots the loop visits, only the even ones when every
+    odd distance weighs zero. It reads only the step, n and the tower, so
+    ``reciprocity.norm`` builds it once per inertia step and window length
+    and keeps it in its stage plan."""
+    order, zech = tower.order, tower._zech
+    weights = [0] + [zech[step * d % order] for d in range(1, n)]
+    if all(w < 0 for w in weights[1::2]):
+        return weights, range(0, n, 2)
+    return weights, range(n)
 
 
 def _spread(logs, p, order):
@@ -364,8 +382,16 @@ class LaurentSeries:
         n = min(len(a), len(b))
         # a field sum does not depend on its order, so the kernel walks
         # the terms of the factor with more zeros: a step per nonzero term
-        if b[:n].count(None) > a[:n].count(None):
-            a, b = b, a
+        zeros, b_zeros = a[:n].count(None), b[:n].count(None)
+        if b_zeros > zeros:
+            a, b, zeros = b, a, b_zeros
+        if zeros == n - 1:
+            # one term on the window, the lead a[0]: the product is the
+            # other window scaled by it, with no kernel step
+            order, lead = tower.order, a[0]
+            return LaurentSeries(
+                tower, self.symbol, self.valuation + other.valuation,
+                [None if x is None else (x + lead) % order for x in b[:n]])
         terms = [(i, x) for i, x in enumerate(a[:n]) if x is not None]
         return LaurentSeries(
             tower, self.symbol, self.valuation + other.valuation,

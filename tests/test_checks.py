@@ -115,8 +115,8 @@ def _last_slot_from_the_lead(convolve):
 def _last_slot_plus_one(square):
     """``_square`` with 1 added to the log of its last slot, where that
     slot is nonzero."""
-    def mutant(logs, step, valuation, tower):
-        out = square(logs, step, valuation, tower)
+    def mutant(logs, step, valuation, tower, plan=None):
+        out = square(logs, step, valuation, tower, plan)
         if out and out[-1] is not None:
             out[-1] = (out[-1] + 1) % tower.order
         return out
@@ -130,6 +130,28 @@ def _characters_collapsed(character_group):
         s = ext.frobenius_relation_exponent()
         return [brauer.Character(ext, s * j + m // ext.e, j * ext.f)
                 for j in range(ext.e) for m in range(ext.f)]
+    return mutant
+
+
+def _one_term_longer(series):
+    """``series`` with one more zero term at the end of its window."""
+    return LaurentSeries(series.tower, series.symbol, series.valuation,
+                         series.logs + (None,))
+
+
+def _lead_added(inverse):
+    """``inverse`` with minus_one_log + lead for minus_one_log - lead: each
+    step of its recurrence multiplies by c_0 where it should divide. That
+    is the inverse of the series with c_0 kept and every later c_k scaled
+    by c_0^2, which is how the mutant is written here."""
+    def mutant(self):
+        if self.is_zero():
+            return inverse(self)
+        lead, order = self.logs[0], self.tower.order
+        scaled = [lead] + [None if a is None else (a + 2 * lead) % order
+                           for a in self.logs[1:]]
+        return inverse(LaurentSeries(self.tower, self.symbol,
+                                     self.valuation, scaled))
     return mutant
 
 
@@ -168,6 +190,15 @@ MUTANTS = [
                  lambda embed: lambda self, x: _term_changed(
                      embed(self, x), -1, _next_log),
                  {"fails", "raises"}, id="embed-changes-its-last-term"),
+    # ROADMAP item 15's two series blind spots, caught by the laws in
+    # galois-action-ring-hom's sample loop: a window one term too long
+    # in project, and an inverse that is right only at lead 1
+    pytest.param(TameAbelianExtension, "project",
+                 lambda project: lambda self, x: _one_term_longer(
+                     project(self, x)),
+                 {"fails"}, id="project-window-one-term-longer"),
+    pytest.param(LaurentSeries, "inverse", _lead_added,
+                 {"fails"}, id="inverse-minus-one-log-plus-lead"),
     pytest.param(LaurentSeries, "nth_root",
                  lambda root: lambda self, e: _term_changed(
                      root(self, e), -1, _next_log),
@@ -290,6 +321,24 @@ def test_hasse_layer_evaluates_each_table_pair_once(matrix, rng,
         table = pairs[5 * samples:]
         assert len(table) == ext.degree ** 2, name
         assert len(set(table)) == ext.degree ** 2, name
+
+
+def test_homomorphism_maps_each_representative_once(matrix, monkeypatch):
+    reciprocity_map = rc.reciprocity_map
+    calls = []
+
+    def counted(ext, b):
+        calls.append(b)
+        return reciprocity_map(ext, b)
+
+    monkeypatch.setattr(rc, "reciprocity_map", counted)
+    for name, ext in matrix.items():
+        r = len(rc.norm_group(ext).coset_representatives)
+        calls.clear()
+        result = checks.check_reciprocity_homomorphism(ext)
+        assert result.passed, (name, result.detail)
+        # each representative once, then b1 * b2 for each pair
+        assert len(calls) == r + r * r, name
 
 
 def test_uniformizer_independence_searches_each_class_once_per_sample(

@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 import signal
@@ -136,10 +137,38 @@ def test_search_builds_no_probe_series_after_the_first(monkeypatch):
         assert built == [], params
 
 
+def test_search_embeds_pi_and_u_once_per_call(monkeypatch):
+    # both probes keep the extension's window, so a search checks and
+    # embeds pi and u once and evaluates both probes on that embedding
+    embed = TameAbelianExtension.embed
+    calls = []
+
+    def counted(self, x):
+        calls.append(x.symbol)
+        return embed(self, x)
+
+    monkeypatch.setattr(TameAbelianExtension, "embed", counted)
+    for params in MATRIX_PARAMS.values():
+        ext = TameAbelianExtension.from_parameters(*params, precision=8)
+        t = ext.base_uniformizer()
+        rc.reciprocity_search(ext, t, _const(ext, ext.tower.one()), 0)
+        searches = 0
+        calls.clear()
+        for rep in rc.norm_group(ext).coset_representatives:
+            u = _const(ext, rep.unit)
+            for i in range(rep.valuation, rep.valuation + 3 * ext.f, ext.f):
+                assert rc.reciprocity_search(ext, t, u, i) == \
+                    rc.reciprocity_map(ext, rc.BaseFieldClass(
+                        ext.tower, i, rep.unit_log)), (params, rep, i)
+                searches += 1
+        assert calls == ["t", "t"] * searches, params
+
+
 # each oracle's entry points in lcft.reciprocity
 ORACLES = {
     "closed form": ("reciprocity_map",),
-    "search": ("reciprocity_search", "_probe_table", "congruence_rhs"),
+    "search": ("reciprocity_search", "_probe_table", "congruence_rhs",
+               "_congruence_inputs", "_congruence_residue"),
     "norm group": ("norm_group", "norm", "is_norm"),
 }
 
@@ -386,6 +415,40 @@ def test_norm_chain_matches_the_flat_product(params, precision, rng):
         cancelled += hits
     # every case meets at least 83 cancellations at this seed
     assert cancelled >= 50, params
+
+
+@pytest.mark.parametrize("pair", [
+    # one order of l* on both sides, and inertia stages at the same steps
+    # over different Zech weights: |l*| = 63 and e = 7, steps 9 and 27
+    ((2, 6, 1, 7, "1"), (2, 3, 2, 7, "1")),
+    # |l*| = 48: e = 3, step 16, and e = 6, steps 24 and 16
+    ((7, 2, 1, 3, "1"), (7, 1, 2, 3, "1")),
+    ((7, 2, 1, 6, "1"), (7, 1, 2, 6, "1")),
+])
+def test_a_norm_after_a_dropped_tower_matches_the_flat_product(pair, rng):
+    # the square weights of the norm's stages live on the extension.
+    # CPython gives a new object the id of a freed one, so weights cached
+    # by id(tower) would reach a later tower, whose Zech table differs.
+    # Each round builds one extension right after the last was dropped;
+    # over 40 rounds a tower here takes the id of a tower of the other
+    # descriptor several times, though how often depends on the allocator.
+    # The objects alive before the test are frozen out of the collections,
+    # which then scan only the test's own
+    gc.freeze()
+    try:
+        for k in range(40):
+            ext = TameAbelianExtension.from_parameters(*pair[k % 2],
+                                                       precision=8)
+            beta = (rc.random_unit_series(ext, rng, 1) if k % 4 < 2
+                    else _sparse_unit(ext, rng, -1))
+            got = rc.norm(ext, beta)
+            want, _ = _flat_norm(ext, beta)
+            assert (got.valuation, got.logs) == \
+                (want.valuation, want.logs), (pair, k)
+            del ext, beta, got, want
+            gc.collect()
+    finally:
+        gc.unfreeze()
 
 
 def _primes_with_multiplicity(n):

@@ -64,10 +64,21 @@ def _recurrence_inverse(a):
     return make_series(a.tower, a.symbol, -a.valuation, out)
 
 
+def _head_monomial(tower, rng, valuation, n, tail):
+    """A window of n + tail terms whose first n hold only the lead: one
+    term on an n-term common window, with nonzero terms past it."""
+    x = _random_series(tower, rng, valuation, n + tail, 0.0)
+    logs = list(x.logs)
+    logs[n:] = [rng.randrange(tower.order) for _ in range(tail)]
+    return LaurentSeries(tower, "t", valuation, logs)
+
+
 def test_a_product_is_one_window_in_either_order(rng, monkeypatch):
     # ``*`` walks the terms of the factor with more zeros, whichever side
     # it is on; a field sum does not depend on its order, so a * b and
-    # b * a keep the same window, equal to the schoolbook product
+    # b * a keep the same window, equal to the schoolbook product. A
+    # factor with one term on the common window scales the other window
+    # by that term and makes no kernel call.
     convolve = series._convolve
     walked = []
 
@@ -76,22 +87,43 @@ def test_a_product_is_one_window_in_either_order(rng, monkeypatch):
         return convolve(terms, *rest)
 
     monkeypatch.setattr(series, "_convolve", counted)
+    one_term = 0
     for params in [(2, 3, 1), (3, 1, 2), (7, 1, 1)]:
         tower = FieldTower(*params)
         for n in (1, 2, 8, 32):
-            for v in (-2, 0, 3):
+            for v in (-5, -2, 0, 3):
                 dense = _random_series(tower, rng, v, n, 1.0)
-                sparse = _random_series(tower, rng, 1 - v, n, 0.2)
-                monomial = _random_series(tower, rng, v + 1, n, 0.0)
-                for x in (sparse, monomial):
-                    walked.clear()
-                    xy, yx = x * dense, dense * x
-                    assert (xy.valuation, xy.logs, xy.precision) == \
-                        (yx.valuation, yx.logs, yx.precision), (params, n)
-                    assert _same_window(xy, _schoolbook_product(x, dense))
-                    # both orders walk the sparse factor's nonzero terms
-                    nonzero = n - x.logs.count(None)
-                    assert walked == [nonzero, nonzero], (params, n, v)
+                # None holes in the window the one-term factors scale
+                gappy = _random_series(tower, rng, v - 1, n, 0.3)
+                factors = [
+                    _random_series(tower, rng, 1 - v, n, 0.2),   # sparse
+                    _random_series(tower, rng, v + 1, n, 0.0),   # monomial
+                    _random_series(tower, rng, -v, 1, 0.0),      # one term
+                    _head_monomial(tower, rng, v - 2, n, 3),
+                ]
+                for x in factors:
+                    for other in (dense, gappy):
+                        walked.clear()
+                        xy, yx = x * other, other * x
+                        assert (xy.valuation, xy.logs, xy.precision) == \
+                            (yx.valuation, yx.logs, yx.precision), \
+                            (params, n, v)
+                        assert _same_window(xy,
+                                            _schoolbook_product(x, other))
+                        # both orders walk the sparser factor's nonzero
+                        # terms on the common window, unless it has one
+                        m = min(x.precision, other.precision)
+                        nonzero = min(m - x.logs[:m].count(None),
+                                      m - other.logs[:m].count(None))
+                        if nonzero == 1:
+                            one_term += 1
+                            assert walked == [], (params, n, v)
+                        else:
+                            assert walked == [nonzero, nonzero], \
+                                (params, n, v)
+    # at least the three one-term factors against both windows, and the
+    # sparse factor at n = 1, on every tower and valuation
+    assert one_term >= 3 * 4 * 4 * 3 * 2 + 3 * 4 * 2
 
 
 def test_one_is_neutral(f5):
@@ -540,9 +572,9 @@ def test_no_square_is_untwisted_in_characteristic_two(matrix, monkeypatch):
     kernel at step 0 there."""
     calls = []
 
-    def recorded(logs, step, valuation, tower):
+    def recorded(logs, step, valuation, tower, plan=None):
         calls.append((tower.p, step % tower.order))
-        return _square(logs, step, valuation, tower)
+        return _square(logs, step, valuation, tower, plan)
 
     monkeypatch.setattr(series, "_square", recorded)
     monkeypatch.setattr(reciprocity, "_square", recorded)
