@@ -22,7 +22,7 @@ import operator
 from fractions import Fraction
 
 from .extension import (BASE_SYMBOL, EXT_SYMBOL, GaloisElement,
-                        TameAbelianExtension, twist_logs)
+                        TameAbelianExtension, per_extension, twist_logs)
 from .reciprocity import (BaseFieldClass, random_base_unit_series,
                           random_logs, reciprocity_map, random_unit_series)
 from .series import LaurentSeries, _convolve
@@ -44,8 +44,9 @@ class Character:
     numerators ``Character(ext, xn, yn)``, x = xn/n and y = yn/n, kept
     mod n; the relations e*yn = 0 and f*xn = s*yn mod n are checked on
     them. ``chi(g)`` is the one read of a value. Its tables, the scale
-    of each sigma^a and the n values i/n, are built once per extension
-    (``_character_tables``) and shared by all its characters.
+    of each sigma^a and the n values i/n, are built once per extension,
+    in its memo (``_character_tables``), and shared by all its
+    characters.
     """
 
     def __init__(self, ext: TameAbelianExtension, xn: int, yn: int):
@@ -95,19 +96,17 @@ class Character:
         return math.lcm(n // math.gcd(self._xn, n), n // math.gcd(self._yn, n))
 
 
+@per_extension
 def _character_tables(ext: TameAbelianExtension) -> tuple:
     """The tables of ``Character.__call__`` on one extension, built once
-    and cached on it: for each a < f, the log of c(sigma)^((q^a - 1)/(q - 1))
-    mod |l*|, the alpha-scale of sigma^a; and the n = e*f values i/n for
-    i < n, as Fractions."""
-    if ext._character_tables is None:
-        q, m, n = ext.q, ext.tower.order, ext.degree
-        sigma_log = ext.residue_frobenius_lift().c_log
-        ext._character_tables = (
-            tuple(sigma_log * ((q**a - 1) // (q - 1)) % m
+    per extension: for each a < f, the log of
+    c(sigma)^((q^a - 1)/(q - 1)) mod |l*|, the alpha-scale of sigma^a;
+    and the n = e*f values i/n for i < n, as Fractions."""
+    q, m, n = ext.q, ext.tower.order, ext.degree
+    sigma_log = ext.residue_frobenius_lift().c_log
+    return (tuple(sigma_log * ((q**a - 1) // (q - 1)) % m
                   for a in range(ext.f)),
             tuple(Fraction(i, n) for i in range(n)))
-    return ext._character_tables
 
 
 def character_group(ext: TameAbelianExtension) -> list:

@@ -369,7 +369,8 @@ def check_root_extraction(ext, rng, samples) -> CheckResult:
 
 def check_hasse_layer(ext, rng, samples) -> CheckResult:
     """The size of the character group, bilinearity, the inflation law,
-    the faithful kernel and the algebra relations."""
+    is_norm's invariance under N(alpha)^k off valuation 0, the faithful
+    kernel and the algebra relations."""
     failures = []
     chars = brauer.character_group(ext)
     if len(set(chars)) != ext.degree:
@@ -397,6 +398,15 @@ def check_hasse_layer(ext, rng, samples) -> CheckResult:
     rep_facts = [(b, rc.is_norm(ext, b),
                   rc.reciprocity_map(ext, b).order() == ext.degree)
                  for b in reps]
+    # b * N(alpha)^k is b's class modulo norms, at valuation v + k*f:
+    # is_norm must read the norm group's row (f, d1) off valuation 0
+    (f, d1), _ = pres.generator_rows
+    d1_log = d1 * pres.subfield_generator.log
+    for b, b_is_norm, _ in rep_facts:
+        for k in (-2, -1, 1, 2):
+            shifted = b * rc.BaseFieldClass(ext.tower, k * f, k * d1_log)
+            if rc.is_norm(ext, shifted) != b_is_norm:
+                failures.append(f"is_norm moves under N(alpha)^{k} at {b}")
     for chi in chars:
         # chi at every representative, each evaluated once for all loops
         row = [brauer.hasse_invariant(chi, b) for b in reps]

@@ -18,6 +18,7 @@ ramification filtration and the invariant factors come from these pairs.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -54,6 +55,27 @@ def twist_logs(logs, g, start, stride=1):
             for n, L in enumerate(logs, start)]
 
 
+def per_extension(build):
+    """``build(ext, *args)``, run once per extension and argument tuple.
+
+    The value is kept in the extension's one ``_memo`` dict, keyed on
+    ``build`` and the arguments, so it lives and dies with the extension.
+    Nothing is keyed by ``id``: CPython reuses an id once its object is
+    freed, so an id-keyed table could hand a new extension a dropped
+    one's tables. Every table an oracle keeps per extension is built
+    this way.
+    """
+    @functools.wraps(build)
+    def memo(ext, *args):
+        key = (build, *args)
+        try:
+            return ext._memo[key]
+        except KeyError:
+            value = ext._memo[key] = build(ext, *args)
+            return value
+    return memo
+
+
 def _check_integers(p, q, f, e, precision):
     """Refuse a descriptor on what its integers alone decide: tameness
     (p does not divide e), existence (e divides q - 1), the degree cap
@@ -82,13 +104,13 @@ class TameAbelianExtension:
 
     Rejects wild input (p | e) and input with no tame abelian extension of
     the requested shape (e not dividing q - 1). Immutable after
-    construction; the Galois group, its distinguished generators and their
-    relation exponent, the norm's stage plan (its Galois powers and the
-    Zech weights of its twisted squares), the norm-group presentation, the
-    congruence search's probe-residue table (the group scanned once) and
-    the characters' value tables are each computed once and cached on the
-    extension, never on a module-level table keyed by ``id``. u0 is a
-    ``FieldElement``; ``from_parameters`` parses it from text.
+    construction but for ``_memo``, the one dict of ``per_extension``:
+    the Galois group, its distinguished generators and their relation
+    exponent, the norm's stage plan and the Zech weights of its twisted
+    squares, the norm-group presentation, the congruence search's
+    probe-residue table and the characters' value tables are each built
+    once there, by their own builders. u0 is a ``FieldElement``;
+    ``from_parameters`` parses it from text.
     """
 
     def __init__(self, tower: FieldTower, e: int, u0: FieldElement,
@@ -105,13 +127,7 @@ class TameAbelianExtension:
         self.e = e
         self.u0 = u0
         self.precision = precision
-        self._group = None
-        self._sigma = None           # residue_frobenius_lift()
-        self._s = None               # frobenius_relation_exponent()
-        self._norm_plan = None       # set by reciprocity._norm_plan
-        self._norm_group = None      # set by reciprocity.norm_group
-        self._probes = None          # set by reciprocity._probe_table
-        self._character_tables = None    # set by brauer._character_tables
+        self._memo = {}
 
     @classmethod
     def from_parameters(cls, p, t, f, e, u0="1",
@@ -255,26 +271,24 @@ class TameAbelianExtension:
         return ((tower.q**a - 1) // self.e * self.u0.log
                 % (tower.order // self.e))
 
+    @per_extension
     def galois_group(self) -> tuple:
         """All e*f elements (a, c), sorted by (a, generator exponent of c):
         for each a, the least log c plus each multiple of |l*|/e."""
-        if self._group is None:
-            step = self.tower.order // self.e
-            self._group = tuple(
-                GaloisElement(self, a, self._least_scale_log(a) + i * step)
-                for a in range(self.f) for i in range(self.e))
-        return self._group
+        step = self.tower.order // self.e
+        return tuple(
+            GaloisElement(self, a, self._least_scale_log(a) + i * step)
+            for a in range(self.f) for i in range(self.e))
 
     def inertia_generator(self) -> "GaloisElement":
         """(0, zeta_e) for the fixed primitive e-th root of unity."""
         return GaloisElement(self, 0, self.tower.order // self.e)
 
+    @per_extension
     def residue_frobenius_lift(self) -> "GaloisElement":
         """The lift of residue Frobenius with the smallest-log alpha scale."""
-        if self._sigma is None:
-            a = 1 % self.f
-            self._sigma = GaloisElement(self, a, self._least_scale_log(a))
-        return self._sigma
+        a = 1 % self.f
+        return GaloisElement(self, a, self._least_scale_log(a))
 
     def frobenius_element(self) -> "GaloisElement":
         """The canonical Frobenius; only unramified extensions have one."""
@@ -322,6 +336,7 @@ class TameAbelianExtension:
                 out.append(g)
         return tuple(out)
 
+    @per_extension
     def frobenius_relation_exponent(self) -> int:
         """The s with sigma^f = zeta^s for the distinguished generators.
 
@@ -329,13 +344,11 @@ class TameAbelianExtension:
         generator; together they generate the group with relation lattice
         spanned by (f, -s) and (0, e).
         """
-        if self._s is None:
-            w = self.residue_frobenius_lift() ** self.f
-            step = self.tower.order // self.e
-            if w.a or w.c_log % step:
-                raise ArithmeticError("sigma^f must land in inertia")
-            self._s = (w.c_log // step) % self.e
-        return self._s
+        w = self.residue_frobenius_lift() ** self.f
+        step = self.tower.order // self.e
+        if w.a or w.c_log % step:
+            raise ArithmeticError("sigma^f must land in inertia")
+        return (w.c_log // step) % self.e
 
     def structure(self) -> tuple:
         """Invariant factors of the Galois group (trivial factors dropped)."""

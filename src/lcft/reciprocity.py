@@ -25,9 +25,12 @@ they can check each other:
   the window of the field its factor lies in: ceil(n/d) terms in
   alpha^d, and ceil(n/e) in the Frobenius stage. After an inertia stage
   the terms off its fixed field must be zero (an ArithmeticError naming
-  the stage) and are dropped; the result is audited to lie in K. The
-  stage plan, its Galois powers and the Zech weights of its twisted
-  squares are built once per extension and kept on it.
+  the stage) and are dropped; the result is audited to lie in K.
+
+Every table an oracle keeps per extension (the search's probe table, the
+norm's stage plan and the Zech weights of its twisted squares, the norm
+group) is the value of a builder under ``extension.per_extension``, built
+on first use into the extension's one memo.
 
 Base-field classes are reduced pairs (valuation, unit residue), written
 ``BaseFieldClass(tower, v, unit_log)`` with ``b.unit`` a view; 1-units are
@@ -40,7 +43,7 @@ import math
 from dataclasses import dataclass
 
 from .extension import (BASE_SYMBOL, EXT_SYMBOL, GaloisElement,
-                        TameAbelianExtension, twist_logs)
+                        TameAbelianExtension, per_extension, twist_logs)
 from .ffield import FieldElement, FieldTower, prime_factors
 from .series import LaurentSeries, _convolve, _square, _square_plan
 from .snf import invariant_factors
@@ -136,35 +139,11 @@ def reciprocity_of_series(ext: TameAbelianExtension,
     return reciprocity_map(ext, class_of_series(b))
 
 
-def congruence_rhs(ext: TameAbelianExtension, pi: LaurentSeries,
-                   u: LaurentSeries, i: int, beta: LaurentSeries,
-                   inputs: tuple | None = None) -> FieldElement:
-    """Residue of beta^(q^i-1) / (((-1)^(e-1) pi)^(q^i-1)v * u^((q-1)v)).
-
-    Here v is the base-field valuation of beta, so both exponents are
-    integers because e divides q - 1. The quotient is always a unit;
-    a nonzero valuation signals an internal error.
-
-    Everything is exact on beta's window of n terms. It is the
-    composition of two steps: ``_congruence_inputs`` checks pi, u and i
-    and embeds the signed pi and u on that window, and
-    ``_congruence_residue`` evaluates the quotient at beta. ``inputs``,
-    when given, is that first step's pair, already built for (pi, u, i)
-    on beta's window: ``reciprocity_search`` builds it once and passes it
-    to both of its probes, so a search embeds pi and u once.
-    """
-    if beta.is_zero():
-        raise ValueError("beta must be nonzero")
-    if inputs is None:
-        inputs = _congruence_inputs(ext, pi, u, i, beta.precision)
-    return _congruence_residue(ext, *inputs, i, beta)
-
-
-def _congruence_inputs(ext: TameAbelianExtension, pi: LaurentSeries,
-                       u: LaurentSeries, i: int, window: int) -> tuple:
+def congruence_inputs(ext: TameAbelianExtension, pi: LaurentSeries,
+                      u: LaurentSeries, i: int, window: int) -> tuple:
     """The pair ((-1)^(e-1) pi, u), both embedded in L on ``window``
     terms, after checking that i >= 0, pi is a uniformizer and u a unit
-    of K.
+    of K: the inputs of ``congruence_rhs`` for the class u * pi^i.
 
     Only the first ceil(window/e) terms of pi and u are embedded, since
     t = u0^(-1) alpha^e puts t-term j at alpha-term j*e; ``embed`` audits
@@ -186,11 +165,16 @@ def _congruence_inputs(ext: TameAbelianExtension, pi: LaurentSeries,
     return signed_pi, unit
 
 
-def _congruence_residue(ext: TameAbelianExtension, signed_pi: LaurentSeries,
-                        unit: LaurentSeries, i: int,
-                        beta: LaurentSeries) -> FieldElement:
-    """The residue of the congruence quotient at a nonzero beta, from the
-    pair of ``_congruence_inputs`` embedded on beta's window.
+def congruence_rhs(ext: TameAbelianExtension, signed_pi: LaurentSeries,
+                   unit: LaurentSeries, i: int,
+                   beta: LaurentSeries) -> FieldElement:
+    """Residue of beta^(q^i-1) / (((-1)^(e-1) pi)^(q^i-1)v * u^((q-1)v)).
+
+    Here v is the base-field valuation of beta, so both exponents are
+    integers because e divides q - 1. ``signed_pi`` and ``unit`` are the
+    pair of ``congruence_inputs`` for (pi, u, i), embedded on beta's
+    window of n terms, on which everything is exact. The quotient is
+    always a unit; a nonzero valuation signals an internal error.
 
     The powers reduce their exponents modulo the 1-unit exponent of the
     window (``LaurentSeries.__pow__``), which leaves every retained term
@@ -198,6 +182,8 @@ def _congruence_residue(ext: TameAbelianExtension, signed_pi: LaurentSeries,
     exponents are 0 and the quotient is the numerator itself: no
     denominator is built or divided by.
     """
+    if beta.is_zero():
+        raise ValueError("beta must be nonzero")
     q, e = ext.q, ext.e
     v_l = beta.valuation
     num = beta ** (q**i - 1)
@@ -225,14 +211,14 @@ def reciprocity_search(ext: TameAbelianExtension, pi: LaurentSeries,
     group element may match. The group is scanned once per extension into
     a probe-residue table (``_probe_table``), which also holds the two
     probe series. Both probes keep the extension's window, so each call
-    checks and embeds pi and u once (``_congruence_inputs``, two ``embed``
+    checks and embeds pi and u once (``congruence_inputs``, two ``embed``
     calls), evaluates ``congruence_rhs`` at both probes on that one
     embedding and looks the pair of residues up.
     """
     alpha, omega, table = _probe_table(ext)
-    inputs = _congruence_inputs(ext, pi, u, i, alpha.precision)
-    want = (congruence_rhs(ext, pi, u, i, alpha, inputs),
-            congruence_rhs(ext, pi, u, i, omega, inputs))
+    signed_pi, unit = congruence_inputs(ext, pi, u, i, alpha.precision)
+    want = (congruence_rhs(ext, signed_pi, unit, i, alpha),
+            congruence_rhs(ext, signed_pi, unit, i, omega))
     matches = table.get(want, ())
     if len(matches) != 1:
         raise ArithmeticError(
@@ -241,24 +227,23 @@ def reciprocity_search(ext: TameAbelianExtension, pi: LaurentSeries,
     return matches[0]
 
 
+@per_extension
 def _probe_table(ext: TameAbelianExtension) -> tuple:
     """The probes alpha and omega, a residue-field generator, with every
     group element g keyed on the residues of g(alpha) / alpha and
     g(omega) / omega, each an exact series quotient; a key lists the
     elements that share it. Built once per extension by scanning the
-    whole group, and cached on it as (alpha, omega, table); ``norm_group``
-    builds its own alpha and omega.
+    whole group, as (alpha, omega, table); ``norm_group`` builds its own
+    alpha and omega.
     """
-    if ext._probes is None:
-        alpha = ext.uniformizer()
-        omega = ext.constant(ext.tower.generator())
-        table = {}
-        for g in ext.galois_group():
-            key = ((g.apply(alpha) / alpha).residue(),
-                   (g.apply(omega) / omega).residue())
-            table.setdefault(key, []).append(g)
-        ext._probes = (alpha, omega, table)
-    return ext._probes
+    alpha = ext.uniformizer()
+    omega = ext.constant(ext.tower.generator())
+    table = {}
+    for g in ext.galois_group():
+        key = ((g.apply(alpha) / alpha).residue(),
+               (g.apply(omega) / omega).residue())
+        table.setdefault(key, []).append(g)
+    return alpha, omega, table
 
 
 def norm(ext: TameAbelianExtension, beta: LaurentSeries) -> LaurentSeries:
@@ -281,9 +266,9 @@ def norm(ext: TameAbelianExtension, beta: LaurentSeries) -> LaurentSeries:
     floor(log2 m) + popcount(m) - 1 series products instead of m - 1.
     Products of unit windows are exact modulo the window, so the
     regrouping gives the flat product of all e*f conjugates bit for bit.
-    The plan of stages, its powers h^c and the weights of each twisted
-    square per window length are built once per extension
-    (``_norm_plan``).
+    The plan of stages and its powers h^c (``_norm_plan``), and the
+    weights of each twisted square per step and window length
+    (``_square_weights``), are built once per extension.
 
     Every stage runs on the window of the field that holds its factor:
     y lies in L_d, whose terms sit at the powers of alpha^d, so its window
@@ -318,14 +303,12 @@ def norm(ext: TameAbelianExtension, beta: LaurentSeries) -> LaurentSeries:
     for stride, keep, h, steps in _norm_plan(ext):
         n = len(logs)
         y, v_y = logs, v
-        for g, one_bit, squares in steps:
-            if squares is not None:
-                # a = 0: h^c only scales X = alpha^stride: a square, its
-                # weights kept per window length
+        for g, one_bit in steps:
+            if g.a == 0:
+                # h^c only scales X = alpha^stride: a twisted square
                 step = g.c_log * stride
-                if n not in squares:
-                    squares[n] = _square_plan(step, n, tower)
-                logs = _square(logs, step, v, tower, squares[n])
+                logs = _square(logs, step, v, tower,
+                               _square_weights(ext, step, n))
             else:
                 terms = [(i, a) for i, a in enumerate(logs) if a is not None]
                 logs = _convolve(terms, twist_logs(logs, g, v, stride),
@@ -365,6 +348,7 @@ def norm(ext: TameAbelianExtension, beta: LaurentSeries) -> LaurentSeries:
     return out
 
 
+@per_extension
 def _norm_plan(ext: TameAbelianExtension) -> tuple:
     """The stages of ``norm``, with the Galois powers each applies.
 
@@ -374,35 +358,32 @@ def _norm_plan(ext: TameAbelianExtension) -> tuple:
     e, counted with multiplicity and smallest first, with stride d the
     product of the primes before it, keep = m = p and h = zeta^(e/(dp));
     then the Frobenius stage, with stride e, keep 1, the residue
-    Frobenius lift as h and m = f. ``steps`` has one triple
-    (h^c, bit, squares) for each bit of m below the leading one, where c
-    is the prefix of m read before that bit. ``squares`` is None when h^c
-    moves the residue field (a != 0); for an inertia step (a = 0) it is a
-    dict from the window length n to the ``_square_plan`` of its twisted
-    square, the Zech weights and slot range, filled by ``norm`` the first
-    time a window of n terms meets the step. Built once per extension and
-    cached on it, the weights with it, so a norm makes no group products
-    and rebuilds no weights.
+    Frobenius lift as h and m = f. ``steps`` has one pair (h^c, bit) for
+    each bit of m below the leading one, where c is the prefix of m read
+    before that bit. Built once per extension, so a norm makes no group
+    products; an inertia step's square weights (h^c = (0, c)) come from
+    ``_square_weights``.
     """
-    if ext._norm_plan is None:
-        e, zeta = ext.e, ext.inertia_generator()
-        stages = []
-        d = 1
-        for p in prime_factors(e):
-            while e % (d * p) == 0:
-                stages.append((d, p, zeta ** (e // (d * p)), p))
-                d *= p
-        stages.append((e, 1, ext.residue_frobenius_lift(), ext.f))
-        plan = []
-        for stride, keep, h, m in stages:
-            steps = []
-            for k in reversed(range(m.bit_length() - 1)):
-                hc = h ** (m >> (k + 1))
-                steps.append((hc, bool(m >> k & 1),
-                              {} if hc.a == 0 else None))
-            plan.append((stride, keep, h, tuple(steps)))
-        ext._norm_plan = tuple(plan)
-    return ext._norm_plan
+    e, zeta = ext.e, ext.inertia_generator()
+    stages = []
+    d = 1
+    for p in prime_factors(e):
+        while e % (d * p) == 0:
+            stages.append((d, p, zeta ** (e // (d * p)), p))
+            d *= p
+    stages.append((e, 1, ext.residue_frobenius_lift(), ext.f))
+    return tuple(
+        (stride, keep, h,
+         tuple((h ** (m >> (k + 1)), bool(m >> k & 1))
+               for k in reversed(range(m.bit_length() - 1))))
+        for stride, keep, h, m in stages)
+
+
+@per_extension
+def _square_weights(ext: TameAbelianExtension, step: int, n: int) -> tuple:
+    """The ``_square_plan`` of a twisted square of the norm at this step on
+    a window of n terms, built once per extension, step and n."""
+    return _square_plan(step, n, ext.tower)
 
 
 @dataclass(frozen=True)
@@ -424,16 +405,14 @@ class NormGroupPresentation:
     quotient_order: int
 
 
+@per_extension
 def norm_group(ext: TameAbelianExtension) -> NormGroupPresentation:
     """Smith-form presentation of K* modulo the norm image.
 
     Generated by the classes of N(alpha) and N(omega) for a residue
     generator omega; 1-units contribute nothing because they are norms.
-    The quotient order must come out as e*f. Built once per extension and
-    cached on it.
+    The quotient order must come out as e*f. Built once per extension.
     """
-    if ext._norm_group is not None:
-        return ext._norm_group
     tower = ext.tower
     gen = tower.generator()
     gk = tower.subfield_generator()
@@ -457,14 +436,13 @@ def norm_group(ext: TameAbelianExtension) -> NormGroupPresentation:
                               f"representatives, expected {ext.degree}")
     reps = tuple(BaseFieldClass(tower, i, gk.log * j)
                  for i in range(ext.f) for j in range(d))
-    ext._norm_group = NormGroupPresentation(
+    return NormGroupPresentation(
         subfield_generator=gk,
         generator_rows=((ext.f, d1), (0, d2)),
         relation_matrix=tuple(tuple(r) for r in rows),
         invariant_factors=factors,
         coset_representatives=reps,
         quotient_order=order)
-    return ext._norm_group
 
 
 def is_norm(ext: TameAbelianExtension, b: BaseFieldClass) -> bool:

@@ -101,7 +101,7 @@ def _convolve(terms, src, out, offset, start, stop, tower):
     return out
 
 
-def _square(logs, step, valuation, tower, plan=None):
+def _square(logs, step, valuation, tower, plan):
     """The window of x * x', where x = sum of a_j X^(v+j) and x' scales
     the coefficient of X^(v+j) by g^(step*(v+j)):
 
@@ -130,10 +130,11 @@ def _square(logs, step, valuation, tower, plan=None):
     p = 2 included, is a ``_spread``. Each doubling of an inertia stage
     of ``reciprocity.norm`` runs it on that stage's window in X = alpha^d
     at step d * log c, the log of a p-th root of unity, which is never 0.
-    The weights and the slot range depend only on the step and n:
-    ``_square_plan`` builds them, and ``plan`` passes a pair built before,
-    as the norm's stage plan keeps one per inertia step and window length
-    on its extension; the squarings of ``**`` build theirs each call.
+    The weights and the slot range depend only on the step and n, and
+    ``plan`` is that pair, built by ``_square_plan``: the norm keeps one
+    per extension, inertia step and window length
+    (``reciprocity._square_weights``), and the squarings of ``**`` build
+    theirs each call.
     """
     order, zech = tower.order, tower._zech
     n = len(logs)
@@ -142,7 +143,7 @@ def _square(logs, step, valuation, tower, plan=None):
     # the lower index i of a pair (i, k - i) has 2i <= k < n: twist it
     terms = [(i, a + step * (valuation + i))
              for i, a in enumerate(logs[:(n + 1) // 2]) if a is not None]
-    weights, slots = plan or _square_plan(step, n, tower)
+    weights, slots = plan
     for k in slots:
         acc = None
         for i, a in terms:
@@ -168,8 +169,8 @@ def _square_plan(step, n, tower):
     the Zech weight log(1 + g^(step*d)) of each distance d < n (0 at
     d = 0), and the slots the loop visits, only the even ones when every
     odd distance weighs zero. It reads only the step, n and the tower, so
-    ``reciprocity.norm`` builds it once per inertia step and window length
-    and keeps it in its stage plan."""
+    ``reciprocity.norm`` builds it once per extension, inertia step and
+    window length (``reciprocity._square_weights``)."""
     order, zech = tower.order, tower._zech
     weights = [0] + [zech[step * d % order] for d in range(1, n)]
     if all(w < 0 for w in weights[1::2]):
@@ -201,7 +202,8 @@ def _square_and_multiply(x, d):
         if not d:
             return result
         x = LaurentSeries(x.tower, x.symbol, 2 * x.valuation,
-                          _square(x.logs, 0, x.valuation, x.tower))
+                          _square(x.logs, 0, x.valuation, x.tower,
+                                  _square_plan(0, len(x.logs), x.tower)))
 
 
 def _unit_exponent(p, n):

@@ -115,7 +115,7 @@ def _last_slot_from_the_lead(convolve):
 def _last_slot_plus_one(square):
     """``_square`` with 1 added to the log of its last slot, where that
     slot is nonzero."""
-    def mutant(logs, step, valuation, tower, plan=None):
+    def mutant(logs, step, valuation, tower, plan):
         out = square(logs, step, valuation, tower, plan)
         if out and out[-1] is not None:
             out[-1] = (out[-1] + 1) % tower.order
@@ -155,6 +155,21 @@ def _lead_added(inverse):
     return mutant
 
 
+def _valuation_term_moved(change):
+    """``is_norm`` with change(v, f) * d1 in place of its term
+    v // f * d1, written as a wrapper: the true ``is_norm`` with the unit
+    log shifted by (v // f - change(v, f)) * d1 on k's generator."""
+    def wrap(is_norm):
+        def mutant(ext, b):
+            (f, d1), _ = rc.norm_group(ext).generator_rows
+            shift = (b.valuation // f - change(b.valuation, f)) * d1
+            return is_norm(ext, rc.BaseFieldClass(
+                b.tower, b.valuation,
+                b.unit_log + shift * b.tower.subfield_norm_exponent))
+        return mutant
+    return wrap
+
+
 def _uncaught(item):
     return pytest.mark.xfail(strict=True, reason=f"ROADMAP item {item}")
 
@@ -179,6 +194,13 @@ MUTANTS = [
                  lambda is_norm: lambda ext, b: is_norm(
                      ext, rc.BaseFieldClass(b.tower, 0, b.unit_log)),
                  {"fails"}, id="is-norm-ignores-the-valuation"),
+    # ROADMAP item 15's last blind spot, is_norm off valuation 0: caught
+    # by hasse-layer's law is_norm(b * N(alpha)^k) == is_norm(b)
+    pytest.param(rc, "is_norm",
+                 _valuation_term_moved(lambda v, f: -(v // f)),
+                 {"fails"}, id="is-norm-valuation-term-sign-flipped"),
+    pytest.param(rc, "is_norm", _valuation_term_moved(lambda v, f: v * f),
+                 {"fails"}, id="is-norm-v-times-f-for-v-over-f"),
     # collapses the characters of 5 of the 8 matrix extensions, e.g. of
     # (2,2,3,3,*) from 9 to 3; caught by hasse-layer's size law alone
     pytest.param(brauer, "character_group", _characters_collapsed,
@@ -246,6 +268,71 @@ def test_the_library_holds_no_assert_statement():
              if isinstance(node, ast.Assert)
              or isinstance(node, ast.Name) and node.id == "__debug__"]
     assert found == []
+
+
+def _library_offences(path):
+    """``id(`` outside ``__hash__`` and ``LaurentSeries._key``, and, outside
+    ``extension.py``, an attribute written on an extension (a target
+    ``ext.x`` or ``<...>.ext.x``, or ``setattr`` on one) or any touch of
+    the extension's memo, as ``file:line``."""
+    found = []
+
+    def on_extension(node):
+        return (isinstance(node, ast.Name) and node.id == "ext"
+                or isinstance(node, ast.Attribute) and node.attr == "ext")
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = (*scope, child.name) if isinstance(
+                child, (ast.ClassDef, ast.FunctionDef)) else scope
+            here = f"{path.name}:{getattr(child, 'lineno', '?')}"
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id == "id"
+                    and scope[-1:] != ("__hash__",)
+                    and scope[-2:] != ("LaurentSeries", "_key")):
+                found.append(here)
+            if path.name != "extension.py" and (
+                    isinstance(child, ast.Attribute)
+                    and (child.attr == "_memo"
+                         or isinstance(child.ctx, ast.Store)
+                         and on_extension(child.value))
+                    or isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id == "setattr"
+                    and on_extension(child.args[0])):
+                found.append(here)
+            walk(child, inner)
+
+    walk(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_the_library_keys_nothing_by_id_and_writes_no_extension():
+    # CPython reuses a freed object's id, so a table keyed by id can hand
+    # a new object a dropped one's entry; an extension's tables live in
+    # its own memo, which only ``extension.per_extension`` writes
+    source = pathlib.Path(checks.__file__).parent
+    assert [spot for path in sorted(source.glob("*.py"))
+            for spot in _library_offences(path)] == []
+
+
+def test_the_library_guard_sees_each_offence(tmp_path):
+    # the guard above, on a module that breaks each rule once
+    module = tmp_path / "brauer.py"
+    module.write_text(
+        "class C:\n"
+        "    def __hash__(self):\n"
+        "        return id(self)\n"
+        "    def key(self):\n"
+        "        return id(self)\n"
+        "def build(ext, g):\n"
+        "    ext._tables = 1\n"
+        "    g.ext.cache = 2\n"
+        "    setattr(ext, 'x', 3)\n"
+        "    return ext._memo\n")
+    assert _library_offences(module) == [
+        f"brauer.py:{line}" for line in (5, 7, 8, 9, 10)]
 
 
 @pytest.mark.parametrize("descriptors, precision, samples, seed", [

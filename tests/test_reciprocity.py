@@ -10,11 +10,19 @@ from conftest import (MATRIX_PARAMS, binary_power, class_inverse,
                       field_element_closed_form, subfield_units)
 from lcft import brauer, checks, reciprocity as rc
 from lcft.extension import GaloisElement, TameAbelianExtension
+from lcft.ffield import FieldTower
 from lcft.series import LaurentSeries
 
 
 def _const(ext, value):
     return LaurentSeries.constant(ext.tower, "t", value, ext.precision)
+
+
+def _rhs(ext, pi, u, i, beta):
+    """The congruence residue at beta of the class u * pi^i: its inputs
+    checked and embedded on beta's window, then the quotient at beta."""
+    signed_pi, unit = rc.congruence_inputs(ext, pi, u, i, beta.precision)
+    return rc.congruence_rhs(ext, signed_pi, unit, i, beta)
 
 
 def test_class_validation(matrix):
@@ -94,15 +102,15 @@ def test_congruence_rhs_examples(matrix):
     alpha = ext.uniformizer()
     omega = ext.constant(ext.tower.generator())
     # i = 0 and u = 1 is the trivial class
-    assert rc.congruence_rhs(ext, t, one, 0, alpha) == ext.tower.one()
-    assert rc.congruence_rhs(ext, t, one, 0, omega) == ext.tower.one()
+    assert _rhs(ext, t, one, 0, alpha) == ext.tower.one()
+    assert _rhs(ext, t, one, 0, omega) == ext.tower.one()
     # a unit probe sees the Frobenius power
     g = ext.tower.generator()
-    assert rc.congruence_rhs(ext, t, one, 1, omega) == g ** (ext.q - 1)
+    assert _rhs(ext, t, one, 1, omega) == g ** (ext.q - 1)
     # the alpha probe sees u0^((q-1)/e)
-    assert rc.congruence_rhs(ext, t, one, 1, alpha) == g
+    assert _rhs(ext, t, one, 1, alpha) == g
     with pytest.raises(ValueError):
-        rc.congruence_rhs(ext, one, one, 1, alpha)    # pi not a uniformizer
+        _rhs(ext, one, one, 1, alpha)    # pi not a uniformizer
 
 
 def test_search_matches_closed_form_on_all_classes(matrix):
@@ -167,8 +175,8 @@ def test_search_embeds_pi_and_u_once_per_call(monkeypatch):
 # each oracle's entry points in lcft.reciprocity
 ORACLES = {
     "closed form": ("reciprocity_map",),
-    "search": ("reciprocity_search", "_probe_table", "congruence_rhs",
-               "_congruence_inputs", "_congruence_residue"),
+    "search": ("reciprocity_search", "_probe_table", "congruence_inputs",
+               "congruence_rhs"),
     "norm group": ("norm_group", "norm", "is_norm"),
 }
 
@@ -633,7 +641,7 @@ def test_congruence_rhs_matches_the_full_embed(params, precision, rng,
                 want = _full_embed_rhs(ext, pi, u, i, beta)
                 with monkeypatch.context() as m:
                     m.setattr(TameAbelianExtension, "embed", recorded)
-                    got = rc.congruence_rhs(ext, pi, u, i, beta)
+                    got = _rhs(ext, pi, u, i, beta)
                 assert got == want, (params, n, i, beta)
                 checked += 1
     assert checked == 4 * 4 * 3
@@ -670,7 +678,7 @@ def test_omega_probe_is_the_numerator(params, precision, monkeypatch):
             want = _full_embed_rhs(ext, t, u, i, omega)
             with monkeypatch.context() as m:
                 m.setattr(LaurentSeries, "inverse", counted)
-                got = rc.congruence_rhs(ext, t, u, i, omega)
+                got = _rhs(ext, t, u, i, omega)
             assert got == want, (params, rep, i)
             checked += 1
     assert checked == 3 * ext.degree
@@ -680,7 +688,7 @@ def test_omega_probe_is_the_numerator(params, precision, monkeypatch):
     if ext.f > 1:
         outside = _const(ext, ext.tower.generator())
         with pytest.raises(ValueError, match="outside k"):
-            rc.congruence_rhs(ext, t, outside, 0, omega)
+            _rhs(ext, t, outside, 0, omega)
 
 
 def test_norm_group_presentations(matrix):
@@ -834,6 +842,49 @@ def test_search_table_built_once_per_extension(monkeypatch):
     pi_class = rc.BaseFieldClass(ext.tower, 1, 0)
     assert first == rc.reciprocity_map(ext, pi_class)
     assert second == first * first
+
+
+def _memo_tables(ext, beta_logs):
+    """The group, the norm's stage plan and the square weights of its
+    inertia steps on windows of 1 to 8 terms, as plain data (each Galois
+    element as its pair (a, log c)), and the logs of one norm."""
+    group = [(g.a, g.c_log) for g in ext.galois_group()]
+    plan, weights = [], []
+    for stride, keep, h, steps in rc._norm_plan(ext):
+        plan.append((stride, keep, (h.a, h.c_log),
+                     [((g.a, g.c_log), bit) for g, bit in steps]))
+        weights += [rc._square_weights(ext, g.c_log * stride, n)
+                    for g, _ in steps if g.a == 0 for n in range(1, 9)]
+    beta = LaurentSeries(ext.tower, "alpha", 1, beta_logs)
+    return group, plan, weights, rc.norm(ext, beta).logs
+
+
+def test_two_extensions_over_one_tower_keep_their_own_tables(rng):
+    # the memo is the extension's, not the tower's: u0 = 1 and u0 = g
+    # share the tower object, and each must see what it sees alone
+    tower = FieldTower(2, 2, 3)
+    shared = [TameAbelianExtension(tower, 3, tower.parse(u0), 8)
+              for u0 in ("1", "g")]
+    beta_logs = [0] + rc.random_logs(tower, rng, 7)
+    # interleaved: each table of one extension is built between the
+    # other's
+    tables = [_memo_tables(ext, beta_logs) for ext in shared + shared]
+    for ext, u0, got in zip(shared + shared, ("1", "g") * 2, tables):
+        alone = TameAbelianExtension.from_parameters(2, 2, 3, 3, u0,
+                                                     precision=8)
+        assert got == _memo_tables(alone, beta_logs), u0
+    # the two groups differ, so a table shared between them would show
+    assert tables[0][0] != tables[1][0]
+
+
+def test_a_second_check_pass_adds_no_memo_entry():
+    ext = TameAbelianExtension.from_parameters(7, 1, 2, 6, "1",
+                                               precision=8)
+    assert all(r.passed for r in checks.run_checks(ext, 10, 1))
+    first = dict(ext._memo)
+    assert all(r.passed for r in checks.run_checks(ext, 10, 2))
+    assert ext._memo.keys() == first.keys()
+    assert all(ext._memo[key] is value for key, value in first.items())
 
 
 def test_search_audit_rejects_a_shared_probe_key(monkeypatch):
