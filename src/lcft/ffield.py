@@ -32,24 +32,27 @@ it is an ``array('i')`` too: a list of separate ints would take about
 packed array's. Readers index either kind the same way. The exponential
 table exists only during the build, which writes the Zech table over it.
 
-The tables are built on one of three routes, chosen by (p, t*f):
+The tables are built on one of three routes, chosen by (p, t*f). Each
+walks the powers of the generator, writes the log table and leaves, in
+slot k of the exponential table, the index of 1 + g^k in the log table:
 
 - p = 2: the packed int is the bitmask of the coefficients, and the
-  build's per-entry work runs in the C runtime. The powers of the
+  walk's per-entry work runs in the C runtime. The powers of the
   generator are walked on 32-bit lanes of one big int, 2^ceil(n/2)
   powers a step; a step is one shift and one masked XOR for every lane,
-  and its bytes land in the exponential table as a strided slice. The
-  Zech table is gathered: a chunk of the exponential table, its constant
-  bits flipped as one int, is looked up in the log table with
-  ``itemgetter`` and the logs replace the chunk. Only the log scatter is
-  a Python loop.
+  and its bytes land in the exponential table as a strided slice. Only
+  the log scatter is a Python loop. 1 + g^k flips the constant bit of
+  g^k, so each chunk of the table is flipped as one int.
 - odd p, t*f = 1: l = F_p and the generator is the int g. One loop,
   v = v * g % p over v = g^k, writes log[v] and, in slot k of the
-  exponential table, the index of 1 + v in the log table (0 at v = -1).
-  The Zech table is gathered from those indices a chunk at a time with
-  ``itemgetter``, as at p = 2.
-- odd p, t*f >= 2: a digit vector is stepped one power at a time, and
-  each Zech log is looked up with the constant digit raised by one.
+  exponential table, the index of 1 + v (0 at v = -1).
+- odd p, t*f >= 2: a digit vector is stepped one power at a time; each
+  step writes log[g^k] and the index of 1 + g^k, which is g^k with its
+  constant digit raised by one mod p.
+
+One gather then ends every route: a chunk of the exponential table at a
+time is looked up in the log table with ``itemgetter``, and the Zech
+logs are written back over the chunk.
 """
 
 from __future__ import annotations
@@ -68,9 +71,10 @@ SIZE_CAP = 2**20
 # is faster up to 2^15 entries, the two tie near 2^16, and the array is
 # faster from about 78,000 entries (5^7) up to the cap.
 ZECH_ARRAY_MIN = 2**16
-# the Zech table is filled this many entries at a time, so no list of
-# the whole table exists at once; 2^10 keeps the chunk's temporaries
-# (its int objects above all) under the p = 2 cap build's peak RSS
+# every route's Zech logs are gathered this many entries at a time, so
+# no tuple or list of the whole table exists at once; 2^10 keeps a
+# chunk's temporaries (its int objects above all) under the peak RSS of
+# each cap build
 _ZECH_CHUNK = 2**10
 
 
@@ -223,7 +227,6 @@ class FieldTower:
         self.order = self.size - 1            # |l*|, always >= 1
         self.q = p**t                          # |k|
         self.subfield_units = self.q - 1       # |k*|
-        self._order_factors = prime_factors(self.order)
         # norm exponent onto k: x |-> x^((q^f-1)/(q-1))
         self.subfield_norm_exponent = self.order // self.subfield_units
         # -1 is the one element of order 2 in the cyclic l* when |l*| is
@@ -249,6 +252,7 @@ class FieldTower:
         rng = random.Random(f"field-tower-{self.p}-{self.t}-{self.f}")
         p, n = self.p, self.degree
         bits, width = rng.getrandbits, p.bit_length()
+        order_factors = prime_factors(self.order)
         while True:
             coeffs = []
             for _ in range(n):
@@ -259,17 +263,18 @@ class FieldTower:
             coeffs.append(1)
             if coeffs[0] == 0:
                 continue
-            if _x_is_primitive(coeffs, p, self._order_factors, self.order):
+            if _x_is_primitive(coeffs, p, order_factors, self.order):
                 return tuple(coeffs)
 
     def _build_tables(self):
-        # exp[k] packs g^k base p (digit i is the coefficient of x^i),
-        # where g is the class of x; log is its inverse, -1 at 0; zech[k]
-        # is log(1 + g^k), -1 where 1 + g^k = 0. exp only lives through
-        # the build: each chunk of it is read once more, for the Zech
-        # logs, which are written back over that chunk, so the tower keeps
-        # two tables. log is array('i'), which only the cold constructors
-        # read; the Zech table is a list below ZECH_ARRAY_MIN entries.
+        # Each route walks the powers g^k of g, the class of x, packed
+        # base p (digit i is the coefficient of x^i), and writes log, their
+        # inverse, -1 at 0. When a walk ends, exp[k] holds the slot of
+        # 1 + g^k in log, which is 0 where 1 + g^k = 0; one gather then
+        # turns each slot into zech[k] = log(1 + g^k), a chunk of exp at a
+        # time written back over it, so the tower keeps two tables. log is
+        # array('i'), which only the cold constructors read; the Zech table
+        # is a list below ZECH_ARRAY_MIN entries.
         p, n, size, order = self.p, self.degree, self.size, self.order
         log = array("i", [-1]) * size
         if p == 2:
@@ -292,8 +297,8 @@ class FieldTower:
                 start = _times_mod2(start, hop, mask, n)
                 v |= start << 32 * j
             # lanes * stride = size slots, one more than there are powers:
-            # the last, g^order = 1, is cut in place at the end, so no copy
-            # of a whole table is made
+            # the last, g^order = 1, is cut in place after the gather, so
+            # no copy of a whole table is made
             exp = array("i", [0]) * size
             for s in range(stride):
                 exp[s::stride] = array("i", v.to_bytes(4 * lanes, endian))
@@ -301,27 +306,17 @@ class FieldTower:
                 v ^= (v >> n & ones) * mask
             for k, v in zip(range(order), exp):
                 log[v] = k
-            # 1 + g^k flips the constant bit of g^k, and log[0] == -1
-            # marks 1 + g^0 = 0: a chunk of exp at a time is flipped as one
-            # int, its logs gathered at C level and written back over it.
-            # The chunks divide size and hold at least two entries, so
-            # itemgetter returns a tuple.
+            # 1 + g^k flips the constant bit of g^k: a chunk of exp at a
+            # time is flipped as one int
             chunk = min(size, _ZECH_CHUNK)
             ones = _lane_ones(chunk)
             for lo in range(0, size, chunk):
                 v = int.from_bytes(exp[lo:lo + chunk], endian) ^ ones
-                flipped = array("i", v.to_bytes(4 * chunk, endian))
-                exp[lo:lo + chunk] = array("i", itemgetter(*flipped)(log))
-            del exp[order:]
+                exp[lo:lo + chunk] = array("i", v.to_bytes(4 * chunk, endian))
         elif n == 1:
             # l = F_p and g is the constant -c0 of the modulus x + c0: one
-            # walk of ints mod p writes log and, in exp[k], the slot of
-            # 1 + g^k in log. That is g^k + 1, except at g^k = -1, whose
-            # 1 + g^k = 0 sits in slot 0, where log[0] == -1. The Zech
-            # logs are gathered a chunk of exp at a time, as at p = 2. p is
-            # odd here (F_2 takes the lanes above), so order = p - 1 is
-            # even, every chunk holds at least two entries and itemgetter
-            # returns a tuple.
+            # walk of ints mod p writes log and, in exp[k], g^k + 1, except
+            # at g^k = -1, whose 1 + g^k = 0 sits in slot 0
             g = -self.modulus[0] % p
             exp = array("i", [0]) * order
             v = 1
@@ -330,21 +325,21 @@ class FieldTower:
                 exp[k] = v + 1
                 v = v * g % p
             exp[self.minus_one_log] = 0
-            for lo in range(0, order, _ZECH_CHUNK):
-                exp[lo:lo + _ZECH_CHUNK] = array(
-                    "i", itemgetter(*exp[lo:lo + _ZECH_CHUNK])(log))
         else:
             # odd p has at most 12 digits under the cap; times x uses
             # x^n = -(lower part of the modulus). The digits of the next
             # power are written from the top down, so the packed int is
-            # accumulated in the same pass.
+            # accumulated in the same pass, and its slot is the packed int
+            # with the constant digit d raised by one mod p
             exp = array("i", [0]) * order
             poly = [1] + [0] * (n - 1)
             top = n - 1
             red = [(-c) % p for c in self.modulus[:-1]]
-            packed = 1
+            bump = [1] * (p - 1) + [1 - p]     # (d + 1) % p - d
+            packed, slot = 1, 2
             for k in range(order):
-                exp[k] = packed
+                log[packed] = k
+                exp[k] = slot
                 carry = poly[top]
                 packed = 0
                 for i in range(top, 0, -1):
@@ -354,15 +349,15 @@ class FieldTower:
                 d = (carry * red[0]) % p
                 poly[0] = d
                 packed = packed * p + d
-            for k, v in enumerate(exp):
-                log[v] = k
-            # raise the constant digit of g^k by one mod p, a chunk at a
-            # time written back over it; log[0] == -1 marks 1 + g^k = 0
-            for lo in range(0, order, _ZECH_CHUNK):
-                exp[lo:lo + _ZECH_CHUNK] = array(
-                    "i", [log[v - v % p + (v % p + 1) % p]
-                          for v in exp[lo:lo + _ZECH_CHUNK]])
-        # every slot of exp now holds its Zech log
+                slot = packed + bump[d]
+        # every chunk holds at least two entries, so itemgetter returns a
+        # tuple: at p = 2 the chunks divide the size, 2 at F_2, and at odd
+        # p the order, and so every chunk, is even. log[0] == -1 marks
+        # 1 + g^k = 0.
+        for lo in range(0, len(exp), _ZECH_CHUNK):
+            exp[lo:lo + _ZECH_CHUNK] = array(
+                "i", itemgetter(*exp[lo:lo + _ZECH_CHUNK])(log))
+        del exp[order:]
         self._log = log
         self._zech = exp if order >= ZECH_ARRAY_MIN else exp.tolist()
 

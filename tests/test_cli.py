@@ -232,7 +232,7 @@ sys.exit(code)
 # the same amount in every run: 12.0 MB where a 2^20-entry tower is
 # built, whose log and Zech arrays take 8 MB of it.
 CAP_ROWS = [
-    # field tables at the size cap: the odd-p walk (1.4-1.9 s, 8.0 MB)
+    # field tables at the size cap: the odd-p walk (1.1-1.5 s, 8.1 MB)
     pytest.param("p=3\nt=12\nf=1\ne=2\nu0=1\n", ["validate"], 0, 10, 9.5,
                  id="cap3-validate"),
     # the prime cap's set-up alone, which bigp-check's budget would hide:

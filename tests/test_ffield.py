@@ -44,6 +44,11 @@ def prime_cap_tower():
     return FieldTower(1048573, 1, 1)      # the largest prime under the cap
 
 
+@pytest.fixture(scope="module")
+def cap3_tower():
+    return FieldTower(3, 12, 1)           # 3^12 = 531441, the odd-p digit walk
+
+
 def test_construction_validation():
     with pytest.raises(ValueError):
         FieldTower(4, 1, 1)           # not prime
@@ -325,14 +330,16 @@ print(peak_kib() - before)
 # the cap towers keep a log and a Zech table, 4-byte arrays of 4 MB each;
 # the exponential table lives only during the build, which writes the
 # Zech table over it, and no list or copy of a whole table is made. A new
-# process's peak RSS grows by about 10.5 MB at (2, 10, 2) and 9.8 MB at
-# (1048573, 1, 1), 2.5 MB of it the import. A third table or a temporary
-# copy of one would add 4 MB, a list Zech table ~35.
+# process's peak RSS grows by about 9.9 MB at (2, 10, 2) and at
+# (1048573, 1, 1) and 5.9-6.6 MB at (3, 12, 1), 2.5 MB of it the import. A
+# third table or a temporary copy of one would add 4 MB at 2^20 and
+# 2.1 MB at 3^12, a list Zech table ~35 MB at 2^20.
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="reads the peak RSS from /proc")
 @pytest.mark.parametrize("p, t, f, bound_mb", [
     pytest.param(2, 10, 2, 12, id="2-10-2"),
     pytest.param(1048573, 1, 1, 11.5, id="1048573-1-1"),
+    pytest.param(3, 12, 1, 8, id="3-12-1"),
 ])
 def test_cap_tower_build_peak_memory(p, t, f, bound_mb):
     env = dict(os.environ,
@@ -372,15 +379,29 @@ def test_cap_tower_tables(cap_tower):
 
 
 def test_cap_tower_zech_identities(cap_tower):
-    # two identities of the whole Zech table, whatever walk built it: in
-    # characteristic 2, 1 + (1 + g^k) = g^k, so the table is an involution
-    # off k = 0, where 1 + 1 = 0; and squaring is the Frobenius, so
-    # 1 + g^(2k) = (1 + g^k)^2
-    zech, order = cap_tower._zech, cap_tower.order
+    # in characteristic 2, 1 + (1 + g^k) = g^k, so the whole Zech table is
+    # an involution off k = 0, where 1 + 1 = 0
+    zech = cap_tower._zech
     assert zech[0] == -1
     assert all(zech[z] == k for k, z in enumerate(zech) if k)
-    assert all(zech[2 * k % order] == 2 * z % order
-               for k, z in enumerate(zech) if k)
+
+
+@pytest.mark.parametrize("name", ["cap_tower", "prime_cap_tower",
+                                  "cap3_tower"])
+def test_cap_zech_tables_keep_the_field_identities(request, name):
+    # identities of a whole Zech table in any characteristic, whatever
+    # walk built it: the p-th power is the Frobenius, so
+    # 1 + g^(pk) = (1 + g^k)^p (on F_p, where p = 1 mod |l*|, it reads
+    # zech[k] = zech[k]); 1 + g^(-k) = g^(-k) * (g^k + 1); and 1 + g^k = 0
+    # only at g^k = -1
+    t = request.getfixturevalue(name)
+    zech, p, m = t._zech, t.p, t.order
+    assert len(zech) == m
+    assert all(zech[p * k % m] == p * z % m
+               for k, z in enumerate(zech) if z >= 0)
+    assert all(zech[-k % m] == (z - k) % m
+               for k, z in enumerate(zech) if z >= 0)
+    assert [k for k, z in enumerate(zech) if z < 0] == [t.minus_one_log]
 
 
 def test_prime_cap_tower_identities(prime_cap_tower):
