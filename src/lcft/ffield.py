@@ -7,11 +7,12 @@ needed. The whole field is built once from a monic modulus m over F_p,
 chosen deterministically from (p, t, f) so runs reproduce. A modulus is
 accepted when the class of x has order p^(t*f) - 1 modulo m; that alone
 proves m irreducible, since every nonzero residue is then a power of x.
-That search and the coefficient view compute x^k mod m with one routine,
-``_x_power``. On a prime field (t*f = 1) the modulus is x + c0, so x is
-the constant g = -c0 mod p and x^k is ``pow(g, k, p)``. Otherwise it is a
-ladder left to right over the bits of k, a squaring per bit and a times-x
-shift per 1 bit, on a bitmask at p = 2 and a list at odd p.
+That search, the coefficient view and the p = 2 table walk's lane hop
+compute x^k mod m with one routine, ``_x_power``. On a prime field
+(t*f = 1) the modulus is x + c0, so x is the constant g = -c0 mod p and
+x^k is ``pow(g, k, p)``. Otherwise it is a ladder left to right over the
+bits of k, a squaring per bit and a times-x shift per 1 bit, on a
+bitmask at p = 2 and a list at odd p.
 
 Internally every nonzero element is stored as its discrete logarithm with
 respect to a fixed multiplicative generator; addition goes through a
@@ -33,16 +34,16 @@ packed array's. Readers index either kind the same way. The exponential
 table exists only during the build, which writes the Zech table over it.
 
 The tables are built on one of three routes, chosen by (p, t*f). Each
-walks the powers of the generator, writes the log table and leaves, in
-slot k of the exponential table, the index of 1 + g^k in the log table:
+is one walk over the powers of the generator: as it reaches g^k it
+writes k into the log table and, in slot k of the exponential table,
+the index of 1 + g^k in the log table:
 
-- p = 2: the packed int is the bitmask of the coefficients, and the
-  walk's per-entry work runs in the C runtime. The powers of the
-  generator are walked on 32-bit lanes of one big int, 2^ceil(n/2)
-  powers a step; a step is one shift and one masked XOR for every lane,
-  and its bytes land in the exponential table as a strided slice. Only
-  the log scatter is a Python loop. 1 + g^k flips the constant bit of
-  g^k, so each chunk of the table is flipped as one int.
+- p = 2: the packed int is the bitmask of the coefficients. The powers
+  of the generator are walked on 32-bit lanes of one big int,
+  2^ceil(n/2) powers a step; a step is one shift and one masked XOR for
+  every lane. The step's lanes are scattered into the log table, and
+  its bytes land in the exponential table as a strided slice with every
+  lane's constant bit flipped, which makes g^k into 1 + g^k.
 - odd p, t*f = 1: l = F_p and the generator is the int g. One loop,
   v = v * g % p over v = g^k, writes log[v] and, in slot k of the
   exponential table, the index of 1 + v (0 at v = -1).
@@ -50,9 +51,9 @@ slot k of the exponential table, the index of 1 + g^k in the log table:
   step writes log[g^k] and the index of 1 + g^k, which is g^k with its
   constant digit raised by one mod p.
 
-One gather then ends every route: a chunk of the exponential table at a
-time is looked up in the log table with ``itemgetter``, and the Zech
-logs are written back over the chunk.
+Nothing else runs after the walk. One gather ends every route: a chunk
+of the exponential table at a time is looked up in the log table with
+``itemgetter``, and the Zech logs are written back over the chunk.
 """
 
 from __future__ import annotations
@@ -67,14 +68,16 @@ from operator import itemgetter
 SIZE_CAP = 2**20
 
 # Zech tables with at least this many entries are stored as array('i').
-# Measured on a kernel step under random access (Python 3.11): the list
+# Measured on a kernel step under random access. Python 3.11: the list
 # is faster up to 2^15 entries, the two tie near 2^16, and the array is
-# faster from about 78,000 entries (5^7) up to the cap.
+# faster from about 78,000 entries (5^7) up to the cap. Python 3.13, on
+# the towers' own tables: the list is faster by 15-30 % up to 2^16
+# entries and by 3-14 % up to 2^18, the array from 3^12 entries on.
 ZECH_ARRAY_MIN = 2**16
-# every route's Zech logs are gathered this many entries at a time, so
-# no tuple or list of the whole table exists at once; 2^10 keeps a
+# the gather looks up this many slots of the exponential table at a
+# time, so no tuple of the whole table exists at once; 2^10 keeps a
 # chunk's temporaries (its int objects above all) under the peak RSS of
-# each cap build
+# each cap build (measured on Python 3.11)
 _ZECH_CHUNK = 2**10
 
 
@@ -125,11 +128,6 @@ def _times_mod2(a, b, mask, n):
         if a >> n:
             a ^= mask
     return out
-
-
-def _lane_ones(lanes):
-    """The int with bit 0 of each of ``lanes`` 32-bit lanes set."""
-    return ((1 << 32 * lanes) - 1) // 0xFFFFFFFF
 
 
 def _x_power(k, modulus, p):
@@ -267,14 +265,15 @@ class FieldTower:
                 return tuple(coeffs)
 
     def _build_tables(self):
-        # Each route walks the powers g^k of g, the class of x, packed
-        # base p (digit i is the coefficient of x^i), and writes log, their
-        # inverse, -1 at 0. When a walk ends, exp[k] holds the slot of
-        # 1 + g^k in log, which is 0 where 1 + g^k = 0; one gather then
-        # turns each slot into zech[k] = log(1 + g^k), a chunk of exp at a
-        # time written back over it, so the tower keeps two tables. log is
-        # array('i'), which only the cold constructors read; the Zech table
-        # is a list below ZECH_ARRAY_MIN entries.
+        # Each route is one walk over the powers g^k of g, the class of x,
+        # packed base p (digit i is the coefficient of x^i). As it reaches
+        # g^k it writes log[g^k] = k (log is -1 at 0) and, in exp[k], the
+        # slot of 1 + g^k in log, which is 0 where 1 + g^k = 0. After the
+        # walk only the gather runs: it turns each slot into
+        # zech[k] = log(1 + g^k), a chunk of exp at a time written back
+        # over it, so the tower keeps two tables. log is array('i'), which
+        # only the cold constructors read; the Zech table is a list below
+        # ZECH_ARRAY_MIN entries.
         p, n, size, order = self.p, self.degree, self.size, self.order
         log = array("i", [-1]) * size
         if p == 2:
@@ -282,37 +281,31 @@ class FieldTower:
             # is a shift, and a carry out of degree n is cancelled by the
             # modulus. The walk runs on 2^ceil(n/2) lanes of 32 bits in
             # one int, lane j at g^(j*stride + s) on step s: a step is one
-            # shift and one masked XOR for every lane, and its lanes land
-            # in exp[s::stride].
+            # shift and one masked XOR for every lane. Its lanes are
+            # scattered into log, and exp[s::stride] takes them with every
+            # constant bit flipped, the slot of 1 + g^k
             endian = sys.byteorder
             mask = sum(c << i for i, c in enumerate(self.modulus))
             stride = 1 << n // 2
             lanes = size // stride
-            ones = _lane_ones(lanes)
-            hop = 2                             # g^stride = x^(2^(n//2))
-            for _ in range(n // 2):
-                hop = _times_mod2(hop, hop, mask, n)
+            ones = ((1 << 32 * lanes) - 1) // 0xFFFFFFFF  # each lane's bit 0
+            hop = _x_power(stride, self.modulus, 2)  # g^stride
             v = start = 1                       # lane j starts at g^(j*stride)
             for j in range(1, lanes):
                 start = _times_mod2(start, hop, mask, n)
                 v |= start << 32 * j
             # lanes * stride = size slots, one more than there are powers:
-            # the last, g^order = 1, is cut in place after the gather, so
-            # no copy of a whole table is made
+            # the last, g^order = 1, is left out of log and cut from exp
+            # in place after the gather, so no copy of a whole table is made
             exp = array("i", [0]) * size
             for s in range(stride):
-                exp[s::stride] = array("i", v.to_bytes(4 * lanes, endian))
+                row = array("i", v.to_bytes(4 * lanes, endian))
+                for k, x in zip(range(s, order, stride), row):
+                    log[x] = k
+                exp[s::stride] = array(
+                    "i", (v ^ ones).to_bytes(4 * lanes, endian))
                 v <<= 1
                 v ^= (v >> n & ones) * mask
-            for k, v in zip(range(order), exp):
-                log[v] = k
-            # 1 + g^k flips the constant bit of g^k: a chunk of exp at a
-            # time is flipped as one int
-            chunk = min(size, _ZECH_CHUNK)
-            ones = _lane_ones(chunk)
-            for lo in range(0, size, chunk):
-                v = int.from_bytes(exp[lo:lo + chunk], endian) ^ ones
-                exp[lo:lo + chunk] = array("i", v.to_bytes(4 * chunk, endian))
         elif n == 1:
             # l = F_p and g is the constant -c0 of the modulus x + c0: one
             # walk of ints mod p writes log and, in exp[k], g^k + 1, except

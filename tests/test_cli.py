@@ -225,12 +225,12 @@ sys.exit(code)
 
 # The console commands at the caps, each a subprocess under a wall-time
 # and a peak-memory bound: config text, arguments after the config, exit
-# code, seconds and MB. Over three to four runs each on a shared 2-vCPU
+# code, seconds and MB. Over three to six runs each on a shared 2-vCPU
 # host (Python 3.11), wall times spread by up to 1.7x between runs (the
 # range is in each comment); every bound is at least 3.4x the slowest
 # run and under the minute that CI once gave each row. The peak grew by
-# the same amount in every run: 12.0 MB where a 2^20-entry tower is
-# built, whose log and Zech arrays take 8 MB of it.
+# the same amount in every run: 12.0-12.1 MB where a tower of about 2^20
+# entries is built, whose log and Zech arrays take 8 MB of it.
 CAP_ROWS = [
     # field tables at the size cap: the odd-p walk (1.1-1.5 s, 8.1 MB)
     pytest.param("p=3\nt=12\nf=1\ne=2\nu0=1\n", ["validate"], 0, 10, 9.5,
@@ -267,6 +267,16 @@ CAP_ROWS = [
     pytest.param("p=1048573\nt=1\nf=1\ne=4\nu0=1\n",
                  ["check", "--precision", str(PRECISION_CAP)], 0, 55, 14,
                  id="bigp-check-precision-cap"),
+    # the degree cap e*f = 64 with the size and precision caps at once:
+    # 1048193 = 1 mod 64, the largest such prime under the size cap
+    # (3.2-3.5 s over five runs, 12.1 MB)
+    pytest.param("p=1048193\nt=1\nf=1\ne=64\nu0=g\n",
+                 ["check", "--precision", str(PRECISION_CAP), "--samples",
+                  "10"], 0, 15, 14, id="deg64-all-caps-check"),
+    # the degree cap on a small tower, where 64 divides 17^4 - 1
+    # (0.76-0.90 s over five runs, 4.7-4.8 MB)
+    pytest.param("p=17\nt=4\nf=1\ne=64\nu0=g\nprecision=32\n", ["check"], 0,
+                 5, 6, id="deg64-check"),
 ]
 
 

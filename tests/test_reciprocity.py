@@ -1,4 +1,5 @@
 import gc
+import pathlib
 import random
 import re
 import signal
@@ -951,3 +952,17 @@ def test_sampler_stream_is_pinned():
                              41771, 319924])):
         rng = random.Random(1803)
         assert [rc._below(rng, n) for _ in range(8)] == want, n
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    # the first python block of README.md, run as written: its first and
+    # last print lines name their output in a comment
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    text = readme.read_text("utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    said = [line.split("# ", 1)[1] for line in (prints[0], prints[-1])]
+    assert said == ["(9,)", "g^62*alpha^1 + O(alpha^33)"]
+    exec(compile(block, str(readme), "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert [out[0], out[-1]] == said
