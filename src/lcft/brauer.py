@@ -316,9 +316,20 @@ class CrossedProduct:
         return tuple(out)
 
     def power(self, x: tuple, k: int) -> tuple:
-        out = self.one()
-        for _ in range(k):
-            out = self.multiply(out, x)
+        """x^k for k >= 0 by binary powering, most significant bit first:
+        a square per bit after the leading one and a product with x per
+        set bit, at most 2 * k.bit_length() multiplies. x^0 is ``one()``
+        and x^1 is x itself."""
+        k = operator.index(k)
+        if k < 0:
+            raise ValueError(f"exponent must be >= 0, not {k}")
+        if k == 0:
+            return self.one()
+        out = x
+        for bit in bin(k)[3:]:
+            out = self.multiply(out, out)
+            if bit == "1":
+                out = self.multiply(out, x)
         return out
 
     def equal(self, x: tuple, y: tuple) -> bool:
@@ -328,11 +339,20 @@ class CrossedProduct:
 
         This is the one comparison on the common window, not ``==``: a
         slot's window depends on the order of the products, so (xy)z and
-        x(yz) can keep different windows of the same element."""
-        # beside an empty slot, the other slot itself is the difference
-        return all(d is None or d.is_zero()
-                   for d in (b if a is None else a if b is None else a - b
-                             for a, b in zip(x, y)))
+        x(yz) can keep different windows of the same element. Two slots
+        that are ``==`` skip the subtraction: they have one valuation and
+        one ``logs``, so they agree term by term (or both are zero)."""
+        for a, b in zip(x, y):
+            if a is None or b is None:
+                # beside an empty slot, the other slot itself is the difference
+                d = b if a is None else a
+            elif a == b:
+                continue
+            else:
+                d = a - b
+            if d is not None and not d.is_zero():
+                return False
+        return True
 
     def commutes(self, x: tuple, y: tuple) -> bool:
         return self.equal(self.multiply(x, y), self.multiply(y, x))

@@ -300,9 +300,54 @@ def test_crossed_product_rank_one():
     assert alg.equal(alg.power(alg.v(), 1), alg.scalar(alg.b_series))
 
 
+CYCLIC_MATRIX = ("ram_e2", "ram_e4", "mixed_c9", "mixed_e2_cyclic",
+                 "unram_f2")
+
+
+def _algebra(ext):
+    sigma = next(g for g in ext.galois_group() if g.order() == ext.degree)
+    return brauer.CrossedProduct(sigma, _pi_class(ext))
+
+
+def test_crossed_product_power_is_repeated_multiplication(matrix, rng):
+    for name in CYCLIC_MATRIX:
+        alg = _algebra(matrix[name])
+        for x in (alg.v(), alg.random_element(rng)):
+            want = alg.one()
+            for k in range(2 * alg.n + 2):
+                assert alg.equal(alg.power(x, k), want), (name, k)
+                want = alg.multiply(want, x)
+
+
+def test_crossed_product_power_squares(matrix, rng, monkeypatch):
+    multiply = brauer.CrossedProduct.multiply
+    calls = []
+
+    def counted(alg, x, y):
+        calls.append(None)
+        return multiply(alg, x, y)
+
+    monkeypatch.setattr(brauer.CrossedProduct, "multiply", counted)
+    for name in CYCLIC_MATRIX:
+        alg = _algebra(matrix[name])
+        x = alg.random_element(rng)
+        for k in (*range(1, 2 * alg.n + 2), 1000):
+            calls.clear()
+            alg.power(x, k)
+            assert len(calls) <= 2 * k.bit_length(), (name, k, len(calls))
+
+
+def test_crossed_product_power_refuses_negative_and_inexact_exponents():
+    alg = _algebra(TameAbelianExtension.from_parameters(5, 1, 1, 4, "1"))
+    for k in (-1, -3):
+        with pytest.raises(ValueError):
+            alg.power(alg.v(), k)
+    with pytest.raises(TypeError):
+        alg.power(alg.v(), 1.0)
+
+
 def test_cyclic_algebra_check(matrix, rng):
-    for name in ("ram_e2", "ram_e4", "mixed_c9", "mixed_e2_cyclic",
-                 "unram_f2"):
+    for name in CYCLIC_MATRIX:
         ext = matrix[name]
         sigma = next(g for g in ext.galois_group()
                      if g.order() == ext.degree)

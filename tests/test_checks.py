@@ -7,7 +7,7 @@ import pytest
 
 from conftest import MATRIX_PARAMS, admissible_descriptors
 from lcft import brauer, checks, reciprocity as rc, series
-from lcft.extension import TameAbelianExtension
+from lcft.extension import GaloisElement, TameAbelianExtension
 from lcft.ffield import FieldElement, FieldTower
 from lcft.series import LaurentSeries
 
@@ -424,8 +424,75 @@ def test_homomorphism_maps_each_representative_once(matrix, monkeypatch):
         calls.clear()
         result = checks.check_reciprocity_homomorphism(ext)
         assert result.passed, (name, result.detail)
-        # each representative once, then b1 * b2 for each pair
-        assert len(calls) == r + r * r, name
+        # each representative once, then b1 * b2 for each unordered pair
+        assert len(calls) == r + r * (r + 1) // 2, name
+
+
+def _galois_mul_patched(monkeypatch, product):
+    """``GaloisElement.__mul__`` through product(g, h, true g * h); returns
+    the list of (g, h) it was called on."""
+    mul = GaloisElement.__mul__
+    calls = []
+
+    def patched(g, h):
+        calls.append((g, h))
+        return product(g, h, mul(g, h))
+
+    monkeypatch.setattr(GaloisElement, "__mul__", patched)
+    return calls
+
+
+def test_group_axioms_multiplies_each_unordered_pair_once(matrix,
+                                                          monkeypatch):
+    calls = _galois_mul_patched(monkeypatch, lambda g, h, gh: gh)
+    for name, ext in matrix.items():
+        n = ext.degree
+        calls.clear()
+        result = checks.check_group_axioms(ext)
+        assert result.passed, (name, result.detail)
+        assert result.detail == f"{n} elements, {n * n} pairs"
+        # g * h and h * g per unordered pair, then g * 1 and g * g^-1
+        assert len(calls) == n * (n + 1) + 2 * n, name
+        # every ordered pair is multiplied
+        pairs = set(calls)
+        assert all((g, h) in pairs for g in ext.galois_group()
+                   for h in ext.galois_group()), name
+
+
+@pytest.mark.parametrize("order", ["g, h", "h, g"])
+def test_group_axioms_catches_one_noncommuting_ordered_pair(matrix,
+                                                            monkeypatch,
+                                                            order):
+    ext = matrix["deg12"]
+    group = ext.galois_group()
+    g, h = group[2], group[7]
+    if order == "h, g":
+        g, h = h, g
+    zeta = ext.inertia_generator()
+    mul = GaloisElement.__mul__
+    # g * h moved by zeta, still a member: only commutativity can fail
+    _galois_mul_patched(monkeypatch, lambda x, y, xy: (
+        mul(xy, zeta) if (x, y) == (g, h) else xy))
+    result = checks.check_group_axioms(ext)
+    assert not result.passed, order
+    assert "not commutative" in result.detail, result.detail
+
+
+def test_group_axioms_catches_a_nonmember_the_closure_test_skips(
+        matrix, monkeypatch):
+    ext = matrix["deg12"]
+    group = ext.galois_group()
+    g, h = group[2], group[7]
+    # h * g: the order that the pair loop compares, never tests for closure
+    outsider = object.__new__(GaloisElement)
+    outsider.ext, outsider.a, outsider.c_log, outsider.frob = (
+        ext, 0, 1, 1)
+    assert outsider not in set(group)
+    _galois_mul_patched(monkeypatch, lambda x, y, xy: (
+        outsider if (x, y) == (h, g) else xy))
+    result = checks.check_group_axioms(ext)
+    assert not result.passed
+    assert result.detail == f"not commutative: {g}, {h}", result.detail
 
 
 def test_uniformizer_independence_searches_each_class_once_per_sample(
