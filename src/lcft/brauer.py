@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .extension import (BASE_SYMBOL, EXT_SYMBOL, GaloisElement,
                         TameAbelianExtension, per_extension, twist_logs)
-from .reciprocity import (BaseFieldClass, random_base_unit_series,
+from .reciprocity import (BaseFieldClass, norm, random_base_unit_series,
                           random_logs, reciprocity_map, random_unit_series)
 from .series import LaurentSeries, _convolve
 
@@ -363,9 +363,16 @@ def cyclic_algebra_check(sigma: GaloisElement, b: BaseFieldClass, rng,
     """Verify the defining relations of the crossed product on samples.
 
     Checks associativity on random triples, the twisted commutation rule
-    v a = sigma(a) v, centrality of v^n = b, and that a scalar commutes
-    with everything precisely when it lies in the base field. Returns the
-    failure messages (empty when all hold).
+    v a = sigma(a) v, centrality of v^n = b, that a scalar commutes
+    with everything precisely when it lies in the base field, and for
+    n > 1 that (beta v)^n = beta sigma(beta) ... sigma^(n-1)(beta) v^n =
+    N(beta) b for a random unit beta. Returns the failure messages (empty
+    when all hold).
+
+    The last law reads the norm past its lead: the left side is products
+    in the algebra alone, the right side ``reciprocity.norm``, embedded,
+    on the algebra's whole window. beta is a unit, as ``norm`` refuses
+    zero.
 
     A triple is a dense x (``random_element``) with a sparse y and z
     (``random_sparse``, one or two slots each), so each of its four
@@ -400,7 +407,8 @@ def cyclic_algebra_check(sigma: GaloisElement, b: BaseFieldClass, rng,
         if not alg.commutes(v_n, x):
             failures.append(f"v^n is not central against sample {k}")
 
-    # center audit: scalars commute with v exactly when they lie in K
+    # center audit: scalars commute with v exactly when they lie in K;
+    # and for n > 1, (beta v)^n = N(beta) b
     for k in range(max(1, samples // 4)):
         base = random_base_unit_series(
             ext, rng, valuation=rng.randrange(-2, 3)).truncate(window)
@@ -416,4 +424,11 @@ def cyclic_algebra_check(sigma: GaloisElement, b: BaseFieldClass, rng,
         if is_central and not ext.is_base_member(lam):
             failures.append(
                 f"central scalar outside the base field on sample {k}")
+        if alg.n > 1:
+            beta = random_unit_series(
+                ext, rng, valuation=rng.randrange(-2, 3)).truncate(window)
+            x = (None, beta) + (None,) * (alg.n - 2)
+            if not alg.equal(alg.power(x, alg.n), alg.scalar(
+                    ext.embed(norm(ext, beta)) * alg.b_series)):
+                failures.append(f"(beta v)^n != N(beta) b on sample {k}")
     return failures

@@ -1,9 +1,10 @@
 """Property suite for one extension: every library-level invariant.
 
 Each check returns a ``CheckResult``; ``run_checks`` runs the whole suite
-with deterministic sampling from a seed. The CLI ``check`` command runs
-the suite, and each acceptance criterion in ``tests/test_acceptance.py``
-runs one of these checks, so each criterion has one implementation.
+from one table, each sampled check on its own stream drawn from the seed
+and the check's name. The CLI ``check`` command runs the suite, and each
+acceptance criterion in ``tests/test_acceptance.py`` runs one of these
+checks, so each criterion has one implementation.
 """
 
 from __future__ import annotations
@@ -361,12 +362,11 @@ def check_root_extraction(ext, rng, samples) -> CheckResult:
     tower = ext.tower
     e = ext.e
     for n in range(samples):
-        lead = rc.random_logs(tower, rng, 1)[0]
-        while lead is None:
-            lead = rc.random_logs(tower, rng, 1)[0]
-        logs = [lead * e % tower.order]
-        logs += rc.random_logs(tower, rng, ext.precision - 1)
-        w = LaurentSeries(tower, EXT_SYMBOL, e * rng.randrange(-2, 3), logs)
+        # a random unit with its lead raised to the e-th power, so that the
+        # lead has e-th roots, at a valuation divisible by e
+        logs = rc.random_unit_series(ext, rng).logs
+        w = LaurentSeries(tower, EXT_SYMBOL, e * rng.randrange(-2, 3),
+                          (logs[0] * e % tower.order, *logs[1:]))
         r = w.nth_root(e)
         if r**e != w:
             failures.append(f"root sample {n}: r^e != w")
@@ -454,23 +454,46 @@ def check_hasse_layer(ext, rng, samples) -> CheckResult:
 
 
 def run_checks(ext: TameAbelianExtension, samples: int, seed: int) -> list:
-    """The full per-extension suite with deterministic sampling."""
-    rng = random.Random(seed)
+    """The full per-extension suite, one row of its table per check.
+
+    A row is (result name, check, sample counts). A check with sample
+    counts draws from its own stream, ``random.Random(f"{seed}:{name}")``:
+    a string seed is stable across processes and Python versions, unlike
+    ``hash()``. So a check's samples depend only on the seed and its
+    name, and ``check_X(ext, random.Random(f"{seed}:{name}"), *counts)``
+    replays check X alone. The table is built on each call, so it reads
+    the module's ``check_*`` names as they stand when it runs.
+
+    A ValueError or ArithmeticError raised inside a check is that check's
+    failure, with the detail "raised <Type>: <message>", and the later
+    checks still run. Any other exception, an AssertionError included,
+    propagates.
+    """
     small = max(10, samples // 10)
-    return [
-        check_group_axioms(ext),
-        check_action_is_ring_hom(ext, rng, small),
-        check_inertia_pairs(ext),
-        check_ramification_filtration(ext, rng, small),
-        check_structure(ext),
-        check_oracle_agreement(ext),
-        check_reciprocity_homomorphism(ext),
-        check_kernel_and_bijection(ext, rng, max(samples, 200)),
-        check_uniformizer_independence(ext, rng, small),
-        check_unramified_law(ext, rng, small),
-        check_totally_ramified_laws(ext),
-        check_power_law(ext),
-        check_norm_congruences(ext, rng, samples, small),
-        check_root_extraction(ext, rng, samples),
-        check_hasse_layer(ext, rng, samples),
-    ]
+    table = (
+        ("group-axioms", check_group_axioms, ()),
+        ("galois-action-ring-hom", check_action_is_ring_hom, (small,)),
+        ("inertia-pair-injectivity", check_inertia_pairs, ()),
+        ("ramification-filtration", check_ramification_filtration, (small,)),
+        ("abelian-structure", check_structure, ()),
+        ("oracle-agreement", check_oracle_agreement, ()),
+        ("reciprocity-homomorphism", check_reciprocity_homomorphism, ()),
+        ("kernel-and-bijection", check_kernel_and_bijection,
+         (max(samples, 200),)),
+        ("uniformizer-independence", check_uniformizer_independence, (small,)),
+        ("unramified-law", check_unramified_law, (small,)),
+        ("totally-ramified-laws", check_totally_ramified_laws, ()),
+        ("reciprocity-power-law", check_power_law, ()),
+        ("norm-congruences", check_norm_congruences, (samples, small)),
+        ("hensel-root-extraction", check_root_extraction, (samples,)),
+        ("hasse-layer", check_hasse_layer, (samples,)),
+    )
+    results = []
+    for name, check, counts in table:
+        stream = (random.Random(f"{seed}:{name}"),) if counts else ()
+        try:
+            results.append(check(ext, *stream, *counts))
+        except (ValueError, ArithmeticError) as exc:
+            results.append(CheckResult(
+                name, False, f"raised {type(exc).__name__}: {exc}"))
+    return results

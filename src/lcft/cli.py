@@ -21,11 +21,13 @@ one JSON object led by the descriptor, else as text lines drawn from
 the same values. Exit codes: 0 success,
 1 descriptor validation failure, 2 property failure (a failed check, a
 ``recip`` row where the search disagrees, or a ValueError,
-ArithmeticError or AssertionError raised by the computation, reported
-as one stderr line), 3 I/O or parse failure, malformed arguments, a
-config error, a ``samples`` below 1 or a ``character`` index out of
-range (both ``InputError``) and a reader that closed the output pipe
-included.
+ArithmeticError or AssertionError raised by the computation; a
+ValueError or ArithmeticError raised inside a check of ``check`` is
+that check's FAIL line, "raised <Type>: <message>", and the other
+checks still run, while any other such raise is reported as one stderr
+line), 3 I/O or parse failure, malformed arguments, a config error, a
+``samples`` below 1 or a ``character`` index out of range (both
+``InputError``) and a reader that closed the output pipe included.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import pathlib
 import random
 from fractions import Fraction
@@ -170,23 +171,19 @@ def _valuation_term_moved(change):
     return wrap
 
 
-def _uncaught(item):
-    return pytest.mark.xfail(strict=True, reason=f"ROADMAP item {item}")
-
-
 # one library function per row and its mutant, with how run_checks catches
-# the mutant on the matrix: a failed result, a raise, or both. A kernel
+# the mutant on the matrix: a failed result, a raise, or both. A function
 # that modules import by name is patched in each of them.
 MUTANTS = [
-    pytest.param(rc, "norm",
+    # caught by the crossed product's law (beta v)^n = N(beta) b, which
+    # reads the norm on the algebra's whole window
+    pytest.param((rc, brauer), "norm",
                  lambda norm: lambda ext, beta: _lead_only(norm(ext, beta)),
-                 {"fails"}, id="norm-keeps-its-lead-only",
-                 marks=_uncaught("3, norm witnesses")),
-    pytest.param(rc, "norm",
+                 {"fails"}, id="norm-keeps-its-lead-only"),
+    pytest.param((rc, brauer), "norm",
                  lambda norm: lambda ext, beta: _term_changed(
                      norm(ext, beta), 1, _plus_one),
-                 {"fails"}, id="norm-adds-one-past-its-lead",
-                 marks=_uncaught("3, norm witnesses")),
+                 {"fails"}, id="norm-adds-one-past-its-lead"),
     pytest.param(brauer, "hasse_invariant",
                  lambda inv: lambda chi, b: -inv(chi, b) % 1,
                  {"fails"}, id="hasse-invariant-negated"),
@@ -230,7 +227,7 @@ MUTANTS = [
     # matrix extensions, before and after the norm's windows shrank; the
     # swap touches only the 3 towers of more than 8 entries.
     pytest.param(FieldTower, "_build_tables", _zech_swapped,
-                 {"raises"}, id="zech-entries-swapped"),
+                 {"fails", "raises"}, id="zech-entries-swapped"),
     pytest.param(FieldTower, "_build_tables", _zech_one_off,
                  {"fails", "raises"}, id="zech-entry-one-log-off"),
     pytest.param((series, rc, brauer), "_convolve", _last_slot_from_the_lead,
@@ -249,11 +246,10 @@ def test_run_checks_catches_the_mutant_on_the_matrix(monkeypatch, owner,
     for params in MATRIX_PARAMS.values():
         # a fresh extension: a cached norm group would hide a norm mutant
         ext = TameAbelianExtension.from_parameters(*params, precision=32)
-        try:
-            if not all(r.passed for r in checks.run_checks(ext, 100, 1)):
-                caught.add("fails")
-        except (ArithmeticError, AssertionError, ValueError):
-            caught.add("raises")
+        # run_checks turns a ValueError or ArithmeticError inside a check
+        # into that check's failure, "raised <Type>: ..."
+        caught.update("raises" if r.detail.startswith("raised ") else "fails"
+                      for r in checks.run_checks(ext, 100, 1) if not r.passed)
     assert caught == ways
 
 
@@ -343,7 +339,8 @@ def test_the_library_guard_sees_each_offence(tmp_path):
     # the acceptance matrix as ``lcft check`` runs it by default. At seed
     # 1803, (5,1,1,4,"1")'s hasse-layer once failed "associativity failed
     # on sample 82", when a crossed-product slot whose window cancelled
-    # became the exact zero (test_brauer.py pins that triple)
+    # became the exact zero. Each check now has its own stream, so this
+    # row no longer draws that triple; test_brauer.py pins it
     pytest.param(list(MATRIX_PARAMS.values()), 32, 100, 1, id="matrix-1"),
     pytest.param(list(MATRIX_PARAMS.values()), 32, 100, 1803,
                  id="matrix-1803"),
@@ -358,6 +355,79 @@ def test_run_checks_passes_on_every_small_admissible_descriptor(
                    for r in checks.run_checks(ext, samples, seed)
                    if not r.passed]
     assert failed == []
+
+
+def _record_streams(patch, entries):
+    """Wrap each check that takes a stream so that it files the stream's
+    state on entry and on exit under the name of the result it returns."""
+    for attr, check in list(vars(checks).items()):
+        if attr.startswith("check_") and "rng" in inspect.signature(
+                check).parameters:
+            def recorded(ext, rng, *counts, check=check):
+                entry = rng.getstate()
+                result = check(ext, rng, *counts)
+                entries[result.name] = (entry, rng.getstate())
+                return result
+            patch.setattr(checks, attr, recorded)
+
+
+def test_each_sampled_check_draws_from_its_own_named_stream(matrix,
+                                                            monkeypatch):
+    entries = {}
+    _record_streams(monkeypatch, entries)
+    checks.run_checks(matrix["mixed_c9"], 10, 7)
+    assert len(entries) == 8
+    for name, (entry, _) in entries.items():
+        assert entry == random.Random(f"7:{name}").getstate(), name
+
+
+def test_extra_draws_in_one_check_move_no_other_stream(matrix, monkeypatch):
+    # the first sampled check draws twice its samples: with one stream for
+    # the suite, every later check's samples would move
+    ext = matrix["mixed_c9"]
+    plain, moved = {}, {}
+    with monkeypatch.context() as patch:
+        _record_streams(patch, plain)
+        checks.run_checks(ext, 10, 7)
+    ring_hom = checks.check_action_is_ring_hom
+    monkeypatch.setattr(checks, "check_action_is_ring_hom",
+                        lambda ext, rng, samples: ring_hom(ext, rng,
+                                                           2 * samples))
+    _record_streams(monkeypatch, moved)
+    checks.run_checks(ext, 10, 7)
+    assert moved.keys() == plain.keys()
+    assert {name for name in plain if moved[name] != plain[name]} == {
+        "galois-action-ring-hom"}
+
+
+def test_the_table_names_each_check_as_its_result_does(matrix, monkeypatch):
+    # run_checks' table writes each name a second time, to key the check's
+    # stream and to name its failure when it raises: a check that raises
+    # everywhere shows the table's names
+    returned = {key: [r.name for r in checks.run_checks(ext, 10, 1)]
+                for key, ext in matrix.items()}
+
+    def raising(*args):
+        raise ArithmeticError("raised by the test")
+
+    for attr in [a for a in vars(checks) if a.startswith("check_")]:
+        monkeypatch.setattr(checks, attr, raising)
+    for key, ext in matrix.items():
+        results = checks.run_checks(ext, 10, 1)
+        assert [r.name for r in results] == returned[key], key
+        assert {(r.passed, r.detail) for r in results} == {
+            (False, "raised ArithmeticError: raised by the test")}
+
+
+def test_a_failed_assertion_inside_a_check_stops_the_suite(matrix,
+                                                           monkeypatch):
+    # only ValueError and ArithmeticError become a check's failure
+    def asserting(ext):
+        raise AssertionError("raised by the test")
+
+    monkeypatch.setattr(checks, "check_structure", asserting)
+    with pytest.raises(AssertionError, match="raised by the test"):
+        checks.run_checks(matrix["ram_e2"], 10, 1)
 
 
 def test_hasse_layer_rejects_vanishing_invariants(matrix, rng, monkeypatch):

@@ -491,15 +491,26 @@ RAM_E4 = "p=5\nt=1\nf=1\ne=4\nu0=1\nprecision=8\n"
 def test_a_search_that_raises_exits_two(tmp_path, capsys, monkeypatch,
                                         command):
     # with no probe table the search finds no match and raises: a property
-    # failure, reported on one stderr line, not an invalid descriptor
+    # failure, not an invalid descriptor. ``recip`` reports it on one
+    # stderr line; ``check`` reports it as the FAIL line of each check
+    # that searches, and runs the other checks
     monkeypatch.setattr(rc, "_probe_table", lambda ext: (
         ext.uniformizer(), ext.constant(ext.tower.generator()), {}))
     cfg = _write(tmp_path, RAM_E4)
     assert cli.main([command, cfg, "--samples", "10"]) == cli.EXIT_PROPERTY
-    err = capsys.readouterr().err
-    assert err.startswith("property failure: ArithmeticError: congruence "
-                          "search found 0 matches"), err
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    out, err = capsys.readouterr()
+    message = "ArithmeticError: congruence search found 0 matches"
+    if command == "recip":
+        assert err.startswith(f"property failure: {message}"), err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        return
+    assert err == ""
+    failed = [line.strip() for line in out.splitlines()
+              if line.startswith("  FAIL ")]
+    assert [line.split(":")[0] for line in failed] == [
+        "FAIL oracle-agreement", "FAIL uniformizer-independence"]
+    assert all(f": raised {message}" in line for line in failed), failed
+    assert out.count("  PASS ") == 13 and out.endswith("SUITE FAILED\n")
 
 
 @pytest.mark.parametrize("command", ["check", "recip"])
@@ -516,9 +527,19 @@ def test_a_value_error_from_the_library_exits_two(tmp_path, capsys,
     monkeypatch.setattr(rc, "reciprocity_map", shifted)
     cfg = _write(tmp_path, "p=7\nt=1\nf=2\ne=6\nu0=1\nprecision=8\n")
     assert cli.main([command, cfg, "--samples", "10"]) == cli.EXIT_PROPERTY
-    assert capsys.readouterr().err == (
-        "property failure: ValueError: pair fails the membership "
-        "constraint c^e = u0^(q^a - 1)\n")
+    out, err = capsys.readouterr()
+    message = ("ValueError: pair fails the membership constraint "
+               "c^e = u0^(q^a - 1)")
+    if command == "recip":
+        assert err == f"property failure: {message}\n"
+        return
+    # each check that reaches the closed form here fails on its own line
+    assert err == ""
+    assert [line.strip() for line in out.splitlines()
+            if line.startswith("  FAIL ")] == [
+        f"FAIL {name}: raised {message}"
+        for name in ("hasse-layer", "kernel-and-bijection", "oracle-agreement",
+                     "reciprocity-homomorphism", "reciprocity-power-law")]
 
 
 def test_a_failed_assertion_exits_two(tmp_path, capsys, monkeypatch):
