@@ -19,41 +19,46 @@ respect to a fixed multiplicative generator; addition goes through a
 precomputed Zech-logarithm table. This keeps every field operation O(1)
 after an O(field size) table build, which the size cap p^(t*f) <= 2^20
 makes affordable. Coefficient vectors over F_p remain the construction
-surface; a coefficient view is computed on demand as x^log, and printing
-asks for one only for elements of F_p.
+surface: ``element`` sums its digit terms c * g^i, each a constant's log
+plus i, through the Zech table, g being the class of x. A coefficient
+view is computed on demand as x^log, and printing asks for one only for
+elements of F_p.
 
-A tower keeps two tables, log and Zech, stored by how they are read. The
-log table, which only element construction reads, is ``array('i')``:
-4 bytes a slot, 4 MB at the cap. The Zech table is read by every
-addition and series product, so its storage follows its size. Below
+A tower keeps the Zech table and log[:p], the logs of F_p's constants,
+which ``from_int`` reads; on a prime field that is the whole log table.
+log[:p] is ``array('i')``. The Zech table is read by every addition and
+series product, so its storage follows its size. Below
 ``ZECH_ARRAY_MIN`` entries it is a list: such a table stays in cache,
 where CPython's specialised list indexing beats an array's. From there on
-it is an ``array('i')`` too: a list of separate ints would take about
-36 MB at the cap, and its random lookups miss cache more often than the
-packed array's. Readers index either kind the same way. The exponential
-table exists only during the build, which writes the Zech table over it.
+it is an ``array('i')``, 4 bytes a slot and 4 MB at the cap: a list of
+separate ints would take about 36 MB there, and its random lookups miss
+cache more often than the packed array's. Readers index either kind the
+same way.
 
 The tables are built on one of three routes, chosen by (p, t*f). Each
-is one walk over the powers of the generator: as it reaches g^k it
-writes k into the log table and, in slot k of the exponential table,
-the index of 1 + g^k in the log table:
+is one walk over the powers of the generator:
 
 - p = 2: the packed int is the bitmask of the coefficients. The powers
   of the generator are walked on 32-bit lanes of one big int,
   2^ceil(n/2) powers a step; a step is one shift and one masked XOR for
-  every lane. The step's lanes are scattered into the log table, and
-  its bytes land in the exponential table as a strided slice with every
-  lane's constant bit flipped, which makes g^k into 1 + g^k.
+  every lane. x and 1 + x = x ^ 1 share x >> 1, and one more shift and
+  mask give that of every lane. The first power g^k of such a pair to
+  arrive files k under x >> 1 in a half-size table; when its partner
+  g^m arrives, the walk writes zech[k] = m and zech[m] = k. No log or
+  exponential table is built.
 - odd p, t*f = 1: l = F_p and the generator is the int g. One loop,
   v = v * g % p over v = g^k, writes log[v] and, in slot k of the
   exponential table, the index of 1 + v (0 at v = -1).
 - odd p, t*f >= 2: a digit vector is stepped one power at a time; each
-  step writes log[g^k] and the index of 1 + g^k, which is g^k with its
-  constant digit raised by one mod p.
+  step writes log[g^k] and, in slot k of the exponential table, the
+  index of 1 + g^k, which is g^k with its constant digit raised by one
+  mod p.
 
-Nothing else runs after the walk. One gather ends every route: a chunk
-of the exponential table at a time is looked up in the log table with
-``itemgetter``, and the Zech logs are written back over the chunk.
+The two odd-p routes end with one gather: a chunk of the exponential
+table at a time is looked up in the log table with ``itemgetter``, and
+the Zech logs are written back over the chunk. Then log is cut in place
+to its first p entries. The exponential table exists only during the
+build.
 """
 
 from __future__ import annotations
@@ -74,10 +79,10 @@ SIZE_CAP = 2**20
 # the towers' own tables: the list is faster by 15-30 % up to 2^16
 # entries and by 3-14 % up to 2^18, the array from 3^12 entries on.
 ZECH_ARRAY_MIN = 2**16
-# the gather looks up this many slots of the exponential table at a
+# the odd-p gather looks up this many slots of the exponential table at a
 # time, so no tuple of the whole table exists at once; 2^10 keeps a
 # chunk's temporaries (its int objects above all) under the peak RSS of
-# each cap build (measured on Python 3.11)
+# each odd-p cap build (measured on Python 3.11)
 _ZECH_CHUNK = 2**10
 
 
@@ -207,6 +212,11 @@ class FieldTower:
     generator of l*; it is found by a seeded random search so a tower
     built from the same (p, t, f) is always identical.
 
+    Two tables are kept: ``_zech``, the Zech logarithm log(1 + g^k) of
+    every generator power (-1 where 1 + g^k = 0), and ``_log``, the logs
+    of F_p's p constants (-1 at 0). Every other element is reached from
+    those: ``element`` adds its digit terms through the Zech table.
+
     ``FieldElement`` is the public face of its elements. A Laurent series
     (``series.py``) stores its coefficients as bare generator logs instead:
     its operations read ``order``, ``_zech`` (the Zech table) and
@@ -266,93 +276,107 @@ class FieldTower:
 
     def _build_tables(self):
         # Each route is one walk over the powers g^k of g, the class of x,
-        # packed base p (digit i is the coefficient of x^i). As it reaches
-        # g^k it writes log[g^k] = k (log is -1 at 0) and, in exp[k], the
-        # slot of 1 + g^k in log, which is 0 where 1 + g^k = 0. After the
-        # walk only the gather runs: it turns each slot into
-        # zech[k] = log(1 + g^k), a chunk of exp at a time written back
-        # over it, so the tower keeps two tables. log is array('i'), which
-        # only the cold constructors read; the Zech table is a list below
-        # ZECH_ARRAY_MIN entries.
+        # packed base p (digit i is the coefficient of x^i). At p = 2 the
+        # walk writes the Zech table itself. At odd p it writes log[g^k]
+        # = k (log is -1 at 0) and, in exp[k], the slot of 1 + g^k in
+        # log, which is 0 where 1 + g^k = 0; then the gather turns each
+        # slot into zech[k] = log(1 + g^k), a chunk of exp at a time
+        # written back over it, and log is cut to its first p entries,
+        # the logs of F_p's constants. So the tower keeps the Zech table
+        # and log[:p], an array('i') that only the cold constructors
+        # read; the Zech table is a list below ZECH_ARRAY_MIN entries.
         p, n, size, order = self.p, self.degree, self.size, self.order
-        log = array("i", [-1]) * size
         if p == 2:
             # the packed int is the bitmask of the coefficients: times x
             # is a shift, and a carry out of degree n is cancelled by the
             # modulus. The walk runs on 2^ceil(n/2) lanes of 32 bits in
             # one int, lane j at g^(j*stride + s) on step s: a step is one
-            # shift and one masked XOR for every lane. Its lanes are
-            # scattered into log, and exp[s::stride] takes them with every
-            # constant bit flipped, the slot of 1 + g^k
+            # shift and one masked XOR for every lane. x and 1 + x = x ^ 1
+            # share x >> 1, which one more shift gives for every lane: the
+            # first of the pair to arrive files its k under x >> 1 in
+            # pair, and the second writes both Zech entries. Only g^0 = 1
+            # has no partner, so zech[0] keeps its -1: 1 + 1 = 0
             endian = sys.byteorder
             mask = sum(c << i for i, c in enumerate(self.modulus))
             stride = 1 << n // 2
             lanes = size // stride
             ones = ((1 << 32 * lanes) - 1) // 0xFFFFFFFF  # each lane's bit 0
+            low31 = ones * 0x7FFFFFFF                      # each lane's x >> 1
             hop = _x_power(stride, self.modulus, 2)  # g^stride
             v = start = 1                       # lane j starts at g^(j*stride)
             for j in range(1, lanes):
                 start = _times_mod2(start, hop, mask, n)
                 v |= start << 32 * j
+            zech = array("i", [-1]) * order
+            # the loop reads and writes both tables through memoryviews,
+            # whose item access is faster than an array's (3.10 to 3.13)
+            slots = memoryview(zech)
+            pair = memoryview(array("i", [-1]) * (size >> 1))
             # lanes * stride = size slots, one more than there are powers:
-            # the last, g^order = 1, is left out of log and cut from exp
-            # in place after the gather, so no copy of a whole table is made
-            exp = array("i", [0]) * size
+            # the last, g^order = 1, is cut by the range of k
             for s in range(stride):
-                row = array("i", v.to_bytes(4 * lanes, endian))
-                for k, x in zip(range(s, order, stride), row):
-                    log[x] = k
-                exp[s::stride] = array(
-                    "i", (v ^ ones).to_bytes(4 * lanes, endian))
+                halves = memoryview(
+                    (v >> 1 & low31).to_bytes(4 * lanes, endian)).cast("i")
+                for k, h in zip(range(s, order, stride), halves):
+                    m = pair[h]
+                    if m < 0:
+                        pair[h] = k
+                    else:
+                        slots[k] = m
+                        slots[m] = k
                 v <<= 1
                 v ^= (v >> n & ones) * mask
-        elif n == 1:
-            # l = F_p and g is the constant -c0 of the modulus x + c0: one
-            # walk of ints mod p writes log and, in exp[k], g^k + 1, except
-            # at g^k = -1, whose 1 + g^k = 0 sits in slot 0
-            g = -self.modulus[0] % p
-            exp = array("i", [0]) * order
-            v = 1
-            for k in range(order):
-                log[v] = k
-                exp[k] = v + 1
-                v = v * g % p
-            exp[self.minus_one_log] = 0
+            log = array("i", [-1, 0])           # 0 has no log, 1 = g^0
         else:
-            # odd p has at most 12 digits under the cap; times x uses
-            # x^n = -(lower part of the modulus). The digits of the next
-            # power are written from the top down, so the packed int is
-            # accumulated in the same pass, and its slot is the packed int
-            # with the constant digit d raised by one mod p
+            log = array("i", [-1]) * size
             exp = array("i", [0]) * order
-            poly = [1] + [0] * (n - 1)
-            top = n - 1
-            red = [(-c) % p for c in self.modulus[:-1]]
-            bump = [1] * (p - 1) + [1 - p]     # (d + 1) % p - d
-            packed, slot = 1, 2
-            for k in range(order):
-                log[packed] = k
-                exp[k] = slot
-                carry = poly[top]
-                packed = 0
-                for i in range(top, 0, -1):
-                    d = (poly[i - 1] + carry * red[i]) % p
-                    poly[i] = d
+            if n == 1:
+                # l = F_p and g is the constant -c0 of the modulus x + c0:
+                # one walk of ints mod p writes log and, in exp[k],
+                # g^k + 1, except at g^k = -1, whose 1 + g^k = 0 sits in
+                # slot 0
+                g = -self.modulus[0] % p
+                v = 1
+                for k in range(order):
+                    log[v] = k
+                    exp[k] = v + 1
+                    v = v * g % p
+                exp[self.minus_one_log] = 0
+            else:
+                # odd p has at most 12 digits under the cap; times x uses
+                # x^n = -(lower part of the modulus). The digits of the
+                # next power are written from the top down, so the packed
+                # int is accumulated in the same pass, and its slot is the
+                # packed int with the constant digit d raised by one mod p
+                poly = [1] + [0] * (n - 1)
+                top = n - 1
+                red = [(-c) % p for c in self.modulus[:-1]]
+                bump = [1] * (p - 1) + [1 - p]     # (d + 1) % p - d
+                packed, slot = 1, 2
+                for k in range(order):
+                    log[packed] = k
+                    exp[k] = slot
+                    carry = poly[top]
+                    packed = 0
+                    for i in range(top, 0, -1):
+                        d = (poly[i - 1] + carry * red[i]) % p
+                        poly[i] = d
+                        packed = packed * p + d
+                    d = (carry * red[0]) % p
+                    poly[0] = d
                     packed = packed * p + d
-                d = (carry * red[0]) % p
-                poly[0] = d
-                packed = packed * p + d
-                slot = packed + bump[d]
-        # every chunk holds at least two entries, so itemgetter returns a
-        # tuple: at p = 2 the chunks divide the size, 2 at F_2, and at odd
-        # p the order, and so every chunk, is even. log[0] == -1 marks
-        # 1 + g^k = 0.
-        for lo in range(0, len(exp), _ZECH_CHUNK):
-            exp[lo:lo + _ZECH_CHUNK] = array(
-                "i", itemgetter(*exp[lo:lo + _ZECH_CHUNK])(log))
-        del exp[order:]
+                    slot = packed + bump[d]
+            # the order is even, so every chunk holds at least two
+            # entries and itemgetter returns a tuple. log[0] == -1 marks
+            # 1 + g^k = 0.
+            for lo in range(0, order, _ZECH_CHUNK):
+                exp[lo:lo + _ZECH_CHUNK] = array(
+                    "i", itemgetter(*exp[lo:lo + _ZECH_CHUNK])(log))
+            zech = exp
+            # in place: on a prime field size = p and nothing is cut
+            del log[p:]
         self._log = log
-        self._zech = exp if order >= ZECH_ARRAY_MIN else exp.tolist()
+        self._zech = zech if order >= ZECH_ARRAY_MIN else zech.tolist()
 
     # -- element constructors ------------------------------------------------
 
@@ -382,16 +406,21 @@ class FieldTower:
         return self.from_int(self.p - 1)
 
     def element(self, coeffs) -> "FieldElement":
-        """Element from a coefficient vector over F_p, lowest degree first."""
+        """Element from a coefficient vector over F_p, lowest degree first.
+
+        The sum of the digit terms c_i * g^i, g being the class of x: each
+        term's log is that of the constant c_i, read from ``_log``, plus i,
+        and the terms are added through the Zech table, so no table maps a
+        vector to its log. Cold: parsing and tests build elements this
+        way, no hot path does.
+        """
         coeffs = list(coeffs)
         if len(coeffs) > self.degree:
             raise ValueError("coefficient vector longer than the degree")
-        packed = 0
+        out = self.zero()
         for i, c in enumerate(coeffs):
-            packed += (c % self.p) * self.p**i
-        if packed == 0:
-            return self.zero()
-        return FieldElement(self, self._log[packed])
+            out += self.from_int(c) * self.generator_power(i)
+        return out
 
     def subfield_generator(self) -> "FieldElement":
         """A fixed generator of k*: the norm of the stored generator."""

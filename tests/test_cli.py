@@ -206,14 +206,14 @@ def test_console_command_table(tmp_path, capsys, text, args, code):
 
 
 # One console command in its own process. It prints to stderr, last, how
-# far the process's peak RSS (VmHWM, in KiB) rose from before the import,
+# far the process's peak RSS (VmHWM, in KiB) rose from after the import,
 # as _BUILD_PEAK_PROBE in test_ffield.py does, and exits with the
-# command's code.
+# command's code. The import's own growth depends on the Python version.
 _CAP_PROBE = PEAK_KIB + """
 import sys
 
-before = peak_kib()
 from lcft import cli
+before = peak_kib()
 try:
     code = cli.main(sys.argv[1:])
 except SystemExit as exc:
@@ -228,55 +228,61 @@ sys.exit(code)
 # code, seconds and MB. Over three to six runs each on a shared 2-vCPU
 # host (Python 3.11), wall times spread by up to 1.7x between runs (the
 # range is in each comment); every bound is at least 3.4x the slowest
-# run and under the minute that CI once gave each row. The peak grew by
-# the same amount in every run: 12.0-12.1 MB where a tower of about 2^20
-# entries is built, whose log and Zech arrays take 8 MB of it.
+# run and under the minute that CI once gave each row. The peak's growth
+# after the import is in each comment: three runs on Python 3.11.7, which
+# agreed within 0.2 MB, then two each on 3.10.13, 3.12.1 and 3.13.0,
+# which read up to 0.9 MB higher. A tower of about 2^20 entries keeps a
+# 4 MB Zech array, a prime field that size a 4 MB log array beside it,
+# and the 3^12 tower a 2.1 MB Zech array. Each bound at those towers sits
+# 1.0-1.6 MB above the highest reading, less than a second such table
+# would add.
 CAP_ROWS = [
-    # field tables at the size cap: the odd-p walk (1.1-1.5 s, 8.1 MB)
-    pytest.param("p=3\nt=12\nf=1\ne=2\nu0=1\n", ["validate"], 0, 10, 9.5,
+    # field tables at the size cap: the odd-p walk (1.1-1.5 s, 4.0-5.0 MB)
+    pytest.param("p=3\nt=12\nf=1\ne=2\nu0=1\n", ["validate"], 0, 10, 6,
                  id="cap3-validate"),
     # the prime cap's set-up alone, which bigp-check's budget would hide:
-    # the closed-form walk of F_p (0.38-0.51 s over six runs, 12.0 MB;
+    # the closed-form walk of F_p (0.38-0.51 s over six runs, 8.2-9.0 MB;
     # the digit walk it replaced took 0.71-0.99 s)
-    pytest.param("p=1048573\nt=1\nf=1\ne=4\nu0=1\n", ["validate"], 0, 2, 14,
-                 id="bigp-validate"),
+    pytest.param("p=1048573\nt=1\nf=1\ne=4\nu0=1\n", ["validate"], 0, 2,
+                 10.5, id="bigp-validate"),
     # the same tower over the precision cap, refused before its tables are
-    # built (0.09-0.16 s, 3.9 MB: the import); building them first took
-    # 1.2-1.9 s and 7.7 MB
+    # built (0.09-0.16 s, 0.1-0.9 MB); building them first took 1.2-1.9 s
+    # and about 4 MB
     pytest.param("p=3\nt=12\nf=1\ne=2\nu0=1\n",
-                 ["validate", "--precision", "1000000000"], 1, 1, 5,
+                 ["validate", "--precision", "1000000000"], 1, 1, 2,
                  id="cap3-validate-precision-over-cap"),
     # the totally-ramified laws at the cap: all 2^20 - 1 units of k*
-    # walked on logs (2.7-4.4 s)
+    # walked on logs (2.7-4.4 s, 6.0-6.9 MB)
     pytest.param("p=2\nt=20\nf=1\ne=3\nu0=g\nprecision=8\n",
-                 ["check", "--samples", "10"], 0, 20, 14, id="cap20-check"),
+                 ["check", "--samples", "10"], 0, 20, 8.5, id="cap20-check"),
     # the root's longest exponent: p > 32 terms, so p^s = p = 1048573, the
-    # largest prime under the cap (3.4-5.3 s)
+    # largest prime under the cap (3.4-5.3 s, 8.2-9.0 MB)
     pytest.param("p=1048573\nt=1\nf=1\ne=4\nu0=1\nprecision=32\n",
-                 ["check"], 0, 25, 14, id="bigp-check"),
+                 ["check"], 0, 25, 10.5, id="bigp-check"),
     # the unramified law at the cap: 4 x (2^20 - 1) classes of k* walked
-    # on logs (10.9-14.7 s)
+    # on logs (10.9-14.7 s, 6.0-6.9 MB)
     pytest.param("p=2\nt=20\nf=1\ne=1\nu0=1\nprecision=8\n",
-                 ["check", "--samples", "10"], 0, 50, 14, id="unram20-check"),
+                 ["check", "--samples", "10"], 0, 50, 8.5,
+                 id="unram20-check"),
     # the precision cap, on a small tower where the windows are all the
-    # work (0.6-1.0 s, 4.0 MB) and on the prime cap, the slowest
-    # descriptor per term (10.5-15.0 s)
+    # work (0.6-1.0 s, 0.2-1.0 MB) and on the prime cap, the slowest
+    # descriptor per term (10.5-15.0 s, 8.2-9.1 MB)
     pytest.param("p=5\nt=1\nf=1\ne=4\nu0=1\n",
-                 ["check", "--precision", str(PRECISION_CAP)], 0, 10, 5,
+                 ["check", "--precision", str(PRECISION_CAP)], 0, 10, 2,
                  id="e4-check-precision-cap"),
     pytest.param("p=1048573\nt=1\nf=1\ne=4\nu0=1\n",
-                 ["check", "--precision", str(PRECISION_CAP)], 0, 55, 14,
+                 ["check", "--precision", str(PRECISION_CAP)], 0, 55, 10.5,
                  id="bigp-check-precision-cap"),
     # the degree cap e*f = 64 with the size and precision caps at once:
     # 1048193 = 1 mod 64, the largest such prime under the size cap
-    # (3.2-3.5 s over five runs, 12.1 MB)
+    # (3.2-3.5 s over five runs, 8.4-9.5 MB)
     pytest.param("p=1048193\nt=1\nf=1\ne=64\nu0=g\n",
                  ["check", "--precision", str(PRECISION_CAP), "--samples",
-                  "10"], 0, 15, 14, id="deg64-all-caps-check"),
+                  "10"], 0, 15, 11, id="deg64-all-caps-check"),
     # the degree cap on a small tower, where 64 divides 17^4 - 1
-    # (0.76-0.90 s over five runs, 4.7-4.8 MB)
+    # (0.76-0.90 s over five runs, 0.7-1.6 MB)
     pytest.param("p=17\nt=4\nf=1\ne=64\nu0=g\nprecision=32\n", ["check"], 0,
-                 5, 6, id="deg64-check"),
+                 5, 2.5, id="deg64-check"),
 ]
 
 

@@ -243,11 +243,12 @@ def _pack(coeffs, p):
 
 
 def _reference_tables(tower):
-    """exp, log and Zech tables as plain lists, stepped digit by digit for
-    every p: independent of the p = 2 walk and of the array storage."""
+    """exp, log and Zech tables as array('i'), stepped digit by digit for
+    every p: independent of the p = 2 lane walk and of the gather, and
+    12 bytes an element, so 12 MB at the size cap."""
     p, n, size, order = tower.p, tower.degree, tower.size, tower.order
-    exp = [0] * order
-    log = [-1] * size
+    exp = array("i", [0]) * order
+    log = array("i", [-1]) * size
     poly = [1] + [0] * (n - 1)
     red = [(-c) % p for c in tower.modulus[:-1]]
     for k in range(order):
@@ -258,10 +259,11 @@ def _reference_tables(tower):
         for i in range(n - 1, 0, -1):
             poly[i] = (poly[i - 1] + carry * red[i]) % p
         poly[0] = (carry * red[0]) % p
-    zech = []
-    for v in exp:
+    zech = array("i", [-1]) * order
+    for k, v in enumerate(exp):
         bumped = v - (v % p) + (v % p + 1) % p
-        zech.append(log[bumped] if bumped else -1)
+        if bumped:
+            zech[k] = log[bumped]
     return exp, log, zech
 
 
@@ -283,14 +285,29 @@ def _sample_logs(tower, count):
     return rng.sample(range(tower.order), min(count, tower.order))
 
 
+def _check_element_logs(tower, log):
+    """``element`` of the digits of each packed value v against the
+    reference log[v] (-1 at zero): every v up to 4,096 values, a sample
+    of 4,096 above."""
+    p, n = tower.p, tower.degree
+    values = range(tower.size)
+    if tower.size > 4096:
+        rng = random.Random(f"element-{p}-{tower.t}-{tower.f}")
+        values = rng.sample(values, 4096)
+    for v in values:
+        x = tower.element([v // p**i % p for i in range(n)])
+        assert (-1 if x.log is None else x.log) == log[v], (tower, v)
+
+
 def test_tables_match_reference_builder():
-    # equal logs pin the exponential table too: log is its inverse
+    # element() of every packed value pins the reference log, and so the
+    # exponential table too: log is its inverse
     assert len(SMALL_SHAPES) == 236
     for p, t, f in SMALL_SHAPES:
         tower = FieldTower(p, t, f)
         exp, log, zech = _reference_tables(tower)
-        assert list(tower._log) == log, (p, t, f)
-        assert tower._zech == zech, (p, t, f)
+        assert list(tower._zech) == list(zech), (p, t, f)
+        _check_element_logs(tower, log)
         if tower.size <= 2**6:
             _check_views(tower, exp, range(tower.order))
         else:
@@ -313,33 +330,59 @@ def test_zech_table_kind_follows_its_size():
 def test_packed_tables_match_reference_builder(shape):
     tower = FieldTower(*shape)
     exp, log, zech = _reference_tables(tower)
-    assert list(tower._log) == log
-    assert list(tower._zech) == zech
+    assert array("i", tower._zech) == zech
+    _check_element_logs(tower, log)
     _check_views(tower, exp, _sample_logs(tower, 200))
 
 
-# how far a new process's peak RSS grows with one tower build
+# every route: p = 2, odd p with t*f >= 2 and a prime field
+@pytest.mark.parametrize("shape", [(2, 1, 1), (2, 3, 2), (3, 2, 2),
+                                   (5, 3, 1), (13, 1, 1), (1021, 1, 1)],
+                         ids=lambda shape: "-".join(map(str, shape)))
+def test_log_keeps_the_logs_of_the_prime_field(shape):
+    # the tower keeps only log[:p], read by from_int: entry c is a k with
+    # g^k = c, checked through the coefficient view, and entry 0 is -1
+    tower = FieldTower(*shape)
+    p, log = tower.p, tower._log
+    assert type(log) is array and len(log) == p and log[0] == -1
+    for c in range(1, p):
+        assert tower.generator_power(log[c]).coeffs == \
+            (c,) + (0,) * (tower.degree - 1), (shape, c)
+        assert tower.from_int(c + p).log == log[c]
+    # the second route to -1, which _sign_constant reads
+    assert tower.minus_one().log == tower.minus_one_log
+
+
+# how far a new process's peak RSS grows with one tower build, from after
+# the import: the import's own growth depends on the Python version (1.9
+# MB on 3.11.7, 4.3 MB on 3.13.0), the build's does not
 _BUILD_PEAK_PROBE = PEAK_KIB + """
-before = peak_kib()
 from lcft.ffield import FieldTower
+before = peak_kib()
 FieldTower({p}, {t}, {f})
 print(peak_kib() - before)
 """
 
 
-# the cap towers keep a log and a Zech table, 4-byte arrays of 4 MB each;
-# the exponential table lives only during the build, which writes the
-# Zech table over it, and no list or copy of a whole table is made. A new
-# process's peak RSS grows by about 9.9 MB at (2, 10, 2) and at
-# (1048573, 1, 1) and 5.9-6.6 MB at (3, 12, 1), 2.5 MB of it the import. A
-# third table or a temporary copy of one would add 4 MB at 2^20 and
-# 2.1 MB at 3^12, a list Zech table ~35 MB at 2^20.
+# The cap towers keep a 4-byte Zech array, 4 MB at 2^20 and 2.1 MB at
+# 3^12. The prime cap also keeps its whole log table, 4 MB more; the
+# other two keep log[:p]. The
+# p = 2 walk writes the Zech table itself, through a 2 MB pair table
+# that lives only during the build; at odd p the exponential table lives
+# only during the build, which writes the Zech table over it, and log is
+# cut in place. No list or copy of a whole table is made. The build
+# grows a new process's peak RSS by 5.9-6.0 MB at (2, 10, 2), 7.9-8.1 MB
+# at (1048573, 1, 1) and 4.0-4.1 MB at (3, 12, 1) (three runs each on
+# Python 3.11.7, two each on 3.10.13, 3.12.1 and 3.13.0). Each bound
+# sits 0.9-1.5 MB above that, less than a second table or a temporary
+# copy of one would add: 4 MB at 2^20, 2.1 MB at 3^12, and ~35 MB for a
+# list Zech table at 2^20.
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="reads the peak RSS from /proc")
 @pytest.mark.parametrize("p, t, f, bound_mb", [
-    pytest.param(2, 10, 2, 12, id="2-10-2"),
-    pytest.param(1048573, 1, 1, 11.5, id="1048573-1-1"),
-    pytest.param(3, 12, 1, 8, id="3-12-1"),
+    pytest.param(2, 10, 2, 7.5, id="2-10-2"),
+    pytest.param(1048573, 1, 1, 9.5, id="1048573-1-1"),
+    pytest.param(3, 12, 1, 5, id="3-12-1"),
 ])
 def test_cap_tower_build_peak_memory(p, t, f, bound_mb):
     env = dict(os.environ,
@@ -354,28 +397,36 @@ def test_cap_tower_build_peak_memory(p, t, f, bound_mb):
 def test_cap_tower_tables(cap_tower):
     t = cap_tower
     assert t.size == SIZE_CAP
-    log, zech = t._log, t._zech
-    assert len(zech) == t.order and len(log) == t.size
-    assert type(zech) is array
-    # the two tables are the only table-size attributes
-    assert sorted(k for k, v in vars(t).items()
-                  if hasattr(v, "__len__") and len(v) >= t.order) == \
-        ["_log", "_zech"]
-    assert log[0] == -1
-    # 1 + g^(log v) flips the constant bit of v: the two tables agree on
-    # every nonzero v, v = 1 (zech[0] = log[0] = -1) included
-    assert all(zech[log[v]] == log[v ^ 1] for v in range(1, t.size))
+    zech = t._zech
+    assert len(zech) == t.order and type(zech) is array
+    # the Zech table is the only table-size attribute; log keeps the logs
+    # of F_2's two constants
+    assert [k for k, v in vars(t).items()
+            if hasattr(v, "__len__") and len(v) >= t.order] == ["_zech"]
+    assert len(t._log) == 2
     logs = random.Random(20261018).sample(range(t.order), 200)
     # x^k mod m by the list-based square and multiply of conftest: a
     # reference apart from the bitmask ladder that the coefficient view
-    # runs at p = 2
+    # runs at p = 2. 1 + g^k flips its constant bit.
     exp = {}
     for k in logs:
-        power = _pack(poly_powmod([0, 1], k, t.modulus, 2), 2)
-        assert log[power] == k, k
-        assert zech[k] == log[power ^ 1], k
-        exp[k] = power
+        digits = poly_powmod([0, 1], k, t.modulus, 2)
+        digits += [0] * (t.degree - len(digits))
+        assert t.element(digits) == t.generator_power(k), k
+        bumped = t.element([1 - digits[0]] + digits[1:])
+        assert zech[k] == (-1 if bumped.log is None else bumped.log), k
+        exp[k] = _pack(digits, 2)
     _check_views(t, exp, logs)
+
+
+@pytest.mark.skipif(not os.environ.get("LCFT_CAP_ROWS"),
+                    reason="about 10 s: set LCFT_CAP_ROWS=1 to run")
+def test_cap_tower_zech_table_matches_the_digit_walk(cap_tower):
+    # the whole Zech table of F_(2^20) against _reference_tables, which
+    # steps a digit list and shares no code with the lane walk: three
+    # 4 MB arrays beside the tower's own
+    exp, log, zech = _reference_tables(cap_tower)
+    assert cap_tower._zech == zech
 
 
 def test_cap_tower_zech_identities(cap_tower):
