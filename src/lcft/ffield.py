@@ -26,14 +26,18 @@ elements of F_p.
 
 A tower keeps the Zech table and log[:p], the logs of F_p's constants,
 which ``from_int`` reads; on a prime field that is the whole log table.
-log[:p] is ``array('i')``. The Zech table is read by every addition and
-series product, so its storage follows its size. Below
+log[:p] is ``array('i')``. The Zech table is read by every field
+addition, and by every series kernel step on a tower of more than
+``SUMS_MAX_SIZE`` elements, so its storage follows its size. Below
 ``ZECH_ARRAY_MIN`` entries it is a list: such a table stays in cache,
 where CPython's specialised list indexing beats an array's. From there on
 it is an ``array('i')``, 4 bytes a slot and 4 MB at the cap: a list of
 separate ints would take about 36 MB there, and its random lookups miss
 cache more often than the packed array's. Readers index either kind the
-same way.
+same way. A tower of at most ``SUMS_MAX_SIZE`` elements derives one more
+table from the Zech table when a series kernel first reads it: the
+addition table ``_sums``, whose entry [a][c] is log(g^a + g^c), so that
+a kernel step is one lookup.
 
 The tables are built on one of three routes, chosen by (p, t*f). Each
 is one walk over the powers of the generator:
@@ -73,12 +77,30 @@ from operator import itemgetter
 SIZE_CAP = 2**20
 
 # Zech tables with at least this many entries are stored as array('i').
-# Measured on a kernel step under random access. Python 3.11: the list
+# Measured on a Zech-loop kernel step under random access, which towers
+# of more than SUMS_MAX_SIZE elements run. Python 3.11: the list
 # is faster up to 2^15 entries, the two tie near 2^16, and the array is
 # faster from about 78,000 entries (5^7) up to the cap. Python 3.13, on
 # the towers' own tables: the list is faster by 15-30 % up to 2^16
 # entries and by 3-14 % up to 2^18, the array from 3^12 entries on.
 ZECH_ARRAY_MIN = 2**16
+# Towers with at most this many elements also keep ``_sums``, the
+# addition table of the series kernels: |l*| + 1 rows of 3 * |l*| ints,
+# built on the first kernel call. Measured on Python 3.11.7 and 3.13.0
+# (the table's size by tracemalloc, times as the min of alternated runs):
+# - At F_256 the table takes 1.5 MB and 2.7-2.8 ms to build on either
+#   version; at 2^9 elements 6.0 MB and 11-16 ms, at 2^10 24 MB and 55 ms.
+# - run_checks on (2,8,1,3,"g") at precision 32 with 100 samples took
+#   7-13 % less time with the table on 3.11.7 and 21 % less on 3.13.0;
+#   on (2,9,1,7,"g") the build cost about what the table saved (-1 to
+#   +16 %). At precision 8 with 10 samples the build outweighs the
+#   saving on every tower tried, F_256 included (+23 to +36 %, 3 ms).
+# - The rows are lists of ints, not bytes. Bytes rows take 0.2 MB at
+#   F_256, but a kernel step read them no faster: kernel time against the
+#   Zech loop on F_49, F_64 and F_256, three runs each, was -21 to -25 %
+#   with int rows and -17 to -24 % with bytes rows on 3.11.7, and -32 to
+#   -37 % against -28 to -31 % on 3.13.0.
+SUMS_MAX_SIZE = 2**8
 # the odd-p gather looks up this many slots of the exponential table at a
 # time, so no tuple of the whole table exists at once; 2^10 keeps a
 # chunk's temporaries (its int objects above all) under the peak RSS of
@@ -212,10 +234,14 @@ class FieldTower:
     generator of l*; it is found by a seeded random search so a tower
     built from the same (p, t, f) is always identical.
 
-    Two tables are kept: ``_zech``, the Zech logarithm log(1 + g^k) of
-    every generator power (-1 where 1 + g^k = 0), and ``_log``, the logs
-    of F_p's p constants (-1 at 0). Every other element is reached from
-    those: ``element`` adds its digit terms through the Zech table.
+    Two tables are built with the tower: ``_zech``, the Zech logarithm
+    log(1 + g^k) of every generator power (-1 where 1 + g^k = 0), and
+    ``_log``, the logs of F_p's p constants (-1 at 0). Every other element
+    is reached from those: ``element`` adds its digit terms through the
+    Zech table. A tower of at most ``SUMS_MAX_SIZE`` elements derives a
+    third from ``_zech`` when a series kernel first runs on it, the
+    addition table ``_sums`` (``_addition_table``), which is the empty
+    tuple until then; above that bound ``_sums`` is None.
 
     ``FieldElement`` is the public face of its elements. A Laurent series
     (``series.py``) stores its coefficients as bare generator logs instead:
@@ -242,6 +268,11 @@ class FieldTower:
         self.minus_one_log = 0 if self.order % 2 else self.order // 2
         self.modulus = self._find_modulus()
         self._build_tables()
+        # None: the kernels add through the Zech table; (): an addition
+        # table not built yet. A plain attribute, so the instance keeps
+        # its inline attribute values, which CPython 3.11 reads faster
+        # than a materialised __dict__
+        self._sums = None if self.size > SUMS_MAX_SIZE else ()
 
     def _find_modulus(self):
         """The first monic candidate of a stream seeded by (p, t, f) whose
@@ -377,6 +408,35 @@ class FieldTower:
             del log[p:]
         self._log = log
         self._zech = zech if order >= ZECH_ARRAY_MIN else zech.tolist()
+
+    def _addition_table(self):
+        """Build ``_sums``, the addition table of the series kernels, keep
+        it on the tower and return it; a kernel calls this the first time
+        it finds ``_sums`` empty.
+
+        ``_sums[a][c]`` is log(g^a + g^c) for a < |l*| and c < 3 * |l*|,
+        with |l*| (``order``) standing for zero; the extra row |l*| is the
+        zero accumulator, whose entry c is c mod |l*|. A kernel step adds
+        g^c to an accumulator of log a as ``acc = sums[acc][c]``, where c
+        is a sum of two or three logs, so the row repeats its first |l*|
+        entries three times. The table is read off ``_zech`` when the
+        first kernel runs, not built with the tower: a tower that no
+        kernel reads costs no build, and a change to ``_zech`` made right
+        after ``_build_tables`` reaches the kernels.
+        """
+        order, zech = self.order, self._zech
+        # wrap[a + z] is (a + z) mod order for z < order; a Zech log of
+        # -1, the sum 0, becomes 2 * order, where wrap reads zero
+        wrap = list(range(order)) * 2 + [order] * order
+        shifted = [2 * order if z < 0 else z for z in zech]
+        rows = []
+        for a in range(order):
+            # entry c of the rotation is the Zech log of g^(c - a)
+            rotated = shifted[order - a:] + shifted[:order - a]
+            rows.append([wrap[a + z] for z in rotated] * 3)
+        rows.append(list(range(order)) * 3)
+        self._sums = rows
+        return rows
 
     # -- element constructors ------------------------------------------------
 

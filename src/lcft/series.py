@@ -29,9 +29,9 @@ The window is stored as generator logs: ``logs`` holds ints reduced mod
 the tower's ``order``, with None for a zero coefficient. Every operation
 here, ``embed``/``project`` and the Galois action in ``extension.py`` read
 and write those logs directly: a product of coefficients adds logs, a sum
-is one lookup in the tower's Zech table ``_zech``, and a negation adds the
-tower's ``minus_one_log`` (order/2 for odd p, 0 for p = 2). Every Zech
-sum here runs in one of two kernels: ``_convolve`` for two different
+is one table lookup, and a negation adds the tower's ``minus_one_log``
+(order/2 for odd p, 0 for p = 2). Every sum here runs in one of two
+kernels: ``_convolve`` for two different
 windows, and ``_square`` for x * x', where x' scales the coefficient of
 X^j by g^(step*j). A sum a + g^s * b is ``_convolve`` of b with the
 one-term window of g^s into a's copy of the window, with s = 0 for ``+``
@@ -45,6 +45,18 @@ no special case. The p-th powers of ``**`` make no kernel steps at
 all: ``_spread`` moves each log, and neither does a product one of whose
 factors has a single nonzero term on the common window, which scales the
 other window by that term's log, as ``**`` treats a monomial.
+
+A kernel step adds one term g^c, c a sum of two or three logs, to a
+slot's accumulator. On a tower of at most ``ffield.SUMS_MAX_SIZE``
+elements it is one read of the tower's addition table,
+``acc = sums[acc][c]``, whose row ``order`` is the zero accumulator and
+whose value ``order`` is zero; there is no subtraction, ``% order`` or
+branch on zero in the step, and the window keeps None for zero. Above
+that bound, where the table would grow as |l|^2, a step reads the Zech
+table ``_zech``: acc + zech[(c - acc) % order], with None as the zero
+accumulator. The table is built on the first kernel call, so a tower
+that no kernel reads costs nothing more to set up.
+
 The one constructor, ``LaurentSeries(tower, symbol, valuation, logs)``,
 takes such a window; ``one``, ``uniformizer``, ``monomial`` and
 ``constant`` are shorthands for it. ``FieldElement`` stays the public
@@ -80,9 +92,33 @@ def _convolve(terms, src, out, offset, start, stop, tower):
     and the crossed-product slots of ``brauer`` run it. The other,
     ``_square``, takes a window times itself or times its own inertia
     image (the squarings of ``**`` and the doublings of the norm's
-    inertia stages). Both read the tower's ``order`` and Zech table once
-    a call.
+    inertia stages).
+
+    Both read the tower's tables once a call. On a tower with an addition
+    table ``_sums`` (at most ``ffield.SUMS_MAX_SIZE`` elements) a step is
+    one lookup, ``acc = sums[acc][a + b]``, with the accumulator held as a
+    log or ``order`` for zero; each log of ``terms`` must then lie in
+    [0, 2 * order). Above that bound a step is a Zech lookup,
+    log(g^acc + g^(a+b)) = acc + zech[(a + b - acc) % order].
     """
+    sums = tower._sums
+    if sums is not None:
+        if not sums:
+            sums = tower._addition_table()
+        zero = tower.order
+        for k in range(start, stop):
+            pos = offset + k
+            acc = out[pos]
+            if acc is None:
+                acc = zero
+            for i, a in terms:
+                if i > k:
+                    break
+                b = src[k - i]
+                if b is not None:
+                    acc = sums[acc][a + b]
+            out[pos] = None if acc == zero else acc
+        return out
     order, zech = tower.order, tower._zech
     for k in range(start, stop):
         pos = offset + k
@@ -134,16 +170,37 @@ def _square(logs, step, valuation, tower, plan):
     ``plan`` is that pair, built by ``_square_plan``: the norm keeps one
     per extension, inertia step and window length
     (``reciprocity._square_weights``), and the squarings of ``**`` build
-    theirs each call.
+    theirs each call. A step is one lookup in the addition table,
+    ``acc = sums[acc][a + b + w]``, on a tower that has one, and a Zech
+    lookup above ``ffield.SUMS_MAX_SIZE``, as in ``_convolve``.
     """
-    order, zech = tower.order, tower._zech
+    order = tower.order
     n = len(logs)
     out = [None] * n
     step %= order
     # the lower index i of a pair (i, k - i) has 2i <= k < n: twist it
-    terms = [(i, a + step * (valuation + i))
+    terms = [(i, (a + step * (valuation + i)) % order)
              for i, a in enumerate(logs[:(n + 1) // 2]) if a is not None]
     weights, slots = plan
+    sums = tower._sums
+    if sums is not None:
+        if not sums:
+            sums = tower._addition_table()
+        for k in slots:
+            acc = order
+            for i, a in terms:
+                j = k - i
+                if j < i:
+                    break
+                b = logs[j]
+                if b is not None:
+                    w = weights[j - i]
+                    if w >= 0:
+                        acc = sums[acc][a + b + w]
+            if acc != order:
+                out[k] = acc
+        return out
+    zech = tower._zech
     for k in slots:
         acc = None
         for i, a in terms:
@@ -407,7 +464,7 @@ class LaurentSeries:
         lead = self.logs[0]
         # out[j] = -(c_1 out[j-1] + ... + c_j out[0]) / c_0
         neg_lead_inv = tower.minus_one_log - lead
-        terms = [(k, a + neg_lead_inv) for k, a in enumerate(self.logs)
+        terms = [(k, (a + neg_lead_inv) % m) for k, a in enumerate(self.logs)
                  if k and a is not None]
         out = [-lead % m] + [None] * (len(self.logs) - 1)
         return LaurentSeries(

@@ -10,8 +10,8 @@ import pytest
 
 from conftest import PEAK_KIB, poly_powmod, reference_modulus
 import lcft
-from lcft.ffield import (SIZE_CAP, ZECH_ARRAY_MIN, FieldTower, _x_power,
-                         is_prime)
+from lcft.ffield import (SIZE_CAP, SUMS_MAX_SIZE, ZECH_ARRAY_MIN,
+                         FieldTower, _x_power, is_prime)
 
 # every tower shape up to 2^10 elements
 SMALL_SHAPES = [(p, t, f) for p in range(2, 1025) if is_prime(p)
@@ -322,6 +322,37 @@ def test_zech_table_kind_follows_its_size():
         assert tower.order < ZECH_ARRAY_MIN and type(tower._zech) is list
     for tower in above:
         assert tower.order >= ZECH_ARRAY_MIN and type(tower._zech) is array
+
+
+def test_addition_table_matches_the_zech_table():
+    # on every shape of at most SUMS_MAX_SIZE elements, entry c of row a
+    # is log(g^a + g^c) = a + zech[(c - a) mod order], with order for
+    # zero, over the whole width 3 * order; the extra row order is the
+    # zero accumulator, whose entry c is g^c alone
+    shapes = [s for s in SMALL_SHAPES if s[0] ** (s[1] * s[2]) <= 2**8]
+    assert SUMS_MAX_SIZE == 2**8 and len(shapes) == 92
+    for shape in shapes:
+        tower = FieldTower(*shape)
+        # empty until a kernel first runs, not built with the tower
+        assert tower._sums == (), shape
+        order, zech = tower.order, tower._zech
+        sums = tower._addition_table()
+        assert tower._sums is sums, shape
+        assert type(sums) is list and len(sums) == order + 1, shape
+        for a, row in enumerate(sums[:order]):
+            want = []
+            for c in range(order):
+                z = zech[(c - a) % order]
+                want.append(order if z < 0 else (a + z) % order)
+            assert type(row) is list and row == want * 3, (shape, a)
+        assert sums[order] == list(range(order)) * 3, shape
+
+
+def test_towers_above_the_bound_have_no_addition_table(cap_tower):
+    # the two smallest shapes past the bound on each route, and the cap
+    for tower in [FieldTower(2, 9, 1), FieldTower(3, 6, 1),
+                  FieldTower(257, 1, 1), cap_tower]:
+        assert tower.size > SUMS_MAX_SIZE and tower._sums is None, tower
 
 
 # (65537, 1, 1) is a prime field of order 2^16: its Zech table is the

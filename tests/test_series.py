@@ -3,8 +3,8 @@ import pytest
 from conftest import binary_power, make_series
 from lcft import checks, reciprocity, series
 from lcft.extension import TameAbelianExtension
-from lcft.ffield import FieldTower
-from lcft.series import LaurentSeries, _square, _square_plan
+from lcft.ffield import SUMS_MAX_SIZE, FieldTower
+from lcft.series import LaurentSeries, _convolve, _square, _square_plan
 
 
 @pytest.fixture(scope="module")
@@ -18,14 +18,19 @@ def f3():
 
 
 # F_2 (order 1, where 1 + 1 = 0 makes zech[0] = -1), F_3, F_5, F_2^6,
-# F_7^2 and F_3^2 as a degree-2 extension of F_3
+# F_7^2 and F_3^2 as a degree-2 extension of F_3, which the kernels add
+# by the addition table; F_2^9 and F_3^6, past SUMS_MAX_SIZE, which they
+# add by the Zech loop
 KERNEL_TOWERS = [(2, 1, 1), (3, 1, 1), (5, 1, 1), (2, 6, 1), (7, 2, 1),
-                 (3, 1, 2)]
+                 (3, 1, 2), (2, 9, 1), (3, 6, 1)]
 
 
 @pytest.fixture(scope="module")
 def kernel_towers():
-    return [FieldTower(*params) for params in KERNEL_TOWERS]
+    towers = [FieldTower(*params) for params in KERNEL_TOWERS]
+    # both kernel loops run under every test that takes these towers
+    assert {t.size <= SUMS_MAX_SIZE for t in towers} == {True, False}
+    return towers
 
 
 def _random_series(tower, rng, valuation, precision, density=0.7):
@@ -521,9 +526,11 @@ def _product_cancellations(x, y, prod):
 
 
 # p = 2 with zeta of order 3 and 15, odd p with zeta of order 4 and 6
-# (where zeta^3 = -1 gives pairs of weight 1 + zeta^(3d) = 0)
+# (where zeta^3 = -1 gives pairs of weight 1 + zeta^(3d) = 0); F_2^9 and
+# F_3^6 run the Zech loop, the others the addition table
 @pytest.mark.parametrize("params", [(2, 2, 3, 3, "g"), (2, 4, 1, 15, "1"),
-                                    (5, 1, 1, 4, "1"), (7, 1, 2, 6, "1")])
+                                    (5, 1, 1, 4, "1"), (7, 1, 2, 6, "1"),
+                                    (2, 9, 1, 7, "g"), (3, 6, 1, 4, "1")])
 def test_twisted_square_matches_the_product(params, rng):
     ext = TameAbelianExtension.from_parameters(*params, precision=8)
     tower = ext.tower
@@ -565,6 +572,44 @@ def test_twisted_square_matches_the_product(params, rng):
                         cancelled[c] += _product_cancellations(x, twin, want)
     # every twist meets at least 30 cancellations at this seed
     assert min(cancelled.values()) >= 25, cancelled
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 1), (3, 1, 1), (2, 6, 1),
+                                   (7, 2, 1), (3, 1, 2), (2, 8, 1)])
+def test_both_kernel_loops_agree_below_the_bound(shape, rng):
+    # the same calls through the addition table and, with _sums set to
+    # None, through the Zech loop: terms of _convolve up
+    # to 2 * order (the crossed product's wrapped terms), outputs that
+    # start filled, squares twisted at negative valuations
+    tower = FieldTower(*shape)
+    order = tower.order
+    assert tower._sums == ()
+    cases = []
+    for _ in range(60):
+        n = rng.randrange(1, 17)
+        density = rng.random()
+        src = [rng.randrange(order) if rng.random() < density else None
+               for _ in range(n)]
+        terms = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+        terms = [(i, rng.randrange(2 * order)) for i in terms]
+        out = [rng.randrange(order) if rng.random() < density else None
+               for _ in range(n)]
+        step, v = rng.randrange(-order, 2 * order), rng.randrange(-9, 9)
+        cases.append((terms, src, out, step, v))
+
+    def run():
+        got = []
+        for terms, src, out, step, v in cases:
+            got.append(_convolve(terms, src, list(out), 0, 0, len(src),
+                                 tower))
+            got.append(_square(src, step, v, tower,
+                               _square_plan(step, len(src), tower)))
+        return got
+
+    table = run()
+    assert tower._sums
+    tower._sums = None
+    assert run() == table
 
 
 def test_no_square_is_untwisted_in_characteristic_two(matrix, monkeypatch):
