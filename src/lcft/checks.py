@@ -25,6 +25,9 @@ class CheckResult:
     detail: str = ""
 
     def line(self) -> str:
+        # a law that does not apply passes with the detail "skipped: why"
+        if self.passed and self.detail.startswith("skipped: "):
+            return f"SKIP {self.name}: {self.detail.removeprefix('skipped: ')}"
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}" + (
             f": {self.detail}" if self.detail and not self.passed else "")
 

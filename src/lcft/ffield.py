@@ -26,18 +26,15 @@ elements of F_p.
 
 A tower keeps the Zech table and log[:p], the logs of F_p's constants,
 which ``from_int`` reads; on a prime field that is the whole log table.
-log[:p] is ``array('i')``. The Zech table is read by every field
-addition, and by every series kernel step on a tower of more than
-``SUMS_MAX_SIZE`` elements, so its storage follows its size. Below
-``ZECH_ARRAY_MIN`` entries it is a list: such a table stays in cache,
-where CPython's specialised list indexing beats an array's. From there on
-it is an ``array('i')``, 4 bytes a slot and 4 MB at the cap: a list of
-separate ints would take about 36 MB there, and its random lookups miss
-cache more often than the packed array's. Readers index either kind the
-same way. A tower of at most ``SUMS_MAX_SIZE`` elements derives one more
-table from the Zech table when a series kernel first reads it: the
-addition table ``_sums``, whose entry [a][c] is log(g^a + g^c), so that
-a kernel step is one lookup.
+Both are ``array('i')``, 4 bytes a slot and 4 MB at the cap, where a list
+of separate ints would take about 36 MB. The Zech table is read by every
+field addition, and by every series kernel step on a tower of more than
+``SUMS_MAX_SIZE`` elements. A tower of at most ``SUMS_MAX_SIZE`` elements
+derives one more table from the Zech table when a series kernel first
+reads it: the addition table ``_sums``, whose entry [a][c] is
+log(g^a + g^c), so that a kernel step is one lookup. Its rows are lists
+of ints: bytes rows would be smaller, but a kernel step reads them no
+faster (measured at ``SUMS_MAX_SIZE``).
 
 The tables are built on one of three routes, chosen by (p, t*f). Each
 is one walk over the powers of the generator:
@@ -76,14 +73,6 @@ from operator import itemgetter
 
 SIZE_CAP = 2**20
 
-# Zech tables with at least this many entries are stored as array('i').
-# Measured on a Zech-loop kernel step under random access, which towers
-# of more than SUMS_MAX_SIZE elements run. Python 3.11: the list
-# is faster up to 2^15 entries, the two tie near 2^16, and the array is
-# faster from about 78,000 entries (5^7) up to the cap. Python 3.13, on
-# the towers' own tables: the list is faster by 15-30 % up to 2^16
-# entries and by 3-14 % up to 2^18, the array from 3^12 entries on.
-ZECH_ARRAY_MIN = 2**16
 # Towers with at most this many elements also keep ``_sums``, the
 # addition table of the series kernels: |l*| + 1 rows of 3 * |l*| ints,
 # built on the first kernel call. Measured on Python 3.11.7 and 3.13.0
@@ -313,9 +302,9 @@ class FieldTower:
         # log, which is 0 where 1 + g^k = 0; then the gather turns each
         # slot into zech[k] = log(1 + g^k), a chunk of exp at a time
         # written back over it, and log is cut to its first p entries,
-        # the logs of F_p's constants. So the tower keeps the Zech table
-        # and log[:p], an array('i') that only the cold constructors
-        # read; the Zech table is a list below ZECH_ARRAY_MIN entries.
+        # the logs of F_p's constants. So the tower keeps two array('i')
+        # tables: the Zech table, and log[:p], which only the cold
+        # constructors read.
         p, n, size, order = self.p, self.degree, self.size, self.order
         if p == 2:
             # the packed int is the bitmask of the coefficients: times x
@@ -407,7 +396,7 @@ class FieldTower:
             # in place: on a prime field size = p and nothing is cut
             del log[p:]
         self._log = log
-        self._zech = zech if order >= ZECH_ARRAY_MIN else zech.tolist()
+        self._zech = zech
 
     def _addition_table(self):
         """Build ``_sums``, the addition table of the series kernels, keep

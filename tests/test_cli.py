@@ -472,6 +472,25 @@ def test_check_text_header_names_the_descriptor_seed_and_samples(
     assert len(lines) == 17
 
 
+def test_check_text_names_each_law_that_did_not_run(tmp_path, capsys):
+    # C9 has e = 3 and f = 3, so neither the unramified law nor the totally
+    # ramified laws apply; the text says so, where --json keeps the
+    # passing result with its "skipped: " detail
+    assert cli.main(["check", _write(tmp_path, C9), "--samples", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("  SKIP ")] == [
+        "  SKIP totally-ramified-laws: f > 1",
+        "  SKIP unramified-law: e > 1"]
+    assert sum(line.startswith("  PASS ") for line in lines) == 13
+    assert cli.main(["check", _write(tmp_path, C9), "--samples", "10",
+                     "--json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [(r["name"], r["passed"], r["detail"]) for r in results
+            if r["detail"].startswith("skipped")] == [
+        ("unramified-law", True, "skipped: e > 1"),
+        ("totally-ramified-laws", True, "skipped: f > 1")]
+
+
 def test_check_deterministic_output(tmp_path, capsys):
     cfg = _write(tmp_path, UNRAM)
     cli.main(["check", cfg, "--json", "--samples", "10", "--seed", "3"])
@@ -516,7 +535,10 @@ def test_a_search_that_raises_exits_two(tmp_path, capsys, monkeypatch,
     assert [line.split(":")[0] for line in failed] == [
         "FAIL oracle-agreement", "FAIL uniformizer-independence"]
     assert all(f": raised {message}" in line for line in failed), failed
-    assert out.count("  PASS ") == 13 and out.endswith("SUITE FAILED\n")
+    # e = 4 > 1, so the unramified law did not run
+    assert out.count("  PASS ") == 12 and out.endswith("SUITE FAILED\n")
+    assert out.count("  SKIP ") == 1
+    assert "  SKIP unramified-law: e > 1\n" in out
 
 
 @pytest.mark.parametrize("command", ["check", "recip"])

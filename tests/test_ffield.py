@@ -10,8 +10,7 @@ import pytest
 
 from conftest import PEAK_KIB, poly_powmod, reference_modulus
 import lcft
-from lcft.ffield import (SIZE_CAP, SUMS_MAX_SIZE, ZECH_ARRAY_MIN,
-                         FieldTower, _x_power, is_prime)
+from lcft.ffield import SIZE_CAP, SUMS_MAX_SIZE, FieldTower, _x_power, is_prime
 
 # every tower shape up to 2^10 elements
 SMALL_SHAPES = [(p, t, f) for p in range(2, 1025) if is_prime(p)
@@ -306,22 +305,13 @@ def test_tables_match_reference_builder():
     for p, t, f in SMALL_SHAPES:
         tower = FieldTower(p, t, f)
         exp, log, zech = _reference_tables(tower)
-        assert list(tower._zech) == list(zech), (p, t, f)
+        assert type(tower._zech) is array, (p, t, f)
+        assert tower._zech.typecode == "i" and tower._zech == zech, (p, t, f)
         _check_element_logs(tower, log)
         if tower.size <= 2**6:
             _check_views(tower, exp, range(tower.order))
         else:
             _check_views(tower, exp, _sample_logs(tower, 20))
-
-
-def test_zech_table_kind_follows_its_size():
-    # a list below ZECH_ARRAY_MIN entries, an array('i') from there on
-    below = [FieldTower(2, 16, 1), FieldTower(3, 10, 1)]
-    above = [FieldTower(2, 17, 1), FieldTower(5, 7, 1)]
-    for tower in below:
-        assert tower.order < ZECH_ARRAY_MIN and type(tower._zech) is list
-    for tower in above:
-        assert tower.order >= ZECH_ARRAY_MIN and type(tower._zech) is array
 
 
 def test_addition_table_matches_the_zech_table():
@@ -355,13 +345,14 @@ def test_towers_above_the_bound_have_no_addition_table(cap_tower):
         assert tower.size > SUMS_MAX_SIZE and tower._sums is None, tower
 
 
-# (65537, 1, 1) is a prime field of order 2^16: its Zech table is the
-# first array on the prime-field route
+# a tower past SMALL_SHAPES on each route; (65537, 1, 1) is a prime
+# field of order 2^16
 @pytest.mark.parametrize("shape", [(2, 17, 1), (5, 7, 1), (65537, 1, 1)])
 def test_packed_tables_match_reference_builder(shape):
     tower = FieldTower(*shape)
     exp, log, zech = _reference_tables(tower)
-    assert array("i", tower._zech) == zech
+    assert type(tower._zech) is array and tower._zech.typecode == "i"
+    assert tower._zech == zech
     _check_element_logs(tower, log)
     _check_views(tower, exp, _sample_logs(tower, 200))
 

@@ -13,9 +13,11 @@ from conftest import make_series  # noqa: E402
 from lcft.ffield import FieldElement, FieldTower  # noqa: E402
 from lcft.series import LaurentSeries  # noqa: E402
 
-# p = 2 over F_2 (order 1) and with a Frobenius of order 3; p odd, f = 2
-TOWERS = [FieldTower(*params)
-          for params in ((2, 1, 1), (2, 1, 3), (3, 1, 2), (5, 1, 1))]
+# p = 2 over F_2 (order 1) and with a Frobenius of order 3; p odd, f = 2.
+# The series kernels add through the addition table on those four and
+# through the Zech loop on F_512, past SUMS_MAX_SIZE
+TOWERS = [FieldTower(*params) for params in
+          ((2, 1, 1), (2, 1, 3), (3, 1, 2), (5, 1, 1), (2, 9, 1))]
 
 laws = settings(derandomize=True, deadline=None, database=None,
                 max_examples=60)
