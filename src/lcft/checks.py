@@ -1,8 +1,11 @@
 """Property suite for one extension: every library-level invariant.
 
-Each check returns a ``CheckResult``; ``run_checks`` runs the whole suite
-from one table, each sampled check on its own stream drawn from the seed
-and the check's name. The CLI ``check`` command runs the suite, and each
+Each check returns its findings ``(failures, detail)``: the list of
+failure messages, empty when its laws hold, and the detail of a pass ("",
+or "skipped: why" for a law that does not apply). ``run_checks`` runs the
+whole suite from one table, which names each check's result, each sampled
+check on its own stream drawn from the seed and that name, and builds
+every ``CheckResult``. The CLI ``check`` command runs the suite, and each
 acceptance criterion in ``tests/test_acceptance.py`` runs one of these
 checks, so each criterion has one implementation.
 """
@@ -32,13 +35,7 @@ class CheckResult:
             f": {self.detail}" if self.detail and not self.passed else "")
 
 
-def _result(name, failures, detail=""):
-    if failures:
-        return CheckResult(name, False, "; ".join(failures[:3]))
-    return CheckResult(name, True, detail)
-
-
-def check_group_axioms(ext: TameAbelianExtension) -> CheckResult:
+def check_group_axioms(ext: TameAbelianExtension) -> tuple[list[str], str]:
     """Exhaustive closure, identity, inverses, commutativity, size.
 
     The products run over unordered pairs {g, h}, h = g included: g * h is
@@ -62,11 +59,10 @@ def check_group_axioms(ext: TameAbelianExtension) -> CheckResult:
                 failures.append(f"not closed: {g} * {h}")
             if gh != h * g:
                 failures.append(f"not commutative: {g}, {h}")
-    return _result("group-axioms", failures,
-                   f"{len(group)} elements, {len(group)**2} pairs")
+    return failures, f"{len(group)} elements, {len(group)**2} pairs"
 
 
-def check_action_is_ring_hom(ext, rng, samples) -> CheckResult:
+def check_action_is_ring_hom(ext, rng, samples) -> tuple[list[str], str]:
     """apply respects + and * and fixes the embedded base field.
 
     On the same draws, two series laws under the strict ``==``: x times
@@ -98,10 +94,10 @@ def check_action_is_ring_hom(ext, rng, samples) -> CheckResult:
             round_trip = False
         if not round_trip:
             failures.append(f"project(embed(b)) != b on sample {n}")
-    return _result("galois-action-ring-hom", failures)
+    return failures, ""
 
 
-def check_inertia_pairs(ext) -> CheckResult:
+def check_inertia_pairs(ext) -> tuple[list[str], str]:
     """g -> c is injective on inertia; inertia moves alpha to order 1."""
     failures = []
     inertia = ext.ramification_group(0)
@@ -119,10 +115,10 @@ def check_inertia_pairs(ext) -> CheckResult:
                 failures.append(f"{g} should move alpha at valuation 1")
         if not g.is_identity() and (g.c - ext.tower.one()) == ext.tower.zero():
             failures.append(f"inertia element {g} has trivial residue pair")
-    return _result("inertia-pair-injectivity", failures)
+    return failures, ""
 
 
-def check_ramification_filtration(ext, rng, samples) -> CheckResult:
+def check_ramification_filtration(ext, rng, samples) -> tuple[list[str], str]:
     """Closed form vs direct definition for i in {-1, 0, 1, 2} + audits."""
     failures = []
     for i in (-1, 0, 1, 2):
@@ -145,10 +141,10 @@ def check_ramification_filtration(ext, rng, samples) -> CheckResult:
                 if g in g_i and v < i + 1:
                     failures.append(
                         f"{g} in G_{i} but moves a sample at valuation {v}")
-    return _result("ramification-filtration", failures)
+    return failures, ""
 
 
-def check_structure(ext) -> CheckResult:
+def check_structure(ext) -> tuple[list[str], str]:
     failures = []
     factors = ext.structure()
     prod = math.prod(factors)
@@ -160,7 +156,7 @@ def check_structure(ext) -> CheckResult:
     orders = sorted(g.order() for g in ext.galois_group())
     if factors and max(orders) != max(factors):
         failures.append("group exponent disagrees with largest factor")
-    return _result("abelian-structure", failures, f"factors {list(factors)}")
+    return failures, f"factors {list(factors)}"
 
 
 def oracle_table(ext) -> list:
@@ -190,16 +186,15 @@ def oracle_table(ext) -> list:
     return rows
 
 
-def check_oracle_agreement(ext) -> CheckResult:
+def check_oracle_agreement(ext) -> tuple[list[str], str]:
     """Closed form equals congruence search on every row of
     ``oracle_table``."""
     rows = oracle_table(ext)
     failures = [m for _, _, mismatches in rows for m in mismatches]
-    return _result("oracle-agreement", failures,
-                   f"{len(rows)} classes at v, v+f, v+2f")
+    return failures, f"{len(rows)} classes at v, v+f, v+2f"
 
 
-def check_reciprocity_homomorphism(ext) -> CheckResult:
+def check_reciprocity_homomorphism(ext) -> tuple[list[str], str]:
     """theta(b1 * b2) = theta(b1) * theta(b2) on every pair of coset
     representatives: each representative is mapped once, then each
     unordered pair {b1, b2}, b2 = b1 included, maps only b1 * b2, so
@@ -213,10 +208,10 @@ def check_reciprocity_homomorphism(ext) -> CheckResult:
         for b2, g2 in mapped[k:]:
             if rc.reciprocity_map(ext, b1 * b2) != g1 * g2:
                 failures.append(f"hom fails at {b1}, {b2}")
-    return _result("reciprocity-homomorphism", failures)
+    return failures, ""
 
 
-def check_kernel_and_bijection(ext, rng, samples) -> CheckResult:
+def check_kernel_and_bijection(ext, rng, samples) -> tuple[list[str], str]:
     """theta kills norms; theta is a bijection from classes to the group."""
     failures = []
     for n in range(samples):
@@ -231,10 +226,10 @@ def check_kernel_and_bijection(ext, rng, samples) -> CheckResult:
     images = {rc.reciprocity_map(ext, b) for b in pres.coset_representatives}
     if len(images) != ext.degree or images != set(ext.galois_group()):
         failures.append("theta on coset representatives is not a bijection")
-    return _result("kernel-and-bijection", failures, f"{samples} norms")
+    return failures, f"{samples} norms"
 
 
-def check_uniformizer_independence(ext, rng, samples) -> CheckResult:
+def check_uniformizer_independence(ext, rng, samples) -> tuple[list[str], str]:
     """Searching with pi' = w*t and u' = u*w^(-i) resolves the same element.
 
     Blind spot: at a representative of valuation i = 0 the sampled search
@@ -264,13 +259,13 @@ def check_uniformizer_independence(ext, rng, samples) -> CheckResult:
             g2 = rc.reciprocity_search(ext, pi2, u2, b.valuation)
             if g1 != g2:
                 failures.append(f"sample {n}, {b}: {g1} vs {g2}")
-    return _result("uniformizer-independence", failures)
+    return failures, ""
 
 
-def check_unramified_law(ext, rng, samples) -> CheckResult:
+def check_unramified_law(ext, rng, samples) -> tuple[list[str], str]:
     """e = 1: theta(b) = Frob^v(b) for every class, including 1-unit tails."""
     if ext.e != 1:
-        return CheckResult("unramified-law", True, "skipped: e > 1")
+        return [], "skipped: e > 1"
     failures = []
     frob = ext.frobenius_element()
     step = ext.tower.subfield_norm_exponent
@@ -286,13 +281,13 @@ def check_unramified_law(ext, rng, samples) -> CheckResult:
                                        valuation=rng.randrange(-3, 4))
         if rc.reciprocity_of_series(ext, b) != frob**b.valuation:
             failures.append(f"series sample {n} violates the law")
-    return _result("unramified-law", failures)
+    return failures, ""
 
 
-def check_totally_ramified_laws(ext) -> CheckResult:
+def check_totally_ramified_laws(ext) -> tuple[list[str], str]:
     """f = 1: unit formula c = u^(-(q-1)/e) and the closed norm criterion."""
     if ext.f != 1:
-        return CheckResult("totally-ramified-laws", True, "skipped: f > 1")
+        return [], "skipped: f > 1"
     failures = []
     m = ext.tower.order
     exp = (ext.q - 1) // ext.e
@@ -303,10 +298,10 @@ def check_totally_ramified_laws(ext) -> CheckResult:
             failures.append(f"unit formula fails at {b.unit}")
         if rc.is_norm(ext, b) != (exp * u_log % m == 0):
             failures.append(f"norm criterion fails at {b.unit}")
-    return _result("totally-ramified-laws", failures)
+    return failures, ""
 
 
-def check_power_law(ext) -> CheckResult:
+def check_power_law(ext) -> tuple[list[str], str]:
     """theta((i, 1)) telescopes to theta((1, 1))^i for |i| <= 2ef.
 
     The power is the group's geometric sum (``GaloisElement.__pow__``),
@@ -318,11 +313,11 @@ def check_power_law(ext) -> CheckResult:
     for i in range(-2 * ext.degree, 2 * ext.degree + 1):
         if rc.reciprocity_map(ext, rc.BaseFieldClass(tower, i, 0)) != base**i:
             failures.append(f"power law fails at i = {i}")
-    return _result("reciprocity-power-law", failures)
+    return failures, ""
 
 
 def check_norm_congruences(ext, rng, unit_samples,
-                           uniformizer_samples) -> CheckResult:
+                           uniformizer_samples) -> tuple[list[str], str]:
     """Residue identities satisfied by norms, checked on random samples.
 
     For a unit u of L: the residue of N(u) equals the residue norm of
@@ -354,11 +349,10 @@ def check_norm_congruences(ext, rng, unit_samples,
         if lhs != rhs:
             failures.append(
                 f"uniformizer sample {n}: {lhs} != {rhs} for w = {w}")
-    return _result("norm-congruences", failures,
-                   f"{unit_samples}+{uniformizer_samples} samples")
+    return failures, f"{unit_samples}+{uniformizer_samples} samples"
 
 
-def check_root_extraction(ext, rng, samples) -> CheckResult:
+def check_root_extraction(ext, rng, samples) -> tuple[list[str], str]:
     """nth_root inverts e-th powers on eligible random series, exactly:
     r^e == w holds only on w's whole window, so a short root fails."""
     failures = []
@@ -375,10 +369,10 @@ def check_root_extraction(ext, rng, samples) -> CheckResult:
             failures.append(f"root sample {n}: r^e != w")
         if r.leading_coefficient != w.leading_coefficient.nth_roots(e)[0]:
             failures.append(f"root sample {n}: tie-break not deterministic")
-    return _result("hensel-root-extraction", failures, f"{samples} roots")
+    return failures, f"{samples} roots"
 
 
-def check_hasse_layer(ext, rng, samples) -> CheckResult:
+def check_hasse_layer(ext, rng, samples) -> tuple[list[str], str]:
     """The size of the character group, bilinearity, the inflation law,
     is_norm's invariance under N(alpha)^k off valuation 0, the faithful
     kernel and the algebra relations."""
@@ -453,24 +447,29 @@ def check_hasse_layer(ext, rng, samples) -> CheckResult:
                 failures.append("unit-class exponent not coprime")
         failures.extend(brauer.cyclic_algebra_check(
             sigma, t_class, rng, samples=samples)[:3])
-    return _result("hasse-layer", failures)
+    return failures, ""
 
 
 def run_checks(ext: TameAbelianExtension, samples: int, seed: int) -> list:
-    """The full per-extension suite, one row of its table per check.
+    """The full per-extension suite, one row of its table per check, and
+    one ``CheckResult`` per row.
 
-    A row is (result name, check, sample counts). A check with sample
-    counts draws from its own stream, ``random.Random(f"{seed}:{name}")``:
-    a string seed is stable across processes and Python versions, unlike
-    ``hash()``. So a check's samples depend only on the seed and its
-    name, and ``check_X(ext, random.Random(f"{seed}:{name}"), *counts)``
-    replays check X alone. The table is built on each call, so it reads
-    the module's ``check_*`` names as they stand when it runs.
+    A row is (result name, check, sample counts); the table is the one
+    list of result names. A check with sample counts draws from its own
+    stream, ``random.Random(f"{seed}:{name}")``: a string seed is stable
+    across processes and Python versions, unlike ``hash()``. So a check's
+    samples depend only on the seed and its name, and
+    ``check_X(ext, random.Random(f"{seed}:{name}"), *counts)`` replays
+    check X alone, returning its findings ``(failures, detail)``. The table
+    is built on each call, so it reads the module's ``check_*`` names as
+    they stand when it runs.
 
-    A ValueError or ArithmeticError raised inside a check is that check's
-    failure, with the detail "raised <Type>: <message>", and the later
-    checks still run. Any other exception, an AssertionError included,
-    propagates.
+    A result passes when its check found no failure. A failed result's
+    detail joins the first three failures with "; ", and a passed one's is
+    the check's pass detail. A ValueError or ArithmeticError raised inside
+    a check is that check's one failure, "raised <Type>: <message>", and
+    the later checks still run. Any other exception, an AssertionError
+    included, propagates.
     """
     small = max(10, samples // 10)
     table = (
@@ -495,8 +494,10 @@ def run_checks(ext: TameAbelianExtension, samples: int, seed: int) -> list:
     for name, check, counts in table:
         stream = (random.Random(f"{seed}:{name}"),) if counts else ()
         try:
-            results.append(check(ext, *stream, *counts))
+            failures, detail = check(ext, *stream, *counts)
         except (ValueError, ArithmeticError) as exc:
-            results.append(CheckResult(
-                name, False, f"raised {type(exc).__name__}: {exc}"))
+            failures = [f"raised {type(exc).__name__}: {exc}"]
+        results.append(CheckResult(name, not failures,
+                                   "; ".join(failures[:3]) if failures
+                                   else detail))
     return results

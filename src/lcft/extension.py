@@ -362,13 +362,14 @@ class TameAbelianExtension:
 class GaloisElement:
     """The automorphism sending alpha to c * alpha and lam to lam^(q^a).
 
-    Stored as (a, log c), with a reduced mod f and log c mod |l*|; ``c`` is
-    a view that builds the FieldElement on each access, as
-    ``LaurentSeries.coeffs`` does. There is one constructor and it always
-    checks membership, so every element, including each product, inverse
-    and power, satisfies c^e = u0^(q^a - 1). The check's q^a mod |l*| is
-    kept as ``frob``, for products, powers (the inverse among them, with
-    no group product), the action, the norm and the algebra.
+    Stored as (a, log c), ints (``operator.index``) with a reduced mod f
+    and log c mod |l*|; ``c`` is a view that builds the FieldElement on
+    each access, as ``LaurentSeries.coeffs`` does. There is one
+    constructor and it always checks membership, so every element,
+    including each product, inverse and power, satisfies
+    c^e = u0^(q^a - 1). The check's q^a mod |l*| is kept as ``frob``, for
+    products, powers (the inverse among them, with no group product), the
+    action, the norm and the algebra.
     """
 
     __slots__ = ("ext", "a", "c_log", "frob")
@@ -376,8 +377,8 @@ class GaloisElement:
     def __init__(self, ext: TameAbelianExtension, a: int, c_log: int):
         tower = ext.tower
         m = tower.order
-        a %= tower.f
-        c_log %= m
+        a = operator.index(a) % tower.f
+        c_log = operator.index(c_log) % m
         frob = pow(tower.q, a, m)
         # c^e = u0^(q^a - 1), on generator logs
         if (ext.e * c_log - (frob - 1) * ext.u0.log) % m:

@@ -40,6 +40,7 @@ discarded throughout because they are norms in the tame case.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .extension import (BASE_SYMBOL, EXT_SYMBOL, GaloisElement,
@@ -55,8 +56,9 @@ class BaseFieldClass:
     """The class of u * t^valuation modulo 1-units, on the log of u.
 
     ``unit`` is a view, as ``GaloisElement.c`` is. The one constructor
-    checks on ints that u is nonzero and in k (its log a multiple of
-    |l*|/|k*|) and reduces the log mod |l*|.
+    takes the valuation and the log as ints (``operator.index``, so a
+    float or a Fraction raises TypeError), checks that u is nonzero and
+    in k (its log a multiple of |l*|/|k*|) and reduces the log mod |l*|.
     """
 
     tower: FieldTower
@@ -66,9 +68,11 @@ class BaseFieldClass:
     def __post_init__(self):
         if self.unit_log is None:
             raise ValueError("unit residue must be nonzero")
-        if self.unit_log % self.tower.subfield_norm_exponent:
+        self.valuation = operator.index(self.valuation)
+        unit_log = operator.index(self.unit_log)
+        if unit_log % self.tower.subfield_norm_exponent:
             raise ValueError("unit residue must lie in the base residue field")
-        self.unit_log %= self.tower.order
+        self.unit_log = unit_log % self.tower.order
 
     @property
     def unit(self) -> FieldElement:

@@ -67,6 +67,7 @@ other coefficient views also build elements on demand.
 from __future__ import annotations
 
 import math
+import operator
 
 from .ffield import FieldElement, FieldTower
 
@@ -283,9 +284,11 @@ class LaurentSeries:
     leading Nones, raising the valuation to match, so the stored ``logs``
     is a tuple with ``logs[0]`` not None, or empty. An all-None window of
     N terms from X^v is the honest zero O(X^(v+N)): valuation v + N and
-    no logs, so ``valuation + precision`` is the end of every window and
-    every valuation is an int. ``coeffs`` is the FieldElement view of the
-    same window.
+    no logs, so ``valuation + precision`` is the end of every window. The
+    constructor does not check that the valuation is an int either;
+    ``monomial`` and ``shift`` refuse a non-integer exponent with a
+    TypeError (``operator.index``), as ``__pow__`` does. ``coeffs`` is the
+    FieldElement view of the same window.
 
     Arithmetic requires matching tower and symbol and keeps the honest
     end: a sum keeps the common window of its operands, so
@@ -329,7 +332,7 @@ class LaurentSeries:
             raise TypeError("a monomial's coefficient is a FieldElement")
         if value.tower is not tower:
             raise ValueError("coefficient belongs to a different tower")
-        return cls(tower, symbol, exponent,
+        return cls(tower, symbol, operator.index(exponent),
                    (value.log,) + (None,) * (precision - 1))
 
     # -- basic views -------------------------------------------------------
@@ -544,8 +547,8 @@ class LaurentSeries:
 
     def shift(self, n: int) -> "LaurentSeries":
         """Multiply by X^n (exact; O(X^N) becomes O(X^(N + n)))."""
-        return LaurentSeries(self.tower, self.symbol, self.valuation + n,
-                             self.logs)
+        return LaurentSeries(self.tower, self.symbol,
+                             self.valuation + operator.index(n), self.logs)
 
     def truncate(self, precision: int) -> "LaurentSeries":
         """Shrink the retained window to at most ``precision`` terms."""

@@ -36,21 +36,34 @@ MATRIX_PARAMS = {
 }
 
 
-def admissible_descriptors(max_size):
-    """Every admissible (p, t, f, e, u0) with p^(t*f) <= max_size and u0 in
-    {1, g}: p prime, e | p^t - 1 (which makes e tame) and e*f <= DEGREE_CAP.
-    """
+def tower_shapes(min_size, max_size):
+    """Every tower shape (p, t, f), p prime, with
+    min_size < p^(t*f) <= max_size, ordered by p, then t, then f."""
     out = []
     for p in filter(is_prime, range(2, max_size + 1)):
-        for t in range(1, max_size.bit_length()):
-            for f in range(1, max_size.bit_length()):
-                if p ** (t * f) > max_size:
-                    continue
-                q = p**t
-                out += [(p, t, f, e, u0) for e in range(1, q)
-                        if (q - 1) % e == 0 and e * f <= DEGREE_CAP
-                        for u0 in ("1", "g")]
+        t = 1
+        while p**t <= max_size:
+            f = 1
+            while p ** (t * f) <= max_size:
+                if p ** (t * f) > min_size:
+                    out.append((p, t, f))
+                f += 1
+            t += 1
     return out
+
+
+def admissible_ramifications(p, t, f):
+    """Every admissible e over the shape (p, t, f), in increasing order:
+    e | p^t - 1 (which makes e tame) and e*f <= DEGREE_CAP."""
+    return [e for e in range(1, DEGREE_CAP // f + 1) if (p**t - 1) % e == 0]
+
+
+def admissible_descriptors(max_size):
+    """Every admissible (p, t, f, e, u0) with p^(t*f) <= max_size and u0 in
+    {1, g}: p prime, e | p^t - 1 and e*f <= DEGREE_CAP."""
+    return [(p, t, f, e, u0) for p, t, f in tower_shapes(0, max_size)
+            for e in admissible_ramifications(p, t, f)
+            for u0 in ("1", "g")]
 
 
 # Source of peak_kib() for a probe run in a child process: the process

@@ -18,8 +18,8 @@ def _assert_criterion(label, budget, exts, check, *args):
     start = time.perf_counter()
     try:
         for name, ext in exts.items():
-            result = check(ext, *args)
-            assert result.passed, (name, result.detail)
+            failures, _ = check(ext, *args)
+            assert failures == [], name
     except Exception:
         print(f"FAIL {label}")
         raise

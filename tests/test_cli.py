@@ -227,11 +227,12 @@ sys.exit(code)
 # and a peak-memory bound: config text, arguments after the config, exit
 # code, seconds and MB. Over three to six runs each on a shared 2-vCPU
 # host (Python 3.11), wall times spread by up to 1.7x between runs (the
-# range is in each comment); every bound is at least 3.4x the slowest
-# run and under the minute that CI once gave each row. The peak's growth
-# after the import is in each comment: three runs on Python 3.11.7, which
-# agreed within 0.2 MB, then two each on 3.10.13, 3.12.1 and 3.13.0,
-# which read up to 0.9 MB higher. A tower of about 2^20 entries keeps a
+# range is in each comment); every bound is under the minute that CI
+# once gave each row, and all but deg1-check-precision-cap's are at least
+# 3.4x the slowest run. The peak's growth after the import is in each
+# comment: three runs on Python 3.11.7, which agreed within 0.2 MB, then
+# two each on 3.10.13, 3.12.1 and 3.13.0, which read up to 0.9 MB
+# higher. A tower of about 2^20 entries keeps a
 # 4 MB Zech array, a prime field that size a 4 MB log array beside it,
 # and the 3^12 tower a 2.1 MB Zech array. Each bound at those towers sits
 # 1.0-1.6 MB above the highest reading, less than a second such table
@@ -273,6 +274,15 @@ CAP_ROWS = [
     pytest.param("p=1048573\nt=1\nf=1\ne=4\nu0=1\n",
                  ["check", "--precision", str(PRECISION_CAP)], 0, 55, 10.5,
                  id="bigp-check-precision-cap"),
+    # degree 1 at the size and precision caps with the default 100
+    # samples, where both k* walks run: 4 x (2^20 - 1) classes for the
+    # unramified law and 2^20 - 1 units for the totally ramified laws
+    # (14.2-19.5 s over five runs on 3.11.7, 13.5-22.0 s on 3.12.1 and
+    # 14.0-15.3 s on 3.13.0, but 24.0-29.9 s on 3.10.13; 5.7-6.6 MB). The
+    # bound is twice the slowest run, to stay under the minute
+    pytest.param("p=2\nt=20\nf=1\ne=1\nu0=1\n",
+                 ["check", "--precision", str(PRECISION_CAP)], 0, 60, 8,
+                 id="deg1-check-precision-cap"),
     # the degree cap e*f = 64 with the size and precision caps at once:
     # 1048193 = 1 mod 64, the largest such prime under the size cap
     # (3.2-3.5 s over five runs, 8.4-9.5 MB)

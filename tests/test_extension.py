@@ -114,6 +114,13 @@ def test_galois_element_rejects_bad_scales(matrix):
             GaloisElement(ext, 0, c_log)
     assert [GaloisElement(ext, 0, c_log).c_log for c_log in (0, 2, 4)] \
         == [0, 2, 0]
+    # nor is an element built from a non-integer a or log c, though it
+    # would pass the membership test
+    for x in (0.0, 2.0, Fraction(0), Fraction(2)):
+        with pytest.raises(TypeError, match="as an integer"):
+            GaloisElement(ext, x, 0)
+        with pytest.raises(TypeError, match="as an integer"):
+            GaloisElement(ext, 0, x)
     # nor is a power taken at a non-integer exponent, a = 0 or not
     for g in matrix["mixed_c9"].galois_group():
         for n in (0.5, 2.0, Fraction(1, 2)):

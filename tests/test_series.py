@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from conftest import binary_power, make_series
@@ -207,6 +209,19 @@ def test_symbol_and_field_mismatch(f5, f3):
         a * LaurentSeries.one(f5, "alpha", 4)
     with pytest.raises(ValueError):
         a + LaurentSeries.one(f3, "t", 4)
+
+
+def test_shift_and_monomial_refuse_a_non_integer_exponent(f5):
+    # the constructor leaves the valuation unchecked; the two public ways
+    # to give a series a valuation take it as an index, so that
+    # class_of_series never passes on a valuation of 1.5
+    t = LaurentSeries.uniformizer(f5, "t", 4)
+    for n in (0.5, 2.0, Fraction(1, 2), Fraction(2)):
+        with pytest.raises(TypeError, match="as an integer"):
+            t.shift(n)
+        with pytest.raises(TypeError, match="as an integer"):
+            LaurentSeries.monomial(f5, "t", f5.one(), n, 4)
+    assert t.shift(2) == LaurentSeries.monomial(f5, "t", f5.one(), 3, 4)
 
 
 def test_zero_semantics(f5):
