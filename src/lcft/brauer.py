@@ -74,6 +74,8 @@ class Character:
         return self._values[(g.a * self._xn + j * self._yn) % ext.degree]
 
     def __add__(self, other: "Character") -> "Character":
+        if not isinstance(other, Character):
+            return NotImplemented
         if other.ext is not self.ext:
             raise ValueError("characters of different extensions")
         return Character(self.ext, self._xn + other._xn, self._yn + other._yn)

@@ -79,7 +79,8 @@ def per_extension(build):
 def _check_integers(p, q, f, e, precision):
     """Refuse a descriptor on what its integers alone decide: tameness
     (p does not divide e), existence (e divides q - 1), the degree cap
-    and the precision cap."""
+    and the precision cap; return (e, precision) as ints."""
+    e, precision = operator.index(e), operator.index(precision)
     if e < 1:
         raise ValueError("ramification index must be positive")
     if math.gcd(e, p) != 1:
@@ -97,6 +98,7 @@ def _check_integers(p, q, f, e, precision):
     if precision > PRECISION_CAP:
         raise ValueError(
             f"precision {precision} exceeds the cap {PRECISION_CAP}")
+    return e, precision
 
 
 class TameAbelianExtension:
@@ -122,7 +124,7 @@ class TameAbelianExtension:
             raise ValueError("u0 must live in the given tower")
         if not u0:
             raise ValueError("u0 must be a unit")
-        _check_integers(tower.p, tower.q, tower.f, e, precision)
+        e, precision = _check_integers(tower.p, tower.q, tower.f, e, precision)
         self.tower = tower
         self.e = e
         self.u0 = u0
@@ -134,7 +136,7 @@ class TameAbelianExtension:
                         precision=DEFAULT_PRECISION):
         """The extension of a descriptor, with u0 written as text ("g^k",
         "g", a bare integer or a coefficient list), as in a config file."""
-        check_tower_shape(p, t, f)
+        p, t, f = check_tower_shape(p, t, f)
         # refused on its integers before the tables are built: at the
         # size cap the build takes seconds and tens of MB
         _check_integers(p, p**t, f, e, precision)

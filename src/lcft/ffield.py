@@ -204,8 +204,9 @@ def _x_is_primitive(mod, p, order_factors, order):
         _x_power(order // r, mod, p) != 1 for r in order_factors)
 
 
-def check_tower_shape(p: int, t: int, f: int) -> None:
-    """Refuse (p, t, f) unless it names a tower under the size cap."""
+def check_tower_shape(p: int, t: int, f: int) -> tuple:
+    """Refuse (p, t, f) unless it names a tower under the cap; return ints."""
+    p, t, f = operator.index(p), operator.index(t), operator.index(f)
     if t < 1 or f < 1:
         raise ValueError("t and f must be positive")
     # the cap comes first, so trial division only sees p <= 2^20
@@ -213,6 +214,7 @@ def check_tower_shape(p: int, t: int, f: int) -> None:
         raise ValueError(f"field size {p}^{t * f} exceeds the cap 2^20")
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
+    return p, t, f
 
 
 class FieldTower:
@@ -241,7 +243,7 @@ class FieldTower:
     """
 
     def __init__(self, p: int, t: int, f: int):
-        check_tower_shape(p, t, f)
+        p, t, f = check_tower_shape(p, t, f)
         self.p = p
         self.t = t
         self.f = f

@@ -79,6 +79,8 @@ class BaseFieldClass:
         return FieldElement(self.tower, self.unit_log)
 
     def __mul__(self, other: "BaseFieldClass") -> "BaseFieldClass":
+        if not isinstance(other, BaseFieldClass):
+            return NotImplemented
         if other.tower is not self.tower:
             raise ValueError("classes over different towers")
         return BaseFieldClass(self.tower, self.valuation + other.valuation,
@@ -464,52 +466,43 @@ def is_norm(ext: TameAbelianExtension, b: BaseFieldClass) -> bool:
     return rem % math.gcd(d2, big_q) == 0
 
 
-def _below(rng, n: int) -> int:
-    """A uniform draw from range(n), the same draw as ``rng.randrange(n)``.
+def _draws(rng, n: int, count: int) -> list:
+    """``count`` uniform draws below n, those of as many ``randrange(n)``.
 
-    It calls ``rng.getrandbits(n.bit_length())`` until the value falls
-    below n. That is the rejection rule of ``random.Random.randrange``,
-    so a seed gives the same stream draw for draw, without randrange's
-    argument handling. Raises ValueError for n < 1, where no draw exists
-    (and ``getrandbits(0)``, always 0, would loop for ever at n = 0).
+    Each is ``rng.getrandbits(n.bit_length())``, drawn until it falls below
+    n: randrange's rejection rule, so a seed gives randrange's stream draw
+    for draw. Every sampler here draws through this loop (``_find_modulus``
+    keeps its own: a call per candidate reads 5 % slower). Raises
+    ValueError for n < 1, where no draw exists (and ``getrandbits(0)``,
+    always 0, would loop for ever at n = 0).
     """
     if n < 1:
         raise ValueError(f"no draw below {n}")
     k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
-
-
-def random_logs(tower, rng, count: int) -> list:
-    """Logs of ``count`` uniform random elements of l (None for zero).
-
-    Each is a draw r = ``_below(rng, |l|)``, read as zero for r = 0 and
-    as the log r - 1 otherwise; the loop inlines ``_below``. The one
-    sampler of series windows: ``random_unit_series``, the crossed
-    product's random elements and the root-extraction check all draw
-    through it.
-    """
-    size = tower.size
-    if size < 1:
-        raise ValueError(f"no draw below {size}")
-    k = size.bit_length()
     bits = rng.getrandbits
     out = []
     for _ in range(count):
         r = bits(k)
-        while r >= size:
+        while r >= n:
             r = bits(k)
-        out.append(r - 1 if r else None)
+        out.append(r)
     return out
+
+
+def random_logs(tower, rng, count: int) -> list:
+    """Logs of ``count`` uniform random elements of l (None for zero):
+    each draw r below |l| (``_draws``) is zero at r = 0, else the log
+    r - 1. The crossed product's random elements, the root-extraction
+    check and ``random_unit_series`` all draw their windows here.
+    """
+    return [r - 1 if r else None for r in _draws(rng, tower.size, count)]
 
 
 def random_unit_series(ext: TameAbelianExtension, rng,
                        valuation: int = 0) -> LaurentSeries:
     """A random L-series with unit leading coefficient, at ext precision."""
     tower = ext.tower
-    logs = [_below(rng, tower.order)]
+    logs = _draws(rng, tower.order, 1)
     logs += random_logs(tower, rng, ext.precision - 1)
     return LaurentSeries(tower, EXT_SYMBOL, valuation, logs)
 
@@ -526,8 +519,7 @@ def random_base_unit_series(ext: TameAbelianExtension, rng,
     gk = tower.subfield_norm_exponent    # the log of k's generator
     units = tower.subfield_units
     logs = [None if j == units else gk * j % tower.order
-            for j in [_below(rng, units + 1)
-                      for _ in range(ext.precision)]]
+            for j in _draws(rng, units + 1, ext.precision)]
     if logs[0] is None:
         logs[0] = 0
     return LaurentSeries(tower, BASE_SYMBOL, valuation, logs)

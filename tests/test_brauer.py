@@ -104,6 +104,14 @@ def test_character_group_sizes_and_additivity(matrix):
                     assert chi(g * h) == (chi(g) + chi(h)) % 1
 
 
+def test_a_character_plus_another_type_raises_type_error(matrix):
+    chi = brauer.character_group(matrix["ram_e4"])[1]
+    with pytest.raises(TypeError):
+        chi + 3
+    with pytest.raises(TypeError):
+        3 + chi
+
+
 def test_equal_characters_hash_equal_across_routes(matrix):
     # the sum and the numerator form, off by multiples of n, of one character
     for name, ext in matrix.items():

@@ -7,6 +7,7 @@ import pytest
 from conftest import galois_element, make_series
 from lcft.cli import build_extension
 from lcft.extension import GaloisElement, TameAbelianExtension
+from lcft.ffield import FieldTower
 from lcft.reciprocity import random_unit_series
 from lcft.series import LaurentSeries
 
@@ -41,6 +42,29 @@ def test_construction_rejections():
         TameAbelianExtension.from_parameters(3, 4, 1, 80, "1", 16)
     with pytest.raises(ValueError, match="unit"):
         TameAbelianExtension.from_parameters(5, 1, 1, 2, "0")
+
+
+def test_construction_refuses_a_non_integer_descriptor(monkeypatch):
+    # a float precision once reached the first series as a list length
+    tower = FieldTower(5, 1, 1)
+    for cast in (float, Fraction):
+        with pytest.raises(TypeError, match="as an integer"):
+            TameAbelianExtension(tower, cast(2), tower.one(), 8)
+        with pytest.raises(TypeError, match="as an integer"):
+            TameAbelianExtension(tower, 2, tower.one(), cast(8))
+
+    # from_parameters refuses each slot before the tables are built
+    def refuse(*args, **kwargs):
+        raise AssertionError("tables built for a refused descriptor")
+
+    monkeypatch.setattr(FieldTower, "_build_tables", refuse)
+    for slot in range(5):
+        for cast in (float, Fraction):
+            p, t, f, e, precision = [cast(x) if i == slot else x
+                                     for i, x in enumerate((5, 1, 1, 4, 8))]
+            with pytest.raises(TypeError, match="as an integer"):
+                TameAbelianExtension.from_parameters(p, t, f, e, "1",
+                                                     precision=precision)
 
 
 def test_group_sizes_and_layout(matrix):

@@ -57,6 +57,18 @@ def test_construction_validation():
         FieldTower(2, 3, 8)           # 2^24 over the cap
 
 
+def test_construction_refuses_a_non_integer_shape():
+    # is_prime(2.0) holds, so a float p once passed the shape check and
+    # failed inside the modulus search
+    for shape in ((2, 1, 1), (5, 1, 1)):
+        for slot in range(3):
+            for cast in (float, Fraction):
+                args = list(shape)
+                args[slot] = cast(args[slot])
+                with pytest.raises(TypeError, match="as an integer"):
+                    FieldTower(*args)
+
+
 def test_modulus_is_deterministic(f9):
     again = FieldTower(3, 1, 2)
     assert again.modulus == f9.modulus

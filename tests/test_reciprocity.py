@@ -11,7 +11,8 @@ import pytest
 from conftest import (MATRIX_PARAMS, binary_power, class_inverse,
                       field_element_closed_form, subfield_units)
 from lcft import brauer, checks, reciprocity as rc
-from lcft.extension import GaloisElement, TameAbelianExtension
+from lcft.extension import (BASE_SYMBOL, EXT_SYMBOL, GaloisElement,
+                           TameAbelianExtension)
 from lcft.ffield import FieldTower
 from lcft.series import LaurentSeries
 
@@ -49,6 +50,14 @@ def test_a_class_refuses_a_non_integer_valuation_or_log(matrix):
     # None stays the zero residue, refused as a value
     with pytest.raises(ValueError, match="nonzero"):
         rc.BaseFieldClass(tower, 1, None)
+
+
+def test_a_class_times_another_type_raises_type_error(matrix):
+    b = rc.BaseFieldClass(matrix["ram_e4"].tower, 1, 0)
+    with pytest.raises(TypeError):
+        b * 3
+    with pytest.raises(TypeError):
+        3 * b
 
 
 def test_a_class_over_another_tower_is_refused(matrix):
@@ -924,7 +933,7 @@ def test_sampler_rejects_an_empty_range():
     try:
         for n in (0, -1):
             with pytest.raises(ValueError):
-                rc._below(random.Random(1), n)
+                rc._draws(random.Random(1), n, 1)
             with pytest.raises(ValueError):
                 rc.random_logs(types.SimpleNamespace(size=n),
                                random.Random(1), 3)
@@ -940,7 +949,7 @@ STREAM_SIZES = (2, 3, 4, 5, 9, 16, 49, 59, 64, 2**20)
 @pytest.mark.parametrize("n", STREAM_SIZES)
 def test_sampler_draws_the_randrange_stream(n):
     ours, theirs = random.Random(n), random.Random(n)
-    assert [rc._below(ours, n) for _ in range(2000)] == \
+    assert [rc._draws(ours, n, 1)[0] for _ in range(2000)] == \
         [theirs.randrange(n) for _ in range(2000)]
 
 
@@ -949,7 +958,7 @@ def test_sampler_stream_on_the_matrix_towers(matrix):
         tower = ext.tower
         n = tower.subfield_units + 1
         ours, theirs = random.Random(name), random.Random(name)
-        assert [rc._below(ours, n) for _ in range(2000)] == \
+        assert [rc._draws(ours, n, 1)[0] for _ in range(2000)] == \
             [theirs.randrange(n) for _ in range(2000)], name
         # a window's logs: draw r below |l|, zero for r = 0, else log r - 1
         want = [theirs.randrange(tower.size) for _ in range(2000)]
@@ -959,6 +968,26 @@ def test_sampler_stream_on_the_matrix_towers(matrix):
         assert rc.random_logs(tower, ours, 1) == [r - 1 if r else None], name
 
 
+def test_series_samplers_draw_the_randrange_stream(matrix):
+    for name, ext in matrix.items():
+        tower, n = ext.tower, ext.precision
+        ours, theirs = random.Random(name), random.Random(name)
+        # a unit lead below |l*|, then a window's logs below |l|
+        want = [theirs.randrange(tower.order)] + [
+            r - 1 if r else None
+            for r in [theirs.randrange(tower.size) for _ in range(n - 1)]]
+        assert rc.random_unit_series(ext, ours, 3) == \
+            LaurentSeries(tower, EXT_SYMBOL, 3, want), name
+        # j below |k*| + 1: j = |k*| is zero, else g_k^j; a zero lead is one
+        gk, units = tower.subfield_norm_exponent, tower.subfield_units
+        want = [None if j == units else gk * j % tower.order
+                for j in [theirs.randrange(units + 1) for _ in range(n)]]
+        if want[0] is None:
+            want[0] = 0
+        assert rc.random_base_unit_series(ext, ours, -2) == \
+            LaurentSeries(tower, BASE_SYMBOL, -2, want), name
+
+
 def test_sampler_stream_is_pinned():
     # literal draws, so the stream does not rest on the interpreter's
     # randrange
@@ -966,7 +995,8 @@ def test_sampler_stream_is_pinned():
                     (2**20, [627133, 807851, 163617, 311523, 12204, 959342,
                              41771, 319924])):
         rng = random.Random(1803)
-        assert [rc._below(rng, n) for _ in range(8)] == want, n
+        assert [rc._draws(rng, n, 1)[0] for _ in range(8)] == want, n
+        assert rc._draws(random.Random(1803), n, 8) == want, n
 
 
 def test_readme_library_example_prints_what_its_comments_say(capsys):
